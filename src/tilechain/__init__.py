@@ -65,9 +65,8 @@ from .tiling import (C0, Certificate, Color, Placement, Tile, TilingSystem,
                      color_to_str, dump_certificate, dump_system, head,
                      letter, load_certificate, load_system, sort_placements,
                      state)
-from .tm import (Configuration, DoesNotFit, LeftEdgeViolation,
-                 MissingTransition, RunTrace, TuringMachine, dump_tm,
-                 initial_config, load_tm, normalize, run, step, tape_extent,
-                 validate)
+from .tm import (Configuration, LeftEdgeViolation, MissingTransition,
+                 RunTrace, TuringMachine, dump_tm, initial_config, load_tm,
+                 normalize, run, step, tape_extent, validate)
 
 __version__ = "0.1.0"

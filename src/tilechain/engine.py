@@ -62,7 +62,8 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
     b2 = ts.tile_named("b2")
     for y in range(1, len(trace.configs)):
         config = trace.configs[y - 1]
-        assert tape_extent(config, blank) <= m - 1
+        if tape_extent(config, blank) > m - 1:
+            raise AssertionError(f"row {y} needs more than {m - 1} cells")
 
         def cell(k: int) -> str:
             return config.tape[k] if k < len(config.tape) else blank
@@ -73,13 +74,15 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
         j = head_pos + 1
         row: dict[int, Tile] = {0: b7, m: b2}
         if move == "L":
-            assert j >= 2
+            if j < 2:
+                raise AssertionError(f"row {y}: left move from column {j}")
             row[j] = pick(letter(b), TRI_R, head(q, a), state(p))
             row[j - 1] = pick(head(p, cell(head_pos - 1)), state(p),
                               letter(cell(head_pos - 1)), TRI_L)
             left_end, right_start = j - 2, j + 1
         else:
-            assert j <= m - 2
+            if j > m - 2:
+                raise AssertionError(f"row {y}: right move from column {j}")
             row[j] = pick(letter(b), state(p), head(q, a), TRI_L)
             row[j + 1] = pick(head(p, cell(head_pos + 1)), TRI_R,
                               letter(cell(head_pos + 1)), state(p))

@@ -20,8 +20,8 @@ re-checkable by direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterable, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .edges import Ring, RingMismatch, Z, ring_from_name
 from .modules import ModuleElement, SemimoduleInstance
@@ -59,6 +59,24 @@ def pow_tokens(symbol: str, k: int) -> list[str]:
 
 def word_from_tokens(tokens: Iterable[str]) -> str:
     return " ".join(tokens)
+
+
+Run = Tuple[str, int]  # (letter, repeat count >= 1)
+
+
+def _runs(word: str | Iterable[str]) -> Iterator[Run]:
+    """Maximal runs of equal letters in a whitespace-separated string or a
+    token iterable."""
+    tokens = word.split() if isinstance(word, str) else word
+    for letter, group in groupby(tokens):
+        yield letter, len(list(group))
+
+
+def _bound(bindings: Dict, letter: str):
+    try:
+        return bindings[letter]
+    except KeyError:
+        raise UnboundSymbol(f"no binding for {letter!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +168,47 @@ def wreath_eval(word: str | Iterable[str],
                 ring: Ring) -> WreathElement:
     """Left-to-right product of the bound elements of a token stream.
 
-    Accepts a whitespace-separated string or any iterable of tokens; the
-    fold keeps a single mutable accumulator so move and single-lamp tokens
-    cost O(1) each.
+    Accepts a whitespace-separated string or any iterable of tokens.  The
+    fold works on runs of equal letters with one mutable accumulator: a
+    run of a pure move is one shift, a run of a lamp pattern that does not
+    move adds its scaled lamps once, and any other binding is applied once
+    per repeat.  Cost is per run, not per letter, for the standard x/y/g
+    bindings.
     """
-    tokens = word.split() if isinstance(word, str) else word
+    return _wreath_fold(_runs(word), bindings, ring)
+
+
+def _wreath_fold(runs: Iterable[Run], bindings: Dict[str, WreathElement],
+                 ring: Ring) -> WreathElement:
     fun: Dict[Point, int] = {}
+    checked: Dict[str, WreathElement] = {}
     px, py = 0, 0
-    for token in tokens:
-        try:
-            element = bindings[token]
-        except KeyError:
-            raise UnboundSymbol(f"no binding for {token!r}") from None
-        if element.ring != ring:
-            raise RingMismatch(
-                f"{element.ring.name} binding in {ring.name} evaluation")
-        for (a, b), v in element._fun.items():
-            key = (a + px, b + py)
-            total = ring.canon(fun.get(key, 0) + v)
-            if total:
-                fun[key] = total
-            else:
-                fun.pop(key, None)
-        px += element.pos[0]
-        py += element.pos[1]
+    for letter, k in runs:
+        element = checked.get(letter)
+        if element is None:
+            element = checked[letter] = _bound(bindings, letter)
+            if element.ring != ring:
+                raise RingMismatch(
+                    f"{element.ring.name} binding in {ring.name} evaluation")
+        lamps = element._fun
+        sx, sy = element.pos
+        if not lamps:
+            px += k * sx
+            py += k * sy
+            continue
+        repeats = k
+        if not (sx or sy):
+            repeats, lamps = 1, {key: k * v for key, v in lamps.items()}
+        for _ in range(repeats):
+            for (a, b), v in lamps.items():
+                key = (a + px, b + py)
+                total = ring.canon(fun.get(key, 0) + v)
+                if total:
+                    fun[key] = total
+                else:
+                    fun.pop(key, None)
+            px += sx
+            py += sy
     return WreathElement(ring, fun, (px, py))
 
 
@@ -305,28 +340,94 @@ def metabelian_bindings() -> Dict[str, MetabelianElement]:
 def metabelian_eval(word: str | Iterable[str],
                     bindings: Dict[str, MetabelianElement] | None = None
                     ) -> MetabelianElement:
-    """Left-to-right product of bound elements, with the same mutable-fold
-    strategy as :func:`wreath_eval`."""
+    """Left-to-right product of bound elements, folded over runs of equal
+    letters.
+
+    The fold accumulates the flow's difference along each edge's own
+    direction, ``D(x, y, o) = f(x, y, o) - f((x, y) - unit(o), o)``.  A
+    straight run such as ``x^k`` changes D at its two ends only, so its
+    cost does not depend on k; any other binding adds its own D, computed
+    once per letter and translated.  Prefix sums along each grid line turn
+    D back into the flow at the end.
+    """
     if bindings is None:
         bindings = metabelian_bindings()
-    tokens = word.split() if isinstance(word, str) else word
-    flow: Dict[FlowKey, int] = {}
+    return _metabelian_fold(_runs(word), bindings)
+
+
+def _flow_difference(flow: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
+    diff: Dict[FlowKey, int] = {}
+    for (x, y, o), v in flow.items():
+        nxt = (x + 1, y, o) if o == "H" else (x, y + 1, o)
+        diff[(x, y, o)] = diff.get((x, y, o), 0) + v
+        diff[nxt] = diff.get(nxt, 0) - v
+    return {key: v for key, v in diff.items() if v}
+
+
+def _straight(diff: Dict[FlowKey, int], sx: int,
+              sy: int) -> tuple[FlowKey, int] | None:
+    """``(key, c)`` when D is ``c`` at key and ``-c`` one step further, so
+    that k repeats telescope to ``c`` at key and ``-c`` k steps further."""
+    if len(diff) == 2:
+        for (x, y, o), c in diff.items():
+            if diff.get((x + sx, y + sy, o)) == -c:
+                return (x, y, o), c
+    return None
+
+
+def _metabelian_fold(runs: Iterable[Run],
+                     bindings: Dict[str, MetabelianElement]
+                     ) -> MetabelianElement:
+    diff: Dict[FlowKey, int] = {}
+    steps: Dict[str, tuple] = {}
     px, py = 0, 0
-    for token in tokens:
-        try:
-            element = bindings[token]
-        except KeyError:
-            raise UnboundSymbol(f"no binding for {token!r}") from None
-        for (x, y, o), v in element._flow.items():
-            key = (x + px, y + py, o)
-            total = flow.get(key, 0) + v
-            if total:
-                flow[key] = total
+    for letter, k in runs:
+        if letter not in steps:
+            element = _bound(bindings, letter)
+            own = _flow_difference(element._flow)
+            sx, sy = element.ab
+            steps[letter] = (own, sx, sy, _straight(own, sx, sy))
+        own, sx, sy, straight = steps[letter]
+        if straight is not None:
+            (x, y, o), c = straight
+            start = (x + px, y + py, o)
+            end = (x + px + k * sx, y + py + k * sy, o)
+            diff[start] = diff.get(start, 0) + c
+            diff[end] = diff.get(end, 0) - c
+            px += k * sx
+            py += k * sy
+            continue
+        repeats = k
+        if not (sx or sy):
+            repeats, own = 1, {key: k * v for key, v in own.items()}
+        for _ in range(repeats):
+            for (x, y, o), v in own.items():
+                key = (x + px, y + py, o)
+                diff[key] = diff.get(key, 0) + v
+            px += sx
+            py += sy
+    return MetabelianElement((px, py), _flow_from_difference(diff))
+
+
+def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
+    """Prefix sums of D along each horizontal and vertical grid line."""
+    lines: Dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for (x, y, o), d in diff.items():
+        if d:
+            if o == "H":
+                lines.setdefault((o, y), []).append((x, d))
             else:
-                flow.pop(key, None)
-        px += element.ab[0]
-        py += element.ab[1]
-    return MetabelianElement((px, py), flow)
+                lines.setdefault((o, x), []).append((y, d))
+    flow: Dict[FlowKey, int] = {}
+    for (o, line), points in lines.items():
+        points.sort()
+        running = 0
+        for (t, d), (t_next, _) in zip(points, points[1:]):
+            running += d
+            if running:
+                for u in range(t, t_next):
+                    flow[(u, line, o) if o == "H" else (line, u, o)] = running
+    return flow
 
 
 def flow_boundary(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
@@ -394,7 +495,8 @@ def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
                     raise NotACycle(f"column {x} does not balance")
                 for b in range(y, next_y):
                     cells[(x, b)] = running
-    assert cells_to_flow(cells) == flow
+    if cells_to_flow(cells) != flow:
+        raise AssertionError("cell decomposition does not re-create the flow")
     return cells
 
 
@@ -535,19 +637,38 @@ def witness_to_submonoid_certificate(witness,
 def verify_submonoid_certificate(instance: SubmonoidInstance,
                                  indices: Sequence[int]) -> bool:
     """Concatenate the chosen generator words and compare with the target
-    by direct evaluation in the ambient group."""
-    words = [w.split() for w in instance.generators]
+    by direct evaluation in the ambient group.
+
+    Every index is checked before anything is evaluated.  Each used
+    generator word is read into runs once, and ``r`` equal indices in a
+    row that pick a one-run word (the move words) become a single run, so
+    the cost is per run of the chosen words, not per letter.  In the free
+    metabelian group it does not depend on run length.
+    """
+    count = len(instance.generators)
     for i in indices:
-        if not 0 <= i < len(words):
+        if not 0 <= i < count:
             raise BadIndex(f"generator {i} out of range")
-    stream = chain.from_iterable(words[i] for i in indices)
+    words = {i: list(_runs(instance.generators[i])) for i in set(indices)}
+
+    def chosen() -> Iterator[Run]:
+        for i, group in groupby(indices):
+            repeats = len(list(group))
+            word = words[i]
+            if len(word) == 1:
+                letter, m = word[0]
+                yield letter, repeats * m
+            else:
+                for _ in range(repeats):
+                    yield from word
+
     if instance.flavor == WREATH:
         bindings = wreath_bindings(instance.ring)
-        value = wreath_eval(stream, bindings, instance.ring)
+        value = _wreath_fold(chosen(), bindings, instance.ring)
         target = wreath_eval(instance.target, bindings, instance.ring)
     else:
         bindings = metabelian_bindings()
-        value = metabelian_eval(stream, bindings)
+        value = _metabelian_fold(chosen(), bindings)
         target = metabelian_eval(instance.target, bindings)
     return value == target
 

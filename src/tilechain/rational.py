@@ -441,8 +441,9 @@ def rational_member_bounded(expr: RationalExpr,
                 visited.add(key)
                 grown = f"{word} {letter}".strip()
                 if hit(moved, extended):
-                    check = wreath_eval(grown, bindings, ring)
-                    assert check == target
+                    if wreath_eval(grown, bindings, ring) != target:
+                        raise AssertionError(f"BFS hit {grown!r} does not "
+                                             "re-evaluate to the target")
                     return grown
                 next_frontier.append((moved, extended, grown))
         frontier = next_frontier

@@ -33,10 +33,6 @@ class MissingTransition(ValueError):
     normalized and has halted in a non-accepting state."""
 
 
-class DoesNotFit(ValueError):
-    """A configuration needs more tape cells than the requested word length."""
-
-
 MOVES = ("L", "R")
 
 

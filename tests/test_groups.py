@@ -3,7 +3,10 @@ rank-2 flow elements, module flattening into words, and submonoid
 membership instances."""
 
 import random
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +68,12 @@ MOVE_TOKENS = "x X y Y".split()
 def random_word(rng, tokens, max_len=30):
     return " ".join(rng.choice(tokens)
                     for _ in range(rng.randint(0, max_len)))
+
+
+def run_word(rng, letters, max_runs=8, max_run=60):
+    """Random word made of runs of 1..max_run equal letters."""
+    return " ".join(" ".join([rng.choice(letters)] * rng.randint(1, max_run))
+                    for _ in range(rng.randint(0, max_runs)))
 
 
 def walk_wreath(word, ring):
@@ -244,6 +253,61 @@ class TestWreathEval:
                 wreath_eval(u, bindings, Z) * wreath_eval(v, bindings, Z)
 
 
+class TestRunLengthEvaluation:
+    """Words with long runs, against the letter-by-letter references."""
+
+    def test_wreath_runs_match_reference_walk(self):
+        rng = random.Random(13)
+        for ring in (Z, Ring(2), Ring(3)):
+            bindings = wreath_bindings(ring)
+            for _ in range(60):
+                word = run_word(rng, WREATH_TOKENS)
+                expected = walk_wreath(word, ring)
+                assert wreath_eval(word, bindings, ring) == expected
+                assert wreath_eval((t for t in word.split()), bindings,
+                                   ring) == expected
+
+    def test_metabelian_runs_match_reference_walk(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            word = run_word(rng, MOVE_TOKENS)
+            expected = walk_metabelian(word)
+            assert metabelian_eval(word) == expected
+            assert metabelian_eval(iter(word.split())) == expected
+
+    def test_custom_wreath_bindings(self):
+        rng = random.Random(15)
+        for ring in (Z, Ring(2), Ring(3)):
+            many_lamps = WreathElement(ring, {(0, 0): 2, (1, -1): -1,
+                                              (3, 0): 1})
+            jump = WreathElement(ring, pos=(3, -2))
+            mixed = WreathElement(ring, {(0, 0): 1, (-1, 2): 2}, (2, 1))
+            bindings = dict(wreath_bindings(ring), h=many_lamps,
+                            H=many_lamps.inv(), m=jump, M=jump.inv(),
+                            q=mixed, Q=mixed.inv())
+            letters = list(bindings)
+            for _ in range(60):
+                word = run_word(rng, letters, max_run=12)
+                expected = reduce(lambda acc, t: acc * bindings[t],
+                                  word.split(), wreath_identity(ring))
+                assert wreath_eval(word, bindings, ring) == expected
+
+    def test_custom_metabelian_bindings(self):
+        rng = random.Random(16)
+        cell = MetabelianElement((0, 0), cell_flow(0, 0))
+        hook = metabelian_eval("x x y")
+        stride = metabelian_eval("x x x")
+        skew = MetabelianElement((0, 1), {(0, 0, "H"): 1})
+        bindings = dict(metabelian_bindings(), c=cell, h=hook, H=hook.inv(),
+                        s=stride, S=stride.inv(), k=skew, K=skew.inv())
+        letters = list(bindings)
+        for _ in range(80):
+            word = run_word(rng, letters, max_run=12)
+            expected = reduce(lambda acc, t: acc * bindings[t],
+                              word.split(), metabelian_identity())
+            assert metabelian_eval(word, bindings) == expected
+
+
 # ---------------------------------------------------------------------------
 # flattening module elements
 
@@ -412,6 +476,24 @@ class TestFlows:
         assert flow_to_word({}) == ""
         assert cells_to_word({(0, 0): 0}) == ""
 
+    def test_decomposition_recheck_survives_optimize_flag(self):
+        # The re-check must be a real check, not an assert that -O strips.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import tilechain.groups as groups\n"
+            "assert sys.flags.optimize\n"
+            "groups.cells_to_flow = lambda cells: {}\n"
+            "try:\n"
+            "    groups.flow_decompose(groups.cell_flow(0, 0))\n"
+            "except AssertionError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": str(src)},
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestBasisChange:
     def test_affine_definition(self):
@@ -543,6 +625,68 @@ class TestCertificates:
         assert not verify_submonoid_certificate(inst, indices[:-1])
         xf = inst.move_indices()[0]
         assert not verify_submonoid_certificate(inst, indices + (xf,))
+
+
+class TestCertificateSemantics:
+    MOVES = ("x", "X", "y", "Y")
+
+    def test_bad_index_comes_before_evaluation(self):
+        inst = SubmonoidInstance(WREATH, Z, 1, 1, ("z",) + self.MOVES, "")
+        with pytest.raises(BadIndex, match="generator 5 out of range"):
+            verify_submonoid_certificate(inst, (0, 5))
+        with pytest.raises(BadIndex, match="generator -1 out of range"):
+            verify_submonoid_certificate(inst, (0, -1))
+
+    def test_unused_unbound_generator_is_not_evaluated(self):
+        inst = SubmonoidInstance(WREATH, Z, 1, 1, ("z",) + self.MOVES, "")
+        assert verify_submonoid_certificate(inst, (1, 3, 2, 4))
+
+    def test_used_unbound_generator_raises(self):
+        for flavor in (WREATH, METABELIAN):
+            inst = SubmonoidInstance(flavor, Z, 1, 1,
+                                     ("x z X",) + self.MOVES, "")
+            with pytest.raises(UnboundSymbol, match="no binding for 'z'"):
+                verify_submonoid_certificate(inst, (1, 0))
+
+    def test_empty_indices_compare_identity_with_target(self):
+        for flavor, word in ((WREATH, "x g X"), (METABELIAN, "x y X Y")):
+            gens = (word,) + self.MOVES
+            empty = SubmonoidInstance(flavor, Z, 1, 1, gens, "")
+            assert verify_submonoid_certificate(empty, ())
+            nontrivial = SubmonoidInstance(flavor, Z, 1, 1, gens, word)
+            assert not verify_submonoid_certificate(nontrivial, ())
+            assert verify_submonoid_certificate(nontrivial, (0,))
+
+    def test_matches_evaluating_the_concatenation(self):
+        rng = random.Random(17)
+        for flavor, letters in ((WREATH, WREATH_TOKENS),
+                                (METABELIAN, MOVE_TOKENS)):
+            evaluate = (metabelian_eval if flavor == METABELIAN else
+                        lambda w: wreath_eval(w, wreath_bindings(Z), Z))
+            for _ in range(60):
+                gens = tuple(run_word(rng, letters, max_runs=3, max_run=4)
+                             for _ in range(3)) + self.MOVES
+                indices = tuple(i for _ in range(rng.randint(0, 6))
+                                for i in [rng.randrange(7)] * rng.randint(1, 4))
+                product = " ".join(gens[i] for i in indices)
+                target = product if rng.random() < 0.5 else \
+                    run_word(rng, letters, max_runs=3, max_run=4)
+                inst = SubmonoidInstance(flavor, Z, 1, 1, gens, target)
+                assert verify_submonoid_certificate(inst, indices) == \
+                    (evaluate(product) == evaluate(target))
+
+    def test_long_move_term_and_missing_move(self):
+        f = unit(Z, 1, 0, 0, 0)
+        sem = SemimoduleInstance(Z, 1, (f,), f.translate(7, 1))
+        witness = (WitnessTerm(0, 7, 1, 1),)
+        for flavor in (WREATH, METABELIAN):
+            inst = make_submonoid_instance(sem, flavor)
+            indices = witness_to_submonoid_certificate(witness, inst)
+            assert verify_submonoid_certificate(inst, indices)
+            xf = inst.move_indices()[0]
+            cut = indices.index(xf)
+            assert not verify_submonoid_certificate(
+                inst, indices[:cut] + indices[cut + 1:])
 
 
 class TestSubmonoidSerialization:
