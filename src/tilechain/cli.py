@@ -4,7 +4,9 @@ Exit codes: 0 on success (including "member found" and "verified"),
 1 when a bounded search or check comes back negative (out of fuel, sum
 not zero, audit flags raised, nothing found within bounds), 2 on usage
 errors (argparse), 3 on input errors (unreadable files, malformed data,
-invalid machines).
+invalid machines), 4 on internal errors (a failed re-verification of a
+result, or the recursion limit hit), reported in one line with no
+traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .tiling import dump_certificate, dump_system, load_certificate, \
     load_system
 from .tm import dump_tm, load_tm, normalize, run, validate
 
+_INTERNAL_ERRORS = (AssertionError, RecursionError)
 _INPUT_ERRORS = (OSError, ValueError, KeyError, IndexError, TypeError)
 
 
@@ -415,6 +418,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except _INTERNAL_ERRORS as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return 4
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

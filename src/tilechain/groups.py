@@ -83,20 +83,26 @@ def _bound(bindings: Dict, letter: str):
 # wreath product of a ring by Z x Z
 
 class WreathElement:
-    """Immutable pair (lamp function on the grid, position in Z x Z)."""
+    """Immutable pair (lamp function on the grid, position in Z x Z).
 
-    __slots__ = ("ring", "pos", "_fun")
+    The lamp table is never mutated after construction, so elements may
+    share it: a product whose right factor lights no lamps (a pure move)
+    reuses the left factor's table and only shifts the position.  The
+    hash is computed on first use, from the ring's modulus, the position
+    and an order-free hash of the lamps, and then kept; the lamp part
+    carries over to every move-derived element.
+    """
+
+    __slots__ = ("ring", "pos", "_fun", "_hash", "_lamp_hash")
 
     def __init__(self, ring: Ring, fun: Dict[Point, int] | None = None,
                  pos: Point = (0, 0)):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "pos", (int(pos[0]), int(pos[1])))
         canon: Dict[Point, int] = {}
         for key, value in (fun or {}).items():
             v = ring.canon(value)
             if v:
                 canon[key] = v
-        object.__setattr__(self, "_fun", canon)
+        _init_wreath(self, ring, canon, (int(pos[0]), int(pos[1])), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WreathElement is immutable")
@@ -116,23 +122,41 @@ class WreathElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WreathElement):
             return NotImplemented
-        return (self.ring == other.ring and self.pos == other.pos
-                and self._fun == other._fun)
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.pos == other.pos
+                and (self._fun is other._fun or self._fun == other._fun))
 
     def __hash__(self):
-        return hash((self.ring, self.pos,
-                     tuple(sorted(self._fun.items()))))
+        h = self._hash
+        if h is None:
+            lamps = self._lamp_hash
+            if lamps is None:
+                lamps = hash(frozenset(self._fun.items()))
+                _set_lamp_hash(self, lamps)
+            h = hash((self.ring.modulus, self.pos, lamps))
+            _set_hash(self, h)
+        return h
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
-        fun = dict(self._fun)
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise RingMismatch(f"{ring.name} vs {other.ring.name}")
         px, py = self.pos
+        pos = (px + other.pos[0], py + other.pos[1])
+        if not other._fun:
+            return _make_wreath(ring, self._fun, pos, self._lamp_hash)
+        fun = dict(self._fun)
+        modulus = ring.modulus
         for (a, b), v in other._fun.items():
             key = (a + px, b + py)
-            fun[key] = fun.get(key, 0) + v
-        return WreathElement(self.ring, fun,
-                             (px + other.pos[0], py + other.pos[1]))
+            total = fun.get(key, 0) + v
+            if modulus is not None:
+                total %= modulus
+            if total:
+                fun[key] = total
+            else:
+                fun.pop(key, None)
+        return _make_wreath(ring, fun, pos, None)
 
     def inv(self) -> "WreathElement":
         px, py = self.pos
@@ -144,6 +168,32 @@ class WreathElement:
                           sorted(self._fun.items(), key=lambda i: (i[0][1],
                                                                    i[0][0])))
         return f"WreathElement[{self.ring.name}]({{{lamps}}}, pos={self.pos})"
+
+
+_set_ring = WreathElement.ring.__set__
+_set_pos = WreathElement.pos.__set__
+_set_fun = WreathElement._fun.__set__
+_set_hash = WreathElement._hash.__set__
+_set_lamp_hash = WreathElement._lamp_hash.__set__
+
+
+def _init_wreath(element: WreathElement, ring: Ring, fun: Dict[Point, int],
+                 pos: Point, lamp_hash) -> None:
+    _set_ring(element, ring)
+    _set_pos(element, pos)
+    _set_fun(element, fun)
+    _set_hash(element, None)
+    _set_lamp_hash(element, lamp_hash)
+
+
+def _make_wreath(ring: Ring, fun: Dict[Point, int], pos: Point,
+                 lamp_hash=None) -> WreathElement:
+    """An element from canonical parts, skipping the constructor's canon
+    pass.  ``fun`` is taken over, not copied: no caller may change it
+    afterwards.  ``lamp_hash`` is the lamp table's hash when known."""
+    element = object.__new__(WreathElement)
+    _init_wreath(element, ring, fun, pos, lamp_hash)
+    return element
 
 
 def wreath_identity(ring: Ring) -> WreathElement:
@@ -209,7 +259,7 @@ def _wreath_fold(runs: Iterable[Run], bindings: Dict[str, WreathElement],
                     fun.pop(key, None)
             px += sx
             py += sy
-    return WreathElement(ring, fun, (px, py))
+    return _make_wreath(ring, fun, (px, py))
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional
 
 from .edges import Ring, ring_from_name
-from .groups import (UnboundSymbol, WreathElement, embed_module, pow_tokens,
-                     wreath_eval, wreath_identity, word_from_tokens)
+from .groups import (UnboundSymbol, WreathElement, _bound, embed_module,
+                     pow_tokens, wreath_eval, wreath_identity,
+                     word_from_tokens)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
 
 
@@ -244,12 +245,15 @@ def regex_to_nfa(expr: RationalExpr) -> Nfa:
 
 
 class _NfaSim:
-    """Subset simulation with precomputed adjacency."""
+    """Subset simulation with precomputed adjacency; the subset automaton
+    is built lazily, one memoised step at a time."""
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
         self.eps: Dict[int, list[int]] = {}
         self.by_label: Dict[tuple[int, str], list[int]] = {}
+        self._subsets: Dict[frozenset[int], frozenset[int]] = {}
+        self._steps: Dict[tuple[frozenset[int], str], frozenset[int]] = {}
         for src, label, dst in nfa.edges:
             if label is None:
                 self.eps.setdefault(src, []).append(dst)
@@ -257,6 +261,7 @@ class _NfaSim:
                 self.by_label.setdefault((src, label), []).append(dst)
 
     def closure(self, states: Iterable[int]) -> frozenset[int]:
+        """Epsilon closure; equal closures come back as one object."""
         stack = list(states)
         seen = set(stack)
         while stack:
@@ -265,18 +270,25 @@ class _NfaSim:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return frozenset(seen)
+        closed = frozenset(seen)
+        return self._subsets.setdefault(closed, closed)
 
     def start(self) -> frozenset[int]:
         return self.closure([self.nfa.initial])
 
     def step(self, states: frozenset[int], token: str) -> frozenset[int]:
-        moved = [dst for state in states
-                 for dst in self.by_label.get((state, token), ())]
-        return self.closure(moved) if moved else frozenset()
+        """The closed subset after ``token``, empty when dead.  Memoised:
+        each (subset, letter) pair is closed once, and as closures are
+        interned, a subset reached again is the same frozenset object."""
+        moved = self._steps.get((states, token))
+        if moved is None:
+            moved = self._steps[states, token] = self.closure(
+                dst for state in states
+                for dst in self.by_label.get((state, token), ()))
+        return moved
 
     def accepting(self, states: frozenset[int]) -> bool:
-        return bool(states & self.nfa.finals)
+        return not self.nfa.finals.isdisjoint(states)
 
 
 def nfa_accepts(nfa: Nfa, word: str | Iterable[str]) -> bool:
@@ -398,6 +410,46 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
                             target)
 
 
+def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
+                ring: Ring, max_len: int, returnable=None) -> Iterator[tuple]:
+    """Breadth-first walk over the (automaton subset, group element) pairs
+    of words of length at most ``max_len``, layer by layer, extending each
+    frontier pair by the letters in first-appearance order.
+
+    Yields ``(accepting, element, word)`` once per distinct pair, where
+    ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
+    pairs have identical futures (evaluation is a homomorphism), so the
+    exact visited set loses nothing.  ``returnable(element, letters_left)``
+    may reject extensions.
+    """
+    moves = [(letter, _bound(bindings, letter))
+             for letter in expr_letters(expr)]
+    sim = _NfaSim(regex_to_nfa(expr))
+    start = (sim.start(), wreath_identity(ring))
+    yield sim.accepting(start[0]), start[1], None
+    frontier = [(*start, None)]
+    visited = {start}
+    for layer in range(max_len):
+        remaining = max_len - layer - 1
+        next_frontier = []
+        for states, element, word in frontier:
+            for letter, value in moves:
+                moved = sim.step(states, letter)
+                if not moved:
+                    continue
+                extended = element * value
+                if returnable and not returnable(extended, remaining):
+                    continue
+                key = (moved, extended)
+                if key in visited:
+                    continue
+                visited.add(key)
+                grown = (word, letter)
+                yield sim.accepting(moved), extended, grown
+                next_frontier.append((moved, extended, grown))
+        frontier = next_frontier
+
+
 def rational_member_bounded(expr: RationalExpr,
                             bindings: Dict[str, WreathElement],
                             target: WreathElement, max_len: int,
@@ -405,50 +457,23 @@ def rational_member_bounded(expr: RationalExpr,
     """Breadth-first search for a shortest accepted word evaluating to the
     target, over words of length at most ``max_len``.
 
-    States are (automaton subset, group element) pairs, deduplicated
-    exactly; equal pairs have identical futures because evaluation is a
-    homomorphism, so pruning repeats loses no witness.  Every returned
-    word is re-evaluated before being handed back.
+    Returns the first accepting pair of :func:`_sweep_walk` whose element
+    is the target, so the word is the first shortest one in its order.
+    Only that word is spelled out, and it is re-evaluated before being
+    handed back.
     """
-    letters = [t for t in expr_letters(expr)]
-    for letter in letters:
-        if letter not in bindings:
-            raise UnboundSymbol(f"no binding for {letter!r}")
-    sim = _NfaSim(regex_to_nfa(expr))
-    start = (sim.start(), wreath_identity(ring))
-    if not start[0]:
-        return None
-
-    def hit(states: frozenset[int], element: WreathElement) -> bool:
-        return sim.accepting(states) and element == target
-
-    if hit(*start):
-        return ""
-    frontier: list[tuple[frozenset[int], WreathElement, str]] = [
-        (start[0], start[1], "")]
-    visited: set[tuple[frozenset[int], WreathElement]] = {start[:2]}
-    for _ in range(max_len):
-        next_frontier: list[tuple[frozenset[int], WreathElement, str]] = []
-        for states, element, word in frontier:
-            for letter in letters:
-                moved = sim.step(states, letter)
-                if not moved:
-                    continue
-                extended = element * bindings[letter]
-                key = (moved, extended)
-                if key in visited:
-                    continue
-                visited.add(key)
-                grown = f"{word} {letter}".strip()
-                if hit(moved, extended):
-                    if wreath_eval(grown, bindings, ring) != target:
-                        raise AssertionError(f"BFS hit {grown!r} does not "
-                                             "re-evaluate to the target")
-                    return grown
-                next_frontier.append((moved, extended, grown))
-        frontier = next_frontier
-        if not frontier:
-            break
+    for accepting, element, word in _sweep_walk(expr, bindings, ring,
+                                                 max_len):
+        if accepting and element == target:
+            letters = []
+            while word is not None:
+                word, letter = word
+                letters.append(letter)
+            spelled = " ".join(reversed(letters))
+            if wreath_eval(spelled, bindings, ring) != target:
+                raise AssertionError(f"BFS hit {spelled!r} does not "
+                                     "re-evaluate to the target")
+            return spelled
     return None
 
 
@@ -459,20 +484,16 @@ def enumerate_zero_position_hits(expr: RationalExpr,
     """All values with position (0, 0) taken by accepted words of length
     at most ``max_len``.
 
-    Branches whose position cannot return to the origin within the
-    remaining length budget are pruned: a single letter changes each
-    position coordinate by a bounded step, so the pruning bound is a
-    true lower bound and no in-budget word is lost.
+    Runs the walk of :func:`_sweep_walk` to the end.  Branches whose
+    position cannot return to the origin within the remaining length
+    budget are pruned: a single letter changes each position coordinate
+    by a bounded step, so the pruning bound is a true lower bound and no
+    in-budget word is lost.
     """
-    letters = [t for t in expr_letters(expr)]
-    for letter in letters:
-        if letter not in bindings:
-            raise UnboundSymbol(f"no binding for {letter!r}")
-    steps = [bindings[letter].pos for letter in letters]
+    steps = [_bound(bindings, letter).pos for letter in expr_letters(expr)]
     max_dx = max((abs(dx) for dx, _ in steps), default=0) or 1
     max_dy = max((abs(dy) for _, dy in steps), default=0) or 1
     axis_moves_only = all(dx == 0 or dy == 0 for dx, dy in steps)
-    sim = _NfaSim(regex_to_nfa(expr))
 
     def returnable(element: WreathElement, remaining: int) -> bool:
         # Lower bound on the letters needed to move the position back to
@@ -483,34 +504,9 @@ def enumerate_zero_position_hits(expr: RationalExpr,
         needed = need_x + need_y if axis_moves_only else max(need_x, need_y)
         return needed <= remaining
 
-    hits: set[WreathElement] = set()
-    start = (sim.start(), wreath_identity(ring))
-    frontier = [start]
-    visited = {start}
-    if sim.accepting(start[0]):
-        hits.add(start[1])
-    for layer in range(max_len):
-        remaining = max_len - layer - 1
-        next_frontier = []
-        for states, element in frontier:
-            for letter in letters:
-                moved = sim.step(states, letter)
-                if not moved:
-                    continue
-                extended = element * bindings[letter]
-                if not returnable(extended, remaining):
-                    continue
-                key = (moved, extended)
-                if key in visited:
-                    continue
-                visited.add(key)
-                if sim.accepting(moved) and extended.pos == (0, 0):
-                    hits.add(extended)
-                next_frontier.append(key)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return hits
+    return {element for accepting, element, _ in
+            _sweep_walk(expr, bindings, ring, max_len, returnable)
+            if accepting and element.pos == (0, 0)}
 
 
 # ---------------------------------------------------------------------------

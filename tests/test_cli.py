@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line interface: every subcommand, the
 documented exit codes (0 success, 1 negative search/check, 2 usage,
-3 input error), and byte-stable outputs."""
+3 input error, 4 internal error), and byte-stable outputs."""
 
 import json
 import subprocess
@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from tilechain import cli as cli_module
 from tilechain.cli import main
 from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import Ring, Z, load_edgemap
@@ -436,6 +437,27 @@ class TestExitCodes:
         code, _, err = cli(capsys, "tm", "validate", "--tm", str(bad))
         assert code == 3
         assert err.startswith("error: ")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc,line", [
+        (RecursionError("maximum recursion depth exceeded"),
+         "internal error: RecursionError: maximum recursion depth exceeded"),
+        (AssertionError("BFS hit 'g0 x' does not\nre-evaluate to the target"),
+         "internal error: AssertionError: BFS hit 'g0 x' does not "
+         "re-evaluate to the target"),
+    ])
+    def test_internal_error_is_4(self, capsys, monkeypatch, ws, exc, line):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "_cmd_solve_rational", broken)
+        code, out, err = cli(capsys, "solve", "rational",
+                             "--instance", str(ws.rat_toy), "--max-len", "5")
+        assert code == 4
+        assert out == ""
+        assert err == line + "\n"
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -199,6 +199,87 @@ class TestWreathElements:
                 assert (a * a.inv()).is_identity()
 
 
+class TestWreathHashAndSharing:
+    """Products share lamp tables with their left factor when the right
+    factor only moves, re-canonicalise only the touched lamps otherwise,
+    and cache their hash; none of that may change equality or hashing."""
+
+    RINGS = (Z, Ring(2), Ring(3))
+
+    def test_products_match_constructor_built_elements(self):
+        rng = random.Random(20261018)
+        for ring in self.RINGS:
+            bindings = wreath_bindings(ring)
+            for _ in range(60):
+                word = random_word(rng, WREATH_TOKENS, max_len=25)
+                product = reduce(lambda acc, t: acc * bindings[t],
+                                 word.split(), wreath_identity(ring))
+                built = WreathElement(ring, product.fun(), product.pos)
+                assert product == built and built == product
+                assert hash(product) == hash(built)
+                assert hash(product) == hash(product)
+                assert product == wreath_eval(word, bindings, ring)
+
+    def test_cancelled_lamp_drops_its_key(self):
+        for ring, value in ((Z, -1), (Ring(2), 1), (Ring(3), 2)):
+            left = WreathElement(ring, {(0, 0): 1, (1, 0): 1}, (0, 0))
+            right = WreathElement(ring, {(0, 0): value})
+            product = left * right
+            expected = WreathElement(ring, {(1, 0): 1})
+            assert product.fun() == {(1, 0): 1}
+            assert product == expected
+            assert hash(product) == hash(expected)
+
+    def test_move_and_back_is_the_same_element(self):
+        for ring in self.RINGS:
+            bindings = wreath_bindings(ring)
+            a = wreath_eval("g x x g y g", bindings, ring)
+            for move, back in (("x", "X"), ("Y", "y")):
+                there = a * bindings[move]
+                assert there.fun() == a.fun()
+                assert there.pos != a.pos
+                again = there * bindings[back]
+                assert again == a and hash(again) == hash(a)
+
+    def test_mutating_fun_of_a_moved_element_changes_nothing(self):
+        for ring in self.RINGS:
+            bindings = wreath_bindings(ring)
+            parent = wreath_eval("g x g", bindings, ring)
+            hash(parent)
+            child = parent * bindings["x"]
+            snapshot = dict(child.fun())
+            lamps = child.fun()
+            lamps[(0, 0)] = 0
+            lamps[(9, 9)] = 1
+            del lamps[(1, 0)]
+            assert child.fun() == snapshot
+            assert parent.fun() == snapshot
+            assert child.lamp_at(9, 9) == 0 and parent.lamp_at(1, 0) == 1
+            assert child == WreathElement(ring, snapshot, (2, 0))
+
+    def test_pure_move_still_checks_the_ring(self):
+        for left, right in ((Z, Ring(2)), (Ring(2), Ring(3)), (Ring(3), Z)):
+            lamp = wreath_lamp(left, 0, 0)
+            move = WreathElement(right, pos=(1, 0))
+            with pytest.raises(RingMismatch):
+                lamp * move
+            with pytest.raises(RingMismatch):
+                move * lamp
+
+    def test_equal_rings_that_are_distinct_objects(self):
+        for modulus in (2, 3):
+            ring, twin = Ring(modulus), Ring(modulus)
+            assert ring is not twin
+            a = WreathElement(ring, {(0, 0): 1, (2, 1): 1}, (1, 0))
+            b = WreathElement(twin, {(0, 0): 1, (2, 1): 1}, (1, 0))
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+            moved = a * WreathElement(twin, pos=(1, 0))
+            assert moved == b * WreathElement(ring, pos=(1, 0))
+            assert moved.ring is ring
+            assert a * wreath_lamp(twin, 0, 0) == b * wreath_lamp(ring, 0, 0)
+
+
 class TestWreathEval:
     def test_commutator_of_moves_is_identity(self):
         assert wreath_eval("x y X Y", wreath_bindings(Z), Z).is_identity()

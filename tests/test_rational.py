@@ -2,13 +2,17 @@
 automaton, witness-to-word compilation, and the bounded membership
 search over (automaton state, group element) pairs."""
 
+import itertools
 import random
 
 import pytest
 
+from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import Ring, Z
 from tilechain.groups import UnboundSymbol, wreath_eval, wreath_identity
-from tilechain.modules import DuplicateShift, SemimoduleInstance, unit
+from tilechain.machines import unary_eraser
+from tilechain.modules import (DuplicateShift, SemimoduleInstance,
+                               tiling_to_subset_sum, unit, zero_element)
 from tilechain.rational import (
     Concat,
     Lit,
@@ -35,6 +39,7 @@ from tilechain.rational import (
     regex_to_nfa,
     word_plants,
 )
+from tilechain.rational import _NfaSim
 
 
 def subset_instance(ring, target, gens=None):
@@ -116,6 +121,43 @@ class TestAutomaton:
     def test_alphabet(self):
         assert set(regex_to_nfa(build_L(2)).alphabet()) == \
             {"x", "X", "y", "Y", "g0", "g1"}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_memoised_steps_match_fresh_closures(self, k):
+        nfa = regex_to_nfa(build_L(k))
+        letters = nfa.alphabet()
+
+        def fresh_step(states, letter):
+            # Reference: one labelled move, then the epsilon closure, read
+            # straight off the edge list with no simulator state.
+            reached = {dst for src, label, dst in nfa.edges
+                       if src in states and label == letter}
+            grew = bool(reached)
+            while grew:
+                more = {dst for src, label, dst in nfa.edges
+                        if src in reached and label is None}
+                grew = not more <= reached
+                reached |= more
+            return frozenset(reached)
+
+        sim = _NfaSim(nfa)
+        start = sim.start()
+        assert start == fresh_step({nfa.initial}, None) | {nfa.initial}
+        seen, queue, steps = {start}, [start], 0
+        while queue:
+            states = queue.pop()
+            for letter in letters:
+                moved = sim.step(states, letter)
+                assert moved == fresh_step(states, letter)
+                assert sim.step(states, letter) is moved
+                steps += 1
+                if moved and moved not in seen:
+                    seen.add(moved)
+                    queue.append(moved)
+        assert steps == len(seen) * len(letters)
+        for states in seen:
+            # Closures are interned: an equal subset is the same object.
+            assert sim.closure(states) is states
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +318,107 @@ class TestEnumeration:
         bindings = {k: v for k, v in rat.bindings.items() if k != "y"}
         with pytest.raises(UnboundSymbol, match="no binding for 'y'"):
             enumerate_zero_position_hits(rat.expr, bindings, ring, 3)
+
+
+def planted_instance(ring, gens, picks):
+    """A subset-sum instance whose target is the sum of the picks."""
+    target = zero_element(ring, 1)
+    for gen, dx, dy in picks:
+        target = target + gens[gen].translate(dx, dy)
+    return make_rational_instance(
+        SemimoduleInstance(ring, 1, gens, target, mode="subset-sum"))
+
+
+def sweep_gens(ring, shift=None):
+    f = unit(ring, 1, 0, 0, 0)
+    return (f,) if shift is None else (f, f + f.translate(*shift))
+
+
+class TestSearchGoldens:
+    """Words the search returned before its subset steps were memoised and
+    its two layered loops merged; the visit order must not move them."""
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    @pytest.mark.parametrize("shift,picks,word", [
+        (None, ((0, 0, 0),), "g0 x y X Y"),
+        (None, ((0, 1, 0),), "x g0 x y X X Y"),
+        (None, ((0, 0, 1),), "y g0 x y X Y Y"),
+        (None, ((0, 0, 0), (0, 1, 0)), "g0 x g0 x y X X Y"),
+        (None, ((0, 0, 0), (0, 1, 1)), "g0 x y g0 x y X X Y Y"),
+        ((1, 0), ((1, 1, 0),), "x g1 x y X X Y"),
+        ((0, 1), ((0, 0, 0), (1, 1, 0)), "g0 x g1 x y X X Y"),
+    ])
+    def test_planted_words(self, modulus, shift, picks, word):
+        ring = Ring(modulus)
+        rat = planted_instance(ring, sweep_gens(ring, shift), picks)
+        length = len(certificate_to_word(picks).split())
+        assert rational_member_bounded(rat.expr, rat.bindings, rat.target,
+                                       length, ring) == word
+        assert rational_member_bounded(rat.expr, rat.bindings, rat.target,
+                                       length - 1, ring) is None
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_enumeration_sizes(self, modulus):
+        ring = Ring(modulus)
+        rat = planted_instance(ring, sweep_gens(ring), ((0, 0, 0), (0, 1, 0)))
+        sizes = [len(enumerate_zero_position_hits(rat.expr, rat.bindings,
+                                                  ring, max_len))
+                 for max_len in (4, 8, 10)]
+        assert sizes == [1, 19, 67]
+
+    def test_readme_example_has_no_short_word(self):
+        # `tilechain reduce rational` on unary "aa" over Z/2, then
+        # `tilechain solve rational --max-len 4`, via the JSON form.
+        tm = unary_eraser()
+        sub = tiling_to_subset_sum(compile_tiles(tm),
+                                   initial_map(tm, "aa", Ring(2)))
+        rat = rational_from_dict(rational_to_dict(make_rational_instance(sub)))
+        assert rat.ring == Ring(2) and len(sub.generators) == 52
+        assert rational_member_bounded(rat.expr, rat.bindings, rat.target,
+                                       4, rat.ring) is None
+
+
+@pytest.fixture(scope="module")
+def short_sweep_words():
+    """Every word of length <= 6 that build_L(1) accepts, shortest first
+    and, within a length, in the search's letter order."""
+    expr = build_L(1)
+    nfa = regex_to_nfa(expr)
+    letters = expr_letters(expr)
+    return [" ".join(word) for length in range(7)
+            for word in itertools.product(letters, repeat=length)
+            if nfa_accepts(nfa, word)]
+
+
+class TestSearchAgainstBruteForce:
+    MAX_LEN = 6
+
+    def instances(self):
+        two, three = Ring(2), Ring(3)
+        planted = planted_instance(two, sweep_gens(two), ((0, 0, 0),))
+        yield planted, planted.target
+        other = planted_instance(three, sweep_gens(three), ((0, 0, 0),))
+        # An off-origin target: only the search, not enumeration, sees it.
+        yield other, wreath_eval("x g0 x y", other.bindings, three)
+
+    def test_shortest_word_is_the_first_in_search_order(
+            self, short_sweep_words):
+        for rat, target in self.instances():
+            expected = next((w for w in short_sweep_words
+                             if wreath_eval(w, rat.bindings, rat.ring)
+                             == target), None)
+            assert expected is not None
+            assert rational_member_bounded(rat.expr, rat.bindings, target,
+                                           self.MAX_LEN, rat.ring) == expected
+
+    def test_enumeration_is_every_origin_value(self, short_sweep_words):
+        for rat, _ in self.instances():
+            values = {wreath_eval(w, rat.bindings, rat.ring)
+                      for w in short_sweep_words}
+            expected = {v for v in values if v.pos == (0, 0)}
+            assert len(expected) > 1
+            assert enumerate_zero_position_hits(
+                rat.expr, rat.bindings, rat.ring, self.MAX_LEN) == expected
 
 
 # ---------------------------------------------------------------------------
