@@ -65,6 +65,8 @@ def _parse_window(text: str) -> tuple[int, int, int, int]:
     if len(parts) != 4:
         raise ValueError("window must be x0,y0,x1,y1")
     x0, y0, x1, y1 = (int(p) for p in parts)
+    if x0 > x1 or y0 > y1:
+        raise ValueError("window needs x0 <= x1 and y0 <= y1")
     return (x0, y0, x1, y1)
 
 

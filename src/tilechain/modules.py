@@ -12,9 +12,9 @@ This module rephrases tiling questions in that language:
     gives a subset-sum variant whose witnesses are exactly tile placements
     with no two tiles stacked on one cell.
 
-Both searches are bounded (translation window, coefficient cap, node
-budget) and return explicit witnesses that can be re-checked by plain
-arithmetic.
+One bounded branching search (translation window, coefficient set, node
+budget) answers both questions and returns explicit witnesses that can be
+re-checked by plain arithmetic.
 """
 
 from __future__ import annotations
@@ -256,14 +256,14 @@ def eval_member_witness(instance: SemimoduleInstance,
 
 def eval_subset_witness(instance: SemimoduleInstance,
                         picks: Iterable[SubsetPick]) -> ModuleElement:
-    total = zero_element(instance.ring, instance.rank)
+    picks = tuple(picks)
     seen: set[tuple[int, int]] = set()
-    for gen, dx, dy in picks:
+    for _, dx, dy in picks:
         if (dx, dy) in seen:
             raise DuplicateShift(f"translation ({dx}, {dy}) used twice")
         seen.add((dx, dy))
-        total = total + instance.generators[gen].translate(dx, dy)
-    return total
+    return eval_member_witness(
+        instance, (WitnessTerm(gen, dx, dy, 1) for gen, dx, dy in picks))
 
 
 def verify_witness(instance: SemimoduleInstance, witness) -> bool:
@@ -383,37 +383,33 @@ def _member_mod_prime(instance: SemimoduleInstance,
     return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
 
 
-def member_bounded(instance: SemimoduleInstance, window: Window,
-                   max_coeff: int = 1,
-                   fuel: int = 1_000_000) -> Optional[tuple[WitnessTerm, ...]]:
-    """Search for a nonnegative-combination witness within bounds.
+def _branch_search(instance: SemimoduleInstance, window: Window,
+                   values: tuple[int, ...], distinct: bool,
+                   fuel: int) -> Optional[tuple[WitnessTerm, ...]]:
+    """Bounded branching search shared by both membership questions.
 
-    Translations are restricted to the inclusive ``window`` box and, over
-    the integers, coefficients to ``1..max_coeff``.  At each node the
-    search branches on the residual coordinate with the fewest viable
-    candidates: every representation must hit every residual coordinate
-    with some translated generator, so branching over the candidates that
-    hit the chosen one — each with every allowed coefficient, or excluded
-    — loses no witness within the bounds.  A coordinate no candidate can
-    hit is an immediate dead end.  Returns the witness found, or None if
-    none exists within the bounds or the node budget runs out.
-
-    Over a prime modulus the coefficients range over a field and the
-    question is settled exactly by linear elimination instead (the cap
-    and the budget are then irrelevant, and None is a definite no).
+    Translations are restricted to the inclusive ``window`` box and
+    coefficients to ``values``; with ``distinct`` set, no two terms share
+    a translation.  At each node the search branches on the residual
+    coordinate with the fewest viable candidates: every representation
+    must hit every residual coordinate with some translated generator, so
+    branching over the candidates that hit the chosen one — each with
+    every allowed coefficient, or excluded — loses no witness within the
+    bounds.  A coordinate no candidate can hit is an immediate dead end.
+    Returns the terms sorted by ``(dy, dx, gen)``, or None if no witness
+    exists within the bounds or more than ``fuel`` nodes are needed.
     """
-    if instance.mode != "semimodule":
-        raise ValueError("instance mode must be 'semimodule'")
-    if instance.ring.modulus is not None and _is_prime(instance.ring.modulus):
-        return _member_mod_prime(instance, window)
     x0, y0, x1, y1 = window
     gens = instance.generators
     by_idx = _entries_by_idx(gens)
-    values = _coeff_values(instance.ring, max_coeff)
+    # Scaled once here, so that a child residual costs one translate.
+    multiples = {(gi, c): gen.scale(c)
+                 for gi, gen in enumerate(gens) for c in values}
     signed = instance.ring.modulus is None
+    used: set[tuple[int, int]] = set()
     nodes = 0
 
-    def candidates(key: EntryKey, rvalue: int,
+    def candidates(key: EntryKey, residual: ModuleElement,
                    decided: set[SubsetPick]) -> list[tuple[int, int, int, int]]:
         kx, ky, kidx = key
         found = []
@@ -421,11 +417,12 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
             sx, sy = kx - ex, ky - ey
             if not (x0 <= sx <= x1 and y0 <= sy <= y1):
                 continue
-            if (gi, sx, sy) in decided:
+            if (gi, sx, sy) in decided or (distinct and (sx, sy) in used):
                 continue
             found.append((gi, sx, sy, ev))
         if signed:
-            found.sort(key=lambda c: ((c[3] > 0) != (rvalue > 0),
+            positive = residual.value(kx, ky, kidx) > 0
+            found.sort(key=lambda c: ((c[3] > 0) != positive,
                                       c[0], c[2], c[1]))
         else:
             found.sort(key=lambda c: (c[0], c[2], c[1]))
@@ -434,11 +431,11 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
     def pick_key(residual: ModuleElement, decided: set[SubsetPick]):
         best = None
         for key in residual.support():
-            options = candidates(key, residual.value(*key), decided)
+            options = candidates(key, residual, decided)
             if not options:
-                return key, options
-            if best is None or len(options) < len(best[1]):
-                best = (key, options)
+                return options
+            if best is None or len(options) < len(best):
+                best = options
         return best
 
     def dfs(residual: ModuleElement,
@@ -449,18 +446,21 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
             raise _OutOfFuel
         if residual.is_zero():
             return []
-        _, options = pick_key(residual, decided)
         excluded: list[SubsetPick] = []
         result: Optional[list[WitnessTerm]] = None
-        for gi, sx, sy, _ in options:
+        for gi, sx, sy, _ in pick_key(residual, decided):
             decided.add((gi, sx, sy))
             excluded.append((gi, sx, sy))
-            shifted = gens[gi].translate(sx, sy)
+            if distinct:
+                used.add((sx, sy))
             for coeff in values:
-                rest = dfs(residual - shifted.scale(coeff), decided)
+                rest = dfs(residual - multiples[gi, coeff].translate(sx, sy),
+                           decided)
                 if rest is not None:
                     result = [WitnessTerm(gi, sx, sy, coeff)] + rest
                     break
+            if distinct:
+                used.remove((sx, sy))
             if result is not None:
                 break
         for pick in excluded:
@@ -476,12 +476,38 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
     return tuple(sorted(found, key=lambda t: (t.dy, t.dx, t.gen)))
 
 
+def member_bounded(instance: SemimoduleInstance, window: Window,
+                   max_coeff: int = 1,
+                   fuel: int = 1_000_000) -> Optional[tuple[WitnessTerm, ...]]:
+    """Search for a nonnegative-combination witness within bounds.
+
+    Translations are restricted to the inclusive ``window`` box and, over
+    the integers, coefficients to ``1..max_coeff`` (a cap below 1 is
+    refused); over a modulus every nonzero residue is tried.  The search
+    is the bounded branching search of :func:`_branch_search`.  Returns
+    the witness found, or None if none exists within the bounds or the
+    node budget runs out.
+
+    Over a prime modulus the coefficients range over a field and the
+    question is settled exactly by linear elimination instead (the cap
+    and the budget are then irrelevant, and None is a definite no).
+    """
+    if instance.mode != "semimodule":
+        raise ValueError("instance mode must be 'semimodule'")
+    if max_coeff < 1:
+        raise ValueError("max_coeff must be at least 1")
+    if instance.ring.modulus is not None and _is_prime(instance.ring.modulus):
+        return _member_mod_prime(instance, window)
+    return _branch_search(instance, window,
+                          _coeff_values(instance.ring, max_coeff), False, fuel)
+
+
 def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
                        fuel: int = 1_000_000
                        ) -> Optional[tuple[SubsetPick, ...]]:
     """Search for a 0/1 witness with pairwise distinct translations.
 
-    Same branching scheme as :func:`member_bounded`, with coefficients
+    The same branching search as :func:`member_bounded`, with coefficients
     fixed to 1 and a translation usable by at most one generator — the
     combinatorics of tile placements with no stacking.  Subset sums live
     over modular rings only; integer instances are refused.
@@ -490,67 +516,10 @@ def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
         raise ValueError("instance mode must be 'subset-sum'")
     if instance.ring.modulus is None:
         raise RingMismatch("subset-sum search needs a modular ring")
-    x0, y0, x1, y1 = window
-    gens = instance.generators
-    by_idx = _entries_by_idx(gens)
-    nodes = 0
-
-    def candidates(key: EntryKey, decided: set[SubsetPick],
-                   used: set[tuple[int, int]]) -> list[SubsetPick]:
-        kx, ky, kidx = key
-        found = []
-        for gi, ex, ey, _ in by_idx.get(kidx, ()):
-            sx, sy = kx - ex, ky - ey
-            if not (x0 <= sx <= x1 and y0 <= sy <= y1):
-                continue
-            if (gi, sx, sy) in decided or (sx, sy) in used:
-                continue
-            found.append((gi, sx, sy))
-        found.sort(key=lambda c: (c[0], c[2], c[1]))
-        return found
-
-    def pick_key(residual: ModuleElement, decided: set[SubsetPick],
-                 used: set[tuple[int, int]]):
-        best = None
-        for key in residual.support():
-            options = candidates(key, decided, used)
-            if not options:
-                return key, options
-            if best is None or len(options) < len(best[1]):
-                best = (key, options)
-        return best
-
-    def dfs(residual: ModuleElement, decided: set[SubsetPick],
-            used: set[tuple[int, int]]) -> Optional[list[SubsetPick]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > fuel:
-            raise _OutOfFuel
-        if residual.is_zero():
-            return []
-        _, options = pick_key(residual, decided, used)
-        excluded: list[SubsetPick] = []
-        result: Optional[list[SubsetPick]] = None
-        for gi, sx, sy in options:
-            decided.add((gi, sx, sy))
-            excluded.append((gi, sx, sy))
-            used.add((sx, sy))
-            rest = dfs(residual - gens[gi].translate(sx, sy), decided, used)
-            used.remove((sx, sy))
-            if rest is not None:
-                result = [(gi, sx, sy)] + rest
-                break
-        for pick in excluded:
-            decided.remove(pick)
-        return result
-
-    try:
-        found = dfs(instance.target, set(), set())
-    except _OutOfFuel:
-        return None
+    found = _branch_search(instance, window, (1,), True, fuel)
     if found is None:
         return None
-    return tuple(sorted(found, key=lambda p: (p[2], p[1], p[0])))
+    return tuple((t.gen, t.dx, t.dy) for t in found)
 
 
 def certificate_to_witness(cert: Certificate,

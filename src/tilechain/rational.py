@@ -419,8 +419,9 @@ def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
     Yields ``(accepting, element, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
     pairs have identical futures (evaluation is a homomorphism), so the
-    exact visited set loses nothing.  ``returnable(element, letters_left)``
-    may reject extensions.
+    exact visited set loses nothing.  ``returnable(x, y, letters_left)``
+    may reject an extension by the position (x, y) it would reach, before
+    its product is built.
     """
     moves = [(letter, _bound(bindings, letter))
              for letter in expr_letters(expr)]
@@ -437,9 +438,11 @@ def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
                 moved = sim.step(states, letter)
                 if not moved:
                     continue
+                if returnable:
+                    (px, py), (dx, dy) = element.pos, value.pos
+                    if not returnable(px + dx, py + dy, remaining):
+                        continue
                 extended = element * value
-                if returnable and not returnable(extended, remaining):
-                    continue
                 key = (moved, extended)
                 if key in visited:
                     continue
@@ -495,10 +498,9 @@ def enumerate_zero_position_hits(expr: RationalExpr,
     max_dy = max((abs(dy) for _, dy in steps), default=0) or 1
     axis_moves_only = all(dx == 0 or dy == 0 for dx, dy in steps)
 
-    def returnable(element: WreathElement, remaining: int) -> bool:
+    def returnable(px: int, py: int, remaining: int) -> bool:
         # Lower bound on the letters needed to move the position back to
         # the origin; never an overestimate, so pruning on it is safe.
-        px, py = element.pos
         need_x = -(-abs(px) // max_dx)
         need_y = -(-abs(py) // max_dy)
         needed = need_x + need_y if axis_moves_only else max(need_x, need_y)

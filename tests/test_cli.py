@@ -3,8 +3,10 @@ documented exit codes (0 success, 1 negative search/check, 2 usage,
 3 input error, 4 internal error), and byte-stable outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -376,6 +378,20 @@ class TestSolveCommands:
                            "--window", "1,2")
         assert code == 3
         assert err == "error: window must be x0,y0,x1,y1\n"
+        for reversed_box in ("1,0,0,0", "0,1,0,0"):
+            code, _, err = cli(capsys, "solve", "semimodule",
+                               "--instance", str(ws.sem_mini_z),
+                               "--window", reversed_box)
+            assert code == 3
+            assert err == "error: window needs x0 <= x1 and y0 <= y1\n"
+
+    def test_max_coeff_below_one_is_3(self, capsys, ws):
+        code, out, err = cli(capsys, "solve", "semimodule",
+                             "--instance", str(ws.sem_mini_z),
+                             "--window", "0,0,3,3", "--max-coeff", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "error: max_coeff must be at least 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +501,13 @@ class TestDeterminism:
 
 class TestSubprocessEntry:
     def test_module_invocation(self, ws):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tilechain.cli",
              "tm", "validate", "--tm", str(ws.unary)],
+            env=dict(os.environ, PYTHONPATH=path),
             capture_output=True, timeout=60)
         assert proc.returncode == 0
         assert b"machine is well-formed" in proc.stdout

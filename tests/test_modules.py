@@ -1,6 +1,7 @@
 """Tests for the translated-generator module layer: elements, flattening,
 membership instances, the bounded searches, and witness serialization."""
 
+import itertools
 import random
 
 import pytest
@@ -298,6 +299,11 @@ class TestSearchToyInstances:
         assert member_bounded(inst, (0, 0, 0, 0), max_coeff=1) is None
         assert member_bounded(inst, (0, 0, 0, 0), max_coeff=2) == \
             (WitnessTerm(0, 0, 0, 2),)
+        # A cap below 1 allows no term at all; it is refused rather than
+        # reported as an empty search.
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="max_coeff must be at least 1"):
+                member_bounded(inst, (0, 0, 0, 0), max_coeff=cap)
 
     def test_window_respected(self):
         g = unit(Z, 1, 0, 0, 0)
@@ -384,6 +390,148 @@ class TestSearchTilingInstances:
         pipe = artifacts.pipeline("mini-raw", "a")
         inst = tiling_to_instance(pipe.ts, pipe.f0)
         assert member_bounded(inst, default_window(pipe.cert), fuel=1) is None
+
+
+# ---------------------------------------------------------------------------
+# bounded searches: visit order and completeness
+
+
+class TestSearchVisitOrder:
+    """The node at which each search first meets a witness pins its visit
+    order: the smallest budget that finds one is exactly that node count,
+    and one node less finds nothing."""
+
+    @pytest.mark.parametrize("name,word,modulus,threshold", [
+        ("mini-raw", "a", None, 375),
+        ("unary-eraser", "aa", 2, 57),
+        ("unary-eraser", "aaa", 3, 92),
+        ("two-symbol-eraser", "ab", 2, 145),
+    ])
+    def test_smallest_budget_that_finds_a_witness(self, artifacts, name, word,
+                                                  modulus, threshold):
+        pipe = artifacts.pipeline(name, word)
+        window = default_window(pipe.cert)
+        if modulus is None:
+            inst = tiling_to_instance(pipe.ts, pipe.f0)
+
+            def search(fuel):
+                return member_bounded(inst, window, 1, fuel)
+        else:
+            f0 = initial_map(pipe.tm, word, Ring(modulus))
+            inst = tiling_to_subset_sum(pipe.ts, f0)
+
+            def search(fuel):
+                return subset_sum_bounded(inst, window, fuel)
+        witness = search(threshold)
+        assert witness is not None and verify_witness(inst, witness)
+        assert search(threshold - 1) is None
+
+    def test_candidates_tried_row_by_row(self):
+        # Candidates for one coordinate are tried by generator, then dy,
+        # then dx; trying them column by column needs three more nodes.
+        ring = Ring(4)
+        g = ModuleElement(ring, 1, {(1, 0, 0): 2, (0, 1, 0): 1})
+        target = ModuleElement(ring, 1, {(1, 1, 0): 2, (1, 2, 0): 2})
+        inst = SemimoduleInstance(ring, 1, (g,), target)
+        assert member_bounded(inst, (0, 0, 1, 1), fuel=5) == \
+            (WitnessTerm(0, 1, 0, 2), WitnessTerm(0, 1, 1, 2))
+        assert member_bounded(inst, (0, 0, 1, 1), fuel=4) is None
+
+
+def _random_instance(rng: random.Random, ring: Ring, mode: str):
+    """A rank 1-2 instance with one or two small generators and a target
+    that is either a random combination of windowed translates or noise."""
+    rank = rng.randint(1, 2)
+    modulus = ring.modulus
+
+    def value():
+        if modulus is None:
+            return rng.choice((-2, -1, 1, 2))
+        return rng.randint(1, modulus - 1)
+
+    def element(size):
+        return ModuleElement(ring, rank, {
+            (rng.randint(0, 1), rng.randint(0, 1), rng.randrange(rank)): value()
+            for _ in range(size)})
+
+    gens = tuple(element(rng.randint(1, 3)) for _ in range(rng.randint(1, 2)))
+    window = rng.choice(((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                         (0, 0, 2, 0), (-1, 0, 1, 0), (0, -1, 0, 1)))
+    if rng.random() < 0.5:
+        target = element(rng.randint(1, 4))
+    else:
+        x0, y0, x1, y1 = window
+        target = zero_element(ring, rank)
+        for _ in range(rng.randint(1, 3)):
+            target = target + gens[rng.randrange(len(gens))].translate(
+                rng.randint(x0, x1), rng.randint(y0, y1)).scale(
+                    1 if mode == "subset-sum" else rng.randint(1, 2))
+    return SemimoduleInstance(ring, rank, gens, target, mode), window
+
+
+def _shifts(window):
+    x0, y0, x1, y1 = window
+    return [(sx, sy) for sy in range(y0, y1 + 1) for sx in range(x0, x1 + 1)]
+
+
+def _brute_member(inst, window, max_coeff: int) -> bool:
+    """Try every coefficient of every (generator, translation) pair."""
+    top = max_coeff if inst.ring.modulus is None else inst.ring.modulus - 1
+    options = [[gen.translate(sx, sy).scale(c) for c in range(top + 1)]
+               for gen in inst.generators for sx, sy in _shifts(window)]
+    zero = zero_element(inst.ring, inst.rank)
+    return any(sum(choice, zero) == inst.target
+               for choice in itertools.product(*options))
+
+
+def _brute_subset(inst, window) -> bool:
+    """Try every choice of at most one generator per translation."""
+    zero = zero_element(inst.ring, inst.rank)
+    options = [[zero] + [gen.translate(sx, sy) for gen in inst.generators]
+               for sx, sy in _shifts(window)]
+    return any(sum(choice, zero) == inst.target
+               for choice in itertools.product(*options))
+
+
+class TestSearchBruteForce:
+    """With ample fuel the search is complete: it finds a witness exactly
+    when trying every assignment does."""
+
+    def test_member_search_matches_brute_force(self):
+        rng = random.Random(20261018)
+        found = 0
+        for _ in range(100):
+            ring = rng.choice((Z, Ring(4)))
+            max_coeff = rng.randint(1, 2)
+            inst, window = _random_instance(rng, ring, "semimodule")
+            witness = member_bounded(inst, window, max_coeff)
+            assert (witness is not None) == _brute_member(inst, window,
+                                                          max_coeff)
+            if witness is not None:
+                found += 1
+                assert verify_witness(inst, witness)
+                x0, y0, x1, y1 = window
+                assert all(x0 <= t.dx <= x1 and y0 <= t.dy <= y1
+                           and 1 <= t.coeff for t in witness)
+                if ring.modulus is None:
+                    assert all(t.coeff <= max_coeff for t in witness)
+        assert 20 <= found <= 80
+
+    def test_subset_search_matches_brute_force(self):
+        rng = random.Random(20261019)
+        found = 0
+        for _ in range(150):
+            ring = rng.choice((Ring(2), Ring(3), Ring(4)))
+            inst, window = _random_instance(rng, ring, "subset-sum")
+            witness = subset_sum_bounded(inst, window)
+            assert (witness is not None) == _brute_subset(inst, window)
+            if witness is not None:
+                found += 1
+                assert verify_witness(inst, witness)
+                x0, y0, x1, y1 = window
+                assert all(x0 <= dx <= x1 and y0 <= dy <= y1
+                           for _, dx, dy in witness)
+        assert 30 <= found <= 120
 
 
 # ---------------------------------------------------------------------------
