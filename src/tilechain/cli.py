@@ -4,9 +4,9 @@ Exit codes: 0 on success (including "member found" and "verified"),
 1 when a bounded search or check comes back negative (out of fuel, sum
 not zero, audit flags raised, nothing found within bounds), 2 on usage
 errors (argparse), 3 on input errors (unreadable files, malformed data,
-invalid machines), 4 on internal errors (a failed re-verification of a
-result, or the recursion limit hit), reported in one line with no
-traceback.
+invalid machines, bounds below their floor), 4 on internal errors (a
+failed re-verification of a result, or the recursion limit hit),
+reported in one line with no traceback.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ def _parse_window(text: str) -> tuple[int, int, int, int]:
     return (x0, y0, x1, y1)
 
 
+def _fuel(args, floor: int) -> int:
+    """The ``--fuel`` value, refused as an input error below ``floor``."""
+    if args.fuel < floor:
+        raise ValueError(f"--fuel must be at least {floor}")
+    return args.fuel
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -103,7 +110,7 @@ def _load_machine_lenient(path: str):
 
 def _cmd_tm_run(args) -> int:
     tm = _load_machine_lenient(args.tm)
-    trace = run(tm, list(args.input), args.fuel)
+    trace = run(tm, list(args.input), _fuel(args, 0))
     if trace is None:
         print(f"out of fuel after {args.fuel} steps", file=sys.stderr)
         return 1
@@ -129,7 +136,7 @@ def _cmd_tile_initial(args) -> int:
 
 def _cmd_tile_build(args) -> int:
     tm = _load_machine(args.tm)
-    cert = build_accepting_tiling(tm, list(args.input), args.fuel)
+    cert = build_accepting_tiling(tm, list(args.input), _fuel(args, 0))
     if cert is None:
         print(f"out of fuel after {args.fuel} steps", file=sys.stderr)
         return 1
@@ -210,7 +217,7 @@ def _cmd_reduce_rational(args) -> int:
 def _cmd_solve_semimodule(args) -> int:
     instance = instance_from_dict(json.loads(_read(args.instance)))
     witness = member_bounded(instance, _parse_window(args.window),
-                             args.max_coeff, args.fuel)
+                             args.max_coeff, _fuel(args, 1))
     if witness is None:
         print("no witness within bounds", file=sys.stderr)
         return 1
@@ -221,7 +228,7 @@ def _cmd_solve_semimodule(args) -> int:
 def _cmd_solve_subset_sum(args) -> int:
     instance = instance_from_dict(json.loads(_read(args.instance)))
     witness = subset_sum_bounded(instance, _parse_window(args.window),
-                                 args.fuel)
+                                 _fuel(args, 1))
     if witness is None:
         print("no witness within bounds", file=sys.stderr)
         return 1

@@ -17,6 +17,16 @@ certificate is valid exactly when its translated tile maps sum to the negation
 of the starting map.
 
 Coefficients are exact: integers, or integers mod n.
+
+Every sparse object of the chain rests on one core, :class:`SparseVector`:
+an immutable, canonical map from ``(x, y, tag)`` keys to a ring with a
+hash cached on first use.  Its single arithmetic step,
+``plus(other, coeff, dx, dy)``, adds a scaled translate and
+re-canonicalises only the keys it touches; sum, difference, negation,
+scaling and translation are calls to it.  :class:`EdgeMap` is the core
+with ``(orientation, color)`` tags, ``modules.ModuleElement`` the core
+with coordinate-index tags, and the wreath lamps and metabelian flows of
+``groups`` hold one core vector each.
 """
 
 from __future__ import annotations
@@ -71,71 +81,142 @@ EdgeKey = tuple[int, int, str]          # (x, y, "H"|"V")
 EntryKey = tuple[EdgeKey, Color]
 
 
-def _canon_entries(ring: Ring, items: Iterable[tuple[EntryKey, int]]) -> dict:
-    out: dict[EntryKey, int] = {}
+def _canon(ring: Ring, items: Iterable[tuple[tuple, int]]) -> dict:
+    """Sum equal keys, reduce into the ring and drop the zeros."""
+    sums: dict = {}
     for key, value in items:
-        value = ring.canon(out.get(key, 0) + value)
-        if value:
-            out[key] = value
-        elif key in out:
-            del out[key]
-    return out
+        sums[key] = sums.get(key, 0) + value
+    modulus = ring.modulus
+    if modulus is None:
+        return {key: v for key, v in sums.items() if v}
+    return {key: r for key, v in sums.items() if (r := v % modulus)}
 
 
-def _support_key(entry: EntryKey):
-    (x, y, orient), color = entry
-    return (y, x, orient, color_to_str(color))
+class SparseVector:
+    """Immutable finitely supported map from ``(x, y, tag)`` keys to a ring.
 
+    The entries are canonical (reduced into the ring, no zero values) and
+    never change; the hash is computed on first use and then kept.
+    """
 
-class EdgeMap:
-    """Immutable finitely supported (edge, color) -> ring map."""
+    __slots__ = ("ring", "_entries", "_hash")
 
-    __slots__ = ("ring", "_entries")
-
-    def __init__(self, ring: Ring, entries: Iterable[tuple[EntryKey, int]] = ()):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_entries", _canon_entries(ring, entries))
+    def __init__(self, ring: Ring, entries: Iterable[tuple[tuple, int]] = ()):
+        _set_ring(self, ring)
+        _set_entries(self, _canon(ring, entries))
+        _set_hash(self, None)
 
     def __setattr__(self, *_):
-        raise AttributeError("EdgeMap is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def value(self, edge: EdgeKey, color: Color) -> int:
-        return self._entries.get((edge, color), 0)
+    __delattr__ = __setattr__
 
-    def support(self) -> tuple[tuple[EntryKey, int], ...]:
-        """Entries sorted by (y, x, orientation, color)."""
-        items = sorted(self._entries.items(), key=lambda kv: _support_key(kv[0]))
-        return tuple(items)
+    def _derive(self, entries: dict) -> "SparseVector":
+        """A value of this kind and ring; see :func:`_make_vector`."""
+        return _make_vector(type(self), self.ring, entries)
+
+    def _check(self, other: "SparseVector") -> None:
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
+
+    def plus(self, other: "SparseVector", coeff: int = 1, dx: int = 0,
+             dy: int = 0) -> "SparseVector":
+        """``self + coeff * (other shifted by (dx, dy))``, re-canonicalising
+        only the keys ``other`` touches; ``self`` when ``other`` is zero."""
+        self._check(other)
+        if not other._entries:
+            return self
+        entries = dict(self._entries)
+        modulus = self.ring.modulus
+        for (x, y, tag), v in other._entries.items():
+            key = (x + dx, y + dy, tag)
+            total = entries.get(key, 0) + coeff * v
+            if modulus is not None:
+                total %= modulus
+            if total:
+                entries[key] = total
+            else:
+                entries.pop(key, None)
+        return self._derive(entries)
+
+    __add__ = plus
+
+    def __sub__(self, other):
+        return self.plus(other, -1)
+
+    def __neg__(self):
+        return self._derive({}).plus(self, -1)
+
+    def scale(self, factor: int):
+        return self._derive({}).plus(self, factor)
+
+    def translate(self, dx: int, dy: int):
+        return self._derive({}).plus(self, 1, dx, dy)
 
     def is_zero(self) -> bool:
         return not self._entries
 
-    def __len__(self):
+    def __len__(self) -> int:
         return len(self._entries)
 
-    def __eq__(self, other):
-        return (isinstance(other, EdgeMap) and self.ring == other.ring
-                and self._entries == other._entries)
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (
+            (self.ring is other.ring or self.ring == other.ring)
+            and self._entries == other._entries)
 
-    def __add__(self, other: "EdgeMap") -> "EdgeMap":
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
-        merged = dict(self._entries)
-        for key, value in other._entries.items():
-            merged[key] = merged.get(key, 0) + value
-        return EdgeMap(self.ring, merged.items())
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(frozenset(self._entries.items()))
+            _set_hash(self, h)
+        return h
 
-    def __neg__(self) -> "EdgeMap":
-        return EdgeMap(self.ring, ((k, -v) for k, v in self._entries.items()))
 
-    def translate(self, dx: int, dy: int) -> "EdgeMap":
-        return EdgeMap(self.ring, (
-            (((x + dx, y + dy, orient), color), value)
-            for ((x, y, orient), color), value in self._entries.items()
-        ))
+_new = object.__new__
+_set_ring = SparseVector.ring.__set__
+_set_entries = SparseVector._entries.__set__
+_set_hash = SparseVector._hash.__set__
 
-    def scale(self, factor: int) -> "EdgeMap":
-        return EdgeMap(self.ring, ((k, v * factor) for k, v in self._entries.items()))
+
+def _make_vector(cls, ring: Ring, entries: dict):
+    """A ``cls`` value holding canonical ``entries``, taken over uncopied."""
+    vector = _new(cls)
+    _set_ring(vector, ring)
+    _set_entries(vector, entries)
+    _set_hash(vector, None)
+    return vector
+
+
+def _support_key(item):
+    (x, y, (orient, color)), _ = item
+    return (y, x, orient, color_to_str(color))
+
+
+class EdgeMap(SparseVector):
+    """Immutable finitely supported (edge, color) -> ring map.
+
+    Public keys are ``((x, y, orient), color)``; the entries are stored
+    as ``(x, y, (orient, color))``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring: Ring, entries: Iterable[tuple[EntryKey, int]] = ()):
+        SparseVector.__init__(self, ring, (
+            ((x, y, (orient, color)), value)
+            for ((x, y, orient), color), value in entries))
+
+    def value(self, edge: EdgeKey, color: Color) -> int:
+        x, y, orient = edge
+        return self._entries.get((x, y, (orient, color)), 0)
+
+    def support(self) -> tuple[tuple[EntryKey, int], ...]:
+        """Entries sorted by (y, x, orientation, color)."""
+        return tuple((((x, y, orient), color), v)
+                     for (x, y, (orient, color)), v in
+                     sorted(self._entries.items(), key=_support_key))
 
     def __repr__(self):
         body = ", ".join(
@@ -153,14 +234,16 @@ _SIDE_EDGES = (
 )
 
 
+def _sides(tile: Tile, distinguished: Color) -> list:
+    """Keys and signs of a tile's non-distinguished sides at the origin."""
+    return [((ex, ey, (orient, getattr(tile, attr))), sign)
+            for attr, (ex, ey, orient), sign in _SIDE_EDGES
+            if getattr(tile, attr) != distinguished]
+
+
 def tile_eval(tile: Tile, ring: Ring = Z, distinguished: Color = C0) -> EdgeMap:
     """The edge map of a tile placed with its southwest corner at the origin."""
-    entries = []
-    for attr, edge, sign in _SIDE_EDGES:
-        color = getattr(tile, attr)
-        if color != distinguished:
-            entries.append(((edge, color), sign))
-    return EdgeMap(ring, entries)
+    return _make_vector(EdgeMap, ring, _canon(ring, _sides(tile, distinguished)))
 
 
 def evaluate_placements(ts: TilingSystem, placements, ring: Ring = Z) -> EdgeMap:
@@ -168,19 +251,16 @@ def evaluate_placements(ts: TilingSystem, placements, ring: Ring = Z) -> EdgeMap
 
     Every placed tile must belong to the system; repeats are allowed and add.
     """
-    tileset = set(ts.tiles)
-    total: dict[EntryKey, int] = {}
+    sides = {tile: _sides(tile, ts.distinguished) for tile in ts.tiles}
+    total: dict = {}
     for placement in placements:
-        tile = placement.tile
-        if tile not in tileset:
-            raise UnknownTile(repr(tile))
-        for attr, (ex, ey, orient), sign in _SIDE_EDGES:
-            color = getattr(tile, attr)
-            if color == ts.distinguished:
-                continue
-            key = ((placement.x + ex, placement.y + ey, orient), color)
+        if placement.tile not in sides:
+            raise UnknownTile(repr(placement.tile))
+        px, py = placement.x, placement.y
+        for (ex, ey, tag), sign in sides[placement.tile]:
+            key = (px + ex, py + ey, tag)
             total[key] = total.get(key, 0) + sign
-    return EdgeMap(ring, total.items())
+    return _make_vector(EdgeMap, ring, _canon(ring, total.items()))
 
 
 # -- JSON -------------------------------------------------------------------

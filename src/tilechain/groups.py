@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
-from .edges import Ring, RingMismatch, Z, ring_from_name
+from .edges import (Ring, RingMismatch, SparseVector, Z, _canon,
+                    _make_vector, ring_from_name)
 from .modules import ModuleElement, SemimoduleInstance
 
 Point = Tuple[int, int]
@@ -85,114 +86,75 @@ def _bound(bindings: Dict, letter: str):
 class WreathElement:
     """Immutable pair (lamp function on the grid, position in Z x Z).
 
-    The lamp table is never mutated after construction, so elements may
-    share it: a product whose right factor lights no lamps (a pure move)
-    reuses the left factor's table and only shifts the position.  The
-    hash is computed on first use, from the ring's modulus, the position
-    and an order-free hash of the lamps, and then kept; the lamp part
-    carries over to every move-derived element.
+    The lamps are one sparse core vector (``edges.SparseVector``) keyed
+    ``(a, b, 0)``.  It is never mutated, so elements may share it: a
+    product whose right factor lights no lamps (a pure move) reuses the
+    left factor's vector, cached hash included, and only shifts the
+    position.
     """
 
-    __slots__ = ("ring", "pos", "_fun", "_hash", "_lamp_hash")
+    __slots__ = ("pos", "_lamps")
 
     def __init__(self, ring: Ring, fun: Dict[Point, int] | None = None,
                  pos: Point = (0, 0)):
-        canon: Dict[Point, int] = {}
-        for key, value in (fun or {}).items():
-            v = ring.canon(value)
-            if v:
-                canon[key] = v
-        _init_wreath(self, ring, canon, (int(pos[0]), int(pos[1])), None)
+        _set_lamps(self, SparseVector(ring, (((a, b, 0), v) for (a, b), v
+                                             in (fun or {}).items())))
+        _set_pos(self, (int(pos[0]), int(pos[1])))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("WreathElement is immutable")
 
+    __delattr__ = __setattr__
+
+    @property
+    def ring(self) -> Ring:
+        return self._lamps.ring
+
     def fun(self) -> Dict[Point, int]:
-        return dict(self._fun)
+        return {(a, b): v for (a, b, _), v in self._lamps._entries.items()}
 
     def lamp_at(self, a: int, b: int) -> int:
-        return self._fun.get((a, b), 0)
+        return self._lamps._entries.get((a, b, 0), 0)
 
     def support(self) -> list[Point]:
-        return sorted(self._fun, key=lambda p: (p[1], p[0]))
+        return sorted(self.fun(), key=lambda p: (p[1], p[0]))
 
     def is_identity(self) -> bool:
-        return self.pos == (0, 0) and not self._fun
+        return self.pos == (0, 0) and self._lamps.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WreathElement):
             return NotImplemented
-        return ((self.ring is other.ring or self.ring == other.ring)
-                and self.pos == other.pos
-                and (self._fun is other._fun or self._fun == other._fun))
+        return self.pos == other.pos and self._lamps == other._lamps
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            lamps = self._lamp_hash
-            if lamps is None:
-                lamps = hash(frozenset(self._fun.items()))
-                _set_lamp_hash(self, lamps)
-            h = hash((self.ring.modulus, self.pos, lamps))
-            _set_hash(self, h)
-        return h
+        return hash((self.pos, self._lamps))
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise RingMismatch(f"{ring.name} vs {other.ring.name}")
         px, py = self.pos
-        pos = (px + other.pos[0], py + other.pos[1])
-        if not other._fun:
-            return _make_wreath(ring, self._fun, pos, self._lamp_hash)
-        fun = dict(self._fun)
-        modulus = ring.modulus
-        for (a, b), v in other._fun.items():
-            key = (a + px, b + py)
-            total = fun.get(key, 0) + v
-            if modulus is not None:
-                total %= modulus
-            if total:
-                fun[key] = total
-            else:
-                fun.pop(key, None)
-        return _make_wreath(ring, fun, pos, None)
+        return _make_wreath(self._lamps.plus(other._lamps, 1, px, py),
+                            (px + other.pos[0], py + other.pos[1]))
 
     def inv(self) -> "WreathElement":
         px, py = self.pos
-        fun = {(a - px, b - py): -v for (a, b), v in self._fun.items()}
-        return WreathElement(self.ring, fun, (-px, -py))
+        return _make_wreath((-self._lamps).translate(-px, -py), (-px, -py))
 
     def __repr__(self) -> str:
-        lamps = ", ".join(f"({a},{b}): {v}" for (a, b), v in
-                          sorted(self._fun.items(), key=lambda i: (i[0][1],
-                                                                   i[0][0])))
+        lamps = ", ".join(f"({a},{b}): {self.lamp_at(a, b)}"
+                          for a, b in self.support())
         return f"WreathElement[{self.ring.name}]({{{lamps}}}, pos={self.pos})"
 
 
-_set_ring = WreathElement.ring.__set__
 _set_pos = WreathElement.pos.__set__
-_set_fun = WreathElement._fun.__set__
-_set_hash = WreathElement._hash.__set__
-_set_lamp_hash = WreathElement._lamp_hash.__set__
+_set_lamps = WreathElement._lamps.__set__
 
 
-def _init_wreath(element: WreathElement, ring: Ring, fun: Dict[Point, int],
-                 pos: Point, lamp_hash) -> None:
-    _set_ring(element, ring)
-    _set_pos(element, pos)
-    _set_fun(element, fun)
-    _set_hash(element, None)
-    _set_lamp_hash(element, lamp_hash)
-
-
-def _make_wreath(ring: Ring, fun: Dict[Point, int], pos: Point,
-                 lamp_hash=None) -> WreathElement:
-    """An element from canonical parts, skipping the constructor's canon
-    pass.  ``fun`` is taken over, not copied: no caller may change it
-    afterwards.  ``lamp_hash`` is the lamp table's hash when known."""
+def _make_wreath(lamps: SparseVector, pos: Point) -> WreathElement:
+    """An element from a lamp vector and a position, without the
+    constructor's conversion and canon pass."""
     element = object.__new__(WreathElement)
-    _init_wreath(element, ring, fun, pos, lamp_hash)
+    _set_lamps(element, lamps)
+    _set_pos(element, pos)
     return element
 
 
@@ -223,14 +185,15 @@ def wreath_eval(word: str | Iterable[str],
     run of a pure move is one shift, a run of a lamp pattern that does not
     move adds its scaled lamps once, and any other binding is applied once
     per repeat.  Cost is per run, not per letter, for the standard x/y/g
-    bindings.
+    bindings.  The accumulator holds plain sums; they are reduced into the
+    ring once, when the result's lamp vector is built.
     """
     return _wreath_fold(_runs(word), bindings, ring)
 
 
 def _wreath_fold(runs: Iterable[Run], bindings: Dict[str, WreathElement],
                  ring: Ring) -> WreathElement:
-    fun: Dict[Point, int] = {}
+    fun: Dict[tuple, int] = {}
     checked: Dict[str, WreathElement] = {}
     px, py = 0, 0
     for letter, k in runs:
@@ -240,7 +203,7 @@ def _wreath_fold(runs: Iterable[Run], bindings: Dict[str, WreathElement],
             if element.ring != ring:
                 raise RingMismatch(
                     f"{element.ring.name} binding in {ring.name} evaluation")
-        lamps = element._fun
+        lamps = element._lamps._entries
         sx, sy = element.pos
         if not lamps:
             px += k * sx
@@ -250,16 +213,12 @@ def _wreath_fold(runs: Iterable[Run], bindings: Dict[str, WreathElement],
         if not (sx or sy):
             repeats, lamps = 1, {key: k * v for key, v in lamps.items()}
         for _ in range(repeats):
-            for (a, b), v in lamps.items():
-                key = (a + px, b + py)
-                total = ring.canon(fun.get(key, 0) + v)
-                if total:
-                    fun[key] = total
-                else:
-                    fun.pop(key, None)
+            for (a, b, tag), v in lamps.items():
+                key = (a + px, b + py, tag)
+                fun[key] = fun.get(key, 0) + v
             px += sx
             py += sy
-    return _make_wreath(ring, fun, (px, py))
+    return _make_wreath(SparseVector(ring, fun.items()), (px, py))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +229,7 @@ def embed_module(e: ModuleElement, stride: int) -> Dict[Point, int]:
     at grid point ``(stride * a + j, b)``."""
     if stride < max(e.rank, 1):
         raise StrideTooSmall(f"stride {stride} < rank {e.rank}")
-    out: Dict[Point, int] = {}
-    for (a, b, j), v in e.items():
-        out[(stride * a + j, b)] = v
-    return out
+    return {(stride * a + j, b): v for (a, b, j), v in e.items()}
 
 
 def unembed_module(fun: Dict[Point, int], stride: int, rank: int,
@@ -316,10 +272,6 @@ _CELL_FLOW: Dict[FlowKey, int] = {
 }
 
 
-def _prune_flow(flow: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
-    return {k: v for k, v in flow.items() if v}
-
-
 def translate_flow(flow: Dict[FlowKey, int], dx: int,
                    dy: int) -> Dict[FlowKey, int]:
     return {(x + dx, y + dy, o): v for (x, y, o), v in flow.items()}
@@ -330,24 +282,27 @@ class MetabelianElement:
 
     The flow counts signed traversals of unit edges: key ``(x, y, 'H')``
     is the edge from (x, y) to (x+1, y), key ``(x, y, 'V')`` the edge from
-    (x, y) to (x, y+1).
+    (x, y) to (x, y+1).  It is held as one integer sparse core vector
+    (``edges.SparseVector``) with the orientation as tag.
     """
 
     __slots__ = ("ab", "_flow")
 
     def __init__(self, ab: Point = (0, 0),
                  flow: Dict[FlowKey, int] | None = None):
-        object.__setattr__(self, "ab", (int(ab[0]), int(ab[1])))
-        object.__setattr__(self, "_flow", _prune_flow(flow or {}))
+        _set_ab(self, (int(ab[0]), int(ab[1])))
+        _set_flow(self, SparseVector(Z, (flow or {}).items()))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("MetabelianElement is immutable")
 
+    __delattr__ = __setattr__
+
     def flow(self) -> Dict[FlowKey, int]:
-        return dict(self._flow)
+        return dict(self._flow._entries)
 
     def is_identity(self) -> bool:
-        return self.ab == (0, 0) and not self._flow
+        return self.ab == (0, 0) and self._flow.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetabelianElement):
@@ -355,26 +310,32 @@ class MetabelianElement:
         return self.ab == other.ab and self._flow == other._flow
 
     def __hash__(self):
-        return hash((self.ab, tuple(sorted(self._flow.items()))))
+        return hash((self.ab, self._flow))
 
     def __mul__(self, other: "MetabelianElement") -> "MetabelianElement":
-        flow = dict(self._flow)
         dx, dy = self.ab
-        for (x, y, o), v in other._flow.items():
-            key = (x + dx, y + dy, o)
-            flow[key] = flow.get(key, 0) + v
-        return MetabelianElement((dx + other.ab[0], dy + other.ab[1]), flow)
+        return _make_metabelian((dx + other.ab[0], dy + other.ab[1]),
+                                self._flow.plus(other._flow, 1, dx, dy))
 
     def inv(self) -> "MetabelianElement":
         dx, dy = self.ab
-        flow = {(x - dx, y - dy, o): -v
-                for (x, y, o), v in self._flow.items()}
-        return MetabelianElement((-dx, -dy), flow)
+        return _make_metabelian((-dx, -dy), (-self._flow).translate(-dx, -dy))
 
     def __repr__(self) -> str:
         edges = ", ".join(f"{o}({x},{y}): {v:+d}" for (x, y, o), v in
-                          sorted(self._flow.items()))
+                          sorted(self._flow._entries.items()))
         return f"MetabelianElement(ab={self.ab}, {{{edges}}})"
+
+
+_set_ab = MetabelianElement.ab.__set__
+_set_flow = MetabelianElement._flow.__set__
+
+
+def _make_metabelian(ab: Point, flow: SparseVector) -> MetabelianElement:
+    element = object.__new__(MetabelianElement)
+    _set_ab(element, ab)
+    _set_flow(element, flow)
+    return element
 
 
 def metabelian_identity() -> MetabelianElement:
@@ -406,12 +367,8 @@ def metabelian_eval(word: str | Iterable[str],
 
 
 def _flow_difference(flow: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
-    diff: Dict[FlowKey, int] = {}
-    for (x, y, o), v in flow.items():
-        nxt = (x + 1, y, o) if o == "H" else (x, y + 1, o)
-        diff[(x, y, o)] = diff.get((x, y, o), 0) + v
-        diff[nxt] = diff.get(nxt, 0) - v
-    return {key: v for key, v in diff.items() if v}
+    return _canon(Z, (pair for (x, y, o), v in flow.items() for pair in (
+        ((x, y, o), v), ((x + 1, y, o) if o == "H" else (x, y + 1, o), -v))))
 
 
 def _straight(diff: Dict[FlowKey, int], sx: int,
@@ -434,7 +391,7 @@ def _metabelian_fold(runs: Iterable[Run],
     for letter, k in runs:
         if letter not in steps:
             element = _bound(bindings, letter)
-            own = _flow_difference(element._flow)
+            own = _flow_difference(element._flow._entries)
             sx, sy = element.ab
             steps[letter] = (own, sx, sy, _straight(own, sx, sy))
         own, sx, sy, straight = steps[letter]
@@ -456,7 +413,8 @@ def _metabelian_fold(runs: Iterable[Run],
                 diff[key] = diff.get(key, 0) + v
             px += sx
             py += sy
-    return MetabelianElement((px, py), _flow_from_difference(diff))
+    return _make_metabelian((px, py), _make_vector(
+        SparseVector, Z, _flow_from_difference(diff)))
 
 
 def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
@@ -482,26 +440,12 @@ def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
 
 def flow_boundary(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
     """Net in-minus-out of each grid point under the flow."""
-    boundary: Dict[Point, int] = {}
-
-    def bump(p: Point, v: int) -> None:
-        total = boundary.get(p, 0) + v
-        if total:
-            boundary[p] = total
-        else:
-            boundary.pop(p, None)
-
-    for (x, y, o), v in flow.items():
-        bump((x, y), -v)
-        if o == "H":
-            bump((x + 1, y), v)
-        else:
-            bump((x, y + 1), v)
-    return boundary
+    return _canon(Z, (pair for (x, y, o), v in flow.items() for pair in (
+        ((x, y), -v), ((x + 1, y) if o == "H" else (x, y + 1), v))))
 
 
 def is_circulation(flow: Dict[FlowKey, int]) -> bool:
-    return not flow_boundary(_prune_flow(flow))
+    return not flow_boundary(flow)
 
 
 def cell_flow(a: int, b: int, value: int = 1) -> Dict[FlowKey, int]:
@@ -511,11 +455,8 @@ def cell_flow(a: int, b: int, value: int = 1) -> Dict[FlowKey, int]:
 
 
 def cells_to_flow(cells: Dict[Point, int]) -> Dict[FlowKey, int]:
-    flow: Dict[FlowKey, int] = {}
-    for (a, b), value in cells.items():
-        for key, v in cell_flow(a, b, value).items():
-            flow[key] = flow.get(key, 0) + v
-    return _prune_flow(flow)
+    return _canon(Z, ((key, v) for (a, b), value in cells.items()
+                      for key, v in cell_flow(a, b, value).items()))
 
 
 def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
@@ -527,7 +468,7 @@ def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
     unique because cell flows are linearly independent.  Raises
     :class:`NotACycle` when the flow has nonzero boundary.
     """
-    flow = _prune_flow(flow)
+    flow = _canon(Z, flow.items())
     if not is_circulation(flow):
         raise NotACycle("flow has nonzero boundary")
     columns: Dict[int, list[tuple[int, int]]] = {}

@@ -15,6 +15,11 @@ This module rephrases tiling questions in that language:
 One bounded branching search (translation window, coefficient set, node
 budget) answers both questions and returns explicit witnesses that can be
 re-checked by plain arithmetic.
+
+:class:`ModuleElement` is the sparse core of ``edges`` (``SparseVector``)
+with coordinate indices as tags, plus a rank that every sum checks.  A
+search step is one fused call: the child residual is
+``residual.plus(generator, -coeff, dx, dy)``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .edges import EdgeMap, Ring, RingMismatch, ring_from_name, tile_eval
+from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
+                    tile_eval)
 from .tiling import Certificate, Color, TilingSystem
 
 
@@ -41,21 +47,12 @@ class DuplicateShift(ValueError):
 EntryKey = tuple[int, int, int]  # (x, y, coordinate index)
 
 
-def _canon_entries(ring: Ring, entries: dict[EntryKey, int]) -> dict[EntryKey, int]:
-    out: dict[EntryKey, int] = {}
-    for key, value in entries.items():
-        v = ring.canon(value)
-        if v:
-            out[key] = v
-    return out
-
-
 def _entry_sort_key(key: EntryKey) -> tuple[int, int, int]:
     x, y, idx = key
     return (y, x, idx)
 
 
-class ModuleElement:
+class ModuleElement(SparseVector):
     """Immutable finitely supported vector-valued function on the grid.
 
     Entries are keyed by ``(x, y, idx)`` where ``idx`` names one of the
@@ -63,22 +60,27 @@ class ModuleElement:
     translation; all values live in the given coefficient ring.
     """
 
-    __slots__ = ("ring", "rank", "_entries")
+    __slots__ = ("rank",)
 
     def __init__(self, ring: Ring, rank: int,
                  entries: dict[EntryKey, int] | None = None):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rank", rank)
-        canon = _canon_entries(ring, entries or {})
-        for (_, _, idx) in canon:
+        SparseVector.__init__(self, ring, (entries or {}).items())
+        for (_, _, idx) in self._entries:
             if not 0 <= idx < rank:
                 raise RankMismatch(f"coordinate {idx} outside rank {rank}")
-        object.__setattr__(self, "_entries", canon)
+        _set_rank(self, rank)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleElement is immutable")
+    def _derive(self, entries: dict) -> "ModuleElement":
+        element = SparseVector._derive(self, entries)
+        _set_rank(element, self.rank)
+        return element
+
+    def _check(self, other: "ModuleElement") -> None:
+        SparseVector._check(self, other)
+        if self.rank != other.rank:
+            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
 
     def value(self, x: int, y: int, idx: int) -> int:
         return self._entries.get((x, y, idx), 0)
@@ -89,55 +91,20 @@ class ModuleElement:
     def items(self) -> list[tuple[EntryKey, int]]:
         return [(key, self._entries[key]) for key in self.support()]
 
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleElement):
             return NotImplemented
-        return (self.ring == other.ring and self.rank == other.rank
-                and self._entries == other._entries)
+        return self.rank == other.rank and SparseVector.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.ring, self.rank,
-                     tuple(sorted(self._entries.items()))))
-
-    def _check_compatible(self, other: "ModuleElement") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
-        if self.rank != other.rank:
-            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_compatible(other)
-        merged = dict(self._entries)
-        for key, value in other._entries.items():
-            merged[key] = merged.get(key, 0) + value
-        return ModuleElement(self.ring, self.rank, merged)
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.ring, self.rank,
-                             {k: -v for k, v in self._entries.items()})
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
-
-    def scale(self, c: int) -> "ModuleElement":
-        return ModuleElement(self.ring, self.rank,
-                             {k: c * v for k, v in self._entries.items()})
-
-    def translate(self, dx: int, dy: int) -> "ModuleElement":
-        return ModuleElement(self.ring, self.rank,
-                             {(x + dx, y + dy, idx): v
-                              for (x, y, idx), v in self._entries.items()})
+    __hash__ = SparseVector.__hash__
 
     def __repr__(self) -> str:
         inside = ", ".join(f"({x},{y},{idx}): {v:+d}"
                            for (x, y, idx), v in self.items())
         return f"ModuleElement[{self.ring.name}, rank {self.rank}]{{{inside}}}"
+
+
+_set_rank = ModuleElement.rank.__set__
 
 
 def zero_element(ring: Ring, rank: int) -> ModuleElement:
@@ -164,12 +131,25 @@ def color_index(colors: Sequence[Color], color: Color, orient: str) -> int:
 
 def from_edgemap(f: EdgeMap, colors: Sequence[Color]) -> ModuleElement:
     """Flatten an edge map into a module element of rank ``2 * len(colors)``."""
-    rank = 2 * len(colors)
+    return _flatten(f, colors, _color_table(colors))
+
+
+def _color_table(colors: Sequence[Color]) -> dict[tuple[str, Color], int]:
+    """Coordinate index of every (orientation, color) tag of ``colors``."""
+    table: dict[tuple[str, Color], int] = {}
+    for pos, color in enumerate(colors):
+        table.setdefault(("H", color), pos)
+        table.setdefault(("V", color), len(colors) + pos)
+    return table
+
+
+def _flatten(f: EdgeMap, colors: Sequence[Color], table) -> ModuleElement:
+    """:func:`from_edgemap`; a tag outside ``table`` fails in color_index."""
     entries: dict[EntryKey, int] = {}
-    for ((x, y, orient), color), value in f.support():
-        idx = color_index(colors, color, orient)
-        entries[(x, y, idx)] = entries.get((x, y, idx), 0) + value
-    return ModuleElement(f.ring, rank, entries)
+    for (x, y, tag), value in f._entries.items():
+        idx = table[tag] if tag in table else color_index(colors, tag[1], tag[0])
+        entries[(x, y, idx)] = value
+    return ModuleElement(f.ring, 2 * len(colors), entries)
 
 
 def to_edgemap(e: ModuleElement, colors: Sequence[Color]) -> EdgeMap:
@@ -177,14 +157,9 @@ def to_edgemap(e: ModuleElement, colors: Sequence[Color]) -> EdgeMap:
     if e.rank != 2 * len(colors):
         raise RankMismatch(
             f"rank {e.rank} does not match {len(colors)} colors")
-    entries: dict[tuple[tuple[int, int, str], Color], int] = {}
-    for (x, y, idx), value in e.items():
-        if idx < len(colors):
-            orient, color = "H", colors[idx]
-        else:
-            orient, color = "V", colors[idx - len(colors)]
-        entries[((x, y, orient), color)] = value
-    return EdgeMap(e.ring, entries.items())
+    tags = [("H", c) for c in colors] + [("V", c) for c in colors]
+    return EdgeMap(e.ring, [(((x, y, tags[idx][0]), tags[idx][1]), value)
+                            for (x, y, idx), value in e._entries.items()])
 
 
 @dataclass(frozen=True)
@@ -222,10 +197,11 @@ def tiling_to_instance(ts: TilingSystem, f0: EdgeMap,
     negated starting map, so a witness sums to exactly ``-f0``.
     """
     colors = ts.colors
+    table = _color_table(colors)
     generators = tuple(
-        from_edgemap(tile_eval(tile, f0.ring, ts.distinguished), colors)
+        _flatten(tile_eval(tile, f0.ring, ts.distinguished), colors, table)
         for tile in ts.tiles)
-    target = from_edgemap(-f0, colors)
+    target = _flatten(-f0, colors, table)
     return SemimoduleInstance(f0.ring, 2 * len(colors), generators, target,
                               mode)
 
@@ -250,7 +226,7 @@ def eval_member_witness(instance: SemimoduleInstance,
                         terms: Iterable[WitnessTerm]) -> ModuleElement:
     total = zero_element(instance.ring, instance.rank)
     for gen, dx, dy, coeff in terms:
-        total = total + instance.generators[gen].translate(dx, dy).scale(coeff)
+        total = total.plus(instance.generators[gen], coeff, dx, dy)
     return total
 
 
@@ -305,6 +281,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _subtract_row(row: dict[int, int], prow: dict[int, int], var: int,
+                  factor: int, p: int) -> None:
+    """``row -= factor * prow`` mod ``p`` in place, column ``var`` left out."""
+    for c, v in prow.items():
+        if c != var:
+            nv = (row.get(c, 0) - factor * v) % p
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+
+
 def _member_mod_prime(instance: SemimoduleInstance,
                       window: Window) -> Optional[tuple[WitnessTerm, ...]]:
     """Exact windowed membership over a prime modulus.
@@ -343,14 +331,7 @@ def _member_mod_prime(instance: SemimoduleInstance,
         for var in [v for v in sorted(row) if v in pivots]:
             factor = row.pop(var)
             prow, prhs = pivots[var]
-            for c, v in prow.items():
-                if c == var:
-                    continue
-                nv = (row.get(c, 0) - factor * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+            _subtract_row(row, prow, var, factor, p)
             rhs = (rhs - factor * prhs) % p
         if not row:
             if rhs:
@@ -364,14 +345,7 @@ def _member_mod_prime(instance: SemimoduleInstance,
             factor = orow.pop(var, 0)
             if not factor:
                 continue
-            for c, v in prow.items():
-                if c == var:
-                    continue
-                nv = (orow.get(c, 0) - factor * v) % p
-                if nv:
-                    orow[c] = nv
-                else:
-                    orow.pop(c, None)
+            _subtract_row(orow, prow, var, factor, p)
             pivots[other] = (orow, (orhs - factor * prhs) % p)
         pivots[var] = (prow, prhs)
     # Free variables are zero, so each pivot variable just takes its rhs.
@@ -402,9 +376,6 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
     x0, y0, x1, y1 = window
     gens = instance.generators
     by_idx = _entries_by_idx(gens)
-    # Scaled once here, so that a child residual costs one translate.
-    multiples = {(gi, c): gen.scale(c)
-                 for gi, gen in enumerate(gens) for c in values}
     signed = instance.ring.modulus is None
     used: set[tuple[int, int]] = set()
     nodes = 0
@@ -454,8 +425,7 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
             if distinct:
                 used.add((sx, sy))
             for coeff in values:
-                rest = dfs(residual - multiples[gi, coeff].translate(sx, sy),
-                           decided)
+                rest = dfs(residual.plus(gens[gi], -coeff, sx, sy), decided)
                 if rest is not None:
                     result = [WitnessTerm(gi, sx, sy, coeff)] + rest
                     break

@@ -421,8 +421,10 @@ def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
     pairs have identical futures (evaluation is a homomorphism), so the
     exact visited set loses nothing.  ``returnable(x, y, letters_left)``
     may reject an extension by the position (x, y) it would reach, before
-    its product is built.
+    its product is built.  A negative ``max_len`` is refused.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be at least 0")
     moves = [(letter, _bound(bindings, letter))
              for letter in expr_letters(expr)]
     sim = _NfaSim(regex_to_nfa(expr))
@@ -548,9 +550,8 @@ def load_nfa(text: str) -> Nfa:
 def _wreath_to_dict(e: WreathElement) -> dict:
     return {
         "pos": [e.pos[0], e.pos[1]],
-        "fun": [{"a": a, "b": b, "value": v}
-                for (a, b), v in sorted(e.fun().items(),
-                                        key=lambda i: (i[0][1], i[0][0]))],
+        "fun": [{"a": a, "b": b, "value": e.lamp_at(a, b)}
+                for a, b in e.support()],
     }
 
 

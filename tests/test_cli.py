@@ -393,6 +393,47 @@ class TestSolveCommands:
         assert out == ""
         assert err == "error: max_coeff must be at least 1\n"
 
+    # "@name" stands for the path of the workspace file ``ws.name``.
+    @pytest.mark.parametrize("argv,floor", [
+        (("tm", "run", "--tm", "@walker", "--input", "a", "--fuel", "-3"), 0),
+        (("tile", "build", "--tm", "@unary", "--input", "a",
+          "--fuel", "-1"), 0),
+        (("solve", "semimodule", "--instance", "@sem_mini_z",
+          "--window", "0,0,3,3", "--fuel", "0"), 1),
+        (("solve", "semimodule", "--instance", "@sem_mini_z",
+          "--window", "0,0,3,3", "--fuel", "-5"), 1),
+        (("solve", "subset-sum", "--instance", "@sub_mini_2",
+          "--window", "0,0,3,3", "--fuel", "0"), 1),
+        (("solve", "subset-sum", "--instance", "@sub_mini_2",
+          "--window", "0,0,3,3", "--fuel", "-5"), 1),
+    ])
+    def test_fuel_below_floor_is_3(self, capsys, ws, argv, floor):
+        argv = [str(getattr(ws, a[1:])) if a.startswith("@") else a
+                for a in argv]
+        code, out, err = cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --fuel must be at least {floor}\n"
+
+    def test_fuel_at_floor_is_searched(self, capsys, ws):
+        code, _, err = cli(capsys, "tm", "run", "--tm", str(ws.walker),
+                           "--input", "a", "--fuel", "0")
+        assert code == 1
+        assert err == "out of fuel after 0 steps\n"
+        code, _, err = cli(capsys, "solve", "subset-sum",
+                           "--instance", str(ws.sub_mini_2),
+                           "--window", "0,0,3,3", "--fuel", "1")
+        assert code == 1
+        assert err == "no witness within bounds\n"
+
+    def test_negative_max_len_is_3(self, capsys, ws):
+        code, out, err = cli(capsys, "solve", "rational",
+                             "--instance", str(ws.rat_toy),
+                             "--max-len", "-2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: max_len must be at least 0\n"
+
 
 # ---------------------------------------------------------------------------
 # rendering

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from tilechain import (C0, EdgeMap, Placement, Ring, RingMismatch, Tile,
-                       TilingSystem, UnknownTile, Z, dump_edgemap,
-                       evaluate_placements, letter, load_edgemap,
-                       ring_from_name, tile_eval)
+from tilechain import (C0, EdgeMap, MetabelianElement, ModuleElement,
+                       Placement, RankMismatch, Ring, RingMismatch, Tile,
+                       TilingSystem, UnknownTile, WreathElement, Z,
+                       dump_edgemap, evaluate_placements, letter,
+                       load_edgemap, ring_from_name, tile_eval)
 from tilechain.edges import edgemap_from_dict, edgemap_to_dict
 from tilechain.tiling import TRI_L, TRI_R, head, state
 
@@ -189,3 +190,212 @@ class TestSerialization:
             edgemap_from_dict({"ring": "Z", "entries": [
                 {"x": 0, "y": 0, "orient": "H", "color": "c0", "value": 1,
                  "q": 2}]})
+
+
+# ---------------------------------------------------------------------------
+# the sparse core under edge maps, module elements, lamps and flows
+
+CORE_RINGS = (Z, Ring(2), Ring(3))
+
+
+def brute_sum(ring, *terms):
+    """Canonical dict of the sum of ``coeff * (entries moved by shift)``
+    over the ``(entries, coeff, shift)`` terms, one entry at a time."""
+    sums = {}
+    for entries, coeff, shift in terms:
+        for key, value in entries.items():
+            moved = shift(key)
+            sums[moved] = sums.get(moved, 0) + coeff * value
+    if ring.modulus is not None:
+        sums = {key: v % ring.modulus for key, v in sums.items()}
+    return {key: v for key, v in sums.items() if v}
+
+
+def edge_shift(dx, dy):
+    return lambda key: ((key[0][0] + dx, key[0][1] + dy, key[0][2]), key[1])
+
+
+def grid_shift(dx, dy):
+    return lambda key: (key[0] + dx, key[1] + dy, *key[2:])
+
+
+def random_element(rng, ring, rank=2):
+    return ModuleElement(ring, rank, {
+        (rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(rank)):
+            rng.randrange(-4, 5)
+        for _ in range(rng.randrange(0, 6))})
+
+
+def random_points(rng, extra=()):
+    return {(rng.randrange(-3, 4), rng.randrange(-3, 4), *extra):
+            rng.randrange(-4, 5) for _ in range(rng.randrange(0, 6))}
+
+
+def random_wreath(rng, ring):
+    return WreathElement(ring, random_points(rng),
+                         (rng.randrange(-3, 4), rng.randrange(-3, 4)))
+
+
+def random_metabelian(rng):
+    flow = {}
+    for _ in range(rng.randrange(0, 6)):
+        flow.update(random_points(rng, (rng.choice("HV"),)))
+    return MetabelianElement((rng.randrange(-3, 4), rng.randrange(-3, 4)),
+                             flow)
+
+
+class TestSparseCore:
+    """Laws of the one sparse vector that every sparse type is built on:
+    the fused ``plus`` against entry-by-entry sums, hashes that follow
+    equality, cancellation mod n, immutability and the mismatch errors."""
+
+    def test_plus_matches_brute_force(self):
+        rng = random.Random(20261019)
+        for ring in CORE_RINGS:
+            for _ in range(150):
+                coeff = rng.randrange(-3, 4)
+                dx, dy = rng.randrange(-4, 5), rng.randrange(-4, 5)
+                a, b = random_edgemap(rng, ring), random_edgemap(rng, ring)
+                expected = brute_sum(
+                    ring, (dict(a.support()), 1, edge_shift(0, 0)),
+                    (dict(b.support()), coeff, edge_shift(dx, dy)))
+                got = a.plus(b, coeff, dx, dy)
+                assert dict(got.support()) == expected
+                assert got == EdgeMap(ring, expected.items())
+                a, b = random_element(rng, ring), random_element(rng, ring)
+                expected = brute_sum(
+                    ring, (dict(a.items()), 1, grid_shift(0, 0)),
+                    (dict(b.items()), coeff, grid_shift(dx, dy)))
+                got = a.plus(b, coeff, dx, dy)
+                assert dict(got.items()) == expected
+                assert got == ModuleElement(ring, 2, expected)
+                assert a - b == a.plus(b, -1)
+                assert -b == b.scale(-1) == b.plus(b, -2)
+                assert b.translate(dx, dy).scale(coeff) \
+                    == b.scale(0).plus(b, coeff, dx, dy)
+
+    def test_products_match_brute_force(self):
+        rng = random.Random(20261020)
+        for ring in CORE_RINGS:
+            for _ in range(150):
+                a, b = random_wreath(rng, ring), random_wreath(rng, ring)
+                (px, py), (qx, qy) = a.pos, b.pos
+                lamps = brute_sum(ring, (a.fun(), 1, grid_shift(0, 0)),
+                                  (b.fun(), 1, grid_shift(px, py)))
+                assert (a * b).fun() == lamps
+                assert a * b == WreathElement(ring, lamps, (px + qx, py + qy))
+                inverse = brute_sum(ring, (a.fun(), -1, grid_shift(-px, -py)))
+                assert a.inv() == WreathElement(ring, inverse, (-px, -py))
+        for _ in range(150):
+            a, b = random_metabelian(rng), random_metabelian(rng)
+            (px, py), (qx, qy) = a.ab, b.ab
+            flow = brute_sum(Z, (a.flow(), 1, grid_shift(0, 0)),
+                             (b.flow(), 1, grid_shift(px, py)))
+            assert (a * b).flow() == flow
+            assert a * b == MetabelianElement((px + qx, py + qy), flow)
+            inverse = brute_sum(Z, (a.flow(), -1, grid_shift(-px, -py)))
+            assert a.inv() == MetabelianElement((-px, -py), inverse)
+
+    def test_equal_values_have_equal_hashes(self):
+        rng = random.Random(20261021)
+        for ring in CORE_RINGS:
+            twin = Ring(ring.modulus)
+            pad = ring.modulus or 0
+            for _ in range(60):
+                f = random_edgemap(rng, ring)
+                entries = list(f.support())
+                rng.shuffle(entries)
+                key = ((9, 9, "H"), letter("a"))
+                rebuilt = EdgeMap(twin, entries + [(key, 2), (key, -2)])
+                summed = EdgeMap(ring).plus(f) + EdgeMap(ring, [(key, pad)])
+                assert f == rebuilt == summed
+                assert hash(f) == hash(rebuilt) == hash(summed)
+                assert len({f, rebuilt, summed}) == 1
+
+                e = random_element(rng, ring)
+                items = list(e.items()) + [((9, 9, 0), pad)]
+                rng.shuffle(items)
+                g = random_element(rng, ring)
+                for other in (ModuleElement(twin, 2, dict(items)),
+                              (e + g) - g, e.translate(2, -1).translate(-2, 1)):
+                    assert other == e and hash(other) == hash(e)
+
+                w = random_wreath(rng, ring)
+                moved = w * WreathElement(ring, pos=(1, 0))
+                lamps = list(w.fun().items())
+                rng.shuffle(lamps)
+                for other in (WreathElement(twin, dict(lamps), w.pos),
+                              moved * WreathElement(ring, pos=(-1, 0)),
+                              (w * w.inv()) * w):
+                    assert other == w and hash(other) == hash(w)
+        for _ in range(60):
+            m = random_metabelian(rng)
+            edges = list(m.flow().items())
+            rng.shuffle(edges)
+            for other in (MetabelianElement(m.ab, dict(edges)),
+                          (m * m.inv()) * m, m.inv().inv()):
+                assert other == m and hash(other) == hash(m)
+
+    def test_keys_that_cancel_are_dropped(self):
+        for ring in (Ring(2), Ring(3)):
+            n = ring.modulus
+            key = ((0, 0, "V"), letter("a"))
+            f = EdgeMap(ring, [(key, 1), (((1, 0, "H"), C0), 1)])
+            g = f.plus(EdgeMap(ring, [(key, 1)]), n - 1)
+            assert g.value(*key) == 0 and len(g) == 1
+            assert EdgeMap(ring, [(key, n)]).is_zero()
+            assert f.plus(f, n - 1).is_zero() and f.scale(n).is_zero()
+            e = ModuleElement(ring, 1, {(0, 0, 0): 1, (1, 0, 0): 1})
+            cancelled = e.plus(ModuleElement(ring, 1, {(2, 0, 0): 1}),
+                               n - 1, -1, 0)
+            assert cancelled.support() == [(0, 0, 0)]
+            assert ModuleElement(ring, 1, {(0, 0, 0): n}).is_zero()
+            lamp = WreathElement(ring, {(0, 0): 1, (1, 0): 1})
+            product = lamp * WreathElement(ring, {(1, 0): n - 1})
+            assert product.fun() == {(0, 0): 1} and product.support() == [(0, 0)]
+            assert WreathElement(ring, {(0, 0): n}).is_identity()
+        x = MetabelianElement((1, 0), {(0, 0, "H"): 1})
+        assert (x * x.inv()).is_identity() and (x * x.inv()).flow() == {}
+        assert MetabelianElement((0, 0), {(0, 0, "V"): 0}).is_identity()
+
+    def test_all_four_types_are_immutable(self):
+        values = (EdgeMap(Z, [(((0, 0, "H"), C0), 1)]),
+                  ModuleElement(Z, 1, {(0, 0, 0): 1}),
+                  WreathElement(Z, {(0, 0): 1}, (1, 0)),
+                  MetabelianElement((1, 0), {(0, 0, "H"): 1}))
+        for value in values:
+            before = repr(value), hash(value)
+            for name in ("ring", "rank", "pos", "ab", "_entries", "_hash",
+                         "_lamps", "_flow", "extra"):
+                with pytest.raises(AttributeError, match="is immutable"):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError, match="is immutable"):
+                    delattr(value, name)
+            assert (repr(value), hash(value)) == before
+
+    def test_mismatch_errors_keep_their_messages(self):
+        key = ((0, 0, "H"), C0)
+        with pytest.raises(RingMismatch, match="^Z vs Zmod:2$"):
+            EdgeMap(Z, [(key, 1)]) + EdgeMap(Ring(2), [(key, 1)])
+        with pytest.raises(RingMismatch, match="^Zmod:2 vs Zmod:3$"):
+            EdgeMap(Ring(2)).plus(EdgeMap(Ring(3)), 1, 1, 1)
+        one, two = ModuleElement(Z, 1), ModuleElement(Z, 2)
+        with pytest.raises(RingMismatch, match="^Z vs Zmod:3$"):
+            one - ModuleElement(Ring(3), 2)
+        with pytest.raises(RankMismatch, match="^rank 1 vs 2$"):
+            one + two
+        with pytest.raises(RankMismatch, match="^rank 2 vs 1$"):
+            two.plus(one, 2, 1, 0)
+        with pytest.raises(RankMismatch,
+                           match="^coordinate 2 outside rank 2$"):
+            ModuleElement(Z, 2, {(0, 0, 2): 1})
+        with pytest.raises(RingMismatch, match="^Zmod:3 vs Z$"):
+            WreathElement(Ring(3), pos=(1, 0)) * WreathElement(Z)
+
+    def test_edge_maps_are_hashable(self):
+        key = ((0, 0, "H"), letter("a"))
+        f = EdgeMap(Ring(3), [(key, 4)])
+        table = {f: "f", EdgeMap(Ring(3)): "zero"}
+        assert table[EdgeMap(Ring(3), [(key, 1)])] == "f"
+        assert table[f.plus(f, 2)] == "zero"
+        assert f != EdgeMap(Z, [(key, 1)])

@@ -258,6 +258,25 @@ class TestBoundedSearch:
         assert rational_member_bounded(rat.expr, rat.bindings, rat.target,
                                        5, ring) == ""
 
+    def test_negative_length_bound_refused(self):
+        # Even the empty word is longer than a negative bound.
+        ring = Ring(2)
+        rat = make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0).scale(0)))
+        assert rational_member_bounded(rat.expr, rat.bindings, rat.target,
+                                       0, ring) == ""
+        assert enumerate_zero_position_hits(
+            rat.expr, rat.bindings, ring, 0) == {wreath_identity(ring)}
+        for max_len in (-1, -3):
+            with pytest.raises(ValueError,
+                               match="max_len must be at least 0"):
+                rational_member_bounded(rat.expr, rat.bindings, rat.target,
+                                        max_len, ring)
+            with pytest.raises(ValueError,
+                               match="max_len must be at least 0"):
+                enumerate_zero_position_hits(rat.expr, rat.bindings, ring,
+                                             max_len)
+
     def test_finds_shortest_planting_word(self):
         ring = Ring(2)
         f = unit(ring, 1, 0, 0, 0)
