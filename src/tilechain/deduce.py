@@ -10,10 +10,32 @@ placements so far have exposed at some height; the next row of tiles must
 cancel it exactly, which pins each tile through its south color and the
 west color shared with its left neighbour.  The outer loop tries each row
 width in turn, because the starting map does not determine how far the
-bottom row extends.  Within one width the deduction is forced up to local
-backtracking: wherever two tiles fit the same (south, west) pair, the dead
-branch dies within a step or two, so the first completed stack of rows is
-the unique one and the search is deterministic.
+bottom row extends.
+
+Each row is found in one backward pass and one forward walk.  The backward
+pass goes right to left and computes, for every column i, ``live[i]``: the
+west colors at i from which columns i, i+1, ... can still be tiled so that
+the last east color is the distinguished one.  ``live[i]`` depends only on
+the south color at i and on ``live[i+1]``, so it is read from a memo keyed
+by that pair, together with the column's options for each west color in
+it.  The forward walk then places tiles left to right, taking at each
+column only options whose east color is live at the next column.  Every
+branch it opens can therefore be completed, so it never backs out of a
+dead end within the row, and it produces the row's assignments in the
+order of a plain depth-first search: tiles in tiling-system order, then
+the empty slot.  A row costs one memo lookup per column on the way back
+and one table lookup per column on the way forward, O(width) in all; each
+further assignment of an ambiguous row re-walks only the columns right of
+the choice it changes.
+
+Rows sit on one explicit stack of (row enumerator, assignment) pairs, and
+each row keeps its untried choices on a stack of its own, so neither the
+width nor the height of a certificate meets the interpreter's recursion
+limit.  When a choice in one row leads nowhere in the rows above it, the
+stack pops back to that row's next assignment, so the first completed stack
+of rows is the certificate a recursive depth-first search finds first.
+The memo belongs to one ``forced_search`` call: it is built lazily as rows
+are deduced and dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -21,8 +43,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .edges import EdgeMap
-from .tiling import (ARROW_D, ARROW_R, C0, Certificate, Color, Placement,
-                     TilingSystem, sort_placements)
+from .tiling import (ARROW_D, ARROW_R, Certificate, Color, Placement, Tile,
+                     TilingSystem)
 
 
 class MalformedInput(ValueError):
@@ -62,33 +84,92 @@ def parse_initial_shape(f0: EdgeMap) -> tuple[int, list[Color], Color]:
     return n, row, arrow
 
 
-def _assignments(by_sw: dict, souths: list[Color], west_seed: Color,
-                 distinguished: Color):
-    """Yield every tile row matching the given south colors.
+class _RowDeducer:
+    """Row enumeration over one tiling system, with a memo for one search.
 
-    A row assignment is a list with one tile or None per position.  The west
-    side of each tile must repeat the east side of its left neighbour (seeded
-    with ``west_seed``), the final east side must be the distinguished color,
-    and a position may stay empty only where the south color and the incoming
-    west color are both distinguished.
+    The memo maps ``(south, after)``, a column's south color and the set of
+    east colors from which the rest of the row can still be finished, to
+    the west colors from which the column can reach ``after`` and to the
+    column's options for each of them.  Sets are interned frozensets, so a
+    key made from one hashes through the set's cached hash and compares by
+    identity.
     """
-    count = len(souths)
-    chosen: list = [None] * count
 
-    def extend(i: int, west: Color):
-        if i == count:
-            if west == distinguished:
-                yield list(chosen)
+    def __init__(self, ts: TilingSystem):
+        self.c0 = ts.distinguished
+        self.by_s: dict[Color, list[Tile]] = {}
+        for tile in ts.tiles:
+            self.by_s.setdefault(tile.s, []).append(tile)
+        self.sets: dict[frozenset, frozenset] = {}
+        self.columns: dict[tuple, tuple] = {}
+        self.end = self._intern(frozenset((self.c0,)))
+
+    def _intern(self, colors: frozenset) -> frozenset:
+        return self.sets.setdefault(colors, colors)
+
+    def _column(self, south: Color, after: frozenset) -> tuple:
+        """``(live, options)`` for a column over ``south`` whose east color
+        must lie in ``after``: ``options[west]`` lists the fitting tiles in
+        tiling-system order, then the empty slot where it is allowed, each
+        as a ``(tile or None, east color)`` pair; ``live`` is the set of
+        west colors with at least one option."""
+        c0 = self.c0
+        options: dict[Color, list] = {}
+        for tile in self.by_s.get(south, ()):
+            if tile.e in after:
+                options.setdefault(tile.w, []).append((tile, tile.e))
+        if south == c0 and c0 in after:
+            options.setdefault(c0, []).append((None, c0))
+        column = (self._intern(frozenset(options)),
+                  {west: tuple(fits) for west, fits in options.items()})
+        self.columns[south, after] = column
+        return column
+
+    def rows(self, souths: list[Color], west: Color):
+        """Yield every tile row matching the given south colors.
+
+        A row assignment is a tuple with one tile or None per position.  The
+        west side of each tile must repeat the east side of its left
+        neighbour (seeded with ``west``), the final east side must be the
+        distinguished color, and a position may stay empty only where the
+        south color and the incoming west color are both distinguished.
+        Rows come in depth-first order: at each position the tiles in
+        tiling-system order, then the empty slot.
+        """
+        memo = self.columns
+        count = len(souths)
+        tables: list = [None] * count
+        after = self.end
+        for i in range(count - 1, -1, -1):
+            column = memo.get((souths[i], after))
+            if column is None:
+                column = self._column(souths[i], after)
+            after, tables[i] = column
+            if not after:
+                return
+        if west not in after:
             return
-        for tile in by_sw.get((souths[i], west), ()):
-            chosen[i] = tile
-            yield from extend(i + 1, tile.e)
-            chosen[i] = None
-        if souths[i] == distinguished and west == distinguished:
-            chosen[i] = None
-            yield from extend(i + 1, distinguished)
 
-    yield from extend(0, west_seed)
+        chosen: list = [None] * count
+        # Positions with options left untried, deepest last, as
+        # (position, options, index of the next option to try).
+        choices: list = []
+        i = 0
+        while True:
+            while i < count:
+                options = tables[i][west]
+                if len(options) > 1:
+                    choices.append((i, options, 1))
+                chosen[i], west = options[0]
+                i += 1
+            yield tuple(chosen)
+            if not choices:
+                return
+            i, options, k = choices.pop()
+            if k + 1 < len(options):
+                choices.append((i, options, k + 1))
+            chosen[i], west = options[k]
+            i += 1
 
 
 def forced_search(ts: TilingSystem, f0: EdgeMap, max_m: int,
@@ -103,36 +184,36 @@ def forced_search(ts: TilingSystem, f0: EdgeMap, max_m: int,
     """
     n, row0, arrow = parse_initial_shape(f0)
     c0 = ts.distinguished
-
-    by_sw: dict[tuple[Color, Color], list] = {}
-    for tile in ts.tiles:
-        by_sw.setdefault((tile.s, tile.w), []).append(tile)
-
-    def solve_rows(pending: list[Color], y: int):
-        if all(color == c0 for color in pending):
-            return [], y - 1
-        if y > max_rows:
-            return None
-        for assignment in _assignments(by_sw, pending, c0, c0):
-            norths = [tile.n if tile else c0 for tile in assignment]
-            sub = solve_rows(norths, y + 1)
-            if sub is not None:
-                rows, top = sub
-                placed = [Placement(tile, x, y)
-                          for x, tile in enumerate(assignment) if tile]
-                return [placed] + rows, top
-        return None
-
+    deducer = _RowDeducer(ts)
     for m in range(n + 1, max_m + 1):
-        for bottom in _assignments(by_sw, [c0] * (m - n), arrow, c0):
-            pending = row0 + [tile.n if tile else c0 for tile in bottom]
-            sub = solve_rows(pending, 1)
-            if sub is None:
+        # One entry per row under trial, bottom row first: the row's
+        # enumerator and the assignment it gave last.
+        stack = [[deducer.rows([c0] * (m - n), arrow), None]]
+        while stack:
+            entry = stack[-1]
+            assignment = next(entry[0], None)
+            if assignment is None:
+                stack.pop()
                 continue
-            rows, top = sub
-            placements = [Placement(tile, n + 1 + i, 0)
-                          for i, tile in enumerate(bottom) if tile]
-            for placed in rows:
-                placements.extend(placed)
-            return Certificate(sort_placements(placements), m, top)
+            entry[1] = assignment
+            y = len(stack) - 1
+            norths = [c0 if tile is None else tile.n for tile in assignment]
+            if y == 0:
+                norths = row0 + norths
+            if norths.count(c0) == len(norths):
+                return _certificate(stack, n, m)
+            if y < max_rows:
+                stack.append([deducer.rows(norths, c0), None])
     return None
+
+
+def _certificate(stack: list, n: int, m: int) -> Certificate:
+    """The certificate of a completed row stack; its placements come out
+    row-major, bottom row first."""
+    placements = []
+    for y, (_, assignment) in enumerate(stack):
+        x0 = n + 1 if y == 0 else 0
+        placements.extend(Placement(tile, x0 + x, y)
+                          for x, tile in enumerate(assignment)
+                          if tile is not None)
+    return Certificate(tuple(placements), m, len(stack) - 1)

@@ -111,6 +111,11 @@ class SparseVector:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # Copying and pickling rebuild the value through _make_vector: the
+        # default slot restore would go through the raising __setattr__.
+        return _make_vector, (type(self), self.ring, self._entries)
+
     def _derive(self, entries: dict) -> "SparseVector":
         """A value of this kind and ring; see :func:`_make_vector`."""
         return _make_vector(type(self), self.ring, entries)

@@ -106,6 +106,9 @@ class WreathElement:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return _make_wreath, (self._lamps, self.pos)
+
     @property
     def ring(self) -> Ring:
         return self._lamps.ring
@@ -297,6 +300,9 @@ class MetabelianElement:
         raise AttributeError("MetabelianElement is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _make_metabelian, (self.ab, self._flow)
 
     def flow(self) -> Dict[FlowKey, int]:
         return dict(self._flow._entries)

@@ -72,6 +72,9 @@ class ModuleElement(SparseVector):
                 raise RankMismatch(f"coordinate {idx} outside rank {rank}")
         _set_rank(self, rank)
 
+    def __reduce__(self):
+        return ModuleElement, (self.ring, self.rank, self._entries)
+
     def _derive(self, entries: dict) -> "ModuleElement":
         element = SparseVector._derive(self, entries)
         _set_rank(element, self.rank)

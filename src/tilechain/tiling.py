@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 
@@ -196,7 +197,7 @@ class Certificate:
 
 
 def sort_placements(placements) -> tuple[Placement, ...]:
-    return tuple(sorted(placements, key=lambda p: (p.y, p.x)))
+    return tuple(sorted(placements, key=attrgetter("y", "x")))
 
 
 # -- JSON -------------------------------------------------------------------
@@ -260,6 +261,9 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
     unknown = set(data) - {"m", "rows", "placements"}
     if unknown:
         raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
+    # Each distinct tile dict is built once; an entry that cannot serve as
+    # a key goes straight to tile_from_dict, which reports what is wrong.
+    built: dict = {}
     placements = []
     for row in data["placements"]:
         ref = row["tile"]
@@ -268,7 +272,15 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                 raise ValueError("tile referenced by name but no tiling system given")
             tile = ts.tile_named(ref)
         else:
-            tile = tile_from_dict(ref)
+            try:
+                key = tuple(ref.items())
+                tile = built.get(key)
+            except (AttributeError, TypeError):
+                key = tile = None
+            if tile is None:
+                tile = tile_from_dict(ref)
+                if key is not None:
+                    built[key] = tile
         placements.append(Placement(tile, row["x"], row["y"]))
     return Certificate(tuple(placements), data["m"], data["rows"])
 
@@ -281,8 +293,33 @@ def load_system(text: str) -> TilingSystem:
     return system_from_dict(json.loads(text))
 
 
+def _json_number(value) -> str:
+    return str(value) if type(value) is int else json.dumps(value)
+
+
 def dump_certificate(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    """``json.dumps(certificate_to_dict(cert), indent=2)`` plus a newline,
+    byte for byte, with each distinct tile's block rendered once.
+
+    Blocks are keyed by tile and name together, because tile equality
+    ignores the name.
+    """
+    head = (f'{{\n  "m": {json.dumps(cert.width_m)},\n'
+            f'  "rows": {json.dumps(cert.rows)},\n  "placements": ')
+    if not cert.placements:
+        return head + "[]\n}\n"
+    blocks: dict = {}
+    items = []
+    for tile, x, y in sort_placements(cert.placements):
+        key = (tile, tile.name)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = json.dumps(
+                tile_to_dict(tile), indent=2).replace("\n", "\n      ")
+        items.append(f'    {{\n      "tile": {block},\n'
+                     f'      "x": {_json_number(x)},\n'
+                     f'      "y": {_json_number(y)}\n    }}')
+    return head + "[\n" + ",\n".join(items) + "\n  ]\n}\n"
 
 
 def load_certificate(text: str, ts: Optional[TilingSystem] = None) -> Certificate:

@@ -1,5 +1,7 @@
 """Rings, finitely supported edge maps, and tile evaluation."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -372,6 +374,21 @@ class TestSparseCore:
                 with pytest.raises(AttributeError, match="is immutable"):
                     delattr(value, name)
             assert (repr(value), hash(value)) == before
+
+    @pytest.mark.parametrize("ring", [Z, Ring(2), Ring(3)])
+    def test_copy_and_pickle_round_trip(self, ring):
+        lamp = WreathElement(ring, {(1, -2): 2, (0, 0): 1}, (3, 1))
+        values = (EdgeMap(ring, [(((0, 1, "H"), letter("a")), 2),
+                                 (((-1, 0, "V"), C0), -1)]),
+                  ModuleElement(ring, 3, {(1, 2, 0): 2, (0, -1, 2): 1}),
+                  lamp * lamp,
+                  MetabelianElement((1, -1), {(0, 0, "H"): 2, (2, 1, "V"): -1}))
+        for value in values:
+            for again in (copy.copy(value), copy.deepcopy(value),
+                          pickle.loads(pickle.dumps(value))):
+                assert type(again) is type(value)
+                assert again == value and hash(again) == hash(value)
+                assert repr(again) == repr(value)
 
     def test_mismatch_errors_keep_their_messages(self):
         key = ((0, 0, "H"), C0)

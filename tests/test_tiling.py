@@ -1,5 +1,7 @@
 """Colors, tiles, tiling systems, certificates, and the machine compiler."""
 
+import json
+
 import pytest
 
 from tilechain import (C0, Certificate, Color, EmptyInput, Placement, Tile,
@@ -214,3 +216,80 @@ class TestSerialization:
         data = certificate_to_dict(cert)
         assert [(row["x"], row["y"]) for row in data["placements"]] \
             == [(0, 0), (1, 1)]
+
+
+def reference_dump(cert):
+    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+
+
+class TestCertificateDump:
+    """dump_certificate renders each tile block once; its bytes must be
+    those of the plain json.dumps of certificate_to_dict."""
+
+    @pytest.mark.parametrize("name, word", [("unary-eraser", "aaa"),
+                                            ("two-symbol-eraser", "abba"),
+                                            ("mini-eraser", "a")])
+    def test_built_certificates(self, artifacts, name, word):
+        cert = artifacts.pipeline(name, word).cert
+        text = dump_certificate(cert)
+        assert text == reference_dump(cert)
+        assert load_certificate(text) == cert
+
+    def test_empty_certificate(self):
+        cert = Certificate((), 0, 0)
+        assert dump_certificate(cert) == reference_dump(cert)
+        assert load_certificate(dump_certificate(cert)) == cert
+
+    def test_negative_and_non_integer_coordinates(self):
+        # A loaded certificate keeps whatever numbers its JSON held.
+        t = Tile(letter("a"), ARROW_R, C0, DIAG, name="t")
+        cert = Certificate((Placement(t, -3, 2), Placement(t, 0, -1),
+                            Placement(t, -12, -7), Placement(t, 1.5, -1)),
+                           -2, -5)
+        text = dump_certificate(cert)
+        assert text == reference_dump(cert)
+        assert load_certificate(text).placements == sort_placements(
+            cert.placements)
+
+    def test_awkward_names(self):
+        names = ['say "hi"', "back\\slash", "caf\u00e9 \u2192 \U0001f600",
+                 "tab\tnew\nline", ""]
+        tiles = [Tile(letter(str(i)), C0, C0, C0, name=name)
+                 for i, name in enumerate(names)]
+        cert = Certificate(tuple(Placement(t, x, 0)
+                                 for x, t in enumerate(tiles)), 5, 0)
+        text = dump_certificate(cert)
+        assert text == reference_dump(cert)
+        assert [p.tile.name for p in load_certificate(text).placements] \
+            == names
+
+    def test_equal_colors_different_names(self):
+        first = Tile(C0, letter("a"), C0, ARROW_R, name="first")
+        second = Tile(C0, letter("a"), C0, ARROW_R, name="second")
+        assert first == second
+        cert = Certificate((Placement(first, 0, 0), Placement(second, 1, 0),
+                            Placement(first, 2, 0)), 2, 0)
+        text = dump_certificate(cert)
+        assert text == reference_dump(cert)
+        assert [p.tile.name for p in load_certificate(text).placements] \
+            == ["first", "second", "first"]
+
+    def test_load_errors_unchanged(self):
+        good = tile_to_dict(Tile(C0, C0, C0, C0))
+        bad_tiles = [(dict(good, colour="c0"), "unknown tile fields"),
+                     (dict(good, n="q-nope"), "unknown color string"),
+                     (dict(good, e=["c0"]), "unhashable"),
+                     (["not", "a", "dict"], "unknown tile fields")]
+        for bad, message in bad_tiles:
+            with pytest.raises(Exception, match=message) as direct:
+                tile_from_dict(bad)
+            data = {"m": 1, "rows": 0,
+                    "placements": [{"tile": good, "x": 0, "y": 0},
+                                   {"tile": bad, "x": 1, "y": 0}]}
+            with pytest.raises(Exception) as loaded:
+                load_certificate(json.dumps(data))
+            assert type(loaded.value) is type(direct.value)
+            assert str(loaded.value) == str(direct.value)
+        with pytest.raises(ValueError, match="no tiling system given"):
+            load_certificate(json.dumps({"m": 1, "rows": 0, "placements": [
+                {"tile": "b0", "x": 0, "y": 0}]}))
