@@ -259,10 +259,11 @@ def evaluate_placements(ts: TilingSystem, placements, ring: Ring = Z) -> EdgeMap
     sides = {tile: _sides(tile, ts.distinguished) for tile in ts.tiles}
     total: dict = {}
     for placement in placements:
-        if placement.tile not in sides:
+        tile_sides = sides.get(placement.tile)
+        if tile_sides is None:
             raise UnknownTile(repr(placement.tile))
         px, py = placement.x, placement.y
-        for (ex, ey, tag), sign in sides[placement.tile]:
+        for (ex, ey, tag), sign in tile_sides:
             key = (px + ex, py + ey, tag)
             total[key] = total.get(key, 0) + sign
     return _make_vector(EdgeMap, ring, _canon(ring, total.items()))

@@ -14,7 +14,11 @@ This module rephrases tiling questions in that language:
 
 One bounded branching search (translation window, coefficient set, node
 budget) answers both questions and returns explicit witnesses that can be
-re-checked by plain arithmetic.
+re-checked by plain arithmetic.  It keeps the current path on an explicit
+stack, so a witness may have more terms than the interpreter's recursion
+limit.  Over a prime modulus, membership is settled exactly instead: the
+windowed linear system is brought to row echelon form and solved by
+back-substitution.
 
 :class:`ModuleElement` is the sparse core of ``edges`` (``SparseVector``)
 with coordinate indices as tags, plus a rank that every sum checks.  A
@@ -25,6 +29,7 @@ search step is one fused call: the child residual is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
@@ -254,10 +259,6 @@ def verify_witness(instance: SemimoduleInstance, witness) -> bool:
     return total == instance.target
 
 
-class _OutOfFuel(Exception):
-    pass
-
-
 def _coeff_values(ring: Ring, max_coeff: int) -> tuple[int, ...]:
     if ring.modulus is None:
         return tuple(range(1, max_coeff + 1))
@@ -284,18 +285,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _subtract_row(row: dict[int, int], prow: dict[int, int], var: int,
-                  factor: int, p: int) -> None:
-    """``row -= factor * prow`` mod ``p`` in place, column ``var`` left out."""
-    for c, v in prow.items():
-        if c != var:
-            nv = (row.get(c, 0) - factor * v) % p
-            if nv:
-                row[c] = nv
-            else:
-                row.pop(c, None)
-
-
 def _member_mod_prime(instance: SemimoduleInstance,
                       window: Window) -> Optional[tuple[WitnessTerm, ...]]:
     """Exact windowed membership over a prime modulus.
@@ -306,6 +295,22 @@ def _member_mod_prime(instance: SemimoduleInstance,
     of them (or the target) touches.  Gaussian elimination decides it
     outright — a None here means no witness exists within the window,
     not that a budget ran out.
+
+    The rows are brought to echelon form.  Each pivot row is scaled to 1
+    at its pivot, its smallest variable, so every other variable in it is
+    larger.  An incoming row is reduced by the pivots it holds, smallest
+    first through a heap: subtracting a pivot row brings in only larger
+    variables.  The reduced row is unique.  It is the incoming row plus a
+    vector in the span of the earlier rows, and it is zero at every pivot
+    column; two such rows differ by a combination of pivot rows that is
+    zero at every pivot, and the smallest pivot of a nonzero combination
+    keeps its coefficient, so the difference is zero.  A fully reduced
+    (row-reduced echelon) elimination therefore finds the same reduced
+    rows, the same pivots and the same inconsistent rows.  Finally every
+    free variable is set to 0 and the pivot variables are solved for by
+    back-substitution, largest pivot first.  The system has exactly one
+    solution whose free variables are all zero, so the witness does not
+    depend on how far the rows were reduced.
     """
     p = instance.ring.modulus
     variables: list[tuple[int, int, int]] = []
@@ -324,39 +329,47 @@ def _member_mod_prime(instance: SemimoduleInstance,
     for vi, column in enumerate(columns):
         for key, value in column:
             rows.setdefault(key, {})[vi] = value % p
-    keys = set(rows) | set(instance.target.support())
-    # Reduced row echelon form, maintained incrementally: each pivot row is
-    # scaled to 1 at its pivot variable and contains no other pivot.
+    target = instance.target
+    keys = set(rows) | set(target.support())
+    # pivot variable -> (its row without the pivot, which is 1; rhs)
     pivots: dict[int, tuple[dict[int, int], int]] = {}
     for key in sorted(keys, key=_entry_sort_key):
-        row = dict(rows.get(key, {}))
-        rhs = instance.target.value(*key) % p
-        for var in [v for v in sorted(row) if v in pivots]:
-            factor = row.pop(var)
+        row = rows.get(key, {})
+        rhs = target.value(*key) % p
+        pending = [var for var in row if var in pivots]
+        heapify(pending)
+        while pending:
+            var = heappop(pending)
+            factor = row.pop(var, 0)
+            if not factor:  # cancelled, or pushed twice
+                continue
             prow, prhs = pivots[var]
-            _subtract_row(row, prow, var, factor, p)
+            for c, v in prow.items():
+                old = row.get(c, 0)
+                new = (old - factor * v) % p
+                if new:
+                    row[c] = new
+                    if not old and c in pivots:
+                        heappush(pending, c)
+                elif old:
+                    del row[c]
             rhs = (rhs - factor * prhs) % p
         if not row:
             if rhs:
                 return None
             continue
         var = min(row)
-        inv = pow(row[var], -1, p)
-        prow = {c: (v * inv) % p for c, v in row.items()}
-        prhs = (rhs * inv) % p
-        for other, (orow, orhs) in list(pivots.items()):
-            factor = orow.pop(var, 0)
-            if not factor:
-                continue
-            _subtract_row(orow, prow, var, factor, p)
-            pivots[other] = (orow, (orhs - factor * prhs) % p)
-        pivots[var] = (prow, prhs)
-    # Free variables are zero, so each pivot variable just takes its rhs.
-    terms = []
-    for var, (_, prhs) in pivots.items():
-        if prhs:
-            gi, sx, sy = variables[var]
-            terms.append(WitnessTerm(gi, sx, sy, prhs))
+        inv = pow(row.pop(var), -1, p)
+        pivots[var] = ({c: v * inv % p for c, v in row.items()}, rhs * inv % p)
+    solution: dict[int, int] = {}
+    for var in sorted(pivots, reverse=True):
+        prow, prhs = pivots[var]
+        value = (prhs - sum(v * solution.get(c, 0)
+                            for c, v in prow.items())) % p
+        if value:
+            solution[var] = value
+    terms = [WitnessTerm(*variables[var], coeff)
+             for var, coeff in solution.items()]
     return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
 
 
@@ -375,78 +388,111 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
     bounds.  A coordinate no candidate can hit is an immediate dead end.
     Returns the terms sorted by ``(dy, dx, gen)``, or None if no witness
     exists within the bounds or more than ``fuel`` nodes are needed.
+
+    Visit order: coordinates tie-break by ``(y, x, idx)``, and a
+    coordinate's candidates go by generator, then dy, then dx.  Over Z a
+    stable sort then moves the candidates whose sign matches the
+    residual's to the front.  Each coordinate's windowed candidates are
+    listed once per search; a node only counts the viable ones and lists
+    just the chosen coordinate's.  The nodes on the current path sit on an
+    explicit stack, so the number of witness terms is not limited by the
+    interpreter's recursion depth.
     """
     x0, y0, x1, y1 = window
     gens = instance.generators
     by_idx = _entries_by_idx(gens)
     signed = instance.ring.modulus is None
-    used: set[tuple[int, int]] = set()
-    nodes = 0
+    # A translation is numbered row by row inside the window, and a pick
+    # (gen, dx, dy) by gen first, so pick numbers sort as (gen, dy, dx).
+    width = x1 - x0 + 1
+    shifts = width * (y1 - y0 + 1)
+    decided: set[int] = set()
+    used: set[int] = set()  # stays empty unless distinct
+    options_of: dict[EntryKey, tuple[list[tuple[int, int, int]],
+                                     tuple[tuple[int, frozenset[int]], ...]]] = {}
 
-    def candidates(key: EntryKey, residual: ModuleElement,
-                   decided: set[SubsetPick]) -> list[tuple[int, int, int, int]]:
-        kx, ky, kidx = key
-        found = []
-        for gi, ex, ey, ev in by_idx.get(kidx, ()):
-            sx, sy = kx - ex, ky - ey
-            if not (x0 <= sx <= x1 and y0 <= sy <= y1):
-                continue
-            if (gi, sx, sy) in decided or (distinct and (sx, sy) in used):
-                continue
-            found.append((gi, sx, sy, ev))
-        if signed:
-            positive = residual.value(kx, ky, kidx) > 0
-            found.sort(key=lambda c: ((c[3] > 0) != positive,
-                                      c[0], c[2], c[1]))
-        else:
-            found.sort(key=lambda c: (c[0], c[2], c[1]))
+    def options(key: EntryKey):
+        """Windowed (pick, shift, value) candidates for ``key`` in pick
+        order, and their picks grouped by translation."""
+        found = options_of.get(key)
+        if found is None:
+            kx, ky, kidx = key
+            listed = []
+            for gi, ex, ey, ev in by_idx.get(kidx, ()):
+                sx, sy = kx - ex, ky - ey
+                if x0 <= sx <= x1 and y0 <= sy <= y1:
+                    shift = (sy - y0) * width + sx - x0
+                    listed.append((gi * shifts + shift, shift, ev))
+            listed.sort()
+            groups: dict[int, set[int]] = {}
+            for pick, shift, _ in listed:
+                groups.setdefault(shift, set()).add(pick)
+            found = options_of[key] = (listed, tuple(
+                (shift, frozenset(picks)) for shift, picks in groups.items()))
         return found
 
-    def pick_key(residual: ModuleElement, decided: set[SubsetPick]):
-        best = None
-        for key in residual.support():
-            options = candidates(key, residual, decided)
-            if not options:
-                return options
-            if best is None or len(options) < len(best):
-                best = options
-        return best
+    def pick_key(residual: ModuleElement) -> list[int]:
+        best_key, best = None, 0
+        for key in residual._entries:
+            count = 0
+            for shift, picks in options(key)[1]:
+                if shift not in used:
+                    count += len(picks) - len(picks & decided)
+            if not count:
+                return []
+            if (best_key is None or count < best or count == best
+                    and _entry_sort_key(key) < _entry_sort_key(best_key)):
+                best_key, best = key, count
+        found = [o for o in options(best_key)[0]
+                 if o[0] not in decided and o[1] not in used]
+        if signed:
+            positive = residual._entries[best_key] > 0
+            found.sort(key=lambda o: (o[2] > 0) != positive)
+        return [o[0] for o in found]
 
-    def dfs(residual: ModuleElement,
-            decided: set[SubsetPick]) -> Optional[list[WitnessTerm]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > fuel:
-            raise _OutOfFuel
-        if residual.is_zero():
-            return []
-        excluded: list[SubsetPick] = []
-        result: Optional[list[WitnessTerm]] = None
-        for gi, sx, sy, _ in pick_key(residual, decided):
-            decided.add((gi, sx, sy))
-            excluded.append((gi, sx, sy))
-            if distinct:
-                used.add((sx, sy))
-            for coeff in values:
-                rest = dfs(residual.plus(gens[gi], -coeff, sx, sy), decided)
-                if rest is not None:
-                    result = [WitnessTerm(gi, sx, sy, coeff)] + rest
-                    break
-            if distinct:
-                used.remove((sx, sy))
-            if result is not None:
-                break
-        for pick in excluded:
-            decided.remove(pick)
-        return result
-
-    try:
-        found = dfs(instance.target, set())
-    except _OutOfFuel:
+    if fuel < 1:
         return None
-    if found is None:
-        return None
-    return tuple(sorted(found, key=lambda t: (t.dy, t.dx, t.gen)))
+    if instance.target.is_zero():
+        return ()
+    nodes = 1
+    # One frame per node of the current path: residual, candidate picks,
+    # index of the pick being tried, index of its next coefficient.
+    # ``path[k]`` is the term that leads from frame k to frame k + 1.
+    stack = [[instance.target, pick_key(instance.target), -1, len(values)]]
+    path: list[WitnessTerm] = []
+    while stack:
+        frame = stack[-1]
+        residual, picks, at, ci = frame
+        if ci < len(values):
+            frame[3] = ci + 1
+            nodes += 1
+            if nodes > fuel:
+                return None
+            gi, shift = divmod(picks[at], shifts)
+            sy, sx = divmod(shift, width)
+            sx, sy = sx + x0, sy + y0
+            coeff = values[ci]
+            child = residual.plus(gens[gi], -coeff, sx, sy)
+            path.append(WitnessTerm(gi, sx, sy, coeff))
+            if child.is_zero():
+                return tuple(sorted(path, key=lambda t: (t.dy, t.dx, t.gen)))
+            stack.append([child, pick_key(child), -1, len(values)])
+            continue
+        if distinct and at >= 0:
+            used.remove(picks[at] % shifts)
+        at += 1
+        if at < len(picks):
+            pick = picks[at]
+            decided.add(pick)
+            if distinct:
+                used.add(pick % shifts)
+            frame[2], frame[3] = at, 0
+            continue
+        decided.difference_update(picks)
+        stack.pop()
+        if path:
+            path.pop()
+    return None
 
 
 def member_bounded(instance: SemimoduleInstance, window: Window,

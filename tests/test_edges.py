@@ -156,6 +156,19 @@ class TestTileEval:
         with pytest.raises(UnknownTile):
             evaluate_placements(ts, [Placement(tile, 0, 0)])
 
+    def test_unknown_tile_after_known_ones_rejected(self):
+        known = Tile(n=letter("a"), e=C0, s=C0, w=C0, name="known")
+        blank = Tile(n=C0, e=C0, s=C0, w=C0, name="blank")
+        stranger = Tile(n=C0, e=letter("a"), s=C0, w=C0, name="stranger")
+        ts = TilingSystem(colors=(C0, letter("a")), tiles=(known, blank))
+        placements = [Placement(known, 0, 0), Placement(blank, 1, 0),
+                      Placement(stranger, 2, 0)]
+        with pytest.raises(UnknownTile) as caught:
+            evaluate_placements(ts, placements)
+        assert str(caught.value) == repr(stranger)
+        assert evaluate_placements(ts, placements[:2]).value(
+            (0, 1, "H"), letter("a")) == 1
+
     def test_evaluation_matches_translated_tile_eval(self):
         tile = Tile(n=letter("a"), e=state("q"), s=letter("b"), w=TRI_L,
                     name="t")

@@ -2,7 +2,12 @@
 membership instances, the bounded searches, and witness serialization."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,8 @@ from tilechain.modules import (
     zero_element,
 )
 from tilechain.tiling import Certificate, Color, Placement
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +539,261 @@ class TestSearchBruteForce:
                 assert all(x0 <= dx <= x1 and y0 <= dy <= y1
                            for _, dx, dy in witness)
         assert 30 <= found <= 120
+
+
+# ---------------------------------------------------------------------------
+# reference equivalence: the straightforward forms of both search kernels
+
+
+def reference_member_mod_prime(instance, window):
+    """Windowed elimination over Z/p kept in fully reduced form: every new
+    pivot is eliminated from every earlier pivot row, so with the free
+    variables zero each pivot variable takes its row's right-hand side."""
+    p = instance.ring.modulus
+    variables, columns = [], []
+    x0, y0, x1, y1 = window
+    for gi, gen in enumerate(instance.generators):
+        items = gen.items()
+        if not items:
+            continue
+        for sy in range(y0, y1 + 1):
+            for sx in range(x0, x1 + 1):
+                variables.append((gi, sx, sy))
+                columns.append([((ex + sx, ey + sy, eidx), ev)
+                                for (ex, ey, eidx), ev in items])
+    rows = {}
+    for vi, column in enumerate(columns):
+        for key, value in column:
+            rows.setdefault(key, {})[vi] = value % p
+
+    def subtract(row, prow, var, factor):
+        for c, v in prow.items():
+            if c != var:
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+
+    keys = set(rows) | set(instance.target.support())
+    pivots = {}
+    for key in sorted(keys, key=lambda k: (k[1], k[0], k[2])):
+        row = dict(rows.get(key, {}))
+        rhs = instance.target.value(*key) % p
+        for var in [v for v in sorted(row) if v in pivots]:
+            factor = row.pop(var)
+            prow, prhs = pivots[var]
+            subtract(row, prow, var, factor)
+            rhs = (rhs - factor * prhs) % p
+        if not row:
+            if rhs:
+                return None
+            continue
+        var = min(row)
+        inv = pow(row[var], -1, p)
+        prow = {c: (v * inv) % p for c, v in row.items()}
+        prhs = (rhs * inv) % p
+        for other, (orow, orhs) in list(pivots.items()):
+            factor = orow.pop(var, 0)
+            if not factor:
+                continue
+            subtract(orow, prow, var, factor)
+            pivots[other] = (orow, (orhs - factor * prhs) % p)
+        pivots[var] = (prow, prhs)
+    terms = [WitnessTerm(*variables[var], prhs)
+             for var, (_, prhs) in pivots.items() if prhs]
+    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
+
+
+class _ReferenceOutOfFuel(Exception):
+    pass
+
+
+def reference_branch_search(instance, window, values, distinct, fuel):
+    """Recursive branching search that lists and sorts the candidates of
+    every residual coordinate at every node.  Returns the witness (or None)
+    and the number of nodes expanded, which is the smallest budget that
+    finds the witness."""
+    x0, y0, x1, y1 = window
+    gens = instance.generators
+    by_idx = {}
+    for gi, gen in enumerate(gens):
+        for (ex, ey, eidx), ev in gen.items():
+            by_idx.setdefault(eidx, []).append((gi, ex, ey, ev))
+    signed = instance.ring.modulus is None
+    used, decided = set(), set()
+    nodes = 0
+
+    def candidates(key, residual):
+        kx, ky, kidx = key
+        found = [(gi, kx - ex, ky - ey, ev)
+                 for gi, ex, ey, ev in by_idx.get(kidx, ())
+                 if x0 <= kx - ex <= x1 and y0 <= ky - ey <= y1
+                 and (gi, kx - ex, ky - ey) not in decided
+                 and not (distinct and (kx - ex, ky - ey) in used)]
+        if signed:
+            positive = residual.value(kx, ky, kidx) > 0
+            found.sort(key=lambda c: ((c[3] > 0) != positive,
+                                      c[0], c[2], c[1]))
+        else:
+            found.sort(key=lambda c: (c[0], c[2], c[1]))
+        return found
+
+    def pick_key(residual):
+        best = None
+        for key in residual.support():
+            options = candidates(key, residual)
+            if not options:
+                return options
+            if best is None or len(options) < len(best):
+                best = options
+        return best
+
+    def dfs(residual):
+        nonlocal nodes
+        nodes += 1
+        if nodes > fuel:
+            raise _ReferenceOutOfFuel
+        if residual.is_zero():
+            return []
+        excluded = []
+        for gi, sx, sy, _ in pick_key(residual):
+            decided.add((gi, sx, sy))
+            excluded.append((gi, sx, sy))
+            if distinct:
+                used.add((sx, sy))
+            for coeff in values:
+                rest = dfs(residual.plus(gens[gi], -coeff, sx, sy))
+                if rest is not None:
+                    return [WitnessTerm(gi, sx, sy, coeff)] + rest
+            if distinct:
+                used.remove((sx, sy))
+        decided.difference_update(excluded)
+        return None
+
+    try:
+        found = dfs(instance.target)
+    except _ReferenceOutOfFuel:
+        return None, nodes
+    if found is not None:
+        found = tuple(sorted(found, key=lambda t: (t.dy, t.dx, t.gen)))
+    return found, nodes
+
+
+def _random_system(rng: random.Random, ring: Ring, mode: str,
+                   max_coeff: int = 1):
+    """Two to four generators of up to four entries each, in a window of up
+    to five by four translations.  The target is noise, or a combination
+    of two to six windowed translates at distinct translations."""
+    rank = rng.randint(1, 2)
+    modulus = ring.modulus
+
+    def value():
+        if modulus is None:
+            return rng.choice((-2, -1, 1, 2))
+        return rng.randint(1, modulus - 1)
+
+    def element(size):
+        return ModuleElement(ring, rank, {
+            (rng.randint(0, 2), rng.randint(0, 2), rng.randrange(rank)): value()
+            for _ in range(size)})
+
+    gens = tuple(element(rng.randint(1, 4)) for _ in range(rng.randint(2, 4)))
+    window = (rng.randint(-1, 0), rng.randint(-1, 0),
+              rng.randint(1, 3), rng.randint(0, 2))
+    if rng.random() < 0.3:
+        target = element(rng.randint(1, 6))
+    else:
+        top = 1 if mode == "subset-sum" else (
+            max_coeff if modulus is None else modulus - 1)
+        shifts = _shifts(window)
+        target = zero_element(ring, rank)
+        for sx, sy in rng.sample(shifts, rng.randint(2, min(6, len(shifts)))):
+            target = target.plus(gens[rng.randrange(len(gens))],
+                                 rng.randint(1, top), sx, sy)
+    return SemimoduleInstance(ring, rank, gens, target, mode), window
+
+
+class TestReferenceEquivalence:
+    """Both search kernels give the reference's answer term for term, and
+    the branching search expands exactly the reference's nodes."""
+
+    def test_elimination_matches_reference(self):
+        rng = random.Random(20261020)
+        found = refused = 0
+        for _ in range(300):
+            ring = Ring(rng.choice((2, 3, 5)))
+            inst, window = _random_system(rng, ring, "semimodule")
+            expected = reference_member_mod_prime(inst, window)
+            assert member_bounded(inst, window) == expected
+            if expected is None:
+                refused += 1
+            else:
+                found += 1
+                assert verify_witness(inst, expected)
+        assert found >= 60 and refused >= 60
+
+    @pytest.mark.parametrize("ring,mode,max_coeff", [
+        (Z, "semimodule", 1),
+        (Z, "semimodule", 2),
+        (Ring(4), "semimodule", 1),
+        (Ring(2), "subset-sum", 1),
+        (Ring(3), "subset-sum", 1),
+        (Ring(4), "subset-sum", 1),
+    ])
+    def test_branching_matches_reference(self, ring, mode, max_coeff):
+        rng = random.Random(f"branching:{ring.name}:{mode}:{max_coeff}")
+        if mode == "subset-sum":
+            values, distinct = (1,), True
+
+            def search(inst, window, fuel):
+                found = subset_sum_bounded(inst, window, fuel)
+                if found is None:
+                    return None
+                return tuple(WitnessTerm(*pick, 1) for pick in found)
+        else:
+            top = max_coeff if ring.modulus is None else ring.modulus - 1
+            values, distinct = tuple(range(1, top + 1)), False
+
+            def search(inst, window, fuel):
+                return member_bounded(inst, window, max_coeff, fuel)
+        found = deep = 0
+        for _ in range(150):
+            inst, window = _random_system(rng, ring, mode, max_coeff)
+            expected, nodes = reference_branch_search(
+                inst, window, values, distinct, 2_000)
+            if expected is None:
+                assert search(inst, window, 2_000) is None
+                continue
+            found += 1
+            deep += nodes >= 10
+            assert search(inst, window, nodes) == expected
+            assert search(inst, window, nodes - 1) is None
+        assert found >= 80 and deep >= 20
+
+
+def test_subset_sum_needs_no_recursion():
+    # A witness for unary "a" * 8 has 211 terms, one search level each.
+    script = textwrap.dedent("""
+        import sys
+        from tilechain import (Ring, build_accepting_tiling, compile_tiles,
+                               default_window, initial_map, subset_sum_bounded,
+                               tiling_to_subset_sum, unary_eraser,
+                               verify_witness)
+        tm = unary_eraser()
+        word = "a" * 8
+        cert = build_accepting_tiling(tm, word, 8 * len(word) + 32)
+        inst = tiling_to_subset_sum(compile_tiles(tm),
+                                    initial_map(tm, word, Ring(2)))
+        sys.setrecursionlimit(200)
+        witness = subset_sum_bounded(inst, default_window(cert))
+        print(len(witness), verify_witness(inst, witness))
+    """)
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["211", "True"]
 
 
 # ---------------------------------------------------------------------------
