@@ -21,6 +21,8 @@ search over (automaton state, group element) pairs.
 from __future__ import annotations
 
 import json
+import sys
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional
 
@@ -411,7 +413,7 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
 
 
 def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
-                ring: Ring, max_len: int, returnable=None) -> Iterator[tuple]:
+                ring: Ring, max_len: int, needed) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
     frontier pair by the letters in first-appearance order.
@@ -419,9 +421,11 @@ def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
     Yields ``(accepting, element, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
     pairs have identical futures (evaluation is a homomorphism), so the
-    exact visited set loses nothing.  ``returnable(x, y, letters_left)``
-    may reject an extension by the position (x, y) it would reach, before
-    its product is built.  A negative ``max_len`` is refused.
+    exact visited set loses nothing.  ``needed(subset, element)`` is a
+    lower bound on the letters still needed from a pair; an extension
+    whose bound exceeds the letters left is dropped before it enters the
+    visited set, so the set holds only the pairs yielded.  A negative
+    ``max_len`` is refused.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -432,27 +436,163 @@ def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
     yield sim.accepting(start[0]), start[1], None
     frontier = [(*start, None)]
     visited = {start}
+    arrows: Dict[frozenset[int], list[tuple]] = {}
     for layer in range(max_len):
         remaining = max_len - layer - 1
         next_frontier = []
         for states, element, word in frontier:
-            for letter, value in moves:
-                moved = sim.step(states, letter)
-                if not moved:
-                    continue
-                if returnable:
-                    (px, py), (dx, dy) = element.pos, value.pos
-                    if not returnable(px + dx, py + dy, remaining):
-                        continue
+            out = arrows.get(states)
+            if out is None:
+                # The live letters of a subset, in order, with the subset
+                # each one leads to and whether that subset accepts.
+                out = arrows[states] = [
+                    (letter, value, moved, sim.accepting(moved))
+                    for letter, value in moves
+                    if (moved := sim.step(states, letter))]
+            for letter, value, moved, accepting in out:
                 extended = element * value
+                if needed(moved, extended) > remaining:
+                    continue
                 key = (moved, extended)
                 if key in visited:
                     continue
                 visited.add(key)
                 grown = (word, letter)
-                yield sim.accepting(moved), extended, grown
+                yield accepting, extended, grown
                 next_frontier.append((moved, extended, grown))
         frontier = next_frontier
+
+
+# More letters than any length budget: the bound of a pair from which no
+# accepted word reaches the target.
+_NEVER = sys.maxsize
+
+
+def _cursor_distance(steps: list[tuple[int, int]]):
+    """``distance(dx, dy)``: the fewest letters, with position steps
+    ``steps``, that can move the cursor by (dx, dy).
+
+    One letter changes x by at most the largest |step x| and y by at most
+    the largest |step y|, so each axis needs at least ``ceil(|delta| /
+    step)`` letters; when every step is axis-parallel a letter serves one
+    axis only and the two counts add, otherwise the larger one bounds
+    both.  An axis no letter moves along counts steps of 1, which stays a
+    lower bound (such a gap cannot be closed at all).
+    """
+    max_dx = max((abs(sx) for sx, _ in steps), default=0) or 1
+    max_dy = max((abs(sy) for _, sy in steps), default=0) or 1
+    axis_moves_only = all(sx == 0 or sy == 0 for sx, sy in steps)
+
+    def distance(dx: int, dy: int) -> int:
+        need_x = -(-abs(dx) // max_dx)
+        need_y = -(-abs(dy) // max_dy)
+        return need_x + need_y if axis_moves_only else max(need_x, need_y)
+
+    return distance
+
+
+def _letters_needed(expr: RationalExpr, bindings: Dict[str, WreathElement],
+                    target: WreathElement):
+    """The :func:`_sweep_walk` hook of a search for ``target``.
+
+    ``needed(subset, element)`` is a lower bound on the length of every
+    word ``v`` that takes ``subset`` to an accepting subset and has
+    ``element * eval(v) == target``.  It is ``max(A, P + T)``:
+
+    * A, automaton distance: each letter of ``v`` crosses one labelled
+      edge of the Thompson automaton, so ``|v|`` is at least the fewest
+      labelled edges from a state of the subset to a final state.  A 0-1
+      BFS on the reversed automaton (epsilon edges cost 0) gives that
+      count per state once; the minimum is kept per interned subset.
+    * P, plants: let D be the lamps where ``element`` and ``target``
+      differ.  A plant letter does not move and lights at most ``most``
+      lamps, a move letter lights none, so ``v`` holds at least
+      ``ceil(|D| / most)`` plant letters.
+    * T, lamp tour: a plant with lamp offsets R changes lamp l only from
+      a cursor position q in ``l - R``, and only move letters move the
+      cursor.  So for every l in D the cursor goes from ``element.pos`` to
+      some such q and on to ``target.pos``, and ``v`` holds at least
+      ``d(pos, q) + d(q, target.pos)`` move letters, minimised over q and
+      maximised over l (with ``d`` from :func:`_cursor_distance`).  For
+      empty D the cursor still has to get home: ``d(pos, target.pos)``.
+
+    Plant and move letters are distinct, so P + T counts distinct letters.
+    A letter that both moves and lights lamps (possible in a loaded
+    instance) breaks that split, and then only A is used.  Subsets are
+    read in the numbering of ``regex_to_nfa(expr)``, which is the same on
+    every call and so the walk's own.
+    """
+    nfa = regex_to_nfa(expr)
+    backward: Dict[int, list[tuple[int, int]]] = {}
+    for src, label, dst in nfa.edges:
+        backward.setdefault(dst, []).append((src, label is not None))
+    to_final = dict.fromkeys(nfa.finals, 0)
+    queue = deque(nfa.finals)
+    while queue:
+        state = queue.popleft()
+        for src, cost in backward.get(state, ()):
+            reached = to_final[state] + cost
+            if reached < to_final.get(src, _NEVER):
+                to_final[src] = reached
+                if cost:
+                    queue.append(src)
+                else:
+                    queue.appendleft(src)
+    automaton: Dict[frozenset[int], int] = {}
+
+    def automaton_distance(subset: frozenset[int]) -> int:
+        steps = automaton.get(subset)
+        if steps is None:
+            steps = automaton[subset] = min(
+                (to_final.get(state, _NEVER) for state in subset),
+                default=_NEVER)
+        return steps
+
+    values = [_bound(bindings, letter) for letter in expr_letters(expr)]
+    if any(value.pos != (0, 0) and value.support() for value in values):
+        return lambda subset, element: automaton_distance(subset)
+    distance = _cursor_distance([value.pos for value in values])
+    plants = [value.support() for value in values if value.support()]
+    most = max(map(len, plants), default=0)
+    reach = {offset for lamps in plants for offset in lamps}
+    goal = target.fun()
+    tx, ty = target.pos
+    spots: Dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    tours: Dict[WreathElement, int] = {}
+
+    def cursor_spots(a: int, b: int) -> list[tuple[int, int, int]]:
+        # The positions a plant can change lamp (a, b) from, each with the
+        # letters from there to the target's position.
+        found = spots.get((a, b))
+        if found is None:
+            found = spots[a, b] = [(a - ra, b - rb,
+                                    distance(a - ra - tx, b - rb - ty))
+                                   for ra, rb in reach]
+        return found
+
+    def plants_and_tour(element: WreathElement) -> int:
+        lamps = element.fun()
+        differ = [lamp for lamp, value in lamps.items()
+                  if goal.get(lamp) != value]
+        differ += [lamp for lamp in goal if lamp not in lamps]
+        px, py = element.pos
+        tour = distance(px - tx, py - ty)
+        if not differ:
+            return tour
+        if not most:
+            return _NEVER
+        for a, b in differ:
+            tour = max(tour, min(distance(px - qx, py - qy) + back
+                                 for qx, qy, back in cursor_spots(a, b)))
+        return -(-len(differ) // most) + tour
+
+    def needed(subset: frozenset[int], element: WreathElement) -> int:
+        tour = tours.get(element)
+        if tour is None:
+            tour = tours[element] = plants_and_tour(element)
+        return max(automaton_distance(subset), tour)
+
+    return needed
 
 
 def rational_member_bounded(expr: RationalExpr,
@@ -466,9 +606,24 @@ def rational_member_bounded(expr: RationalExpr,
     is the target, so the word is the first shortest one in its order.
     Only that word is spelled out, and it is re-evaluated before being
     handed back.
+
+    The walk is pruned by :func:`_letters_needed`, and the word stays the
+    one the unpruned walk returns: the shortest accepted word for the
+    target that comes first in the walk's letter order.  Let ``w`` be
+    that word, of length L, and ``p_i`` the pair of its prefix of length
+    i.  The rest of ``w`` takes ``p_i`` to the target in ``L - i <=
+    max_len - i`` letters, so the bound never prunes ``p_i`` at layer i.
+    No shorter word reaches ``p_i``, and no word of length i earlier in
+    the order does (either would give an answer before ``w``), so the
+    walk first reaches ``p_i`` from ``p_{i-1}`` by the letter ``w`` takes:
+    every pair on the path to the first hit, and its first parent, is
+    kept.  The walk yields its pairs layer by layer and, within a layer,
+    in the order of their words, so no hit comes before ``w``; with no
+    answer within ``max_len`` none comes at all.
     """
+    needed = _letters_needed(expr, bindings, target)
     for accepting, element, word in _sweep_walk(expr, bindings, ring,
-                                                 max_len):
+                                                 max_len, needed):
         if accepting and element == target:
             letters = []
             while word is not None:
@@ -491,25 +646,18 @@ def enumerate_zero_position_hits(expr: RationalExpr,
 
     Runs the walk of :func:`_sweep_walk` to the end.  Branches whose
     position cannot return to the origin within the remaining length
-    budget are pruned: a single letter changes each position coordinate
-    by a bounded step, so the pruning bound is a true lower bound and no
-    in-budget word is lost.
+    budget are pruned: :func:`_cursor_distance` is a true lower bound on
+    the letters that move the position back, so no in-budget word is
+    lost.
     """
-    steps = [_bound(bindings, letter).pos for letter in expr_letters(expr)]
-    max_dx = max((abs(dx) for dx, _ in steps), default=0) or 1
-    max_dy = max((abs(dy) for _, dy in steps), default=0) or 1
-    axis_moves_only = all(dx == 0 or dy == 0 for dx, dy in steps)
+    distance = _cursor_distance([_bound(bindings, letter).pos
+                                 for letter in expr_letters(expr)])
 
-    def returnable(px: int, py: int, remaining: int) -> bool:
-        # Lower bound on the letters needed to move the position back to
-        # the origin; never an overestimate, so pruning on it is safe.
-        need_x = -(-abs(px) // max_dx)
-        need_y = -(-abs(py) // max_dy)
-        needed = need_x + need_y if axis_moves_only else max(need_x, need_y)
-        return needed <= remaining
+    def needed(subset: frozenset[int], element: WreathElement) -> int:
+        return distance(*element.pos)
 
     return {element for accepting, element, _ in
-            _sweep_walk(expr, bindings, ring, max_len, returnable)
+            _sweep_walk(expr, bindings, ring, max_len, needed)
             if accepting and element.pos == (0, 0)}
 
 
@@ -559,9 +707,15 @@ def _wreath_from_dict(data: dict, ring: Ring) -> WreathElement:
     extra = set(data) - {"pos", "fun"}
     if extra:
         raise ValueError(f"unexpected fields: {sorted(extra)}")
-    fun = {(int(i["a"]), int(i["b"])): int(i["value"]) for i in data["fun"]}
-    return WreathElement(ring, fun, (int(data["pos"][0]),
-                                     int(data["pos"][1])))
+    pos = data["pos"]
+    if not (isinstance(pos, list) and len(pos) == 2
+            and all(type(v) is int for v in pos)):
+        raise ValueError(f"pos must be two integers, got {pos!r}")
+    fun: Dict[tuple[int, int], int] = {}
+    for item in data["fun"]:
+        key = (int(item["a"]), int(item["b"]))
+        fun[key] = fun.get(key, 0) + int(item["value"])
+    return WreathElement(ring, fun, (pos[0], pos[1]))
 
 
 def rational_to_dict(instance: RationalInstance) -> dict:

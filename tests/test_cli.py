@@ -426,6 +426,17 @@ class TestSolveCommands:
         assert code == 1
         assert err == "no witness within bounds\n"
 
+    def test_bad_wreath_position_is_3(self, capsys, ws, tmp_path):
+        data = json.loads(ws.rat_toy.read_text())
+        data["bindings"]["x"]["pos"] = [1, 0, 0]
+        path = tmp_path / "rat_bad_pos.json"
+        path.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "solve", "rational",
+                             "--instance", str(path), "--max-len", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "error: pos must be two integers, got [1, 0, 0]\n"
+
     def test_negative_max_len_is_3(self, capsys, ws):
         code, out, err = cli(capsys, "solve", "rational",
                              "--instance", str(ws.rat_toy),

@@ -58,6 +58,24 @@ def test_searches_have_no_recursion():
                        for node in ast.walk(tree)), name
 
 
+def test_rational_searches_have_no_recursion():
+    # The sweep walk, the two searches on it and the bound helpers must
+    # not recurse either.  They are checked by name: the expression
+    # parser and printer in rational.py recurse over the syntax tree,
+    # which is legitimate.
+    names = {"_sweep_walk", "rational_member_bounded",
+             "enumerate_zero_position_hits", "_letters_needed",
+             "_cursor_distance"}
+    tree = ast.parse((SRC / "rational.py").read_text())
+    funcs = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in names]
+    assert sorted(func.name for func in funcs) == sorted(names)
+    for func in funcs:
+        assert _self_calls(func) == [], func.name
+        assert not any(isinstance(node, ast.YieldFrom)
+                       for node in ast.walk(func)), func.name
+
+
 def test_self_calls_skip_calls_through_a_class():
     tree = ast.parse(textwrap.dedent("""
         class Child(Base):

@@ -9,10 +9,12 @@ import pytest
 
 from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import Ring, Z
-from tilechain.groups import UnboundSymbol, wreath_eval, wreath_identity
+from tilechain.groups import (UnboundSymbol, WreathElement, wreath_eval,
+                              wreath_identity)
 from tilechain.machines import unary_eraser
 from tilechain.modules import (DuplicateShift, SemimoduleInstance,
-                               tiling_to_subset_sum, unit, zero_element)
+                               element_from_dict, tiling_to_subset_sum, unit,
+                               zero_element)
 from tilechain.rational import (
     Concat,
     Lit,
@@ -39,7 +41,7 @@ from tilechain.rational import (
     regex_to_nfa,
     word_plants,
 )
-from tilechain.rational import _NfaSim
+from tilechain.rational import _NEVER, _NfaSim, _letters_needed
 
 
 def subset_instance(ring, target, gens=None):
@@ -441,6 +443,252 @@ class TestSearchAgainstBruteForce:
 
 
 # ---------------------------------------------------------------------------
+# pruning by the lower bound
+
+
+def reference_member(expr, bindings, target, max_len, ring):
+    """The search as it was before pruning: the same breadth-first walk
+    over (subset, element) pairs with an exact visited set, no bound, and
+    the first accepting pair at the target spelled out."""
+    moves = [(letter, bindings[letter]) for letter in expr_letters(expr)]
+    sim = _NfaSim(regex_to_nfa(expr))
+    start = (sim.start(), wreath_identity(ring))
+    if sim.accepting(start[0]) and start[1] == target:
+        return ""
+    frontier = [(*start, None)]
+    visited = {start}
+    for _ in range(max_len):
+        next_frontier = []
+        for states, element, word in frontier:
+            for letter, value in moves:
+                moved = sim.step(states, letter)
+                if not moved:
+                    continue
+                extended = element * value
+                key = (moved, extended)
+                if key in visited:
+                    continue
+                visited.add(key)
+                grown = (word, letter)
+                if sim.accepting(moved) and extended == target:
+                    letters = []
+                    while grown is not None:
+                        grown, letter = grown
+                        letters.append(letter)
+                    return " ".join(reversed(letters))
+                next_frontier.append((moved, extended, grown))
+        frontier = next_frontier
+    return None
+
+
+def wreath_dict(pos, lamps=()):
+    return {"pos": list(pos),
+            "fun": [{"a": a, "b": b, "value": v} for (a, b), v in lamps]}
+
+
+def loaded_instance(ring, x_pos, g0_pos, g0_lamps):
+    """A sweep instance for one generator whose bindings come from JSON:
+    x moves by ``x_pos`` (diagonal when both coordinates are nonzero) and
+    g0 lights ``g0_lamps`` and moves by ``g0_pos``."""
+    ax, ay = x_pos
+    return rational_from_dict({
+        "ring": ring.name, "rank": 1, "stride": 1,
+        "expr": expr_to_text(build_L(1)),
+        "bindings": {
+            "x": wreath_dict(x_pos),
+            "X": wreath_dict((-ax, -ay)),
+            "y": wreath_dict((0, 1)),
+            "Y": wreath_dict((0, -1)),
+            "g0": wreath_dict(g0_pos, g0_lamps),
+        },
+        "target": wreath_dict((0, 0)),
+    })
+
+
+def random_accepted_word(rng, rat, max_len):
+    """A seeded random word of at most ``max_len`` letters that the sweep
+    automaton accepts, drawn letter by letter among the live letters."""
+    sim = _NfaSim(regex_to_nfa(rat.expr))
+    letters = expr_letters(rat.expr)
+    while True:
+        states, word = sim.start(), []
+        for _ in range(rng.randint(0, max_len)):
+            letter = rng.choice([a for a in letters if sim.step(states, a)])
+            states = sim.step(states, letter)
+            word.append(letter)
+        if sim.accepting(states):
+            return " ".join(word)
+
+
+def pruning_instances(count, seed):
+    """Seeded (instance, target, known word) triples: one to three
+    generators over Z/2 and Z/3, a rank-2 instance with stride 2, and
+    loaded bindings with diagonal moves and plants that move.  Targets
+    are planted picks or the values of random accepted words, which
+    often leave the cursor off the origin."""
+    rng = random.Random(seed)
+    for i in range(count):
+        ring = Ring(rng.choice((2, 3)))
+        f = unit(ring, 1, 0, 0, 0)
+        family = i % 7
+        if family < 4:
+            gens = ((f,), (f, f + f.translate(1, 0)),
+                    (f, f + f.translate(0, 1)),
+                    (f, f + f.translate(1, 0),
+                     f + f.translate(0, 1)))[family]
+            picks = ((rng.randrange(len(gens)), *rng.choice(
+                ((0, 0), (0, 0), (1, 0), (0, 1)))),)
+            rat = planted_instance(ring, gens, picks)
+        elif family == 4:
+            gens = (unit(ring, 2, 0, 0, 0), unit(ring, 2, 0, 0, 1),
+                    unit(ring, 2, 0, 0, 0) + unit(ring, 2, 1, 0, 1))
+            gen, dx, dy = rng.randrange(3), *rng.choice(((0, 0), (1, 0)))
+            rat = make_rational_instance(SemimoduleInstance(
+                ring, 2, gens, gens[gen].translate(dx, dy),
+                mode="subset-sum"))
+            picks = ((gen, dx, dy),)
+        else:
+            x_pos = rng.choice(((1, 0), (1, 1), (2, 1)))
+            g0_pos = rng.choice(((0, 0), (1, 0), (0, 1)))
+            lamps = (((0, 0), 1),) + (((1, 0), 2),) * (family == 6)
+            rat = loaded_instance(ring, x_pos, g0_pos, lamps)
+            picks = None
+        if picks is not None and rng.random() < 0.3:
+            word = certificate_to_word(picks)
+            target = rat.target
+        else:
+            word = random_accepted_word(rng, rat, 6)
+            target = wreath_eval(word, rat.bindings, ring)
+        yield rat, target, word
+
+
+class TestPruningKeepsTheAnswer:
+    """The bound prunes pairs, never the word: on every instance the
+    pruned search returns what the unpruned walk returns."""
+
+    def test_same_word_or_none_as_the_unpruned_walk(self):
+        checked = nones = 0
+        for rat, target, known in pruning_instances(322, 20261018):
+            expected = reference_member(rat.expr, rat.bindings, target,
+                                        len(known.split()), rat.ring)
+            assert expected is not None, known
+            shortest = len(expected.split())
+            for max_len in range(max(shortest - 2, 0), shortest + 3):
+                got = rational_member_bounded(rat.expr, rat.bindings,
+                                              target, max_len, rat.ring)
+                assert got == (expected if max_len >= shortest else None), \
+                    (known, max_len)
+                nones += got is None
+            checked += 1
+        assert checked == 322 and nones > 300
+
+    def test_fallback_when_a_plant_moves(self):
+        # g0 both moves and lights a lamp: only the automaton distance is
+        # used, and the answer still equals the unpruned walk's.
+        ring = Ring(3)
+        rat = loaded_instance(ring, (1, 1), (1, 0), (((0, 0), 1),))
+        needed = _letters_needed(rat.expr, rat.bindings,
+                                 wreath_eval("g0 g0 x", rat.bindings, ring))
+        start = _NfaSim(regex_to_nfa(rat.expr)).start()
+        far = WreathElement(ring, {(5, 5): 2}, (9, -9))
+        assert needed(start, far) == 0
+        for word in ("g0 x y", "x g0 x g0 x y", "y g0 x y X Y Y"):
+            target = wreath_eval(word, rat.bindings, ring)
+            expected = reference_member(rat.expr, rat.bindings, target,
+                                        len(word.split()), ring)
+            assert rational_member_bounded(rat.expr, rat.bindings, target,
+                                           len(word.split()),
+                                           ring) == expected
+
+
+def bound_instances():
+    """Bindings for build_L(1): a one-lamp plant, a seven-lamp plant, a
+    rank-2 instance with stride 2, and a loaded diagonal move."""
+    two, three = Ring(2), Ring(3)
+    f2, f3 = unit(two, 1, 0, 0, 0), unit(three, 1, 0, 0, 0)
+    wide = f3
+    for dx in range(1, 7):
+        wide = wide + f3.translate(dx, 0)
+    yield planted_instance(two, (f2,), ())
+    yield planted_instance(three, (wide,), ())
+    yield make_rational_instance(SemimoduleInstance(
+        three, 2, (unit(three, 2, 0, 0, 1),), unit(three, 2, 0, 0, 1),
+        mode="subset-sum"))
+    yield loaded_instance(three, (1, 1), (0, 0), (((0, 0), 1), ((1, 0), 1)))
+
+
+class TestLowerBound:
+    def test_bound_never_exceeds_the_letters_left(self, short_sweep_words):
+        # Every accepted word of length <= 6, with its own value as the
+        # target: at every split w = u v the bound at u's pair is at most
+        # |v|, and at the full word it is 0.
+        for rat in bound_instances():
+            sim = _NfaSim(regex_to_nfa(rat.expr))
+            start = (sim.start(), wreath_identity(rat.ring))
+            pairs = {"": start}
+            hooks = {}
+            for word in short_sweep_words:
+                letters = word.split()
+                prefix, (states, element) = "", start
+                path = [start]
+                for letter in letters:
+                    prefix = f"{prefix} {letter}" if prefix else letter
+                    if prefix not in pairs:
+                        pairs[prefix] = (sim.step(states, letter),
+                                         element * rat.bindings[letter])
+                    states, element = pairs[prefix]
+                    path.append((states, element))
+                if element not in hooks:
+                    hooks[element] = _letters_needed(rat.expr, rat.bindings,
+                                                     element)
+                needed = hooks[element]
+                bounds = [needed(*pair) for pair in path]
+                assert all(bound <= len(letters) - i
+                           for i, bound in enumerate(bounds)), (word, bounds)
+                assert bounds[-1] == 0
+
+    def test_hand_computed_bounds(self):
+        three = Ring(3)
+        f = unit(three, 1, 0, 0, 0)
+        pair = planted_instance(three, (f, f + f.translate(1, 0)), ())
+        sim = _NfaSim(regex_to_nfa(pair.expr))
+        start = sim.start()     # accepting: the automaton term is 0
+        origin = wreath_identity(three)
+        row = WreathElement(three, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+        # Three lamps, at most two per plant: 2 plants.  Lamp (2, 0) needs
+        # the cursor at (1, 0) or (2, 0) and back: 2 moves.
+        assert _letters_needed(pair.expr, pair.bindings, row)(
+            start, origin) == 4
+        # No lamp differs: the cursor only has to get home.
+        home = _letters_needed(pair.expr, pair.bindings, origin)
+        assert home(start, WreathElement(three, pos=(2, -1))) == 3
+        # After g0 the automaton needs x and y before it accepts again.
+        assert home(sim.step(start, "g0"), origin) == 2
+        # The rank-2 instance moves x by 2: ceil(3 / 2) + 1 letters.
+        rank2 = make_rational_instance(SemimoduleInstance(
+            three, 2, (unit(three, 2, 0, 0, 1),), unit(three, 2, 0, 0, 1),
+            mode="subset-sum"))
+        back = _letters_needed(rank2.expr, rank2.bindings, origin)
+        assert back(start, WreathElement(three, pos=(3, 1))) == 3
+        # A diagonal move: the larger per-axis count, max(3, 1).
+        diagonal = loaded_instance(three, (1, 1), (0, 0), (((0, 0), 1),))
+        assert _letters_needed(diagonal.expr, diagonal.bindings, origin)(
+            start, WreathElement(three, pos=(3, 1))) == 3
+        # Over Z/3 a lamp of 2 takes two plants of f, but the bound counts
+        # the lamps that differ, not by how much: one plant.
+        single = planted_instance(three, (f,), ())
+        assert _letters_needed(single.expr, single.bindings,
+                               WreathElement(three, {(0, 0): 2}))(
+            start, WreathElement(three, {(0, 0): 0})) == 1
+        # No plant letter at all: a differing lamp can never be fixed.
+        moves_only = {k: v for k, v in single.bindings.items() if k != "g0"}
+        moves_only["g0"] = origin
+        assert _letters_needed(single.expr, moves_only,
+                               WreathElement(three, {(0, 0): 1}))(
+            start, origin) == _NEVER
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -466,6 +714,36 @@ class TestRationalSerialization:
         assert loaded == rat
         assert loaded.bindings == rat.bindings
         assert loaded.target == rat.target
+
+    def test_repeated_lamps_add_up(self):
+        # Like the module and edge-map loaders, a lamp listed twice holds
+        # the sum of its values: the doubled Z/3 lamp below is 2 in both.
+        ring = Ring(3)
+        rat = make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0)))
+        data = rational_to_dict(rat)
+        data["target"]["fun"] = [{"a": 0, "b": 0, "value": 1}] * 2
+        data["bindings"]["g0"]["fun"] = [{"a": 1, "b": 0, "value": 1},
+                                         {"a": 1, "b": 0, "value": 2}]
+        loaded = rational_from_dict(data)
+        assert loaded.target.fun() == {(0, 0): 2}
+        assert loaded.bindings["g0"].fun() == {}
+        module = element_from_dict({
+            "ring": "Zmod:3", "rank": 1,
+            "entries": [{"x": 0, "y": 0, "idx": 0, "value": 1}] * 2})
+        assert module == unit(ring, 1, 0, 0, 0).scale(2)
+
+    @pytest.mark.parametrize("pos", [[0, 0, 0], [1], [], [0, "1"], [0, 1.5],
+                                     [True, 0], {"x": 0, "y": 0}, "00"])
+    def test_position_is_two_integers(self, pos):
+        ring = Ring(2)
+        data = rational_to_dict(make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0))))
+        data["target"]["pos"] = pos
+        with pytest.raises(ValueError, match="pos must be two integers"):
+            rational_from_dict(data)
+        data["target"]["pos"] = [-3, 4]
+        assert rational_from_dict(data).target.pos == (-3, 4)
 
     def test_instance_strictness(self):
         ring = Ring(2)
