@@ -24,9 +24,11 @@ hash cached on first use.  Its single arithmetic step,
 ``plus(other, coeff, dx, dy)``, adds a scaled translate and
 re-canonicalises only the keys it touches; sum, difference, negation,
 scaling and translation are calls to it.  :class:`EdgeMap` is the core
-with ``(orientation, color)`` tags, ``modules.ModuleElement`` the core
-with coordinate-index tags, and the wreath lamps and metabelian flows of
-``groups`` hold one core vector each.
+with ``(orientation, color)`` tags and ``modules.ModuleElement`` the core
+with coordinate-index tags.  The wreath and free metabelian elements of
+``groups`` pair a position p in Z x Z with one core vector f (lamps, or
+edge flows), and their semidirect product
+``(p, f)(q, g) = (p + q, f + p·g)`` is one ``plus`` call.
 """
 
 from __future__ import annotations
@@ -55,11 +57,6 @@ class Ring:
     def __post_init__(self):
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be at least 2")
-
-    def canon(self, value: int) -> int:
-        if self.modulus is None:
-            return value
-        return value % self.modulus
 
     @property
     def name(self) -> str:

@@ -1,13 +1,17 @@
 """Wreath products over the grid, free metabelian flows, and submonoid
 membership instances.
 
-Two ambient groups are modelled:
+Two ambient groups are modelled.  Both are semidirect products: Z x Z
+acts by translation on a module, and a pair (position p, vector f)
+multiplies as (p, f)(q, g) = (p + q, f + p·g), with p·g the translate.
 
   * the wreath product of a coefficient ring by the grid group Z x Z —
-    elements are (finitely supported lamp function, position); and
-  * the free metabelian group of rank 2 — elements are (abelianized
-    image, edge flow on the grid), where the flow of a word records the
-    net traversal of each unit edge when the word is read as a walk.
+    the vector is a finitely supported lamp function on the grid; and
+  * the free metabelian group of rank 2 — the position is the
+    abelianized image, the vector the net traversal of each unit edge
+    when the word is read as a walk (the Magnus embedding).
+
+One private element type and one run fold serve both.
 
 Module membership instances embed into both: a rank-r module element is
 flattened to rank 1 by spacing coordinates along the x-axis with a fixed
@@ -62,6 +66,20 @@ def word_from_tokens(tokens: Iterable[str]) -> str:
     return " ".join(tokens)
 
 
+_X, _Y = ("x", "X"), ("y", "Y")
+
+
+def _conjugate(a: int, b: int, body: list, x: tuple, y: tuple) -> list:
+    """``x^a y^b · body · y^-b x^-a`` as a list, where ``x`` and ``y`` are
+    ``(forward, back)`` symbols: letters of a word, or generator indices."""
+    word = [x[a < 0]] * abs(a)
+    word += [y[b < 0]] * abs(b)
+    word += body
+    word += [y[b >= 0]] * abs(b)
+    word += [x[a >= 0]] * abs(a)
+    return word
+
+
 Run = Tuple[str, int]  # (letter, repeat count >= 1)
 
 
@@ -81,84 +99,165 @@ def _bound(bindings: Dict, letter: str):
 
 
 # ---------------------------------------------------------------------------
-# wreath product of a ring by Z x Z
+# the semidirect product of Z x Z with a module
 
-class WreathElement:
-    """Immutable pair (lamp function on the grid, position in Z x Z).
+class _SemidirectElement:
+    """Immutable pair (position in Z x Z, module vector), multiplied by
+    ``(p, f)(q, g) = (p + q, f + p·g)``.
 
-    The lamps are one sparse core vector (``edges.SparseVector``) keyed
-    ``(a, b, 0)``.  It is never mutated, so elements may share it: a
-    product whose right factor lights no lamps (a pure move) reuses the
-    left factor's vector, cached hash included, and only shifts the
-    position.
+    The vector is one sparse core vector (``edges.SparseVector``).  It is
+    never mutated, so elements may share it: a product with a pure move
+    (zero vector) reuses the left factor's vector, cached hash included.
+    Elements of two subclasses are never equal and do not multiply.
     """
 
-    __slots__ = ("pos", "_lamps")
-
-    def __init__(self, ring: Ring, fun: Dict[Point, int] | None = None,
-                 pos: Point = (0, 0)):
-        _set_lamps(self, SparseVector(ring, (((a, b, 0), v) for (a, b), v
-                                             in (fun or {}).items())))
-        _set_pos(self, (int(pos[0]), int(pos[1])))
+    __slots__ = ("pos", "_vec")
 
     def __setattr__(self, *_):
-        raise AttributeError("WreathElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return _make_wreath, (self._lamps, self.pos)
+        return _make_element, (type(self), self.pos, self._vec)
+
+    def is_identity(self) -> bool:
+        return self.pos == (0, 0) and self._vec.is_zero()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.pos == other.pos and self._vec == other._vec
+
+    def __hash__(self):
+        return hash((self.pos, self._vec))
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (px, py), (qx, qy) = self.pos, other.pos
+        return _make_element(type(self), (px + qx, py + qy),
+                             self._vec.plus(other._vec, 1, px, py))
+
+    def inv(self):
+        px, py = self.pos
+        return _make_element(type(self), (-px, -py),
+                             (-self._vec).translate(-px, -py))
+
+
+_set_pos = _SemidirectElement.pos.__set__
+_set_vec = _SemidirectElement._vec.__set__
+
+
+def _make_element(cls, pos: Point, vec: SparseVector):
+    """A ``cls`` element from a position and a vector, without the
+    constructor's conversion and canon pass."""
+    element = object.__new__(cls)
+    _set_pos(element, pos)
+    _set_vec(element, vec)
+    return element
+
+
+def _straight(sums: Dict[tuple, int], sx: int,
+              sy: int) -> tuple[tuple, int] | None:
+    """``(key, c)`` when the sums are ``c`` at key and ``-c`` one step
+    further on, so that k repeats telescope to ``c`` at key and ``-c`` k
+    steps further on."""
+    if len(sums) == 2:
+        for (x, y, tag), c in sums.items():
+            if sums.get((x + sx, y + sy, tag)) == -c:
+                return (x, y, tag), c
+    return None
+
+
+def _fold(runs: Iterable[Run], bindings: Dict, ring: Ring,
+          read) -> tuple[Point, Dict[tuple, int]]:
+    """Position and plain sums of the product of a run sequence.
+
+    ``read`` is one flavor's ``_read``: the plain sums an element adds
+    with the walker at the origin.  The fold keeps one mutable
+    accumulator and adds each binding's sums translated to the walker's
+    position.  A run of a pure move, or of a binding whose sums telescope
+    (see :func:`_straight`), costs the same for every length, a run of a
+    binding that does not move adds its scaled sums once, and any other
+    binding is applied once per repeat.  The caller turns the sums into
+    the element's vector.
+    """
+    sums: Dict[tuple, int] = {}
+    steps: Dict[str, tuple] = {}
+    px, py = 0, 0
+    for letter, k in runs:
+        step = steps.get(letter)
+        if step is None:
+            element = _bound(bindings, letter)
+            if type(element)._read is not read:
+                raise TypeError(f"{letter!r} is bound to a "
+                                f"{type(element).__name__} of another group")
+            if element._vec.ring != ring:
+                raise RingMismatch(f"{element._vec.ring.name} binding in "
+                                   f"{ring.name} evaluation")
+            own = read(element)
+            sx, sy = element.pos
+            step = steps[letter] = (own, sx, sy, _straight(own, sx, sy))
+        own, sx, sy, straight = step
+        if straight is not None:
+            (x, y, tag), c = straight
+            start = (x + px, y + py, tag)
+            end = (x + px + k * sx, y + py + k * sy, tag)
+            sums[start] = sums.get(start, 0) + c
+            sums[end] = sums.get(end, 0) - c
+        elif own:
+            repeats, qx, qy = k, px, py
+            if not (sx or sy):
+                repeats, own = 1, {key: k * v for key, v in own.items()}
+            for _ in range(repeats):
+                for (x, y, tag), v in own.items():
+                    key = (x + qx, y + qy, tag)
+                    sums[key] = sums.get(key, 0) + v
+                qx += sx
+                qy += sy
+        px += k * sx
+        py += k * sy
+    return (px, py), sums
+
+
+# ---------------------------------------------------------------------------
+# wreath product of a ring by Z x Z
+
+class WreathElement(_SemidirectElement):
+    """Immutable pair (lamp function on the grid, position in Z x Z).
+
+    The lamps are the shared core vector, keyed ``(a, b, 0)``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring: Ring, fun: Dict[Point, int] | None = None,
+                 pos: Point = (0, 0)):
+        _set_vec(self, SparseVector(ring, (((a, b, 0), v) for (a, b), v
+                                           in (fun or {}).items())))
+        _set_pos(self, (int(pos[0]), int(pos[1])))
+
+    def _read(self) -> Dict[tuple, int]:
+        return self._vec._entries
 
     @property
     def ring(self) -> Ring:
-        return self._lamps.ring
+        return self._vec.ring
 
     def fun(self) -> Dict[Point, int]:
-        return {(a, b): v for (a, b, _), v in self._lamps._entries.items()}
+        return {(a, b): v for (a, b, _), v in self._vec._entries.items()}
 
     def lamp_at(self, a: int, b: int) -> int:
-        return self._lamps._entries.get((a, b, 0), 0)
+        return self._vec._entries.get((a, b, 0), 0)
 
     def support(self) -> list[Point]:
         return sorted(self.fun(), key=lambda p: (p[1], p[0]))
-
-    def is_identity(self) -> bool:
-        return self.pos == (0, 0) and self._lamps.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WreathElement):
-            return NotImplemented
-        return self.pos == other.pos and self._lamps == other._lamps
-
-    def __hash__(self):
-        return hash((self.pos, self._lamps))
-
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        px, py = self.pos
-        return _make_wreath(self._lamps.plus(other._lamps, 1, px, py),
-                            (px + other.pos[0], py + other.pos[1]))
-
-    def inv(self) -> "WreathElement":
-        px, py = self.pos
-        return _make_wreath((-self._lamps).translate(-px, -py), (-px, -py))
 
     def __repr__(self) -> str:
         lamps = ", ".join(f"({a},{b}): {self.lamp_at(a, b)}"
                           for a, b in self.support())
         return f"WreathElement[{self.ring.name}]({{{lamps}}}, pos={self.pos})"
-
-
-_set_pos = WreathElement.pos.__set__
-_set_lamps = WreathElement._lamps.__set__
-
-
-def _make_wreath(lamps: SparseVector, pos: Point) -> WreathElement:
-    """An element from a lamp vector and a position, without the
-    constructor's conversion and canon pass."""
-    element = object.__new__(WreathElement)
-    _set_lamps(element, lamps)
-    _set_pos(element, pos)
-    return element
 
 
 def wreath_identity(ring: Ring) -> WreathElement:
@@ -186,42 +285,19 @@ def wreath_eval(word: str | Iterable[str],
     Accepts a whitespace-separated string or any iterable of tokens.  The
     fold works on runs of equal letters with one mutable accumulator: a
     run of a pure move is one shift, a run of a lamp pattern that does not
-    move adds its scaled lamps once, and any other binding is applied once
-    per repeat.  Cost is per run, not per letter, for the standard x/y/g
-    bindings.  The accumulator holds plain sums; they are reduced into the
-    ring once, when the result's lamp vector is built.
+    move adds its scaled lamps once, a run of +c here and -c one step on
+    telescopes, and any other binding is applied once per repeat.  Cost is
+    per run, not per letter, for the standard x/y/g bindings.  The
+    accumulator holds plain sums; they are reduced into the ring once,
+    when the result's lamp vector is built.
     """
-    return _wreath_fold(_runs(word), bindings, ring)
+    return _wreath_of_runs(_runs(word), bindings, ring)
 
 
-def _wreath_fold(runs: Iterable[Run], bindings: Dict[str, WreathElement],
-                 ring: Ring) -> WreathElement:
-    fun: Dict[tuple, int] = {}
-    checked: Dict[str, WreathElement] = {}
-    px, py = 0, 0
-    for letter, k in runs:
-        element = checked.get(letter)
-        if element is None:
-            element = checked[letter] = _bound(bindings, letter)
-            if element.ring != ring:
-                raise RingMismatch(
-                    f"{element.ring.name} binding in {ring.name} evaluation")
-        lamps = element._lamps._entries
-        sx, sy = element.pos
-        if not lamps:
-            px += k * sx
-            py += k * sy
-            continue
-        repeats = k
-        if not (sx or sy):
-            repeats, lamps = 1, {key: k * v for key, v in lamps.items()}
-        for _ in range(repeats):
-            for (a, b, tag), v in lamps.items():
-                key = (a + px, b + py, tag)
-                fun[key] = fun.get(key, 0) + v
-            px += sx
-            py += sy
-    return _make_wreath(SparseVector(ring, fun.items()), (px, py))
+def _wreath_of_runs(runs: Iterable[Run], bindings: Dict[str, WreathElement],
+                    ring: Ring) -> WreathElement:
+    pos, lamps = _fold(runs, bindings, ring, WreathElement._read)
+    return _make_element(WreathElement, pos, SparseVector(ring, lamps.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +331,7 @@ def module_to_word(e: ModuleElement, stride: int) -> str:
     conjugated power of the origin lamp."""
     tokens: list[str] = []
     for (a, b, j), v in e.items():
-        gx = stride * a + j
-        tokens += pow_tokens("x", gx)
-        tokens += pow_tokens("y", b)
-        tokens += pow_tokens("g", v)
-        tokens += pow_tokens("y", -b)
-        tokens += pow_tokens("x", -gx)
+        tokens += _conjugate(stride * a + j, b, pow_tokens("g", v), _X, _Y)
     return word_from_tokens(tokens)
 
 
@@ -280,68 +351,36 @@ def translate_flow(flow: Dict[FlowKey, int], dx: int,
     return {(x + dx, y + dy, o): v for (x, y, o), v in flow.items()}
 
 
-class MetabelianElement:
+class MetabelianElement(_SemidirectElement):
     """Immutable pair (abelianized image in Z x Z, edge flow on the grid).
 
     The flow counts signed traversals of unit edges: key ``(x, y, 'H')``
     is the edge from (x, y) to (x+1, y), key ``(x, y, 'V')`` the edge from
-    (x, y) to (x, y+1).  It is held as one integer sparse core vector
-    (``edges.SparseVector``) with the orientation as tag.
+    (x, y) to (x, y+1).  It is the shared core vector, over the integers,
+    with the orientation as tag; the abelianized image is the position.
     """
 
-    __slots__ = ("ab", "_flow")
+    __slots__ = ()
 
     def __init__(self, ab: Point = (0, 0),
                  flow: Dict[FlowKey, int] | None = None):
-        _set_ab(self, (int(ab[0]), int(ab[1])))
-        _set_flow(self, SparseVector(Z, (flow or {}).items()))
+        _set_pos(self, (int(ab[0]), int(ab[1])))
+        _set_vec(self, SparseVector(Z, (flow or {}).items()))
 
-    def __setattr__(self, *_):
-        raise AttributeError("MetabelianElement is immutable")
+    def _read(self) -> Dict[FlowKey, int]:
+        return _flow_difference(self._vec._entries)
 
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return _make_metabelian, (self.ab, self._flow)
+    @property
+    def ab(self) -> Point:
+        return self.pos
 
     def flow(self) -> Dict[FlowKey, int]:
-        return dict(self._flow._entries)
-
-    def is_identity(self) -> bool:
-        return self.ab == (0, 0) and self._flow.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MetabelianElement):
-            return NotImplemented
-        return self.ab == other.ab and self._flow == other._flow
-
-    def __hash__(self):
-        return hash((self.ab, self._flow))
-
-    def __mul__(self, other: "MetabelianElement") -> "MetabelianElement":
-        dx, dy = self.ab
-        return _make_metabelian((dx + other.ab[0], dy + other.ab[1]),
-                                self._flow.plus(other._flow, 1, dx, dy))
-
-    def inv(self) -> "MetabelianElement":
-        dx, dy = self.ab
-        return _make_metabelian((-dx, -dy), (-self._flow).translate(-dx, -dy))
+        return dict(self._vec._entries)
 
     def __repr__(self) -> str:
         edges = ", ".join(f"{o}({x},{y}): {v:+d}" for (x, y, o), v in
-                          sorted(self._flow._entries.items()))
+                          sorted(self._vec._entries.items()))
         return f"MetabelianElement(ab={self.ab}, {{{edges}}})"
-
-
-_set_ab = MetabelianElement.ab.__set__
-_set_flow = MetabelianElement._flow.__set__
-
-
-def _make_metabelian(ab: Point, flow: SparseVector) -> MetabelianElement:
-    element = object.__new__(MetabelianElement)
-    _set_ab(element, ab)
-    _set_flow(element, flow)
-    return element
 
 
 def metabelian_identity() -> MetabelianElement:
@@ -369,58 +408,20 @@ def metabelian_eval(word: str | Iterable[str],
     """
     if bindings is None:
         bindings = metabelian_bindings()
-    return _metabelian_fold(_runs(word), bindings)
+    return _metabelian_of_runs(_runs(word), bindings, Z)
+
+
+def _metabelian_of_runs(runs: Iterable[Run],
+                        bindings: Dict[str, MetabelianElement],
+                        ring: Ring) -> MetabelianElement:
+    pos, diff = _fold(runs, bindings, ring, MetabelianElement._read)
+    return _make_element(MetabelianElement, pos, _make_vector(
+        SparseVector, Z, _flow_from_difference(diff)))
 
 
 def _flow_difference(flow: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
     return _canon(Z, (pair for (x, y, o), v in flow.items() for pair in (
         ((x, y, o), v), ((x + 1, y, o) if o == "H" else (x, y + 1, o), -v))))
-
-
-def _straight(diff: Dict[FlowKey, int], sx: int,
-              sy: int) -> tuple[FlowKey, int] | None:
-    """``(key, c)`` when D is ``c`` at key and ``-c`` one step further, so
-    that k repeats telescope to ``c`` at key and ``-c`` k steps further."""
-    if len(diff) == 2:
-        for (x, y, o), c in diff.items():
-            if diff.get((x + sx, y + sy, o)) == -c:
-                return (x, y, o), c
-    return None
-
-
-def _metabelian_fold(runs: Iterable[Run],
-                     bindings: Dict[str, MetabelianElement]
-                     ) -> MetabelianElement:
-    diff: Dict[FlowKey, int] = {}
-    steps: Dict[str, tuple] = {}
-    px, py = 0, 0
-    for letter, k in runs:
-        if letter not in steps:
-            element = _bound(bindings, letter)
-            own = _flow_difference(element._flow._entries)
-            sx, sy = element.ab
-            steps[letter] = (own, sx, sy, _straight(own, sx, sy))
-        own, sx, sy, straight = steps[letter]
-        if straight is not None:
-            (x, y, o), c = straight
-            start = (x + px, y + py, o)
-            end = (x + px + k * sx, y + py + k * sy, o)
-            diff[start] = diff.get(start, 0) + c
-            diff[end] = diff.get(end, 0) - c
-            px += k * sx
-            py += k * sy
-            continue
-        repeats = k
-        if not (sx or sy):
-            repeats, own = 1, {key: k * v for key, v in own.items()}
-        for _ in range(repeats):
-            for (x, y, o), v in own.items():
-                key = (x + px, y + py, o)
-                diff[key] = diff.get(key, 0) + v
-            px += sx
-            py += sy
-    return _make_metabelian((px, py), _make_vector(
-        SparseVector, Z, _flow_from_difference(diff)))
 
 
 def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
@@ -506,11 +507,7 @@ def cells_to_word(cells: Dict[Point, int]) -> str:
         if not value:
             continue
         unit = ["x", "y", "X", "Y"] if value > 0 else ["y", "x", "Y", "X"]
-        tokens += pow_tokens("x", a)
-        tokens += pow_tokens("y", b)
-        tokens += unit * abs(value)
-        tokens += pow_tokens("y", -b)
-        tokens += pow_tokens("x", -a)
+        tokens += _conjugate(a, b, unit * abs(value), _X, _Y)
     return word_from_tokens(tokens)
 
 
@@ -583,20 +580,16 @@ def make_submonoid_instance(instance: SemimoduleInstance,
     ``x^(stride * dx) y^dy``, which the four move words make available
     inside the submonoid.
     """
-    if flavor == WREATH:
-        stride = max(instance.rank, 1)
-        gen_words = tuple(module_to_word(g, stride)
-                          for g in instance.generators)
-        target = module_to_word(instance.target, stride)
-    elif flavor == METABELIAN:
-        if instance.ring != Z:
-            raise ValueError("free metabelian flavor requires integer ring")
+    if flavor == METABELIAN:
         stride = instance.rank + 1
         gen_words = tuple(cells_to_word(embed_module(g, stride))
                           for g in instance.generators)
         target = cells_to_word(embed_module(instance.target, stride))
     else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+        stride = max(instance.rank, 1)
+        gen_words = tuple(module_to_word(g, stride)
+                          for g in instance.generators)
+        target = module_to_word(instance.target, stride)
     moves = (
         word_from_tokens(pow_tokens("x", stride)),
         word_from_tokens(pow_tokens("x", -stride)),
@@ -623,11 +616,7 @@ def witness_to_submonoid_certificate(witness,
             coeff = 1
         if not 0 <= gen < instance.module_generator_count:
             raise BadIndex(f"generator {gen} out of range")
-        indices += [xf] * dx if dx >= 0 else [xb] * (-dx)
-        indices += [yu] * dy if dy >= 0 else [yd] * (-dy)
-        indices += [gen] * coeff
-        indices += [yd] * dy if dy >= 0 else [yu] * (-dy)
-        indices += [xb] * dx if dx >= 0 else [xf] * (-dx)
+        indices += _conjugate(dx, dy, [gen] * coeff, (xf, xb), (yu, yd))
     return tuple(indices)
 
 
@@ -660,14 +649,11 @@ def verify_submonoid_certificate(instance: SubmonoidInstance,
                     yield from word
 
     if instance.flavor == WREATH:
-        bindings = wreath_bindings(instance.ring)
-        value = _wreath_fold(chosen(), bindings, instance.ring)
-        target = wreath_eval(instance.target, bindings, instance.ring)
+        product, bindings = _wreath_of_runs, wreath_bindings(instance.ring)
     else:
-        bindings = metabelian_bindings()
-        value = _metabelian_fold(chosen(), bindings)
-        target = metabelian_eval(instance.target, bindings)
-    return value == target
+        product, bindings = _metabelian_of_runs, metabelian_bindings()
+    return (product(chosen(), bindings, instance.ring)
+            == product(_runs(instance.target), bindings, instance.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -713,6 +713,9 @@ def _wreath_from_dict(data: dict, ring: Ring) -> WreathElement:
         raise ValueError(f"pos must be two integers, got {pos!r}")
     fun: Dict[tuple[int, int], int] = {}
     for item in data["fun"]:
+        extra = set(item) - {"a", "b", "value"}
+        if extra:
+            raise ValueError(f"unexpected entry fields: {sorted(extra)}")
         key = (int(item["a"]), int(item["b"]))
         fun[key] = fun.get(key, 0) + int(item["value"])
     return WreathElement(ring, fun, (pos[0], pos[1]))

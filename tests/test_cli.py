@@ -437,6 +437,17 @@ class TestSolveCommands:
         assert out == ""
         assert err == "error: pos must be two integers, got [1, 0, 0]\n"
 
+    def test_unknown_lamp_field_is_3(self, capsys, ws, tmp_path):
+        data = json.loads(ws.rat_toy.read_text())
+        data["target"]["fun"] = [{"a": 0, "b": 0, "value": 1, "junk": 5}]
+        path = tmp_path / "rat_bad_lamp.json"
+        path.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "solve", "rational",
+                             "--instance", str(path), "--max-len", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "error: unexpected entry fields: ['junk']\n"
+
     def test_negative_max_len_is_3(self, capsys, ws):
         code, out, err = cli(capsys, "solve", "rational",
                              "--instance", str(ws.rat_toy),

@@ -11,7 +11,7 @@ from tilechain import (C0, EdgeMap, MetabelianElement, ModuleElement,
                        TilingSystem, UnknownTile, WreathElement, Z,
                        dump_edgemap, evaluate_placements, letter,
                        load_edgemap, ring_from_name, tile_eval)
-from tilechain.edges import edgemap_from_dict, edgemap_to_dict
+from tilechain.edges import SparseVector, edgemap_from_dict, edgemap_to_dict
 from tilechain.tiling import TRI_L, TRI_R, head, state
 
 RINGS = (Z, Ring(2), Ring(5))
@@ -30,12 +30,13 @@ class TestRing:
     def test_integer_ring(self):
         assert Z.modulus is None
         assert Z.name == "Z"
-        assert Z.canon(-7) == -7
+        assert SparseVector(Z, [((0, 0, 0), -7)])._entries == {(0, 0, 0): -7}
 
     def test_modular_ring(self):
         r = Ring(3)
         assert r.name == "Zmod:3"
-        assert [r.canon(v) for v in (-1, 0, 3, 5)] == [2, 0, 0, 2]
+        assert [SparseVector(r, [((0, 0, 0), v)])._entries.get((0, 0, 0), 0)
+                for v in (-1, 0, 3, 5)] == [2, 0, 0, 2]
 
     def test_modulus_lower_bound(self):
         with pytest.raises(ValueError):
@@ -381,7 +382,7 @@ class TestSparseCore:
         for value in values:
             before = repr(value), hash(value)
             for name in ("ring", "rank", "pos", "ab", "_entries", "_hash",
-                         "_lamps", "_flow", "extra"):
+                         "_lamps", "_flow", "_vec", "extra"):
                 with pytest.raises(AttributeError, match="is immutable"):
                     setattr(value, name, None)
                 with pytest.raises(AttributeError, match="is immutable"):

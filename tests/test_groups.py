@@ -363,9 +363,11 @@ class TestRunLengthEvaluation:
                                               (3, 0): 1})
             jump = WreathElement(ring, pos=(3, -2))
             mixed = WreathElement(ring, {(0, 0): 1, (-1, 2): 2}, (2, 1))
+            straight = WreathElement(ring, {(0, 0): 1, (1, 0): -1}, (1, 0))
             bindings = dict(wreath_bindings(ring), h=many_lamps,
                             H=many_lamps.inv(), m=jump, M=jump.inv(),
-                            q=mixed, Q=mixed.inv())
+                            q=mixed, Q=mixed.inv(), s=straight,
+                            S=straight.inv())
             letters = list(bindings)
             for _ in range(60):
                 word = run_word(rng, letters, max_run=12)
@@ -379,14 +381,32 @@ class TestRunLengthEvaluation:
         hook = metabelian_eval("x x y")
         stride = metabelian_eval("x x x")
         skew = MetabelianElement((0, 1), {(0, 0, "H"): 1})
+        move = MetabelianElement((2, 0))
         bindings = dict(metabelian_bindings(), c=cell, h=hook, H=hook.inv(),
-                        s=stride, S=stride.inv(), k=skew, K=skew.inv())
+                        s=stride, S=stride.inv(), k=skew, K=skew.inv(),
+                        p=move, P=move.inv())
         letters = list(bindings)
         for _ in range(80):
             word = run_word(rng, letters, max_run=12)
             expected = reduce(lambda acc, t: acc * bindings[t],
                               word.split(), metabelian_identity())
             assert metabelian_eval(word, bindings) == expected
+
+    def test_flavors_do_not_mix(self):
+        # Both flavors hold an integer vector and a position, so only the
+        # type keeps them apart: never equal, and no product or binding
+        # across them.
+        lamp, flow = wreath_identity(Z), metabelian_identity()
+        assert lamp != flow and flow != lamp
+        assert len({lamp, flow}) == 2
+        with pytest.raises(TypeError):
+            lamp * flow
+        with pytest.raises(TypeError):
+            flow * lamp
+        with pytest.raises(TypeError, match="'x' is bound to a Metabelian"):
+            wreath_eval("x", metabelian_bindings(), Z)
+        with pytest.raises(TypeError, match="'g' is bound to a Wreath"):
+            metabelian_eval("g", wreath_bindings(Z))
 
 
 # ---------------------------------------------------------------------------

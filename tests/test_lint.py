@@ -89,3 +89,46 @@ def test_self_calls_skip_calls_through_a_class():
             return count(n - 1)
     """))
     assert sorted(_self_calls(tree)) == ["count:10", "walk:7"]
+
+
+_ELEMENT_METHODS = ("__mul__", "inv", "__eq__", "__hash__", "__reduce__")
+
+
+def _classes_defining(tree: ast.AST, names) -> dict[str, list[str]]:
+    """For each method name, the classes whose own body defines it."""
+    found = {name: [] for name in names}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and node.name in found:
+                found[node.name].append(cls.name)
+    return found
+
+
+def test_group_elements_share_one_product():
+    # Both group flavors are the same semidirect product, so its
+    # arithmetic is written once, on the shared base class.
+    tree = ast.parse((SRC / "groups.py").read_text())
+    found = _classes_defining(tree, _ELEMENT_METHODS)
+    owners = found["__mul__"]
+    assert len(owners) == 1, found
+    assert all(classes == owners for classes in found.values()), found
+
+
+def test_classes_defining_counts_each_class():
+    tree = ast.parse(textwrap.dedent("""
+        class Lamps:
+            def __mul__(self, other): ...
+            def inv(self): ...
+
+        class Flows:
+            def __mul__(self, other): ...
+
+            class Inner:
+                def __hash__(self): ...
+    """))
+    found = _classes_defining(tree, _ELEMENT_METHODS)
+    assert found["__mul__"] == ["Lamps", "Flows"]
+    assert found["inv"] == ["Lamps"] and found["__hash__"] == ["Inner"]
+    assert found["__eq__"] == [] == found["__reduce__"]

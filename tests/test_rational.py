@@ -757,3 +757,14 @@ class TestRationalSerialization:
         bad["target"]["note"] = "x"
         with pytest.raises(ValueError, match="unexpected fields"):
             rational_from_dict(bad)
+
+    def test_lamp_entry_strictness(self):
+        # A lamp entry with an unknown field is refused with the module
+        # loader's message, not loaded with the field ignored.
+        ring = Ring(2)
+        data = rational_to_dict(make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0))))
+        data["target"]["fun"] = [{"a": 0, "b": 0, "value": 1, "junk": 5}]
+        with pytest.raises(ValueError,
+                           match=r"unexpected entry fields: \['junk'\]"):
+            rational_from_dict(data)
