@@ -41,7 +41,7 @@ from .groups import (METABELIAN, WREATH, BadIndex, MetabelianElement,
                      wreath_lamp)
 from .machines import (corpus, mini_eraser, right_walker, two_symbol_eraser,
                        unary_eraser)
-from .modules import (DuplicateShift, ModuleElement, RankMismatch,
+from .modules import (BadTerm, DuplicateShift, ModuleElement, RankMismatch,
                       SemimoduleInstance, UnknownColor, WitnessTerm,
                       certificate_to_witness, element_from_dict,
                       element_to_dict, eval_member_witness,

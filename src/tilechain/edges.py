@@ -83,6 +83,11 @@ def _canon(ring: Ring, items: Iterable[tuple[tuple, int]]) -> dict:
     sums: dict = {}
     for key, value in items:
         sums[key] = sums.get(key, 0) + value
+    return _reduced(ring, sums)
+
+
+def _reduced(ring: Ring, sums: dict) -> dict:
+    """Reduce already summed values into the ring and drop the zeros."""
     modulus = ring.modulus
     if modulus is None:
         return {key: v for key, v in sums.items() if v}

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .edges import (Ring, RingMismatch, SparseVector, Z, _canon,
-                    _make_vector, ring_from_name)
-from .modules import ModuleElement, SemimoduleInstance
+                    _make_vector, _reduced, ring_from_name)
+from .modules import BadTerm, ModuleElement, SemimoduleInstance
 
 Point = Tuple[int, int]
 FlowKey = Tuple[int, int, str]  # (x, y, 'H' horizontal | 'V' vertical)
@@ -66,18 +66,24 @@ def word_from_tokens(tokens: Iterable[str]) -> str:
     return " ".join(tokens)
 
 
-_X, _Y = ("x", "X"), ("y", "Y")
-
-
 def _conjugate(a: int, b: int, body: list, x: tuple, y: tuple) -> list:
-    """``x^a y^b · body · y^-b x^-a`` as a list, where ``x`` and ``y`` are
-    ``(forward, back)`` symbols: letters of a word, or generator indices."""
+    """``x^a y^b · body · y^-b x^-a`` as a list of generator indices, where
+    ``x`` and ``y`` are the ``(forward, back)`` move indices."""
     word = [x[a < 0]] * abs(a)
     word += [y[b < 0]] * abs(b)
     word += body
     word += [y[b >= 0]] * abs(b)
     word += [x[a >= 0]] * abs(a)
     return word
+
+
+def _spell_conjugate(a: int, b: int, body: str) -> str:
+    """``x^a y^b · body · y^-b x^-a`` as text in which every letter,
+    including those of ``body``, is followed by one space."""
+    x, back_x = ("x ", "X ") if a >= 0 else ("X ", "x ")
+    y, back_y = ("y ", "Y ") if b >= 0 else ("Y ", "y ")
+    a, b = abs(a), abs(b)
+    return f"{x * a}{y * b}{body}{back_y * b}{back_x * a}"
 
 
 Run = Tuple[str, int]  # (letter, repeat count >= 1)
@@ -170,50 +176,77 @@ def _straight(sums: Dict[tuple, int], sx: int,
     return None
 
 
-def _fold(runs: Iterable[Run], bindings: Dict, ring: Ring,
-          read) -> tuple[Point, Dict[tuple, int]]:
+# (plain sums added from the origin, x and y displacement, telescoping form)
+Step = Tuple[Dict[tuple, int], int, int, Optional[Tuple[tuple, int]]]
+
+
+def _step(pos: Point, own: Dict[tuple, int]) -> Step:
+    """One fold step: the plain sums ``own`` that a value adds with the
+    walker at the origin, its displacement, and its telescoping form."""
+    sx, sy = pos
+    return own, sx, sy, _straight(own, sx, sy)
+
+
+class _LetterSteps(dict):
+    """The fold steps of bound letters, each read from its binding the
+    first time the letter is looked up, so unused bindings are never read.
+
+    ``read`` is one flavor's ``_read``; a binding of the other flavor
+    raises ``TypeError`` and one over another ring ``RingMismatch``.
+    """
+
+    __slots__ = ("_bindings", "_ring", "_read")
+
+    def __init__(self, bindings: Dict, ring: Ring, read):
+        super().__init__()
+        self._bindings, self._ring, self._read = bindings, ring, read
+
+    def __missing__(self, letter: str) -> Step:
+        element = _bound(self._bindings, letter)
+        if type(element)._read is not self._read:
+            raise TypeError(f"{letter!r} is bound to a "
+                            f"{type(element).__name__} of another group")
+        if element._vec.ring != self._ring:
+            raise RingMismatch(f"{element._vec.ring.name} binding in "
+                               f"{self._ring.name} evaluation")
+        step = self[letter] = _step(element.pos, self._read(element))
+        return step
+
+
+def _fold(runs: Iterable[tuple], steps) -> tuple[Point, Dict[tuple, int]]:
     """Position and plain sums of the product of a run sequence.
 
-    ``read`` is one flavor's ``_read``: the plain sums an element adds
-    with the walker at the origin.  The fold keeps one mutable
-    accumulator and adds each binding's sums translated to the walker's
-    position.  A run of a pure move, or of a binding whose sums telescope
-    (see :func:`_straight`), costs the same for every length, a run of a
-    binding that does not move adds its scaled sums once, and any other
-    binding is applied once per repeat.  The caller turns the sums into
-    the element's vector.
+    ``runs`` holds ``(key, repeats)`` pairs and ``steps`` maps each key to
+    its :func:`_step`: a :class:`_LetterSteps` for the letters of a word,
+    or steps already read, such as the values of a certificate's
+    generator words.  The fold keeps one mutable accumulator and adds each
+    step's sums translated to the walker's position.  A run of a pure
+    move, or of a step whose sums telescope (see :func:`_straight`),
+    costs the same for every length; a run of a step that does not move
+    adds its sums once, each scaled by the run length; any other step is
+    applied once per repeat.  The caller turns the sums into the
+    element's vector.
     """
     sums: Dict[tuple, int] = {}
-    steps: Dict[str, tuple] = {}
     px, py = 0, 0
-    for letter, k in runs:
-        step = steps.get(letter)
-        if step is None:
-            element = _bound(bindings, letter)
-            if type(element)._read is not read:
-                raise TypeError(f"{letter!r} is bound to a "
-                                f"{type(element).__name__} of another group")
-            if element._vec.ring != ring:
-                raise RingMismatch(f"{element._vec.ring.name} binding in "
-                                   f"{ring.name} evaluation")
-            own = read(element)
-            sx, sy = element.pos
-            step = steps[letter] = (own, sx, sy, _straight(own, sx, sy))
-        own, sx, sy, straight = step
+    for key, k in runs:
+        own, sx, sy, straight = steps[key]
         if straight is not None:
             (x, y, tag), c = straight
             start = (x + px, y + py, tag)
             end = (x + px + k * sx, y + py + k * sy, tag)
             sums[start] = sums.get(start, 0) + c
             sums[end] = sums.get(end, 0) - c
+        elif not (sx or sy):
+            for (x, y, tag), v in own.items():
+                at = (x + px, y + py, tag)
+                sums[at] = sums.get(at, 0) + k * v
         elif own:
-            repeats, qx, qy = k, px, py
-            if not (sx or sy):
-                repeats, own = 1, {key: k * v for key, v in own.items()}
-            for _ in range(repeats):
+            qx, qy = px, py
+            for _ in range(k):
                 for (x, y, tag), v in own.items():
-                    key = (x + qx, y + qy, tag)
-                    sums[key] = sums.get(key, 0) + v
+                    at = (x + qx, y + qy, tag)
+                    sums[at] = sums.get(at, 0) + v
                 qx += sx
                 qy += sy
         px += k * sx
@@ -291,13 +324,10 @@ def wreath_eval(word: str | Iterable[str],
     accumulator holds plain sums; they are reduced into the ring once,
     when the result's lamp vector is built.
     """
-    return _wreath_of_runs(_runs(word), bindings, ring)
-
-
-def _wreath_of_runs(runs: Iterable[Run], bindings: Dict[str, WreathElement],
-                    ring: Ring) -> WreathElement:
-    pos, lamps = _fold(runs, bindings, ring, WreathElement._read)
-    return _make_element(WreathElement, pos, SparseVector(ring, lamps.items()))
+    pos, lamps = _fold(_runs(word), _LetterSteps(bindings, ring,
+                                                 WreathElement._read))
+    return _make_element(WreathElement, pos, _make_vector(
+        SparseVector, ring, _reduced(ring, lamps)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +359,9 @@ def unembed_module(fun: Dict[Point, int], stride: int, rank: int,
 def module_to_word(e: ModuleElement, stride: int) -> str:
     """Word over x/y/g spelling out the flattened element: each entry is a
     conjugated power of the origin lamp."""
-    tokens: list[str] = []
-    for (a, b, j), v in e.items():
-        tokens += _conjugate(stride * a + j, b, pow_tokens("g", v), _X, _Y)
-    return word_from_tokens(tokens)
+    return "".join(_spell_conjugate(stride * a + j, b,
+                                    ("g " if v > 0 else "G ") * abs(v))
+                   for (a, b, j), v in e.items())[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +422,21 @@ def metabelian_bindings() -> Dict[str, MetabelianElement]:
     return {"x": x, "X": x.inv(), "y": y, "Y": y.inv()}
 
 
+def _horizontal_bindings() -> Dict[str, MetabelianElement]:
+    """The standard bindings with the vertical edges dropped from the flow.
+
+    Dropping the vertical edges is a homomorphism, since it commutes with
+    addition and translation, and it is one-to-one on the group.  Every
+    element's flow has boundary "end minus start", so two elements with
+    the same position differ by a circulation.  If their horizontal edges
+    agree, that circulation lies on vertical edges alone, is constant
+    along each vertical line, and so is zero.
+    """
+    x = MetabelianElement((1, 0), {(0, 0, "H"): 1})
+    y = MetabelianElement((0, 1))
+    return {"x": x, "X": x.inv(), "y": y, "Y": y.inv()}
+
+
 def metabelian_eval(word: str | Iterable[str],
                     bindings: Dict[str, MetabelianElement] | None = None
                     ) -> MetabelianElement:
@@ -408,13 +452,8 @@ def metabelian_eval(word: str | Iterable[str],
     """
     if bindings is None:
         bindings = metabelian_bindings()
-    return _metabelian_of_runs(_runs(word), bindings, Z)
-
-
-def _metabelian_of_runs(runs: Iterable[Run],
-                        bindings: Dict[str, MetabelianElement],
-                        ring: Ring) -> MetabelianElement:
-    pos, diff = _fold(runs, bindings, ring, MetabelianElement._read)
+    pos, diff = _fold(_runs(word), _LetterSteps(bindings, Z,
+                                                MetabelianElement._read))
     return _make_element(MetabelianElement, pos, _make_vector(
         SparseVector, Z, _flow_from_difference(diff)))
 
@@ -501,14 +540,10 @@ def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
 def cells_to_word(cells: Dict[Point, int]) -> str:
     """Word over x/y whose flow is the given combination of unit cells:
     per cell, a conjugated power of the commutator."""
-    tokens: list[str] = []
-    for (a, b) in sorted(cells, key=lambda c: (c[1], c[0])):
-        value = cells[(a, b)]
-        if not value:
-            continue
-        unit = ["x", "y", "X", "Y"] if value > 0 else ["y", "x", "Y", "X"]
-        tokens += _conjugate(a, b, unit * abs(value), _X, _Y)
-    return word_from_tokens(tokens)
+    return "".join(_spell_conjugate(a, b, ("x y X Y " if value > 0 else
+                                           "y x Y X ") * abs(value))
+                   for a, b in sorted(cells, key=lambda c: (c[1], c[0]))
+                   if (value := cells[(a, b)]))[:-1]
 
 
 def flow_to_word(flow: Dict[FlowKey, int]) -> str:
@@ -590,12 +625,7 @@ def make_submonoid_instance(instance: SemimoduleInstance,
         gen_words = tuple(module_to_word(g, stride)
                           for g in instance.generators)
         target = module_to_word(instance.target, stride)
-    moves = (
-        word_from_tokens(pow_tokens("x", stride)),
-        word_from_tokens(pow_tokens("x", -stride)),
-        "y",
-        "Y",
-    )
+    moves = (" ".join("x" * stride), " ".join("X" * stride), "y", "Y")
     return SubmonoidInstance(flavor, instance.ring, instance.rank, stride,
                              gen_words + moves, target)
 
@@ -616,44 +646,56 @@ def witness_to_submonoid_certificate(witness,
             coeff = 1
         if not 0 <= gen < instance.module_generator_count:
             raise BadIndex(f"generator {gen} out of range")
+        if coeff < 0:
+            raise BadTerm(f"term {(gen, dx, dy, coeff)}: negative "
+                          f"coefficient")
         indices += _conjugate(dx, dy, [gen] * coeff, (xf, xb), (yu, yd))
     return tuple(indices)
 
 
 def verify_submonoid_certificate(instance: SubmonoidInstance,
                                  indices: Sequence[int]) -> bool:
-    """Concatenate the chosen generator words and compare with the target
-    by direct evaluation in the ambient group.
+    """Multiply the chosen generator words' values and compare the product
+    with the target's value in the ambient group.
 
     Every index is checked before anything is evaluated.  Each used
-    generator word is read into runs once, and ``r`` equal indices in a
-    row that pick a one-run word (the move words) become a single run, so
-    the cost is per run of the chosen words, not per letter.  In the free
-    metabelian group it does not depend on run length.
+    generator word is then read from the instance's text and folded once
+    into its value, kept as a fold step (sums, displacement, telescoping
+    form).  The certificate's runs of equal indices are folded with those
+    steps, which is the same group product by associativity: a run of a
+    generator that does not move is one scaled add, and a run of a move
+    word is one shift or telescopes.  The cost is per run of indices plus
+    one read of each used word and of the target.  Nothing is taken from
+    the construction of the instance or kept between calls.
+
+    Both values stay in the fold's coordinates: the position and the
+    plain sums, reduced into the ring.  For the wreath product those are
+    the lamps.  Free metabelian words are evaluated with the vertical
+    edges dropped (see :func:`_horizontal_bindings`), a one-to-one
+    homomorphism, and the sums are the horizontal flow's differences
+    along x.  A finitely supported flow is the prefix sum of its
+    differences, so equal sums mean equal elements.
     """
     count = len(instance.generators)
-    for i in indices:
+    runs = [(i, len(list(group))) for i, group in groupby(indices)]
+    for i, _ in runs:
         if not 0 <= i < count:
             raise BadIndex(f"generator {i} out of range")
-    words = {i: list(_runs(instance.generators[i])) for i in set(indices)}
-
-    def chosen() -> Iterator[Run]:
-        for i, group in groupby(indices):
-            repeats = len(list(group))
-            word = words[i]
-            if len(word) == 1:
-                letter, m = word[0]
-                yield letter, repeats * m
-            else:
-                for _ in range(repeats):
-                    yield from word
-
+    ring = instance.ring
     if instance.flavor == WREATH:
-        product, bindings = _wreath_of_runs, wreath_bindings(instance.ring)
+        letters = _LetterSteps(wreath_bindings(ring), ring,
+                               WreathElement._read)
     else:
-        product, bindings = _metabelian_of_runs, metabelian_bindings()
-    return (product(chosen(), bindings, instance.ring)
-            == product(_runs(instance.target), bindings, instance.ring))
+        letters = _LetterSteps(_horizontal_bindings(), ring,
+                               MetabelianElement._read)
+    steps = {}
+    for i in {i for i, _ in runs}:
+        pos, sums = _fold(_runs(instance.generators[i]), letters)
+        steps[i] = _step(pos, {key: v for key, v in sums.items() if v})
+    pos, sums = _fold(runs, steps)
+    target_pos, target_sums = _fold(_runs(instance.target), letters)
+    return (pos == target_pos
+            and _reduced(ring, sums) == _reduced(ring, target_sums))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,10 @@ class DuplicateShift(ValueError):
     """A subset-sum witness reuses a translation."""
 
 
+class BadTerm(ValueError):
+    """A witness term names no generator or has a negative coefficient."""
+
+
 EntryKey = tuple[int, int, int]  # (x, y, coordinate index)
 
 
@@ -232,14 +236,33 @@ Window = tuple[int, int, int, int]  # inclusive (x0, y0, x1, y1)
 
 def eval_member_witness(instance: SemimoduleInstance,
                         terms: Iterable[WitnessTerm]) -> ModuleElement:
+    """Sum of the terms' translated, scaled generators.
+
+    Raises :class:`BadTerm` for a term whose generator index is out of
+    range or whose coefficient is negative: a semimodule element is a
+    combination with coefficients in N.
+    """
+    gens = instance.generators
     total = zero_element(instance.ring, instance.rank)
     for gen, dx, dy, coeff in terms:
-        total = total.plus(instance.generators[gen], coeff, dx, dy)
+        if not 0 <= gen < len(gens):
+            raise BadTerm(f"term {(gen, dx, dy, coeff)}: generator {gen} "
+                          f"out of range")
+        if coeff < 0:
+            raise BadTerm(f"term {(gen, dx, dy, coeff)}: negative "
+                          f"coefficient")
+        total = total.plus(gens[gen], coeff, dx, dy)
     return total
 
 
 def eval_subset_witness(instance: SemimoduleInstance,
                         picks: Iterable[SubsetPick]) -> ModuleElement:
+    """Sum of the picks' translated generators, each read as a term with
+    coefficient 1.
+
+    Raises :class:`DuplicateShift` for a translation used twice and
+    :class:`BadTerm` for a pick whose generator index is out of range.
+    """
     picks = tuple(picks)
     seen: set[tuple[int, int]] = set()
     for _, dx, dy in picks:
@@ -251,7 +274,11 @@ def eval_subset_witness(instance: SemimoduleInstance,
 
 
 def verify_witness(instance: SemimoduleInstance, witness) -> bool:
-    """Re-check a witness by direct summation."""
+    """Re-check a witness by direct summation.
+
+    A malformed witness raises :class:`BadTerm` instead of being read
+    through Python's negative indexing or as a negative coefficient.
+    """
     if instance.mode == "semimodule":
         total = eval_member_witness(instance, witness)
     else:
@@ -544,15 +571,15 @@ def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
 def certificate_to_witness(cert: Certificate,
                            ts: TilingSystem) -> tuple[SubsetPick, ...]:
     """Read a tiling certificate as a subset-sum witness (tile index and
-    position per placement)."""
+    position per placement).  A tile outside ``ts`` raises ``ValueError``."""
+    index_of = ts.index_of
     picks: list[SubsetPick] = []
     seen: set[tuple[int, int]] = set()
-    for placement in cert.placements:
-        if (placement.x, placement.y) in seen:
-            raise DuplicateShift(
-                f"two tiles at ({placement.x}, {placement.y})")
-        seen.add((placement.x, placement.y))
-        picks.append((ts.index_of(placement.tile), placement.x, placement.y))
+    for tile, x, y in cert.placements:
+        if (x, y) in seen:
+            raise DuplicateShift(f"two tiles at ({x}, {y})")
+        seen.add((x, y))
+        picks.append((index_of(tile), x, y))
     return tuple(sorted(picks, key=lambda p: (p[2], p[1], p[0])))
 
 

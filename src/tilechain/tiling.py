@@ -171,6 +171,9 @@ class TilingSystem:
             if tile.sides() in seen:
                 raise ValueError(f"duplicate tile {tile.sides()}")
             seen.add(tile.sides())
+        # Not a field, so equality, repr and the JSON forms ignore it.
+        object.__setattr__(self, "_index",
+                           {tile: i for i, tile in enumerate(self.tiles)})
 
     def tile_named(self, name: str) -> Tile:
         for tile in self.tiles:
@@ -179,7 +182,11 @@ class TilingSystem:
         raise KeyError(name)
 
     def index_of(self, tile: Tile) -> int:
-        return self.tiles.index(tile)
+        """Position of ``tile`` in :attr:`tiles`, by one hash lookup."""
+        try:
+            return self._index[tile]
+        except KeyError:
+            raise ValueError(f"tile {tile} is not in the system") from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 rank-2 flow elements, module flattening into words, and submonoid
 membership instances."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from tilechain.groups import (
     UnboundSymbol,
     WREATH,
     WreathElement,
+    _horizontal_bindings,
     basis_change,
     basis_change_inv,
     cell_flow,
@@ -50,13 +52,16 @@ from tilechain.groups import (
     wreath_identity,
     wreath_lamp,
 )
+from tilechain.compiler import initial_map
 from tilechain.modules import (
     ModuleElement,
     SemimoduleInstance,
     WitnessTerm,
+    certificate_to_witness,
     member_bounded,
     tiling_to_instance,
     unit,
+    zero_element,
 )
 from tilechain.engine import default_window
 
@@ -116,6 +121,49 @@ def walk_metabelian(word):
             flow[(x, y - 1, "V")] = flow.get((x, y - 1, "V"), 0) - 1
             pos = (x, y - 1)
     return MetabelianElement(pos, flow)
+
+
+# The token-list construction the generated words were first spelled with.
+# It stays here as the reference for the text form, which must remain
+# byte-identical to it.
+
+def reference_conjugate(a, b, body):
+    word = [("x", "X")[a < 0]] * abs(a)
+    word += [("y", "Y")[b < 0]] * abs(b)
+    word += body
+    word += [("y", "Y")[b >= 0]] * abs(b)
+    word += [("x", "X")[a >= 0]] * abs(a)
+    return word
+
+
+def reference_module_to_word(e, stride):
+    tokens = []
+    for (a, b, j), v in e.items():
+        tokens += reference_conjugate(stride * a + j, b, pow_tokens("g", v))
+    return word_from_tokens(tokens)
+
+
+def reference_cells_to_word(cells):
+    tokens = []
+    for (a, b) in sorted(cells, key=lambda c: (c[1], c[0])):
+        value = cells[(a, b)]
+        if not value:
+            continue
+        unit = ["x", "y", "X", "Y"] if value > 0 else ["y", "x", "Y", "X"]
+        tokens += reference_conjugate(a, b, unit * abs(value))
+    return word_from_tokens(tokens)
+
+
+def reference_moves(stride):
+    return (word_from_tokens(pow_tokens("x", stride)),
+            word_from_tokens(pow_tokens("x", -stride)), "y", "Y")
+
+
+def random_element(rng, ring, rank):
+    return ModuleElement(ring, rank, {
+        (rng.randint(-3, 3), rng.randint(-3, 3),
+         rng.randrange(rank)): rng.randint(-4, 4)
+        for _ in range(rng.randint(0, 5))})
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +508,58 @@ class TestEmbedding:
             assert got.fun() == embed_module(e, 3)
 
 
+class TestWordsMatchTokenConstruction:
+    """The words are spelled by string repetition; every one must equal the
+    token-list reference byte for byte."""
+
+    RINGS = (Z, Ring(2), Ring(3))
+
+    def test_module_words(self):
+        rng = random.Random(31)
+        for ring in self.RINGS:
+            for rank in (1, 2, 3):
+                for stride in (1, 2, 3, 4):
+                    for _ in range(12):
+                        e = random_element(rng, ring, rank)
+                        assert module_to_word(e, stride) == \
+                            reference_module_to_word(e, stride)
+                    empty = zero_element(ring, rank)
+                    assert module_to_word(empty, stride) == "" == \
+                        reference_module_to_word(empty, stride)
+
+    def test_cell_words(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            cells = {(rng.randint(-4, 4), rng.randint(-4, 4)):
+                     rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
+            assert cells_to_word(cells) == reference_cells_to_word(cells)
+        for cells in ({}, {(0, 0): 0}, {(-2, 1): 0, (3, -1): 0}):
+            assert cells_to_word(cells) == "" == reference_cells_to_word(cells)
+
+    def test_instance_words(self):
+        rng = random.Random(33)
+        for ring in self.RINGS:
+            for rank in (1, 2, 3):
+                for _ in range(8):
+                    gens = tuple(random_element(rng, ring, rank)
+                                 for _ in range(rng.randint(1, 3)))
+                    sem = SemimoduleInstance(ring, rank, gens,
+                                             random_element(rng, ring, rank))
+                    flavors = (WREATH, METABELIAN) if ring == Z else (WREATH,)
+                    for flavor in flavors:
+                        inst = make_submonoid_instance(sem, flavor)
+                        if flavor == WREATH:
+                            spell = lambda e: reference_module_to_word(
+                                e, inst.stride)
+                        else:
+                            spell = lambda e: reference_cells_to_word(
+                                embed_module(e, inst.stride))
+                        assert inst.generators == tuple(
+                            spell(g) for g in gens) + \
+                            reference_moves(inst.stride)
+                        assert inst.target == spell(sem.target)
+
+
 # ---------------------------------------------------------------------------
 # rank-2 flow elements
 
@@ -525,6 +625,55 @@ class TestMetabelianElements:
             u = MetabelianElement((0, 0), cell_flow(a, b))
             v = MetabelianElement((0, 0), cell_flow(c, d, -2))
             assert u * v == v * u
+
+
+class TestHorizontalImage:
+    """The certificate check evaluates free metabelian words with the
+    vertical edges dropped from the flow; that map must be a one-to-one
+    homomorphism."""
+
+    def test_image_is_the_flow_without_vertical_edges(self):
+        rng = random.Random(22)
+        horizontal = _horizontal_bindings()
+        for _ in range(150):
+            word = run_word(rng, MOVE_TOKENS, max_run=6)
+            full = metabelian_eval(word)
+            assert metabelian_eval(word, horizontal) == MetabelianElement(
+                full.ab, {key: v for key, v in full.flow().items()
+                          if key[2] == "H"})
+
+    def test_no_closed_word_of_length_up_to_8_is_lost(self):
+        horizontal = _horizontal_bindings()
+        closed = 0
+        for length in range(0, 9, 2):
+            for letters in itertools.product("xXyY", repeat=length):
+                if (letters.count("x") != letters.count("X")
+                        or letters.count("y") != letters.count("Y")):
+                    continue
+                word = " ".join(letters)
+                closed += 1
+                assert metabelian_eval(word).is_identity() == \
+                    metabelian_eval(word, horizontal).is_identity(), word
+        assert closed == 1 + 4 + 36 + 400 + 4900
+
+    def test_equal_images_only_for_equal_elements(self):
+        # Conjugates of commutators commute, so reordering them gives equal
+        # elements spelled differently; changing one value gives a
+        # different element with the same position.
+        rng = random.Random(23)
+        horizontal = _horizontal_bindings()
+        for _ in range(100):
+            cells = [{(rng.randint(-3, 3), rng.randint(-3, 3)):
+                      rng.choice((-2, -1, 1, 2))} for _ in range(4)]
+            words = [cells_to_word(c) for c in cells]
+            u = " ".join(words)
+            v = " ".join(reversed(words))
+            cells[0] = {key: value + 1 for key, value in cells[0].items()}
+            w = " ".join([cells_to_word(cells[0])] + words[1:])
+            for a, b in ((u, v), (u, w), (v, w)):
+                assert (metabelian_eval(a) == metabelian_eval(b)) == \
+                    (metabelian_eval(a, horizontal)
+                     == metabelian_eval(b, horizontal))
 
 
 class TestFlows:
@@ -776,6 +925,73 @@ class TestCertificateSemantics:
                 assert verify_submonoid_certificate(inst, indices) == \
                     (evaluate(product) == evaluate(target))
 
+    def test_matches_the_concatenation_over_finite_rings(self):
+        # Generator words that do not move, that telescope (+1 here, -1
+        # one step on, moving one step) and that move with lamps, plus
+        # random ones.
+        shapes = ("x g X", "g g", "g x G", "G y g Y y", "g g x y", "x g y")
+        rng = random.Random(19)
+        for ring in (Ring(2), Ring(3)):
+            bindings = wreath_bindings(ring)
+            for _ in range(80):
+                gens = tuple(rng.choice(shapes) if rng.random() < 0.6 else
+                             run_word(rng, WREATH_TOKENS, max_runs=3,
+                                      max_run=4)
+                             for _ in range(3)) + self.MOVES
+                indices = tuple(
+                    i for _ in range(rng.randint(0, 6))
+                    for i in [rng.randrange(7)] * rng.randint(1, 5))
+                product = " ".join(gens[i] for i in indices)
+                target = product if rng.random() < 0.5 else \
+                    run_word(rng, WREATH_TOKENS, max_runs=3, max_run=4)
+                inst = SubmonoidInstance(WREATH, ring, 1, 1, gens, target)
+                expected = (wreath_eval(product, bindings, ring)
+                            == wreath_eval(target, bindings, ring))
+                loaded = submonoid_from_dict(submonoid_to_dict(inst))
+                for checked in (inst, loaded):
+                    assert verify_submonoid_certificate(checked, indices) == \
+                        expected
+
+    @pytest.mark.parametrize("flavor,modulus", [
+        (WREATH, None), (WREATH, 2), (METABELIAN, None)])
+    def test_certificate_mutants_match_the_concatenation(self, artifacts,
+                                                          flavor, modulus):
+        # Every distinct sequence one index delete, duplicate or adjacent
+        # swap away from a genuine certificate for unary n = 1, and a
+        # seeded sample of them for n = 2..4: each reference evaluation of
+        # a concatenation there reads 20k-60k letters.
+        ring = Z if modulus is None else Ring(modulus)
+        rng = random.Random(20)
+        for n in range(1, 5):
+            pipe = artifacts.pipeline("unary-eraser", "a" * n)
+            sem = tiling_to_instance(pipe.ts,
+                                     initial_map(pipe.tm, "a" * n, ring))
+            inst = make_submonoid_instance(sem, flavor)
+            loaded = submonoid_from_dict(submonoid_to_dict(inst))
+            genuine = witness_to_submonoid_certificate(
+                certificate_to_witness(pipe.cert, pipe.ts), inst)
+            if flavor == WREATH:
+                bindings = wreath_bindings(ring)
+                evaluate = lambda w: wreath_eval(w, bindings, ring)
+            else:
+                evaluate = metabelian_eval
+            target = evaluate(inst.target)
+            mutants = sorted(one_edit_away(genuine))
+            if n > 1:
+                mutants = rng.sample(mutants, 15)
+            verdicts = set()
+            for indices in [genuine] + mutants:
+                expected = evaluate(" ".join(inst.generators[i]
+                                             for i in indices)) == target
+                assert verify_submonoid_certificate(inst, indices) == expected
+                if n > 1 or indices == genuine:
+                    assert verify_submonoid_certificate(loaded, indices) == \
+                        expected
+                verdicts.add((indices == genuine, expected))
+            # Swapping two commuting moves keeps a certificate valid, so
+            # only these two outcomes are certain.
+            assert {(True, True), (False, False)} <= verdicts
+
     def test_long_move_term_and_missing_move(self):
         f = unit(Z, 1, 0, 0, 0)
         sem = SemimoduleInstance(Z, 1, (f,), f.translate(7, 1))
@@ -788,6 +1004,20 @@ class TestCertificateSemantics:
             cut = indices.index(xf)
             assert not verify_submonoid_certificate(
                 inst, indices[:cut] + indices[cut + 1:])
+
+
+def one_edit_away(indices):
+    """Every distinct sequence one delete, duplicate or adjacent swap away
+    from ``indices``, other than ``indices`` itself."""
+    found = set()
+    for k in range(len(indices)):
+        found.add(indices[:k] + indices[k + 1:])
+        found.add(indices[:k + 1] + indices[k:])
+        if k + 1 < len(indices):
+            found.add(indices[:k] + (indices[k + 1], indices[k])
+                      + indices[k + 2:])
+    found.discard(indices)
+    return found
 
 
 class TestSubmonoidSerialization:

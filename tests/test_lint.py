@@ -132,3 +132,54 @@ def test_classes_defining_counts_each_class():
     assert found["__mul__"] == ["Lamps", "Flows"]
     assert found["inv"] == ["Lamps"] and found["__hash__"] == ["Inner"]
     assert found["__eq__"] == [] == found["__reduce__"]
+
+
+_TOKEN_BUILDERS = {"pow_tokens", "word_from_tokens", "_conjugate"}
+_TEXT_SPELLERS = {"module_to_word", "cells_to_word", "make_submonoid_instance"}
+
+
+def _calls_by_name(tree: ast.AST, callers, callees) -> list[str]:
+    """Calls, by bare name or attribute name, of any of ``callees`` inside
+    the functions named in ``callers``, nested functions included."""
+    found = []
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name in callers):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = (callee.id if isinstance(callee, ast.Name) else
+                    callee.attr if isinstance(callee, ast.Attribute) else None)
+            if name in callees:
+                found.append(f"{func.name}:{node.lineno}:{name}")
+    return found
+
+
+def test_words_are_not_spelled_token_by_token():
+    # The generated words are spelled by string repetition; building token
+    # lists one letter at a time made instance construction a fifth of the
+    # transport chain's time.
+    tree = ast.parse((SRC / "groups.py").read_text())
+    funcs = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert _TEXT_SPELLERS <= funcs
+    assert _calls_by_name(tree, _TEXT_SPELLERS, _TOKEN_BUILDERS) == []
+
+
+def test_calls_by_name_sees_names_attributes_and_nested_calls():
+    tree = ast.parse(textwrap.dedent("""
+        def module_to_word(e):
+            def spell(v):
+                return groups.pow_tokens("g", v)
+            return word_from_tokens(spell(v) for v in e)
+
+        def other(e):
+            return _conjugate(0, 0, [], "x", "y")
+
+        def cells_to_word(cells):
+            return conjugate(cells) + pow_tokens_like(cells)
+    """))
+    found = _calls_by_name(tree, _TEXT_SPELLERS, _TOKEN_BUILDERS)
+    assert sorted(found) == ["module_to_word:4:pow_tokens",
+                             "module_to_word:5:word_from_tokens"]

@@ -14,7 +14,10 @@ import pytest
 from tilechain.compiler import initial_map
 from tilechain.edges import EdgeMap, Ring, RingMismatch, Z, tile_eval
 from tilechain.engine import default_window
+from tilechain.groups import make_submonoid_instance, \
+    witness_to_submonoid_certificate
 from tilechain.modules import (
+    BadTerm,
     DuplicateShift,
     ModuleElement,
     RankMismatch,
@@ -245,6 +248,37 @@ class TestWitnessEvaluation:
                                   mode="subset-sum")
         with pytest.raises(DuplicateShift, match=r"\(1, 0\) used twice"):
             eval_subset_witness(inst, ((0, 1, 0), (0, 1, 0)))
+
+    def test_out_of_range_generator_is_refused(self):
+        f, g = unit(Z, 1, 0, 0, 0), unit(Z, 1, 1, 0, 0)
+        inst = SemimoduleInstance(Z, 1, (f, g), g)
+        # Python's negative indexing would read -1 as the last generator.
+        for gen in (-1, 2):
+            with pytest.raises(BadTerm, match=rf"term \({gen}, 0, 0, 1\): "
+                                              rf"generator {gen} out of"):
+                verify_witness(inst, (WitnessTerm(gen, 0, 0, 1),))
+        subset = SemimoduleInstance(Ring(2), 1, (unit(Ring(2), 1, 0, 0, 0),),
+                                    unit(Ring(2), 1, 0, 0, 0),
+                                    mode="subset-sum")
+        for gen in (-1, 1):
+            with pytest.raises(BadTerm, match=rf"term \({gen}, 0, 0, 1\): "
+                                              rf"generator {gen} out"):
+                verify_witness(subset, ((gen, 0, 0),))
+        assert isinstance(BadTerm("x"), ValueError)
+
+    def test_negative_coefficient_is_refused(self):
+        f = unit(Z, 1, 0, 0, 0)
+        # -f is not a nonnegative combination of f, whatever the witness.
+        inst = SemimoduleInstance(Z, 1, (f,), f.scale(-1))
+        with pytest.raises(BadTerm, match=r"term \(0, 0, 0, -1\): negative "
+                                          r"coefficient"):
+            verify_witness(inst, (WitnessTerm(0, 0, 0, -1),))
+        zero = SemimoduleInstance(Z, 1, (f,), zero_element(Z, 1))
+        assert verify_witness(zero, (WitnessTerm(0, 0, 0, 0),))
+        sub = make_submonoid_instance(inst)
+        with pytest.raises(BadTerm, match=r"term \(0, 2, 1, -1\): negative "
+                                          r"coefficient"):
+            witness_to_submonoid_certificate((WitnessTerm(0, 2, 1, -1),), sub)
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +871,16 @@ class TestCertificateWitnesses:
                            1, 1)
         with pytest.raises(DuplicateShift, match=r"two tiles at \(1, 1\)"):
             certificate_to_witness(cert, ts)
+
+    def test_tile_from_another_system_is_named(self, artifacts):
+        ts = artifacts.tiling("unary-eraser")
+        other = artifacts.tiling("two-symbol-eraser")
+        stranger = next(t for t in other.tiles if t not in ts.tiles)
+        cert = Certificate((Placement(ts.tiles[0], 0, 0),
+                            Placement(stranger, 1, 0)), 1, 0)
+        with pytest.raises(ValueError) as info:
+            certificate_to_witness(cert, ts)
+        assert str(info.value) == f"tile {stranger} is not in the system"
 
 
 # ---------------------------------------------------------------------------

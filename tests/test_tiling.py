@@ -109,6 +109,24 @@ class TestTilingSystem:
         for i, tile in enumerate(ts.tiles):
             assert ts.index_of(tile) == i
 
+    def test_index_of_names_an_unknown_tile(self):
+        ts = compile_tiles(unary_eraser())
+        stranger = Tile(C0, C0, C0, letter("z"), name="z")
+        with pytest.raises(ValueError,
+                           match=r"tile Tile\(.*name='z'\) is not in the "
+                                 r"system"):
+            ts.index_of(stranger)
+        # The label is not part of a tile, so a renamed tile is found.
+        tile = ts.tiles[3]
+        assert ts.index_of(Tile(*tile.sides(), name="renamed")) == 3
+
+    def test_index_map_is_not_part_of_the_value(self):
+        ts = compile_tiles(unary_eraser())
+        twin = TilingSystem(ts.colors, ts.tiles, ts.distinguished)
+        assert twin == ts and hash(twin) == hash(ts)
+        assert "_index" not in repr(ts)
+        assert "_index" not in dump_system(ts)
+
 
 class TestCompiler:
     def test_tile_count_formula(self):
