@@ -23,7 +23,8 @@ from .edges import dump_edgemap, load_edgemap, ring_from_name
 from .engine import build_accepting_tiling, claims_audit, verify_zero
 from .groups import make_submonoid_instance, submonoid_to_dict
 from .modules import (instance_from_dict, instance_to_dict, member_bounded,
-                      subset_sum_bounded, tiling_to_instance, witness_to_dict)
+                      member_is_exact, subset_sum_bounded, tiling_to_instance,
+                      witness_to_dict)
 from .rational import (dump_nfa, make_rational_instance, rational_from_dict,
                        rational_member_bounded, rational_to_dict,
                        regex_to_nfa)
@@ -216,10 +217,15 @@ def _cmd_reduce_rational(args) -> int:
 
 def _cmd_solve_semimodule(args) -> int:
     instance = instance_from_dict(json.loads(_read(args.instance)))
-    witness = member_bounded(instance, _parse_window(args.window),
-                             args.max_coeff, _fuel(args, 1))
+    window = _parse_window(args.window)
+    witness = member_bounded(instance, window, args.max_coeff, _fuel(args, 1))
     if witness is None:
-        print("no witness within bounds", file=sys.stderr)
+        if member_is_exact(instance.ring):
+            print(f"no witness in window {','.join(map(str, window))} (exact "
+                  f"elimination over Z/{instance.ring.modulus})",
+                  file=sys.stderr)
+        else:
+            print("no witness within bounds", file=sys.stderr)
         return 1
     _write(_json_dump(witness_to_dict("semimodule", witness)), args.output)
     return 0

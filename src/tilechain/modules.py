@@ -240,10 +240,12 @@ def eval_member_witness(instance: SemimoduleInstance,
 
     Raises :class:`BadTerm` for a term whose generator index is out of
     range or whose coefficient is negative: a semimodule element is a
-    combination with coefficients in N.
+    combination with coefficients in N.  The terms are summed into one
+    dict and reduced into the ring once, so the cost is linear in the
+    witness.
     """
     gens = instance.generators
-    total = zero_element(instance.ring, instance.rank)
+    sums: dict[EntryKey, int] = {}
     for gen, dx, dy, coeff in terms:
         if not 0 <= gen < len(gens):
             raise BadTerm(f"term {(gen, dx, dy, coeff)}: generator {gen} "
@@ -251,8 +253,10 @@ def eval_member_witness(instance: SemimoduleInstance,
         if coeff < 0:
             raise BadTerm(f"term {(gen, dx, dy, coeff)}: negative "
                           f"coefficient")
-        total = total.plus(gens[gen], coeff, dx, dy)
-    return total
+        for (ex, ey, eidx), ev in gens[gen]._entries.items():
+            key = (ex + dx, ey + dy, eidx)
+            sums[key] = sums.get(key, 0) + coeff * ev
+    return ModuleElement(instance.ring, instance.rank, sums)
 
 
 def eval_subset_witness(instance: SemimoduleInstance,
@@ -321,48 +325,179 @@ def _member_mod_prime(instance: SemimoduleInstance,
     (generator, translation) pair, one equation per grid coordinate any
     of them (or the target) touches.  Gaussian elimination decides it
     outright — a None here means no witness exists within the window,
-    not that a budget ran out.
+    not that a budget ran out.  Variables are numbered by generator, then
+    dy, then dx; a generator with no entries gets none.  Equations go by
+    ``(y, x, idx)``.
 
     The rows are brought to echelon form.  Each pivot row is scaled to 1
     at its pivot, its smallest variable, so every other variable in it is
     larger.  An incoming row is reduced by the pivots it holds, smallest
-    first through a heap: subtracting a pivot row brings in only larger
-    variables.  The reduced row is unique.  It is the incoming row plus a
-    vector in the span of the earlier rows, and it is zero at every pivot
-    column; two such rows differ by a combination of pivot rows that is
-    zero at every pivot, and the smallest pivot of a nonzero combination
-    keeps its coefficient, so the difference is zero.  A fully reduced
-    (row-reduced echelon) elimination therefore finds the same reduced
-    rows, the same pivots and the same inconsistent rows.  Finally every
-    free variable is set to 0 and the pivot variables are solved for by
+    first: subtracting a pivot row brings in only larger variables.  The
+    reduced row is unique.  It is the incoming row plus a vector in the
+    span of the earlier rows, and it is zero at every pivot column; two
+    such rows differ by a combination of pivot rows that is zero at every
+    pivot, and the smallest pivot of a nonzero combination keeps its
+    coefficient, so the difference is zero.  A fully reduced (row-reduced
+    echelon) elimination therefore finds the same reduced rows, the same
+    pivots and the same inconsistent rows.  Finally every free variable
+    is set to 0 and the pivot variables are solved for by
     back-substitution, largest pivot first.  The system has exactly one
     solution whose free variables are all zero, so the witness does not
-    depend on how far the rows were reduced.
+    depend on how far the rows were reduced, nor on how a row is stored.
+
+    Over Z/2 and Z/3 a row is packed into Python ints, bit i standing for
+    variable i: the packed rows of M4RI (Albrecht and Bard), and for Z/3
+    the bit slicing of Boothby and Bradshaw.  The rows are built straight
+    from the generators while the variables are numbered.  Over Z/2 a row
+    is one int: reducing it by a pivot is one ``^=``, the next pivot to
+    clear is the lowest set bit of ``row & pivot_mask``, and a pivot
+    variable is its row's right-hand side plus the parity of
+    ``row & solution``.  Over Z/3 a row is two planes, the variables that
+    hold 1 and those that hold 2: negating a row swaps them, adding two
+    rows takes six mask operations, and a pivot that holds 2 is scaled to
+    1 by swapping them.  Other primes keep one dict per row.  Every path
+    numbers the variables, orders the equations and picks pivots alike,
+    so by the argument above every path gives the same witness.
     """
     p = instance.ring.modulus
-    variables: list[tuple[int, int, int]] = []
-    columns: list[list[tuple[EntryKey, int]]] = []
+    packed = p in (2, 3)
     x0, y0, x1, y1 = window
-    for gi, gen in enumerate(instance.generators):
-        items = gen.items()
-        if not items:
-            continue
+    gens = [(gi, gen._entries.items())
+            for gi, gen in enumerate(instance.generators) if gen._entries]
+    target = instance.target._entries
+    # A key (x, y, idx) is coded as one int, in (y, x, idx) order.
+    xs = [x for _, items in gens for (x, _, _), _ in items]
+    low = min([x + x0 for x in xs] + [x for x, _, _ in target], default=0)
+    high = max([x + x1 for x in xs] + [x for x, _, _ in target], default=0)
+    rank = instance.rank
+    line = (high - low + 1) * rank
+
+    def code(x: int, y: int, idx: int) -> int:
+        return y * line + (x - low) * rank + idx
+
+    variables: list[tuple[int, int, int]] = []
+    # Packed rows: code -> int, one dict for the 1s and one for the 2s.
+    planes: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    rows: dict[int, dict[int, int]] = {}  # dict rows: code -> {var: value}
+    for gi, items in gens:
+        cells = [(code(ex, ey, eidx), planes[ev - 1] if packed else ev)
+                 for (ex, ey, eidx), ev in items]
         for sy in range(y0, y1 + 1):
             for sx in range(x0, x1 + 1):
+                var = len(variables)
                 variables.append((gi, sx, sy))
-                columns.append([((ex + sx, ey + sy, eidx), ev)
-                                for (ex, ey, eidx), ev in items])
-    rows: dict[EntryKey, dict[int, int]] = {}
-    for vi, column in enumerate(columns):
-        for key, value in column:
-            rows.setdefault(key, {})[vi] = value % p
-    target = instance.target
-    keys = set(rows) | set(target.support())
+                shift = sy * line + sx * rank
+                if packed:
+                    bit = 1 << var
+                    for base, plane in cells:
+                        c = base + shift
+                        plane[c] = plane.get(c, 0) | bit
+                else:
+                    for base, ev in cells:
+                        rows.setdefault(base + shift, {})[var] = ev
+    rhs = {code(*key): v for key, v in target.items()}
+    if packed:
+        ones, twos = planes
+        solve = _solve_mod_2 if p == 2 else _solve_mod_3
+        solution = solve([(ones.get(c, 0), twos.get(c, 0), rhs.get(c, 0))
+                          for c in sorted(ones.keys() | twos.keys()
+                                          | rhs.keys())])
+    else:
+        solution = _solve_mod_p([(rows.get(c, {}), rhs.get(c, 0))
+                                 for c in sorted(rows.keys() | rhs.keys())], p)
+    if solution is None:
+        return None
+    terms = [WitnessTerm(*variables[var], coeff)
+             for var, coeff in solution.items()]
+    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
+
+
+def _solve_mod_2(equations: list[tuple[int, int, int]]
+                 ) -> Optional[dict[int, int]]:
+    """The echelon elimination of :func:`_member_mod_prime` over Z/2 on
+    equations ``(1s, 2s, rhs)``, whose 2s are empty: the solution as
+    ``{variable: 1}``, or None if the system has none."""
+    pivots: dict[int, tuple[int, int]] = {}  # var -> (row with its bit, rhs)
+    mask = 0
+    for bits, _, rhs in equations:
+        hit = bits & mask
+        while hit:
+            prow, prhs = pivots[(hit & -hit).bit_length() - 1]
+            bits ^= prow
+            rhs ^= prhs
+            hit = bits & mask
+        if not bits:
+            if rhs:
+                return None
+            continue
+        low = bits & -bits
+        pivots[low.bit_length() - 1] = (bits, rhs)
+        mask |= low
+    solution, found = 0, {}
+    for var in sorted(pivots, reverse=True):
+        prow, prhs = pivots[var]
+        if prhs ^ ((prow & solution).bit_count() & 1):
+            solution |= 1 << var
+            found[var] = 1
+    return found
+
+
+def _solve_mod_3(equations: list[tuple[int, int, int]]
+                 ) -> Optional[dict[int, int]]:
+    """The echelon elimination of :func:`_member_mod_prime` over Z/3 on
+    equations ``(1s, 2s, rhs)``: the solution's nonzero values, or None
+    if the system has none."""
+    # var -> (1s, 2s, rhs), scaled so that the pivot bit is in the 1s
+    pivots: dict[int, tuple[int, int, int]] = {}
+    mask = 0
+    for ones, twos, rhs in equations:
+        hit = (ones | twos) & mask
+        while hit:
+            low = hit & -hit
+            q1, q2, prhs = pivots[low.bit_length() - 1]
+            if ones & low:  # subtract the pivot row: add its negation
+                q1, q2 = q2, q1
+                rhs -= prhs
+            else:  # subtract twice the pivot row: add it
+                rhs += prhs
+            t = (ones | q2) ^ (twos | q1)
+            ones, twos = (twos | q2) ^ t, (ones | q1) ^ t
+            hit = (ones | twos) & mask
+        rhs %= 3
+        held = ones | twos
+        if not held:
+            if rhs:
+                return None
+            continue
+        low = held & -held
+        if twos & low:  # scale by 2, the inverse of 2
+            ones, twos, rhs = twos, ones, -rhs % 3
+        pivots[low.bit_length() - 1] = (ones, twos, rhs)
+        mask |= low
+    s1 = s2 = 0  # the solution's planes
+    found = {}
+    for var in sorted(pivots, reverse=True):
+        q1, q2, prhs = pivots[var]
+        # products that are 1 count +1, those that are 2 count -1
+        value = (prhs - ((q1 & s1) | (q2 & s2)).bit_count()
+                 + ((q1 & s2) | (q2 & s1)).bit_count()) % 3
+        if value == 1:
+            s1 |= 1 << var
+        elif value == 2:
+            s2 |= 1 << var
+        if value:
+            found[var] = value
+    return found
+
+
+def _solve_mod_p(equations: list[tuple[dict[int, int], int]],
+                 p: int) -> Optional[dict[int, int]]:
+    """The echelon elimination of :func:`_member_mod_prime` over Z/p on
+    equations ``({var: value}, rhs)``: the solution's nonzero values, or
+    None if the system has none."""
     # pivot variable -> (its row without the pivot, which is 1; rhs)
     pivots: dict[int, tuple[dict[int, int], int]] = {}
-    for key in sorted(keys, key=_entry_sort_key):
-        row = rows.get(key, {})
-        rhs = target.value(*key) % p
+    for row, rhs in equations:
         pending = [var for var in row if var in pivots]
         heapify(pending)
         while pending:
@@ -395,9 +530,7 @@ def _member_mod_prime(instance: SemimoduleInstance,
                             for c, v in prow.items())) % p
         if value:
             solution[var] = value
-    terms = [WitnessTerm(*variables[var], coeff)
-             for var, coeff in solution.items()]
-    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
+    return solution
 
 
 def _branch_search(instance: SemimoduleInstance, window: Window,
@@ -522,6 +655,13 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
     return None
 
 
+def member_is_exact(ring: Ring) -> bool:
+    """Whether :func:`member_bounded` settles membership over ``ring`` by
+    exact elimination, so that its None is a definite no: a prime
+    modulus."""
+    return ring.modulus is not None and _is_prime(ring.modulus)
+
+
 def member_bounded(instance: SemimoduleInstance, window: Window,
                    max_coeff: int = 1,
                    fuel: int = 1_000_000) -> Optional[tuple[WitnessTerm, ...]]:
@@ -542,7 +682,7 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
         raise ValueError("instance mode must be 'semimodule'")
     if max_coeff < 1:
         raise ValueError("max_coeff must be at least 1")
-    if instance.ring.modulus is not None and _is_prime(instance.ring.modulus):
+    if member_is_exact(instance.ring):
         return _member_mod_prime(instance, window)
     return _branch_search(instance, window,
                           _coeff_values(instance.ring, max_coeff), False, fuel)

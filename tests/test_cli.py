@@ -339,6 +339,20 @@ class TestSolveCommands:
         assert code == 1
         assert err == "no witness within bounds\n"
 
+    def test_solve_semimodule_exact_negative(self, capsys, ws, tmp_path):
+        # Over a prime modulus the "no" comes from exact elimination, so
+        # it names the whole window rather than a search bound.
+        inst = tmp_path / "walker2.json"
+        code, _, _ = cli(capsys, "reduce", "semimodule", "--tm",
+                         str(ws.walker), "--input", "a", "--ring", "Zmod:2",
+                         "--out", str(inst))
+        assert code == 0
+        code, out, err = cli(capsys, "solve", "semimodule",
+                             "--instance", str(inst), "--window", "0,0,6,8")
+        assert code == 1 and out == ""
+        assert err == ("no witness in window 0,0,6,8 "
+                       "(exact elimination over Z/2)\n")
+
     def test_solve_subset_sum(self, capsys, ws):
         code, out, _ = cli(capsys, "solve", "subset-sum",
                            "--instance", str(ws.sub_mini_2),

@@ -138,6 +138,13 @@ _TOKEN_BUILDERS = {"pow_tokens", "word_from_tokens", "_conjugate"}
 _TEXT_SPELLERS = {"module_to_word", "cells_to_word", "make_submonoid_instance"}
 
 
+def _callee_name(call: ast.Call):
+    """The bare name or attribute name a call goes through, if any."""
+    callee = call.func
+    return (callee.id if isinstance(callee, ast.Name) else
+            callee.attr if isinstance(callee, ast.Attribute) else None)
+
+
 def _calls_by_name(tree: ast.AST, callers, callees) -> list[str]:
     """Calls, by bare name or attribute name, of any of ``callees`` inside
     the functions named in ``callers``, nested functions included."""
@@ -146,13 +153,8 @@ def _calls_by_name(tree: ast.AST, callers, callees) -> list[str]:
         if not (isinstance(func, ast.FunctionDef) and func.name in callers):
             continue
         for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            name = (callee.id if isinstance(callee, ast.Name) else
-                    callee.attr if isinstance(callee, ast.Attribute) else None)
-            if name in callees:
-                found.append(f"{func.name}:{node.lineno}:{name}")
+            if isinstance(node, ast.Call) and _callee_name(node) in callees:
+                found.append(f"{func.name}:{node.lineno}:{_callee_name(node)}")
     return found
 
 
@@ -183,3 +185,73 @@ def test_calls_by_name_sees_names_attributes_and_nested_calls():
     found = _calls_by_name(tree, _TEXT_SPELLERS, _TOKEN_BUILDERS)
     assert sorted(found) == ["module_to_word:4:pow_tokens",
                              "module_to_word:5:word_from_tokens"]
+
+
+_ELEMENT_MAKERS = {"ModuleElement", "zero_element", "unit", "plus", "scale",
+                   "translate"}
+
+
+def _element_sums_in_loops(tree: ast.AST, callers) -> list[str]:
+    """``+`` and ``+=`` inside a loop of the functions named in ``callers``
+    with a module element as an operand: a name the function binds to a
+    call of an element maker, or an item of ``gens``."""
+    found = set()
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name in callers):
+            continue
+        elements = {target.id for node in ast.walk(func)
+                    if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and _callee_name(node.value) in _ELEMENT_MAKERS
+                    for target in node.targets
+                    if isinstance(target, ast.Name)}
+
+        def is_element(expr) -> bool:
+            if isinstance(expr, ast.Subscript):
+                expr = expr.value
+                return isinstance(expr, ast.Name) and expr.id == "gens"
+            return isinstance(expr, ast.Name) and expr.id in elements
+
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.BinOp):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.AugAssign):
+                    operands = (node.target, node.value)
+                else:
+                    continue
+                if isinstance(node.op, ast.Add) and any(map(is_element,
+                                                            operands)):
+                    found.add((func.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_witness_sum_adds_no_elements_in_its_loop():
+    # Adding one term at a time to an immutable element copies the running
+    # total for every term, so checking a witness was quadratic in its
+    # size; the terms go into one mutable dict instead.
+    tree = ast.parse((SRC / "modules.py").read_text())
+    callers = {"eval_member_witness"}
+    assert _calls_by_name(tree, callers, {"plus", "__add__"}) == []
+    assert _element_sums_in_loops(tree, callers) == []
+
+
+def test_element_sums_in_loops_sees_names_items_and_augmented_adds():
+    tree = ast.parse(textwrap.dedent("""
+        def eval_member_witness(instance, terms):
+            total = zero_element(instance.ring, instance.rank)
+            sums = {}
+            for gen, dx, dy, coeff in terms:
+                sums[dx] = sums.get(dx, 0) + coeff
+                total = total + gens[gen]
+                total += gens[gen].translate(dx, dy)
+                while coeff:
+                    coeff -= 1
+                    total = gens[gen] + total
+            return total + zero_element(instance.ring, instance.rank)
+    """))
+    assert _element_sums_in_loops(tree, {"eval_member_witness"}) == [
+        "eval_member_witness:7", "eval_member_witness:8",
+        "eval_member_witness:11"]

@@ -280,6 +280,39 @@ class TestWitnessEvaluation:
                                           r"coefficient"):
             witness_to_submonoid_certificate((WitnessTerm(0, 2, 1, -1),), sub)
 
+    @pytest.mark.parametrize("ring", [Z, Ring(2), Ring(3), Ring(4)],
+                             ids=lambda ring: ring.name)
+    def test_sum_equals_fold_of_plus(self, ring):
+        # One accumulator, reduced once, gives the fold of one `plus` per
+        # term, also where the terms cancel at some keys or at all of them.
+        rng = random.Random(f"witness-sum:{ring.name}")
+        g = ModuleElement(ring, 2, {(0, 0, 0): 1, (1, 0, 1): -1})
+        gens = (g, -g, ModuleElement(ring, 2, {(0, 0, 0): -1, (0, 1, 0): 2}),
+                zero_element(ring, 2))
+        inst = SemimoduleInstance(ring, 2, gens, zero_element(ring, 2))
+        zeros = partly = 0
+        for _ in range(300):
+            terms = [WitnessTerm(rng.randrange(len(gens)), rng.randint(-2, 2),
+                                 rng.randint(-2, 2), rng.randint(0, 3))
+                     for _ in range(rng.choice((0, rng.randint(1, 8))))]
+            for _ in range(rng.randint(1, 3)):  # g and -g at one shift
+                dx, dy, coeff = (rng.randint(-2, 2), rng.randint(-2, 2),
+                                 rng.randint(1, 3))
+                terms += [WitnessTerm(0, dx, dy, coeff),
+                          WitnessTerm(1, dx, dy, coeff)]
+            if ring.modulus is not None:  # n copies of any generator
+                terms += [WitnessTerm(2, 1, 0, 1)] * ring.modulus
+            rng.shuffle(terms)
+            fold = zero_element(ring, 2)
+            for gen, dx, dy, coeff in terms:
+                fold = fold.plus(gens[gen], coeff, dx, dy)
+            total = eval_member_witness(inst, terms)
+            assert total == fold and total._entries == fold._entries
+            zeros += total.is_zero()
+            partly += not total.is_zero() and any(
+                t.gen < 2 and t.coeff for t in terms)
+        assert zeros >= 30 and partly >= 30
+
 
 # ---------------------------------------------------------------------------
 # bounded searches: small hand-built instances
@@ -804,6 +837,115 @@ class TestReferenceEquivalence:
             assert search(inst, window, nodes) == expected
             assert search(inst, window, nodes - 1) is None
         assert found >= 80 and deep >= 20
+
+
+class TestPackedElimination:
+    """Over Z/2 and Z/3 the elimination runs on bit-packed rows; it gives
+    the reference's answer term for term on systems of every size and on
+    the edge cases of the variable numbering."""
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    @pytest.mark.parametrize("name,word", [
+        ("unary-eraser", "a"),
+        ("unary-eraser", "aa"),
+        ("unary-eraser", "aaa"),
+        ("unary-eraser", "aaaa"),
+        ("two-symbol-eraser", "ab"),
+    ])
+    def test_tiling_systems_match_reference(self, artifacts, name, word,
+                                            modulus):
+        # 1,248 to 4,368 variables: rows span dozens of machine words.
+        pipe = artifacts.pipeline(name, word)
+        inst = tiling_to_instance(pipe.ts,
+                                  initial_map(pipe.tm, word, Ring(modulus)))
+        window = default_window(pipe.cert)
+        expected = reference_member_mod_prime(inst, window)
+        assert expected is not None and verify_witness(inst, expected)
+        assert member_bounded(inst, window) == expected
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_walker_refusal_matches_reference(self, artifacts, modulus):
+        inst = tiling_to_instance(
+            artifacts.tiling("right-walker"),
+            initial_map(artifacts.machines["right-walker"], "a",
+                        Ring(modulus)))
+        assert reference_member_mod_prime(inst, (0, 0, 6, 8)) is None
+        assert member_bounded(inst, (0, 0, 6, 8)) is None
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_large_random_windows_match_reference(self, modulus):
+        # 14 x 11 translations and two to four generators: 308 to 616
+        # variables, more than fit in one machine word.
+        ring = Ring(modulus)
+        rng = random.Random(f"packed:{modulus}")
+        window = (-1, -1, 12, 9)
+        shifts = _shifts(window)
+        found = refused = 0
+        for _ in range(12):
+            gens = tuple(ModuleElement(ring, 2, {
+                (rng.randint(0, 2), rng.randint(0, 2), rng.randrange(2)):
+                    rng.randint(1, modulus - 1)
+                for _ in range(rng.randint(1, 5))})
+                for _ in range(rng.randint(2, 4)))
+            target = zero_element(ring, 2)
+            for sx, sy in rng.sample(shifts, rng.randint(5, 40)):
+                target = target.plus(gens[rng.randrange(len(gens))],
+                                     rng.randint(1, modulus - 1), sx, sy)
+            if rng.random() < 0.4:
+                target = target.plus(unit(ring, 2, rng.randint(0, 10),
+                                          rng.randint(0, 8), 0))
+            inst = SemimoduleInstance(ring, 2, gens, target)
+            expected = reference_member_mod_prime(inst, window)
+            assert member_bounded(inst, window) == expected
+            if expected is None:
+                refused += 1
+            else:
+                found += 1
+                assert verify_witness(inst, expected)
+        assert found >= 3 and refused >= 1
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_target_key_no_generator_reaches(self, modulus):
+        ring = Ring(modulus)
+        g = ModuleElement(ring, 2, {(0, 0, 0): 1, (1, 0, 0): modulus - 1})
+        reachable = g.translate(1, 1)
+        window = (0, 0, 3, 3)
+        for stray in (unit(ring, 2, 1, 1, 1),     # a coordinate g never has
+                      unit(ring, 2, 9, 9, 0),     # a cell out of reach
+                      unit(ring, 2, -5, 0, 1)):   # left of every key
+            inst = SemimoduleInstance(ring, 2, (g,), reachable + stray)
+            assert reference_member_mod_prime(inst, window) is None
+            assert member_bounded(inst, window) is None
+        inst = SemimoduleInstance(ring, 2, (g,), reachable)
+        assert member_bounded(inst, window) == (WitnessTerm(0, 1, 1, 1),)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_generators_without_entries_are_skipped(self, modulus):
+        # Empty generators get no variables, so the others keep their
+        # numbers relative to each other and the witness names the
+        # generators by their place in the instance.
+        ring = Ring(modulus)
+        empty = zero_element(ring, 1)
+        f = ModuleElement(ring, 1, {(0, 0, 0): 1, (0, 1, 0): 1})
+        h = unit(ring, 1, 0, 0, 0)
+        target = f.translate(2, 0).plus(h, modulus - 1, 0, 1)
+        inst = SemimoduleInstance(ring, 1, (empty, f, empty, h), target)
+        window = (0, 0, 2, 2)
+        expected = reference_member_mod_prime(inst, window)
+        assert expected is not None and verify_witness(inst, expected)
+        assert member_bounded(inst, window) == expected
+        assert {t.gen for t in expected} <= {1, 3}
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_zero_target_gives_empty_witness(self, modulus):
+        ring = Ring(modulus)
+        empty = zero_element(ring, 1)
+        for gens in ((unit(ring, 1, 0, 0, 0),), (empty,), ()):
+            inst = SemimoduleInstance(ring, 1, gens, empty)
+            assert member_bounded(inst, (0, 0, 2, 2)) == ()
+            nonzero = SemimoduleInstance(ring, 1, gens,
+                                         unit(ring, 1, 5, 5, 0))
+            assert member_bounded(nonzero, (0, 0, 2, 2)) is None
 
 
 def test_subset_sum_needs_no_recursion():
