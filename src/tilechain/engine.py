@@ -10,13 +10,14 @@ checks that the starting map is cancelled exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .compiler import EmptyInput, compile_tiles
 from .deduce import MalformedInput, parse_initial_shape
 from .edges import EdgeMap, evaluate_placements
 from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Placement, Tile,
-                     TilingSystem, head, letter, sort_placements, state)
+                     TilingSystem, head, letter, state)
 from .tm import RunTrace, TuringMachine, run, tape_extent
 
 
@@ -52,58 +53,60 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
     n = len(symbols)
     m = builder_width(trace, n)
     blank = tm.blank
+    b0, b1, b2, b3, b4, b5, b6, b7 = (ts.tile_named(f"b{i}")
+                                      for i in range(8))
+    # A run that leaves the tape alphabet has no colors in the system, and
+    # compile_tiles refused it, so every cell's symbol has both carries.
+    left_carry = {a: pick(letter(a), TRI_L, letter(a), TRI_L)
+                  for a in tm.tape_alphabet}
+    right_carry = {a: pick(letter(a), TRI_R, letter(a), TRI_R)
+                   for a in tm.tape_alphabet}
+    # Rows go out bottom first, each left to right: the order a Certificate
+    # stores.
     placements: list[Placement] = []
 
     for x in range(n + 1, m):
-        placements.append(Placement(ts.tile_named("b0"), x, 0))
-    placements.append(Placement(ts.tile_named("b1"), m, 0))
+        placements.append(Placement(b0, x, 0))
+    placements.append(Placement(b1, m, 0))
 
-    b7 = ts.tile_named("b7")
-    b2 = ts.tile_named("b2")
     for y in range(1, len(trace.configs)):
         config = trace.configs[y - 1]
         if tape_extent(config, blank) > m - 1:
             raise AssertionError(f"row {y} needs more than {m - 1} cells")
-
-        def cell(k: int) -> str:
-            return config.tape[k] if k < len(config.tape) else blank
-
+        cells = config.tape + (blank,) * (m - len(config.tape))
         q, head_pos = config.state, config.head
-        a = cell(head_pos)
+        a = cells[head_pos]
         p, b, move = tm.transitions[(q, a)]
         j = head_pos + 1
-        row: dict[int, Tile] = {0: b7, m: b2}
+        # The row is b7, left carries, the two head tiles, right carries
+        # and b2; the head tiles start at column left_end + 1.
         if move == "L":
             if j < 2:
                 raise AssertionError(f"row {y}: left move from column {j}")
-            row[j] = pick(letter(b), TRI_R, head(q, a), state(p))
-            row[j - 1] = pick(head(p, cell(head_pos - 1)), state(p),
-                              letter(cell(head_pos - 1)), TRI_L)
-            left_end, right_start = j - 2, j + 1
+            east = pick(letter(b), TRI_R, head(q, a), state(p))
+            west = pick(head(p, cells[head_pos - 1]), state(p),
+                        letter(cells[head_pos - 1]), TRI_L)
+            left_end = j - 2
         else:
             if j > m - 2:
                 raise AssertionError(f"row {y}: right move from column {j}")
-            row[j] = pick(letter(b), state(p), head(q, a), TRI_L)
-            row[j + 1] = pick(head(p, cell(head_pos + 1)), TRI_R,
-                              letter(cell(head_pos + 1)), state(p))
-            left_end, right_start = j - 1, j + 2
-        for x in range(1, left_end + 1):
-            la = letter(cell(x - 1))
-            row[x] = pick(la, TRI_L, la, TRI_L)
-        for x in range(right_start, m):
-            la = letter(cell(x - 1))
-            row[x] = pick(la, TRI_R, la, TRI_R)
-        for x in sorted(row):
-            placements.append(Placement(row[x], x, y))
+            west = pick(letter(b), state(p), head(q, a), TRI_L)
+            east = pick(head(p, cells[head_pos + 1]), TRI_R,
+                        letter(cells[head_pos + 1]), state(p))
+            left_end = j - 1
+        row = [b7, *map(left_carry.__getitem__, cells[:left_end]), west,
+               east, *map(right_carry.__getitem__, cells[left_end + 2:m - 1]),
+               b2]
+        placements += map(Placement, row, range(m + 1), repeat(y))
 
     cap_y = len(trace.configs)
-    placements.append(Placement(ts.tile_named("b6"), 0, cap_y))
-    placements.append(Placement(ts.tile_named("b5"), 1, cap_y))
+    placements.append(Placement(b6, 0, cap_y))
+    placements.append(Placement(b5, 1, cap_y))
     for x in range(2, m):
-        placements.append(Placement(ts.tile_named("b4"), x, cap_y))
-    placements.append(Placement(ts.tile_named("b3"), m, cap_y))
+        placements.append(Placement(b4, x, cap_y))
+    placements.append(Placement(b3, m, cap_y))
 
-    return Certificate(sort_placements(placements), m, cap_y)
+    return Certificate(tuple(placements), m, cap_y)
 
 
 def verify_zero(f0: EdgeMap, cert: Certificate, ts: TilingSystem) -> bool:

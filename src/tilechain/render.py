@@ -54,9 +54,21 @@ def render_edgemap_ascii(f: EdgeMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _glyphs_by_tile(tiles) -> dict[int, tuple[str, str, str, str]]:
+    """Side glyphs (north, east, south, west) of each distinct tile, keyed
+    by object.  Placements share their tile objects, so each tile is drawn
+    once without hashing its colors once per placement."""
+    distinct = {id(tile): tile for tile in tiles}
+    return {key: tuple(map(color_glyph, tile.sides()))
+            for key, tile in distinct.items()}
+
+
 def render_certificate_ascii(cert: Certificate) -> str:
     """Draw each placed tile as a bordered box with its four side colors
-    (north and south on the borders, west and east inside)."""
+    (north and south on the borders, west and east inside).
+
+    A stacked cell shows its last placement.  Each distinct tile's box is
+    drawn once; a grid row is then one box per column, blank for a gap."""
     if not cert.placements:
         return ""
     grid = {(p.x, p.y): p.tile for p in cert.placements}
@@ -64,29 +76,26 @@ def render_certificate_ascii(cert: Certificate) -> str:
     ys = [y for _, y in grid]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     _check_span(xmin, xmax, ymin, ymax)
-    glyphs = {pos: tuple(color_glyph(c) for c in tile.sides())
-              for pos, tile in grid.items()}
-    inner = max(max(len(n) for g in glyphs.values() for n in g) * 2 + 2, 8)
-    blank = " " * (inner + 2)
+    glyphs = _glyphs_by_tile(grid.values())
+    inner = max(max(len(g) for sides in glyphs.values() for g in sides) * 2
+                + 2, 8)
+    side = "|" + " " * inner + "|"
+    boxes = {}
+    for key, (n, e, s, w) in glyphs.items():
+        pad = " " * (inner - len(w) - len(e))
+        boxes[key] = ("+" + n.center(inner, "-") + "+", side,
+                      "|" + w + pad + e + "|", side,
+                      "+" + s.center(inner, "-") + "+")
+    at = {pos: boxes[id(tile)] for pos, tile in grid.items()}
+    blank = (" " * (inner + 2),) * 5
+    columns = range(xmin, xmax + 1)
     lines: list[str] = []
     for y in range(ymax, ymin - 1, -1):
-        band = [[] for _ in range(5)]
-        for x in range(xmin, xmax + 1):
-            if (x, y) not in glyphs:
-                for part in band:
-                    part.append(blank)
-                continue
-            n, e, s, w = glyphs[(x, y)]
-            band[0].append("+" + n.center(inner, "-") + "+")
-            band[1].append("|" + " " * inner + "|")
-            pad = " " * (inner - len(w) - len(e))
-            band[2].append("|" + w + pad + e + "|")
-            band[3].append("|" + " " * inner + "|")
-            band[4].append("+" + s.center(inner, "-") + "+")
-        labels = ["", "", f"y={y} ", "", ""]
-        margin = max(len(lab) for lab in labels)
-        for lab, part in zip(labels, band):
-            lines.append((lab.ljust(margin) + "".join(part)).rstrip())
+        label = f"y={y} "
+        margin = " " * len(label)
+        band = zip(*[at.get((x, y), blank) for x in columns])
+        for lead, part in zip((margin, margin, label, margin, margin), band):
+            lines.append((lead + "".join(part)).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +125,11 @@ def _svg_y(y: int, ymax: int, pad: int) -> int:
 
 
 def render_certificate_svg(cert: Certificate) -> str:
-    """One rectangle per placement, side colors as labels."""
+    """One rectangle per placement, side colors as labels.
+
+    Each distinct tile's rectangle-and-labels block is cut once into the
+    text between its coordinates, and each column's and row's coordinates
+    are spelled once; a placement is then one join of the three."""
     if not cert.placements:
         return ('<?xml version="1.0" encoding="UTF-8"?>\n'
                 '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -127,20 +140,37 @@ def render_certificate_svg(cert: Certificate) -> str:
     _check_span(xmin, xmax, ymin, ymax)
     lines, pad = _svg_header(xmin, ymin, xmax, ymax)
     u = _SVG_UNIT
-    for p in cert.placements:
-        left = _svg_x(p.x, xmin, pad)
-        top = _svg_y(p.y, ymax, pad) - u
-        n, e, s, w = (color_glyph(c) for c in p.tile.sides())
-        lines.append(f'<rect x="{left}" y="{top}" width="{u}" height="{u}" '
-                     f'fill="none" stroke="black"/>')
-        cx = left + u // 2
-        lines.append(f'<text x="{cx}" y="{top + 12}" '
-                     f'text-anchor="middle">{n}</text>')
-        lines.append(f'<text x="{cx}" y="{top + u - 4}" '
-                     f'text-anchor="middle">{s}</text>')
-        lines.append(f'<text x="{left + 4}" y="{top + u // 2}">{w}</text>')
-        lines.append(f'<text x="{left + u - 4}" y="{top + u // 2}" '
-                     f'text-anchor="end">{e}</text>')
+    # x strings of the rectangle and of the north/south, west and east
+    # labels, each followed by the text up to its y value.
+    columns = {}
+    for x in range(xmin, xmax + 1):
+        left = _svg_x(x, xmin, pad)
+        columns[x] = (f'<rect x="{left}" y="', f'{left + u // 2}" y="',
+                      f'{left + 4}" y="', f'{left + u - 4}" y="')
+    # y strings of the rectangle and of the north, south and side labels.
+    rows = {}
+    for y in range(ymin, ymax + 1):
+        top = _svg_y(y, ymax, pad) - u
+        rows[y] = (str(top), str(top + 12), str(top + u - 4),
+                   str(top + u // 2))
+    # The labels are joined in as text, never used as a format string.
+    blocks = {}
+    for key, (n, e, s, w) in _glyphs_by_tile(
+            p.tile for p in cert.placements).items():
+        blocks[key] = (
+            f'" width="{u}" height="{u}" fill="none" stroke="black"/>'
+            '\n<text x="',
+            '" text-anchor="middle">' + n + '</text>\n<text x="',
+            '" text-anchor="middle">' + s + '</text>\n<text x="',
+            '">' + w + '</text>\n<text x="',
+            '" text-anchor="end">' + e + '</text>')
+    for tile, x, y in cert.placements:
+        rect, center, west, east = columns[x]
+        top, north_y, south_y, side_y = rows[y]
+        b0, b1, b2, b3, b4 = blocks[id(tile)]
+        lines.append("".join((rect, top, b0, center, north_y, b1, center,
+                              south_y, b2, west, side_y, b3, east, side_y,
+                              b4)))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -174,11 +174,11 @@ def run(tm: TuringMachine, word: str | list[str], fuel: int) -> Optional[RunTrac
 
 def tape_extent(config: Configuration, blank: str) -> int:
     """Number of cells needed to hold the head and every non-blank cell."""
-    last = -1
-    for i, sym in enumerate(config.tape):
-        if sym != blank:
-            last = i
-    return max(config.head + 1, last + 1)
+    tape = config.tape
+    end = len(tape)
+    while end and tape[end - 1] == blank:
+        end -= 1
+    return max(config.head + 1, end)
 
 
 # -- normalization ----------------------------------------------------------

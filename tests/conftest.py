@@ -15,7 +15,8 @@ import pytest
 
 from tilechain import (Certificate, EdgeMap, TilingSystem, TuringMachine, Z,
                        build_accepting_tiling, compile_tiles, corpus,
-                       forced_search, initial_map, mini_eraser, normalize)
+                       forced_search, initial_map, mini_eraser, normalize,
+                       unary_eraser)
 
 # Far beyond any accepting trace of the corpus machines (all accept within
 # ~15 steps on inputs of length <= 5), yet cheap enough that the looping
@@ -31,6 +32,27 @@ def machine_table() -> dict[str, TuringMachine]:
     table["mini-eraser"] = normalize(mini_eraser())
     table["mini-raw"] = mini_eraser()
     return table
+
+
+def awkward_eraser() -> TuringMachine:
+    """The unary eraser with state and letter names that are markup or
+    format syntax elsewhere: ``%``, ``{``, ``}``, ``<`` and ``&``.  Its
+    input letter is ``AWKWARD_LETTER``."""
+    tm = unary_eraser()
+    states = {q: f"{q}%{{s}}<&" for q in tm.states}
+    letters = {"a": AWKWARD_LETTER, tm.blank: "&{0}%%"}
+    return TuringMachine(
+        states=tuple(states[q] for q in tm.states),
+        tape_alphabet=tuple(letters[a] for a in tm.tape_alphabet),
+        input_alphabet=tuple(letters[a] for a in tm.input_alphabet),
+        blank=letters[tm.blank],
+        initial=states[tm.initial],
+        accepting=states[tm.accepting],
+        transitions={(states[q], letters[a]): (states[p], letters[b], move)
+                     for (q, a), (p, b, move) in tm.transitions.items()})
+
+
+AWKWARD_LETTER = "<a%s&}"
 
 
 def all_words(tm: TuringMachine, max_len: int = 4) -> list[str]:

@@ -8,10 +8,12 @@ from tilechain import (Certificate, EdgeMap, EmptyInput, MalformedInput,
                        compile_tiles, default_window, forced_search,
                        initial_map, parse_initial_shape, run, verify_zero)
 from tilechain.machines import (BLANK, mini_eraser, right_walker,
-                                unary_eraser)
-from tilechain.tiling import ARROW_D, ARROW_R, head, letter
+                                two_symbol_eraser, unary_eraser)
+from tilechain.tiling import (ARROW_D, ARROW_R, TRI_L, TRI_R, head, letter,
+                              sort_placements, state)
+from tilechain.tm import tape_extent
 
-from conftest import RUN_FUEL
+from conftest import AWKWARD_LETTER, RUN_FUEL, awkward_eraser
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +175,95 @@ class TestForcedSearch:
         cert = artifacts.pipeline("unary-eraser", "a").cert
         assert artifacts.forced("unary-eraser", "a",
                                 cert.width_m, cert.rows - 1) is None
+
+
+def reference_build(tm, word, fuel):
+    """The builder as it was before each carry tile was picked once: one
+    ``letter`` and one side lookup per cell, then a sort."""
+    symbols = list(word)
+    trace = run(tm, symbols, fuel)
+    ts = compile_tiles(tm)
+    by_sides = {t.sides(): t for t in ts.tiles}
+
+    def pick(n_, e_, s_, w_):
+        return by_sides[(n_, e_, s_, w_)]
+
+    n = len(symbols)
+    m = builder_width(trace, n)
+    blank = tm.blank
+    placements = []
+    for x in range(n + 1, m):
+        placements.append(Placement(ts.tile_named("b0"), x, 0))
+    placements.append(Placement(ts.tile_named("b1"), m, 0))
+    b7 = ts.tile_named("b7")
+    b2 = ts.tile_named("b2")
+    for y in range(1, len(trace.configs)):
+        config = trace.configs[y - 1]
+        assert tape_extent(config, blank) <= m - 1
+
+        def cell(k):
+            return config.tape[k] if k < len(config.tape) else blank
+
+        q, head_pos = config.state, config.head
+        a = cell(head_pos)
+        p, b, move = tm.transitions[(q, a)]
+        j = head_pos + 1
+        row = {0: b7, m: b2}
+        if move == "L":
+            row[j] = pick(letter(b), TRI_R, head(q, a), state(p))
+            row[j - 1] = pick(head(p, cell(head_pos - 1)), state(p),
+                              letter(cell(head_pos - 1)), TRI_L)
+            left_end, right_start = j - 2, j + 1
+        else:
+            row[j] = pick(letter(b), state(p), head(q, a), TRI_L)
+            row[j + 1] = pick(head(p, cell(head_pos + 1)), TRI_R,
+                              letter(cell(head_pos + 1)), state(p))
+            left_end, right_start = j - 1, j + 2
+        for x in range(1, left_end + 1):
+            la = letter(cell(x - 1))
+            row[x] = pick(la, TRI_L, la, TRI_L)
+        for x in range(right_start, m):
+            la = letter(cell(x - 1))
+            row[x] = pick(la, TRI_R, la, TRI_R)
+        for x in sorted(row):
+            placements.append(Placement(row[x], x, y))
+    cap_y = len(trace.configs)
+    placements.append(Placement(ts.tile_named("b6"), 0, cap_y))
+    placements.append(Placement(ts.tile_named("b5"), 1, cap_y))
+    for x in range(2, m):
+        placements.append(Placement(ts.tile_named("b4"), x, cap_y))
+    placements.append(Placement(ts.tile_named("b3"), m, cap_y))
+    return Certificate(sort_placements(placements), m, cap_y)
+
+
+def spelled(cert):
+    """Every placement with its tile's name, which certificate equality
+    ignores, plus the dimensions."""
+    return ([(p.tile.name, p.tile.sides(), p.x, p.y)
+             for p in cert.placements], cert.width_m, cert.rows)
+
+
+class TestBuilderReference:
+    @pytest.mark.parametrize("n", [1, 5, 16, 40])
+    def test_unary(self, n):
+        tm, word = unary_eraser(), "a" * n
+        fuel = 64 * (n + 2)
+        assert spelled(build_accepting_tiling(tm, word, fuel)) == \
+            spelled(reference_build(tm, word, fuel))
+
+    @pytest.mark.parametrize("word", ["ab", "aab", "abba", "abbb", "abab" * 5])
+    def test_two_symbol(self, word):
+        tm, fuel = two_symbol_eraser(), 64 * (len(word) + 2)
+        assert spelled(build_accepting_tiling(tm, word, fuel)) == \
+            spelled(reference_build(tm, word, fuel))
+
+    def test_corpus_words(self, artifacts):
+        for name, word in artifacts.accepted_pairs():
+            tm = artifacts.machines[name]
+            assert spelled(artifacts.pipeline(name, word).cert) == \
+                spelled(reference_build(tm, word, RUN_FUEL)), (name, word)
+
+    def test_names_with_markup_and_format_syntax(self):
+        tm, word = awkward_eraser(), [AWKWARD_LETTER] * 4
+        assert spelled(build_accepting_tiling(tm, word, RUN_FUEL)) == \
+            spelled(reference_build(tm, word, RUN_FUEL))

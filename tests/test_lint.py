@@ -255,3 +255,87 @@ def test_element_sums_in_loops_sees_names_items_and_augmented_adds():
     assert _element_sums_in_loops(tree, {"eval_member_witness"}) == [
         "eval_member_witness:7", "eval_member_witness:8",
         "eval_member_witness:11"]
+
+
+def _per_iteration_parts(loop: ast.AST) -> list[ast.AST]:
+    """The parts of a loop or comprehension that run once per iteration;
+    a loop's first iterable and a ``for`` loop's ``else`` run once."""
+    if isinstance(loop, ast.For):
+        return loop.body
+    if isinstance(loop, ast.While):
+        return [loop.test, *loop.body]
+    if isinstance(loop, ast.DictComp):
+        parts = [loop.key, loop.value]
+    elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        parts = [loop.elt]
+    else:
+        return []
+    for i, gen in enumerate(loop.generators):
+        parts += gen.ifs
+        if i:
+            parts.append(gen.iter)
+    return parts
+
+
+def _calls_in_loops(tree: ast.AST, callers, callees) -> list[str]:
+    """Calls of any of ``callees`` that run once per iteration of a loop or
+    comprehension in the functions named in ``callers``: called by bare or
+    attribute name, or passed by name to another call, as to ``map``."""
+    found = set()
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name in callers):
+            continue
+        for loop in ast.walk(func):
+            for part in _per_iteration_parts(loop):
+                for node in ast.walk(part):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    names = [_callee_name(node)]
+                    names += [arg.id for arg in node.args
+                              if isinstance(arg, ast.Name)]
+                    found.update((func.name, node.lineno, name)
+                                 for name in names if name in callees)
+    return [f"{name}:{line}:{callee}"
+            for name, line, callee in sorted(found)]
+
+
+_CERTIFICATE_RENDERERS = {"render_certificate_ascii", "render_certificate_svg"}
+_TILE_DRAWERS = {"color_glyph", "_glyphs_by_tile"}
+
+
+def test_renderers_draw_each_tile_outside_their_loops():
+    # A certificate has thousands of placements but a few dozen distinct
+    # tiles; drawing glyphs per placement made rendering a third of the
+    # certify chain.  Each distinct tile is drawn once, before the loops.
+    tree = ast.parse((SRC / "render.py").read_text())
+    funcs = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert _CERTIFICATE_RENDERERS | {"_glyphs_by_tile"} <= funcs
+    assert _calls_in_loops(tree, _CERTIFICATE_RENDERERS, _TILE_DRAWERS) == []
+
+
+def test_calls_in_loops_sees_per_iteration_parts_only():
+    tree = ast.parse(textwrap.dedent("""
+        def render_certificate_svg(cert):
+            glyphs = _glyphs_by_tile(p.tile for p in cert.placements)
+            for key, sides in _glyphs_by_tile(cert.placements).items():
+                boxes[key] = tiling.color_glyph(sides)
+                for side in sides:
+                    names.append(color_glyph(side))
+            else:
+                color_glyph(None)
+            while todo:
+                todo.pop().draw(color_glyph)
+            return {c: color_glyph(c) for c in cert.colors
+                    for d in color_glyph(c) if keep(color_glyph(d))}
+
+        def other(cert):
+            for p in cert.placements:
+                color_glyph(p)
+    """))
+    assert _calls_in_loops(tree, _CERTIFICATE_RENDERERS, _TILE_DRAWERS) == [
+        "render_certificate_svg:5:color_glyph",
+        "render_certificate_svg:7:color_glyph",
+        "render_certificate_svg:11:color_glyph",
+        "render_certificate_svg:12:color_glyph",
+        "render_certificate_svg:13:color_glyph"]

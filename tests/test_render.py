@@ -1,6 +1,7 @@
 """Tests for text and SVG renderings: golden-file comparisons, byte
 determinism across fresh builds, and structural properties."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -8,15 +9,23 @@ import pytest
 from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import EdgeMap, Z
 from tilechain.engine import build_accepting_tiling
-from tilechain.machines import unary_eraser
+from tilechain.machines import two_symbol_eraser, unary_eraser
 from tilechain.render import (
     UnboundedSupport,
+    _check_span,
+    _svg_header,
+    _svg_x,
+    _svg_y,
+    _SVG_UNIT,
     render_certificate_ascii,
     render_certificate_svg,
     render_edgemap_ascii,
     render_edgemap_svg,
 )
-from tilechain.tiling import Certificate, Color, Placement
+from tilechain.tiling import (ARROW_R, C0, Certificate, Color, Placement,
+                              Tile, color_glyph, letter)
+
+from conftest import AWKWARD_LETTER, awkward_eraser
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -119,3 +128,142 @@ class TestSpanLimit:
             render_certificate_ascii(cert)
         with pytest.raises(UnboundedSupport):
             render_certificate_svg(cert)
+
+
+# -- reference renderers ----------------------------------------------------
+# The per-placement bodies the renderers had before each distinct tile was
+# drawn once.  The renderers must give the same bytes.
+
+def reference_ascii(cert):
+    if not cert.placements:
+        return ""
+    grid = {(p.x, p.y): p.tile for p in cert.placements}
+    xs = [x for x, _ in grid]
+    ys = [y for _, y in grid]
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    _check_span(xmin, xmax, ymin, ymax)
+    glyphs = {pos: tuple(color_glyph(c) for c in tile.sides())
+              for pos, tile in grid.items()}
+    inner = max(max(len(n) for g in glyphs.values() for n in g) * 2 + 2, 8)
+    blank = " " * (inner + 2)
+    lines = []
+    for y in range(ymax, ymin - 1, -1):
+        band = [[] for _ in range(5)]
+        for x in range(xmin, xmax + 1):
+            if (x, y) not in glyphs:
+                for part in band:
+                    part.append(blank)
+                continue
+            n, e, s, w = glyphs[(x, y)]
+            band[0].append("+" + n.center(inner, "-") + "+")
+            band[1].append("|" + " " * inner + "|")
+            pad = " " * (inner - len(w) - len(e))
+            band[2].append("|" + w + pad + e + "|")
+            band[3].append("|" + " " * inner + "|")
+            band[4].append("+" + s.center(inner, "-") + "+")
+        labels = ["", "", f"y={y} ", "", ""]
+        margin = max(len(lab) for lab in labels)
+        for lab, part in zip(labels, band):
+            lines.append((lab.ljust(margin) + "".join(part)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def reference_svg(cert):
+    if not cert.placements:
+        return EMPTY_SVG
+    xs = [p.x for p in cert.placements]
+    ys = [p.y for p in cert.placements]
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    _check_span(xmin, xmax, ymin, ymax)
+    lines, pad = _svg_header(xmin, ymin, xmax, ymax)
+    u = _SVG_UNIT
+    for p in cert.placements:
+        left = _svg_x(p.x, xmin, pad)
+        top = _svg_y(p.y, ymax, pad) - u
+        n, e, s, w = (color_glyph(c) for c in p.tile.sides())
+        lines.append(f'<rect x="{left}" y="{top}" width="{u}" height="{u}" '
+                     f'fill="none" stroke="black"/>')
+        cx = left + u // 2
+        lines.append(f'<text x="{cx}" y="{top + 12}" '
+                     f'text-anchor="middle">{n}</text>')
+        lines.append(f'<text x="{cx}" y="{top + u - 4}" '
+                     f'text-anchor="middle">{s}</text>')
+        lines.append(f'<text x="{left + 4}" y="{top + u // 2}">{w}</text>')
+        lines.append(f'<text x="{left + u - 4}" y="{top + u // 2}" '
+                     f'text-anchor="end">{e}</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_reference(cert):
+    assert render_certificate_ascii(cert) == reference_ascii(cert)
+    assert render_certificate_svg(cert) == reference_svg(cert)
+
+
+def tile(n, e, s, w, name=""):
+    return Tile(n, e, s, w, name=name)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("n", [1, 5, 16, 40])
+    def test_unary(self, n):
+        tm = unary_eraser()
+        assert_matches_reference(
+            build_accepting_tiling(tm, "a" * n, 64 * (n + 2)))
+
+    @pytest.mark.parametrize("word", ["ab", "abba", "abab" * 5, "a" * 3])
+    def test_two_symbol(self, word):
+        tm = two_symbol_eraser()
+        assert_matches_reference(
+            build_accepting_tiling(tm, word, 64 * (len(word) + 2)))
+
+    @pytest.mark.parametrize("name, word", [("unary-eraser", "aa"),
+                                            ("mini-raw", "a")])
+    def test_forced_search_certificate(self, artifacts, name, word):
+        cert = artifacts.pipeline(name, word).cert
+        found = artifacts.forced(name, word, cert.width_m, cert.rows)
+        assert found is not None
+        assert_matches_reference(found)
+
+    def test_shuffled_placements(self):
+        cert = build_accepting_tiling(unary_eraser(), "a" * 6, 500)
+        placements = list(cert.placements)
+        random.Random(20261018).shuffle(placements)
+        assert_matches_reference(
+            Certificate(tuple(placements), cert.width_m, cert.rows))
+
+    def test_gaps_and_stacked_cells(self):
+        # Stacked cells keep every rectangle in SVG and the last placement
+        # in ASCII; the widest glyph sits under a stacked cell's loser.
+        wide = tile(letter("wide-letter"), C0, C0, ARROW_R, "wide")
+        plain = tile(C0, letter("a"), C0, ARROW_R, "plain")
+        other = tile(letter("b"), C0, letter("a"), C0, "other")
+        cert = Certificate((Placement(plain, 0, 0), Placement(other, 3, 0),
+                            Placement(wide, 1, 2), Placement(plain, 1, 2),
+                            Placement(other, 0, 0), Placement(plain, 5, 4)),
+                           5, 4)
+        assert_matches_reference(cert)
+        svg = render_certificate_svg(cert)
+        assert svg.count("<rect") == 6
+        assert "wide-letter" in svg
+        assert "wide-letter" not in render_certificate_ascii(cert)
+
+    def test_negative_coordinates_and_a_single_placement(self):
+        t = tile(letter("a"), ARROW_R, C0, C0, "t")
+        assert_matches_reference(Certificate((Placement(t, -3, -7),), 0, 0))
+        assert_matches_reference(Certificate(
+            (Placement(t, -3, 2), Placement(t, 0, -1),
+             Placement(t, -12, -7)), -2, -5))
+
+    def test_equal_colors_different_names(self):
+        first = tile(C0, letter("a"), C0, ARROW_R, "first")
+        second = tile(C0, letter("a"), C0, ARROW_R, "second")
+        cert = Certificate((Placement(first, 0, 0), Placement(second, 1, 0),
+                            Placement(first, 2, 0), Placement(second, 2, 0)),
+                           2, 0)
+        assert_matches_reference(cert)
+
+    def test_names_with_markup_and_format_syntax(self):
+        cert = build_accepting_tiling(awkward_eraser(),
+                                      [AWKWARD_LETTER] * 3, 500)
+        assert_matches_reference(cert)
