@@ -3,7 +3,8 @@
 ASCII grids list rows top line first but bottom row of the grid last-to-
 first, i.e. the printed page matches the plane (higher y printed higher).
 SVG output uses exactly one rectangle per placed tile, with the four side
-colors as small labels, so rectangle count equals placement count.
+colors as small labels, so rectangle count equals placement count.  Labels
+are escaped, so the SVG is well-formed XML whatever the color names hold.
 """
 
 from __future__ import annotations
@@ -12,6 +13,15 @@ from .edges import EdgeMap
 from .tiling import Certificate, color_glyph, color_sort_key
 
 _MAX_SPAN = 10_000
+
+
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data: ``&`` and ``<`` escaped, and ``>``
+    only where it closes ``]]>``.  ``xml.sax.saxutils.escape`` would also
+    rewrite every other ``>``, which is legal in text, and so change the
+    bytes of every arrow label."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace("]]>", "]]&gt;"))
 
 
 class UnboundedSupport(ValueError):
@@ -153,10 +163,12 @@ def render_certificate_svg(cert: Certificate) -> str:
         top = _svg_y(y, ymax, pad) - u
         rows[y] = (str(top), str(top + 12), str(top + u - 4),
                    str(top + u // 2))
-    # The labels are joined in as text, never used as a format string.
+    # The labels are escaped and joined in as text, never used as a format
+    # string.
     blocks = {}
-    for key, (n, e, s, w) in _glyphs_by_tile(
+    for key, glyphs in _glyphs_by_tile(
             p.tile for p in cert.placements).items():
+        n, e, s, w = map(_xml_text, glyphs)
         blocks[key] = (
             f'" width="{u}" height="{u}" fill="none" stroke="black"/>'
             '\n<text x="',
@@ -194,7 +206,7 @@ def render_edgemap_svg(f: EdgeMap) -> str:
         x2, y2 = (x1 + u, y1) if orient == "H" else (x1, y1 - u)
         lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                      f'stroke="black"/>')
-        label = f"{value:+d}{color_glyph(color)}"
+        label = _xml_text(f"{value:+d}{color_glyph(color)}")
         lx = (x1 + x2) // 2 + 3
         ly = (y1 + y2) // 2 - 3
         lines.append(f'<text x="{lx}" y="{ly}">{label}</text>')

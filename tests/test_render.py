@@ -2,6 +2,7 @@
 determinism across fresh builds, and structural properties."""
 
 import random
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,15 @@ from tilechain.render import (
     _svg_x,
     _svg_y,
     _SVG_UNIT,
+    _xml_text,
     render_certificate_ascii,
     render_certificate_svg,
     render_edgemap_ascii,
     render_edgemap_svg,
 )
-from tilechain.tiling import (ARROW_R, C0, Certificate, Color, Placement,
-                              Tile, color_glyph, letter)
+from tilechain.tiling import (ARROW_R, C0, TRI_L, TRI_R, Certificate,
+                              Color, Placement, Tile, color_glyph, letter,
+                              state)
 
 from conftest import AWKWARD_LETTER, awkward_eraser
 
@@ -132,7 +135,8 @@ class TestSpanLimit:
 
 # -- reference renderers ----------------------------------------------------
 # The per-placement bodies the renderers had before each distinct tile was
-# drawn once.  The renderers must give the same bytes.
+# drawn once.  The renderers must give the same bytes; the SVG labels are
+# now escaped, so the SVG reference takes the label function.
 
 def reference_ascii(cert):
     if not cert.placements:
@@ -168,7 +172,7 @@ def reference_ascii(cert):
     return "\n".join(lines) + "\n"
 
 
-def reference_svg(cert):
+def reference_svg(cert, glyph=color_glyph):
     if not cert.placements:
         return EMPTY_SVG
     xs = [p.x for p in cert.placements]
@@ -180,7 +184,7 @@ def reference_svg(cert):
     for p in cert.placements:
         left = _svg_x(p.x, xmin, pad)
         top = _svg_y(p.y, ymax, pad) - u
-        n, e, s, w = (color_glyph(c) for c in p.tile.sides())
+        n, e, s, w = (glyph(c) for c in p.tile.sides())
         lines.append(f'<rect x="{left}" y="{top}" width="{u}" height="{u}" '
                      f'fill="none" stroke="black"/>')
         cx = left + u // 2
@@ -195,9 +199,13 @@ def reference_svg(cert):
     return "\n".join(lines) + "\n"
 
 
+def escaped_glyph(color):
+    return _xml_text(color_glyph(color))
+
+
 def assert_matches_reference(cert):
     assert render_certificate_ascii(cert) == reference_ascii(cert)
-    assert render_certificate_svg(cert) == reference_svg(cert)
+    assert render_certificate_svg(cert) == reference_svg(cert, escaped_glyph)
 
 
 def tile(n, e, s, w, name=""):
@@ -267,3 +275,59 @@ class TestReferenceEquivalence:
         cert = build_accepting_tiling(awkward_eraser(),
                                       [AWKWARD_LETTER] * 3, 500)
         assert_matches_reference(cert)
+
+
+# -- well-formed XML ---------------------------------------------------------
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+
+
+def svg_labels(svg):
+    """The text of every label, in document order, after XML parsing."""
+    return [node.text for node in ET.fromstring(svg).iter(SVG_TEXT)]
+
+
+def placement_labels(cert):
+    """North, south, west, east: the order the renderer writes them."""
+    return [color_glyph(c) for p in cert.placements
+            for c in (p.tile.n, p.tile.s, p.tile.w, p.tile.e)]
+
+
+class TestWellFormedXml:
+    def test_goldens_parse(self):
+        for name in ("certificate_unary_a.svg", "initial_edgemap_unary_a.svg"):
+            ET.parse(GOLDENS / name)
+
+    def test_escaping(self):
+        assert _xml_text("<|") == "&lt;|"
+        assert _xml_text("|>") == "|>"
+        assert _xml_text("a&b]]>c]]]>") == "a&amp;b]]&gt;c]]]&gt;"
+        assert _xml_text("&lt;") == "&amp;lt;"
+
+    def test_built_certificates(self, artifacts):
+        for name, word in artifacts.accepted_pairs():
+            cert = artifacts.pipeline(name, word).cert
+            svg = render_certificate_svg(cert)
+            assert svg_labels(svg) == placement_labels(cert), (name, word)
+
+    def test_markup_in_names(self):
+        cert = build_accepting_tiling(awkward_eraser(),
+                                      [AWKWARD_LETTER] * 3, 500)
+        cdata_end = Tile(letter("]]>"), state("a&b"), C0, TRI_L, name="x")
+        for cert in (cert, Certificate((Placement(cdata_end, 0, 0),), 0, 0),
+                     Certificate((), 0, 0)):
+            svg = render_certificate_svg(cert)
+            assert svg_labels(svg) == placement_labels(cert)
+
+    def test_edge_maps(self, artifacts):
+        maps = [initial_map(artifacts.machines[name], word)
+                for name, word in artifacts.accepted_pairs()]
+        maps.append(initial_map(awkward_eraser(), [AWKWARD_LETTER] * 2))
+        maps.append(EdgeMap(Z, [(((0, 0, "V"), TRI_L), 1),
+                                (((1, 0, "V"), TRI_R), -2),
+                                (((0, 1, "H"), letter("]]>&")), 3)]))
+        for f in maps:
+            labels = svg_labels(render_edgemap_svg(f))
+            assert labels == [f"{value:+d}{color_glyph(color)}"
+                              for (_, color), value in f.support()]
+        assert "+1<|" in labels and "-2|>" in labels
