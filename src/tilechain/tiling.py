@@ -171,15 +171,16 @@ class TilingSystem:
             if tile.sides() in seen:
                 raise ValueError(f"duplicate tile {tile.sides()}")
             seen.add(tile.sides())
-        # Not a field, so equality, repr and the JSON forms ignore it.
+        # Not fields, so equality, repr and the JSON forms ignore them.
         object.__setattr__(self, "_index",
                            {tile: i for i, tile in enumerate(self.tiles)})
+        # Reversed, so the first tile with a name is the one kept.
+        object.__setattr__(self, "_by_name",
+                           {tile.name: tile for tile in reversed(self.tiles)})
 
     def tile_named(self, name: str) -> Tile:
-        for tile in self.tiles:
-            if tile.name == name:
-                return tile
-        raise KeyError(name)
+        """The first tile labelled ``name``; KeyError if there is none."""
+        return self._by_name[name]
 
     def index_of(self, tile: Tile) -> int:
         """Position of ``tile`` in :attr:`tiles`, by one hash lookup."""
@@ -264,15 +265,33 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {"m": cert.width_m, "rows": cert.rows, "placements": rows}
 
 
+_PLACEMENT_FIELDS = {"tile", "x", "y"}
+
+
+def _not_int(where: str, field: str, value) -> ValueError:
+    return ValueError(f"{where} field {field!r} must be an integer, "
+                      f"not {type(value).__name__}")
+
+
 def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Certificate:
+    """Read a certificate; refuses unknown fields and coordinates, width or
+    height that are not integers (``bool`` and ``float`` included)."""
     unknown = set(data) - {"m", "rows", "placements"}
     if unknown:
         raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
+    for field in ("m", "rows"):
+        if field in data and type(data[field]) is not int:
+            raise _not_int("certificate", field, data[field])
     # Each distinct tile dict is built once; an entry that cannot serve as
     # a key goes straight to tile_from_dict, which reports what is wrong.
     built: dict = {}
     placements = []
     for row in data["placements"]:
+        if len(row) != 3:
+            unknown = set(row) - _PLACEMENT_FIELDS
+            if unknown:
+                raise ValueError(
+                    f"unknown placement fields: {sorted(unknown)}")
         ref = row["tile"]
         if isinstance(ref, str):
             if ts is None:
@@ -288,7 +307,11 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                 tile = tile_from_dict(ref)
                 if key is not None:
                     built[key] = tile
-        placements.append(Placement(tile, row["x"], row["y"]))
+        x, y = row["x"], row["y"]
+        if type(x) is not int or type(y) is not int:
+            field, value = ("x", x) if type(x) is not int else ("y", y)
+            raise _not_int("placement", field, value)
+        placements.append(Placement(tile, x, y))
     return Certificate(tuple(placements), data["m"], data["rows"])
 
 

@@ -499,6 +499,19 @@ class TestRenderCommand:
         assert code == 0
         assert out == render_edgemap_ascii(ws.unary_f0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("x", "3", "error: placement field 'x' must be an integer, not str"),
+        ("junk", 5, "error: unknown placement fields: ['junk']"),
+    ])
+    def test_malformed_certificate_is_3(self, capsys, ws, tmp_path, field,
+                                        value, message):
+        data = json.loads(dump_certificate(ws.unary_cert))
+        data["placements"][1][field] = value
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "render", "--cert", str(cert_path))
+        assert (code, out, err) == (3, "", message + "\n")
+
     def test_cert_and_edgemap_are_exclusive(self, ws):
         with pytest.raises(SystemExit) as exc:
             main(["render", "--cert", "a.json", "--edgemap", "b.json"])

@@ -104,6 +104,19 @@ class TestTilingSystem:
         with pytest.raises(KeyError):
             ts.tile_named("nope")
 
+    def test_tile_named_takes_the_first_of_equal_names(self):
+        first = Tile(C0, C0, C0, letter("a"), name="p")
+        second = Tile(C0, C0, C0, letter("b"), name="p")
+        unnamed = Tile(C0, C0, letter("a"), C0)
+        ts = TilingSystem((C0, letter("a"), letter("b")),
+                          (unnamed, first, second, Tile(C0, C0, C0, C0)))
+        assert ts.tile_named("p").w == letter("a")
+        assert ts.tile_named("") is unnamed
+        with pytest.raises(KeyError) as missing:
+            ts.tile_named("q")
+        assert missing.value.args == ("q",)
+        assert "_by_name" not in repr(ts)
+
     def test_index_of_matches_tuple_position(self):
         ts = compile_tiles(unary_eraser())
         for i, tile in enumerate(ts.tiles):
@@ -220,6 +233,32 @@ class TestSerialization:
             certificate_from_dict({"m": 1, "rows": 1, "placements": [],
                                    "z": 0})
 
+    @pytest.mark.parametrize("row, message", [
+        ({"junk": 5}, r"unknown placement fields: \['junk'\]"),
+        ({"x": "3"}, "placement field 'x' must be an integer, not str"),
+        ({"y": 1.5}, "placement field 'y' must be an integer, not float"),
+        ({"x": True}, "placement field 'x' must be an integer, not bool"),
+        ({"y": None}, "placement field 'y' must be an integer, not NoneType"),
+    ])
+    def test_malformed_placement_rows_rejected(self, row, message):
+        good = {"tile": tile_to_dict(Tile(C0, C0, C0, C0)), "x": 0, "y": 0}
+        data = {"m": 1, "rows": 0, "placements": [good, dict(good, **row)]}
+        with pytest.raises(ValueError, match=message):
+            certificate_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("m", "3", "str"), ("rows", 2.0, "float"), ("m", False, "bool")])
+    def test_non_integer_dimensions_rejected(self, field, value, kind):
+        data = {"m": 1, "rows": 0, "placements": [], field: value}
+        with pytest.raises(ValueError, match=f"certificate field '{field}' "
+                                             f"must be an integer, not {kind}"):
+            certificate_from_dict(data)
+
+    def test_missing_placement_field_still_a_key_error(self):
+        with pytest.raises(KeyError, match="'y'"):
+            certificate_from_dict({"m": 1, "rows": 0, "placements": [
+                {"tile": tile_to_dict(Tile(C0, C0, C0, C0)), "x": 0}]})
+
     def test_sort_placements_is_row_major(self):
         t = Tile(C0, C0, C0, C0)
         placements = [Placement(t, 1, 1), Placement(t, 0, 0),
@@ -259,15 +298,19 @@ class TestCertificateDump:
         assert load_certificate(dump_certificate(cert)) == cert
 
     def test_negative_and_non_integer_coordinates(self):
-        # A loaded certificate keeps whatever numbers its JSON held.
+        # Dumping writes whatever numbers a certificate holds; loading takes
+        # integers only, negative ones included.
         t = Tile(letter("a"), ARROW_R, C0, DIAG, name="t")
         cert = Certificate((Placement(t, -3, 2), Placement(t, 0, -1),
                             Placement(t, -12, -7), Placement(t, 1.5, -1)),
                            -2, -5)
         text = dump_certificate(cert)
         assert text == reference_dump(cert)
-        assert load_certificate(text).placements == sort_placements(
-            cert.placements)
+        with pytest.raises(ValueError, match="'x' must be an integer"):
+            load_certificate(text)
+        integral = Certificate(cert.placements[:3], -2, -5)
+        assert load_certificate(dump_certificate(integral)).placements == \
+            sort_placements(integral.placements)
 
     def test_awkward_names(self):
         names = ['say "hi"', "back\\slash", "caf\u00e9 \u2192 \U0001f600",
