@@ -34,6 +34,9 @@ def machine_table() -> dict[str, TuringMachine]:
     return table
 
 
+AWKWARD_LETTER = "<a%s&}"
+
+
 def awkward_eraser() -> TuringMachine:
     """The unary eraser with state and letter names that are markup or
     format syntax elsewhere: ``%``, ``{``, ``}``, ``<`` and ``&``.  Its
@@ -50,9 +53,6 @@ def awkward_eraser() -> TuringMachine:
         accepting=states[tm.accepting],
         transitions={(states[q], letters[a]): (states[p], letters[b], move)
                      for (q, a), (p, b, move) in tm.transitions.items()})
-
-
-AWKWARD_LETTER = "<a%s&}"
 
 
 def all_words(tm: TuringMachine, max_len: int = 4) -> list[str]:

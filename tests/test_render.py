@@ -208,10 +208,6 @@ def assert_matches_reference(cert):
     assert render_certificate_svg(cert) == reference_svg(cert, escaped_glyph)
 
 
-def tile(n, e, s, w, name=""):
-    return Tile(n, e, s, w, name=name)
-
-
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("n", [1, 5, 16, 40])
     def test_unary(self, n):
@@ -243,9 +239,9 @@ class TestReferenceEquivalence:
     def test_gaps_and_stacked_cells(self):
         # Stacked cells keep every rectangle in SVG and the last placement
         # in ASCII; the widest glyph sits under a stacked cell's loser.
-        wide = tile(letter("wide-letter"), C0, C0, ARROW_R, "wide")
-        plain = tile(C0, letter("a"), C0, ARROW_R, "plain")
-        other = tile(letter("b"), C0, letter("a"), C0, "other")
+        wide = Tile(letter("wide-letter"), C0, C0, ARROW_R, name="wide")
+        plain = Tile(C0, letter("a"), C0, ARROW_R, name="plain")
+        other = Tile(letter("b"), C0, letter("a"), C0, name="other")
         cert = Certificate((Placement(plain, 0, 0), Placement(other, 3, 0),
                             Placement(wide, 1, 2), Placement(plain, 1, 2),
                             Placement(other, 0, 0), Placement(plain, 5, 4)),
@@ -257,15 +253,15 @@ class TestReferenceEquivalence:
         assert "wide-letter" not in render_certificate_ascii(cert)
 
     def test_negative_coordinates_and_a_single_placement(self):
-        t = tile(letter("a"), ARROW_R, C0, C0, "t")
+        t = Tile(letter("a"), ARROW_R, C0, C0, name="t")
         assert_matches_reference(Certificate((Placement(t, -3, -7),), 0, 0))
         assert_matches_reference(Certificate(
             (Placement(t, -3, 2), Placement(t, 0, -1),
              Placement(t, -12, -7)), -2, -5))
 
     def test_equal_colors_different_names(self):
-        first = tile(C0, letter("a"), C0, ARROW_R, "first")
-        second = tile(C0, letter("a"), C0, ARROW_R, "second")
+        first = Tile(C0, letter("a"), C0, ARROW_R, name="first")
+        second = Tile(C0, letter("a"), C0, ARROW_R, name="second")
         cert = Certificate((Placement(first, 0, 0), Placement(second, 1, 0),
                             Placement(first, 2, 0), Placement(second, 2, 0)),
                            2, 0)
