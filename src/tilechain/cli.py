@@ -181,22 +181,14 @@ def _cmd_tile_audit(args) -> int:
     return 1
 
 
-def _reduce_module_instance(args, mode: str) -> int:
+def _cmd_reduce_module(args) -> int:
     tm = _load_machine(args.tm)
     ring = ring_from_name(args.ring)
     ts = compile_tiles(tm)
     f0 = initial_map(tm, list(args.input), ring)
-    instance = tiling_to_instance(ts, f0, mode)
+    instance = tiling_to_instance(ts, f0, args.mode)
     _write(_json_dump(instance_to_dict(instance)), args.output)
     return 0
-
-
-def _cmd_reduce_semimodule(args) -> int:
-    return _reduce_module_instance(args, "semimodule")
-
-
-def _cmd_reduce_subset_sum(args) -> int:
-    return _reduce_module_instance(args, "subset-sum")
 
 
 def _cmd_reduce_submonoid(args) -> int:
@@ -358,21 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_sub = reduce_parser.add_subparsers(dest="subcommand",
                                               required=True)
 
-    p = reduce_sub.add_parser("semimodule", help="membership instance "
-                                                 "from a machine and word")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--input", required=True)
-    _add_ring(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_reduce_semimodule)
-
-    p = reduce_sub.add_parser("subset-sum", help="0/1 distinct-translate "
-                                                 "instance")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--input", required=True)
-    _add_ring(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_reduce_subset_sum)
+    for mode, summary in (
+            ("semimodule", "membership instance from a machine and word"),
+            ("subset-sum", "0/1 distinct-translate instance")):
+        p = reduce_sub.add_parser(mode, help=summary)
+        p.add_argument("--tm", required=True)
+        p.add_argument("--input", required=True)
+        _add_ring(p)
+        _add_output(p)
+        p.set_defaults(handler=_cmd_reduce_module, mode=mode)
 
     p = reduce_sub.add_parser("submonoid", help="word-product instance "
                                                 "from a module instance")

@@ -37,7 +37,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .tiling import C0, Color, Tile, TilingSystem, color_from_str, color_to_str
+from .tiling import (C0, Color, Tile, TilingSystem, _check_ints,
+                     _refuse_unknown, color_from_str, color_to_str)
 
 
 class RingMismatch(ValueError):
@@ -284,17 +285,15 @@ def edgemap_to_dict(f: EdgeMap) -> dict:
 
 
 def edgemap_from_dict(data: dict) -> EdgeMap:
-    unknown = set(data) - {"ring", "entries"}
-    if unknown:
-        raise ValueError(f"unknown edge map fields: {sorted(unknown)}")
+    _refuse_unknown(data, {"ring", "entries"}, "unknown edge map fields")
     ring = ring_from_name(data["ring"])
     entries = []
     for row in data["entries"]:
-        unknown = set(row) - {"x", "y", "orient", "color", "value"}
-        if unknown:
-            raise ValueError(f"unknown entry fields: {sorted(unknown)}")
+        _refuse_unknown(row, {"x", "y", "orient", "color", "value"},
+                        "unknown entry fields")
         if row["orient"] not in ("H", "V"):
             raise ValueError(f"bad orientation {row['orient']!r}")
+        _check_ints("edge map entry", row, ("x", "y", "value"))
         key = ((row["x"], row["y"], row["orient"]), color_from_str(row["color"]))
         entries.append((key, row["value"]))
     return EdgeMap(ring, entries)

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .edges import (Ring, RingMismatch, SparseVector, Z, _canon,
                     _make_vector, _reduced, ring_from_name)
 from .modules import BadTerm, ModuleElement, SemimoduleInstance
+from .tiling import _refuse_unknown
 
 Point = Tuple[int, int]
 FlowKey = Tuple[int, int, str]  # (x, y, 'H' horizontal | 'V' vertical)
@@ -53,17 +54,6 @@ class NotInImage(ValueError):
 
 class BadIndex(IndexError):
     """A certificate references a generator that does not exist."""
-
-
-def pow_tokens(symbol: str, k: int) -> list[str]:
-    """``k``-th power of a symbol as tokens; negative powers swap case."""
-    if k >= 0:
-        return [symbol] * k
-    return [symbol.swapcase()] * (-k)
-
-
-def word_from_tokens(tokens: Iterable[str]) -> str:
-    return " ".join(tokens)
 
 
 def _conjugate(a: int, b: int, body: list, x: tuple, y: tuple) -> list:
@@ -375,11 +365,6 @@ _CELL_FLOW: Dict[FlowKey, int] = {
 }
 
 
-def translate_flow(flow: Dict[FlowKey, int], dx: int,
-                   dy: int) -> Dict[FlowKey, int]:
-    return {(x + dx, y + dy, o): v for (x, y, o), v in flow.items()}
-
-
 class MetabelianElement(_SemidirectElement):
     """Immutable pair (abelianized image in Z x Z, edge flow on the grid).
 
@@ -410,10 +395,6 @@ class MetabelianElement(_SemidirectElement):
         edges = ", ".join(f"{o}({x},{y}): {v:+d}" for (x, y, o), v in
                           sorted(self._vec._entries.items()))
         return f"MetabelianElement(ab={self.ab}, {{{edges}}})"
-
-
-def metabelian_identity() -> MetabelianElement:
-    return MetabelianElement()
 
 
 def metabelian_bindings() -> Dict[str, MetabelianElement]:
@@ -544,26 +525,6 @@ def cells_to_word(cells: Dict[Point, int]) -> str:
                                            "y x Y X ") * abs(value))
                    for a, b in sorted(cells, key=lambda c: (c[1], c[0]))
                    if (value := cells[(a, b)]))[:-1]
-
-
-def flow_to_word(flow: Dict[FlowKey, int]) -> str:
-    """Word over x/y evaluating to (0, flow); requires a circulation."""
-    return cells_to_word(flow_decompose(flow))
-
-
-def basis_change(vec: Sequence[int]) -> tuple[int, ...]:
-    """Bijection of Z^m: subtract the last coordinate from the others."""
-    if not vec:
-        return ()
-    last = vec[-1]
-    return tuple(v - last for v in vec[:-1]) + (last,)
-
-
-def basis_change_inv(vec: Sequence[int]) -> tuple[int, ...]:
-    if not vec:
-        return ()
-    last = vec[-1]
-    return tuple(v + last for v in vec[:-1]) + (last,)
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +674,8 @@ def submonoid_to_dict(instance: SubmonoidInstance) -> dict:
 
 
 def submonoid_from_dict(data: dict) -> SubmonoidInstance:
-    extra = set(data) - {"flavor", "ring", "rank", "stride", "generators",
-                         "target"}
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
+    _refuse_unknown(data, {"flavor", "ring", "rank", "stride", "generators",
+                           "target"}, "unexpected fields")
     return SubmonoidInstance(
         data["flavor"],
         ring_from_name(data["ring"]),

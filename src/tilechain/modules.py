@@ -34,7 +34,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
                     tile_eval)
-from .tiling import Certificate, Color, TilingSystem
+from .tiling import (Certificate, Color, TilingSystem, _check_ints,
+                     _refuse_unknown)
 
 
 class UnknownColor(ValueError):
@@ -162,16 +163,6 @@ def _flatten(f: EdgeMap, colors: Sequence[Color], table) -> ModuleElement:
         idx = table[tag] if tag in table else color_index(colors, tag[1], tag[0])
         entries[(x, y, idx)] = value
     return ModuleElement(f.ring, 2 * len(colors), entries)
-
-
-def to_edgemap(e: ModuleElement, colors: Sequence[Color]) -> EdgeMap:
-    """Inverse of :func:`from_edgemap` for elements of the matching rank."""
-    if e.rank != 2 * len(colors):
-        raise RankMismatch(
-            f"rank {e.rank} does not match {len(colors)} colors")
-    tags = [("H", c) for c in colors] + [("V", c) for c in colors]
-    return EdgeMap(e.ring, [(((x, y, tags[idx][0]), tags[idx][1]), value)
-                            for (x, y, idx), value in e._entries.items()])
 
 
 @dataclass(frozen=True)
@@ -726,7 +717,10 @@ def certificate_to_witness(cert: Certificate,
 def witness_to_certificate(witness: Iterable[SubsetPick],
                            ts: TilingSystem) -> Certificate:
     """Inverse of :func:`certificate_to_witness` (width and row count are
-    recomputed from the picks)."""
+    recomputed from the picks).
+
+    Kept as the reduction's reverse direction: a subset-sum witness is a
+    tiling, so a "yes" for the instance is a "yes" for the tiling."""
     from .tiling import Placement, sort_placements
     placements = [Placement(ts.tiles[gen], dx, dy)
                   for gen, dx, dy in witness]
@@ -748,18 +742,17 @@ def element_to_dict(e: ModuleElement) -> dict:
 
 
 def element_from_dict(data: dict) -> ModuleElement:
-    extra = set(data) - {"ring", "rank", "entries"}
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
+    _refuse_unknown(data, {"ring", "rank", "entries"}, "unexpected fields")
     ring = ring_from_name(data["ring"])
+    _check_ints("module element", data, ("rank",))
     entries: dict[EntryKey, int] = {}
     for item in data["entries"]:
-        extra = set(item) - {"x", "y", "idx", "value"}
-        if extra:
-            raise ValueError(f"unexpected entry fields: {sorted(extra)}")
-        key = (int(item["x"]), int(item["y"]), int(item["idx"]))
-        entries[key] = entries.get(key, 0) + int(item["value"])
-    return ModuleElement(ring, int(data["rank"]), entries)
+        _refuse_unknown(item, {"x", "y", "idx", "value"},
+                        "unexpected entry fields")
+        _check_ints("module entry", item, ("x", "y", "idx", "value"))
+        key = (item["x"], item["y"], item["idx"])
+        entries[key] = entries.get(key, 0) + item["value"]
+    return ModuleElement(ring, data["rank"], entries)
 
 
 def instance_to_dict(instance: SemimoduleInstance) -> dict:
@@ -773,9 +766,8 @@ def instance_to_dict(instance: SemimoduleInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> SemimoduleInstance:
-    extra = set(data) - {"ring", "rank", "mode", "generators", "target"}
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
+    _refuse_unknown(data, {"ring", "rank", "mode", "generators", "target"},
+                    "unexpected fields")
     return SemimoduleInstance(
         ring_from_name(data["ring"]),
         int(data["rank"]),

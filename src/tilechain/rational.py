@@ -28,9 +28,9 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from .edges import Ring, ring_from_name
 from .groups import (UnboundSymbol, WreathElement, _bound, embed_module,
-                     pow_tokens, wreath_eval, wreath_identity,
-                     word_from_tokens)
+                     wreath_eval, wreath_identity)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
+from .tiling import _check_ints, _refuse_unknown
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,12 @@ def nfa_accepts(nfa: Nfa, word: str | Iterable[str]) -> bool:
 # ---------------------------------------------------------------------------
 # witnesses as words
 
+def _power(letter: str, k: int) -> str:
+    """``letter^k`` as text, each letter followed by one space; a negative
+    power swaps case."""
+    return (f"{letter} " if k >= 0 else f"{letter.swapcase()} ") * abs(k)
+
+
 def certificate_to_word(witness: Iterable[SubsetPick]) -> str:
     """Compile a subset-sum witness into a word of the sweep language.
 
@@ -328,26 +334,29 @@ def certificate_to_word(witness: Iterable[SubsetPick]) -> str:
         rows.setdefault(dy, []).append((dx, gen))
     first_b, last_b = picks[0][2], picks[-1][2]
     cur_a = rows[first_b][0][0]
-    tokens = pow_tokens("x", cur_a) + pow_tokens("y", first_b)
+    parts = [_power("x", cur_a), _power("y", first_b)]
     for b in range(first_b, last_b + 1):
         for a, gen in rows.get(b, []):
-            tokens += ["x"] * (a - cur_a)
-            tokens += [f"g{gen}", "x"]
+            parts.append("x " * (a - cur_a) + f"g{gen} x ")
             cur_a = a + 1
-        tokens.append("y")
+        parts.append("y ")
         nxt = next((bb for bb in range(b + 1, last_b + 1) if bb in rows),
                    None)
         if nxt is not None and rows[nxt][0][0] < cur_a:
-            tokens += ["X"] * (cur_a - rows[nxt][0][0])
+            parts.append("X " * (cur_a - rows[nxt][0][0]))
             cur_a = rows[nxt][0][0]
-    tokens += pow_tokens("x", -cur_a)
-    tokens += pow_tokens("y", -(last_b + 1))
-    return word_from_tokens(tokens)
+    parts.append(_power("x", -cur_a))
+    parts.append(_power("y", -(last_b + 1)))
+    return "".join(parts)[:-1]
 
 
 def word_plants(word: str | Iterable[str]) -> list[tuple[int, int, int]]:
     """Re-parse a sweep word: the (gen, dx, dy) positions its generator
-    letters are planted at, in emission order."""
+    letters are planted at, in emission order.
+
+    Kept as the reduction's reverse direction: a word of the sweep
+    language spells its picks, so a word found for the target is a
+    subset-sum witness."""
     tokens = word.split() if isinstance(word, str) else list(word)
     plants: list[tuple[int, int, int]] = []
     a = b = 0
@@ -412,11 +421,13 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
                             target)
 
 
-def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
-                ring: Ring, max_len: int, needed) -> Iterator[tuple]:
+def _sweep_walk(expr: RationalExpr, nfa: Nfa,
+                bindings: Dict[str, WreathElement], ring: Ring, max_len: int,
+                needed) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
-    frontier pair by the letters in first-appearance order.
+    frontier pair by the letters in first-appearance order.  ``nfa`` is
+    ``regex_to_nfa(expr)``.
 
     Yields ``(accepting, element, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
@@ -431,7 +442,7 @@ def _sweep_walk(expr: RationalExpr, bindings: Dict[str, WreathElement],
         raise ValueError("max_len must be at least 0")
     moves = [(letter, _bound(bindings, letter))
              for letter in expr_letters(expr)]
-    sim = _NfaSim(regex_to_nfa(expr))
+    sim = _NfaSim(nfa)
     start = (sim.start(), wreath_identity(ring))
     yield sim.accepting(start[0]), start[1], None
     frontier = [(*start, None)]
@@ -491,9 +502,10 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     return distance
 
 
-def _letters_needed(expr: RationalExpr, bindings: Dict[str, WreathElement],
+def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
                     target: WreathElement):
-    """The :func:`_sweep_walk` hook of a search for ``target``.
+    """The :func:`_sweep_walk` hook of a search for ``target`` over ``nfa``,
+    the walk's own automaton.
 
     ``needed(subset, element)`` is a lower bound on the length of every
     word ``v`` that takes ``subset`` to an accepting subset and has
@@ -518,11 +530,8 @@ def _letters_needed(expr: RationalExpr, bindings: Dict[str, WreathElement],
 
     Plant and move letters are distinct, so P + T counts distinct letters.
     A letter that both moves and lights lamps (possible in a loaded
-    instance) breaks that split, and then only A is used.  Subsets are
-    read in the numbering of ``regex_to_nfa(expr)``, which is the same on
-    every call and so the walk's own.
+    instance) breaks that split, and then only A is used.
     """
-    nfa = regex_to_nfa(expr)
     backward: Dict[int, list[tuple[int, int]]] = {}
     for src, label, dst in nfa.edges:
         backward.setdefault(dst, []).append((src, label is not None))
@@ -548,7 +557,7 @@ def _letters_needed(expr: RationalExpr, bindings: Dict[str, WreathElement],
                 default=_NEVER)
         return steps
 
-    values = [_bound(bindings, letter) for letter in expr_letters(expr)]
+    values = [_bound(bindings, letter) for letter in nfa.alphabet()]
     if any(value.pos != (0, 0) and value.support() for value in values):
         return lambda subset, element: automaton_distance(subset)
     distance = _cursor_distance([value.pos for value in values])
@@ -621,8 +630,9 @@ def rational_member_bounded(expr: RationalExpr,
     in the order of their words, so no hit comes before ``w``; with no
     answer within ``max_len`` none comes at all.
     """
-    needed = _letters_needed(expr, bindings, target)
-    for accepting, element, word in _sweep_walk(expr, bindings, ring,
+    nfa = regex_to_nfa(expr)
+    needed = _letters_needed(nfa, bindings, target)
+    for accepting, element, word in _sweep_walk(expr, nfa, bindings, ring,
                                                  max_len, needed):
         if accepting and element == target:
             letters = []
@@ -657,7 +667,8 @@ def enumerate_zero_position_hits(expr: RationalExpr,
         return distance(*element.pos)
 
     return {element for accepting, element, _ in
-            _sweep_walk(expr, bindings, ring, max_len, needed)
+            _sweep_walk(expr, regex_to_nfa(expr), bindings, ring, max_len,
+                        needed)
             if accepting and element.pos == (0, 0)}
 
 
@@ -676,10 +687,8 @@ def nfa_to_dict(nfa: Nfa) -> dict:
 
 
 def nfa_from_dict(data: dict) -> Nfa:
-    extra = set(data) - {"state_count", "alphabet", "edges", "initial",
-                         "finals"}
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
+    _refuse_unknown(data, {"state_count", "alphabet", "edges", "initial",
+                           "finals"}, "unexpected fields")
     edges = tuple((int(e["from"]),
                    None if e["label"] is None else str(e["label"]),
                    int(e["to"])) for e in data["edges"])
@@ -691,10 +700,6 @@ def dump_nfa(nfa: Nfa) -> str:
     return json.dumps(nfa_to_dict(nfa), indent=2) + "\n"
 
 
-def load_nfa(text: str) -> Nfa:
-    return nfa_from_dict(json.loads(text))
-
-
 def _wreath_to_dict(e: WreathElement) -> dict:
     return {
         "pos": [e.pos[0], e.pos[1]],
@@ -704,20 +709,17 @@ def _wreath_to_dict(e: WreathElement) -> dict:
 
 
 def _wreath_from_dict(data: dict, ring: Ring) -> WreathElement:
-    extra = set(data) - {"pos", "fun"}
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
+    _refuse_unknown(data, {"pos", "fun"}, "unexpected fields")
     pos = data["pos"]
     if not (isinstance(pos, list) and len(pos) == 2
             and all(type(v) is int for v in pos)):
         raise ValueError(f"pos must be two integers, got {pos!r}")
     fun: Dict[tuple[int, int], int] = {}
     for item in data["fun"]:
-        extra = set(item) - {"a", "b", "value"}
-        if extra:
-            raise ValueError(f"unexpected entry fields: {sorted(extra)}")
-        key = (int(item["a"]), int(item["b"]))
-        fun[key] = fun.get(key, 0) + int(item["value"])
+        _refuse_unknown(item, {"a", "b", "value"}, "unexpected entry fields")
+        _check_ints("lamp entry", item, ("a", "b", "value"))
+        key = (item["a"], item["b"])
+        fun[key] = fun.get(key, 0) + item["value"]
     return WreathElement(ring, fun, (pos[0], pos[1]))
 
 
@@ -734,10 +736,8 @@ def rational_to_dict(instance: RationalInstance) -> dict:
 
 
 def rational_from_dict(data: dict) -> RationalInstance:
-    extra = set(data) - {"ring", "rank", "stride", "expr", "bindings",
-                         "target"}
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
+    _refuse_unknown(data, {"ring", "rank", "stride", "expr", "bindings",
+                           "target"}, "unexpected fields")
     ring = ring_from_name(data["ring"])
     bindings = {letter: _wreath_from_dict(value, ring)
                 for letter, value in data["bindings"].items()}

@@ -222,10 +222,16 @@ def tile_to_dict(tile: Tile) -> dict:
     return data
 
 
-def tile_from_dict(data: dict) -> Tile:
-    unknown = set(data) - {"n", "e", "s", "w", "name"}
+def _refuse_unknown(data, allowed, what: str) -> None:
+    """Refuse a key of ``data`` outside ``allowed``; the message names the
+    strays after ``what``, as in ``unknown tile fields: ['q']``."""
+    unknown = set(data) - allowed
     if unknown:
-        raise ValueError(f"unknown tile fields: {sorted(unknown)}")
+        raise ValueError(f"{what}: {sorted(unknown)}")
+
+
+def tile_from_dict(data: dict) -> Tile:
+    _refuse_unknown(data, {"n", "e", "s", "w", "name"}, "unknown tile fields")
     return Tile(
         n=color_from_str(data["n"]),
         e=color_from_str(data["e"]),
@@ -244,9 +250,8 @@ def system_to_dict(ts: TilingSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> TilingSystem:
-    unknown = set(data) - {"colors", "distinguished", "tiles"}
-    if unknown:
-        raise ValueError(f"unknown tiling system fields: {sorted(unknown)}")
+    _refuse_unknown(data, {"colors", "distinguished", "tiles"},
+                    "unknown tiling system fields")
     return TilingSystem(
         colors=tuple(color_from_str(c) for c in data["colors"]),
         tiles=tuple(tile_from_dict(t) for t in data["tiles"]),
@@ -273,12 +278,19 @@ def _not_int(where: str, field: str, value) -> ValueError:
                       f"not {type(value).__name__}")
 
 
+def _check_ints(where: str, row: dict, fields: tuple[str, ...]) -> None:
+    """Refuse a field of ``row`` that is not an integer (``bool``, ``float``
+    and ``str`` included); a missing field raises ``KeyError``."""
+    for field in fields:
+        if type(row[field]) is not int:
+            raise _not_int(where, field, row[field])
+
+
 def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Certificate:
     """Read a certificate; refuses unknown fields and coordinates, width or
     height that are not integers (``bool`` and ``float`` included)."""
-    unknown = set(data) - {"m", "rows", "placements"}
-    if unknown:
-        raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
+    _refuse_unknown(data, {"m", "rows", "placements"},
+                    "unknown certificate fields")
     for field in ("m", "rows"):
         if field in data and type(data[field]) is not int:
             raise _not_int("certificate", field, data[field])
@@ -288,10 +300,7 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
     placements = []
     for row in data["placements"]:
         if len(row) != 3:
-            unknown = set(row) - _PLACEMENT_FIELDS
-            if unknown:
-                raise ValueError(
-                    f"unknown placement fields: {sorted(unknown)}")
+            _refuse_unknown(row, _PLACEMENT_FIELDS, "unknown placement fields")
         ref = row["tile"]
         if isinstance(ref, str):
             if ts is None:

@@ -3,7 +3,7 @@
 Seven checks covering the whole reduction chain: end-to-end equivalence
 of simulation, tiling certificates, and color-only deduction; machine
 independence of the deduction; randomized algebraic laws; flow
-decomposition and basis changes; witnesses carried into word products;
+decomposition into unit cells; witnesses carried into word products;
 subset sums over modular rings matched against the sweep language; and
 byte-stable exported artifacts.  Each test finishes by printing a single
 PASS line with its headline numbers.
@@ -29,16 +29,14 @@ from tilechain.engine import (
 )
 from tilechain.groups import (
     METABELIAN,
+    MetabelianElement,
     WREATH,
-    basis_change,
-    basis_change_inv,
     cells_to_flow,
+    cells_to_word,
     flow_decompose,
-    flow_to_word,
     make_submonoid_instance,
     metabelian_bindings,
     metabelian_eval,
-    metabelian_identity,
     submonoid_to_dict,
     unembed_module,
     verify_submonoid_certificate,
@@ -262,7 +260,7 @@ def test_randomized_algebraic_laws():
         u, v, w = (_random_tokens(rng, move_tokens) for _ in range(3))
         eu, ev, ew = (metabelian_eval(t) for t in (u, v, w))
         assert (eu * ev) * ew == eu * (ev * ew)
-        assert eu * metabelian_identity() == eu
+        assert eu * MetabelianElement() == eu
         assert (eu * eu.inv()).is_identity()
         n += 1
     cases["flow-group axioms"] = n
@@ -295,9 +293,9 @@ def test_randomized_algebraic_laws():
           f"{len(cases)} law families, zero failures")
 
 
-def test_flow_decomposition_and_basis_change():
+def test_flow_decomposition():
     """Closed walks decompose exactly into unit cells and re-evaluate to
-    the same element; the coordinate change is an exact bijection."""
+    the same element."""
     rng = random.Random(20260828)
     move_tokens = "x X y Y".split()
     words = 0
@@ -312,18 +310,9 @@ def test_flow_decomposition_and_basis_change():
         flow = element.flow()
         cells = flow_decompose(flow)
         assert cells_to_flow(cells) == flow
-        assert metabelian_eval(flow_to_word(flow)) == element
+        assert metabelian_eval(cells_to_word(cells)) == element
         words += 1
-
-    vectors = 0
-    for m in (2, 3, 5):
-        for _ in range(500):
-            vec = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(m))
-            assert basis_change_inv(basis_change(vec)) == vec
-            assert basis_change(basis_change_inv(vec)) == vec
-            vectors += 1
-    print(f"ACCEPTANCE 4 PASS — {words} closed walks decomposed exactly; "
-          f"basis change bijective on {vectors} vectors")
+    print(f"ACCEPTANCE 4 PASS — {words} closed walks decomposed exactly")
 
 
 def test_witnesses_carry_into_word_products():

@@ -353,6 +353,18 @@ class TestSolveCommands:
         assert err == ("no witness in window 0,0,6,8 "
                        "(exact elimination over Z/2)\n")
 
+    def test_solve_semimodule_refuses_float_coordinate(self, capsys, ws,
+                                                       tmp_path):
+        data = json.loads(ws.sem_mini_z.read_text())
+        data["target"]["entries"][0]["x"] = 2.7
+        inst = tmp_path / "float_x.json"
+        inst.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "solve", "semimodule",
+                             "--instance", str(inst), "--window", "0,0,3,3")
+        assert code == 3 and out == ""
+        assert err == ("error: module entry field 'x' must be an integer, "
+                       "not float\n")
+
     def test_solve_subset_sum(self, capsys, ws):
         code, out, _ = cli(capsys, "solve", "subset-sum",
                            "--instance", str(ws.sub_mini_2),

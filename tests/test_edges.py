@@ -207,6 +207,17 @@ class TestSerialization:
                 {"x": 0, "y": 0, "orient": "H", "color": "c0", "value": 1,
                  "q": 2}]})
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("x", "1", "str"), ("y", 2.7, "float"), ("value", 2.5, "float"),
+        ("x", True, "bool"), ("value", "1", "str")])
+    def test_non_integer_entries_rejected(self, field, value, kind):
+        good = {"x": 0, "y": 0, "orient": "H", "color": "c0", "value": 1}
+        data = {"ring": "Z", "entries": [good, dict(good, **{field: value})]}
+        with pytest.raises(ValueError, match=f"edge map entry field "
+                                             f"'{field}' must be an integer, "
+                                             f"not {kind}"):
+            edgemap_from_dict(data)
+
 
 # ---------------------------------------------------------------------------
 # the sparse core under edge maps, module elements, lamps and flows

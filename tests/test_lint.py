@@ -1,6 +1,7 @@
 """Source checks on the library itself."""
 
 import ast
+import re
 import textwrap
 from pathlib import Path
 
@@ -135,7 +136,10 @@ def test_classes_defining_counts_each_class():
 
 
 _TOKEN_BUILDERS = {"pow_tokens", "word_from_tokens", "_conjugate"}
-_TEXT_SPELLERS = {"module_to_word", "cells_to_word", "make_submonoid_instance"}
+_TEXT_SPELLERS = {
+    "groups.py": {"module_to_word", "cells_to_word", "make_submonoid_instance"},
+    "rational.py": {"certificate_to_word"},
+}
 
 
 def _callee_name(call: ast.Call):
@@ -162,11 +166,12 @@ def test_words_are_not_spelled_token_by_token():
     # The generated words are spelled by string repetition; building token
     # lists one letter at a time made instance construction a fifth of the
     # transport chain's time.
-    tree = ast.parse((SRC / "groups.py").read_text())
-    funcs = {node.name for node in tree.body
-             if isinstance(node, ast.FunctionDef)}
-    assert _TEXT_SPELLERS <= funcs
-    assert _calls_by_name(tree, _TEXT_SPELLERS, _TOKEN_BUILDERS) == []
+    for name, spellers in _TEXT_SPELLERS.items():
+        tree = ast.parse((SRC / name).read_text())
+        funcs = {node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+        assert spellers <= funcs, name
+        assert _calls_by_name(tree, spellers, _TOKEN_BUILDERS) == [], name
 
 
 def test_calls_by_name_sees_names_attributes_and_nested_calls():
@@ -182,7 +187,7 @@ def test_calls_by_name_sees_names_attributes_and_nested_calls():
         def cells_to_word(cells):
             return conjugate(cells) + pow_tokens_like(cells)
     """))
-    found = _calls_by_name(tree, _TEXT_SPELLERS, _TOKEN_BUILDERS)
+    found = _calls_by_name(tree, _TEXT_SPELLERS["groups.py"], _TOKEN_BUILDERS)
     assert sorted(found) == ["module_to_word:4:pow_tokens",
                              "module_to_word:5:word_from_tokens"]
 
@@ -339,3 +344,129 @@ def test_calls_in_loops_sees_per_iteration_parts_only():
         "render_certificate_svg:11:color_glyph",
         "render_certificate_svg:12:color_glyph",
         "render_certificate_svg:13:color_glyph"]
+
+
+ROOT = SRC.parent.parent
+_USER_DIRS = ("tests", "demos", "perfbench")
+
+# Public functions with no caller in src/, perfbench/, demos/ or the README,
+# each kept for the reason given.
+_UNCALLED_ON_PURPOSE = {
+    "witness_from_dict": "reads the witness JSON that `solve` writes",
+    "submonoid_from_dict": "reads the instance JSON of `reduce submonoid`",
+    "nfa_from_dict": "reads the automaton JSON of `reduce rational --nfa`",
+    "witness_to_certificate": "reverse direction: a subset-sum witness "
+                              "is a tiling",
+    "word_plants": "reverse direction: a sweep word spells its picks",
+    "from_edgemap": "the edge map -> module element map of the reduction, "
+                    "which tiling_to_instance applies with a shared table",
+    "certificate_to_dict": "the certificate's dict form; dump_certificate "
+                           "writes its json.dumps byte for byte",
+}
+
+
+def _readme_blocks() -> list[tuple[str, str]]:
+    """The README's fenced code blocks as (language, code) pairs."""
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    return [tuple(block.split("\n", 1)) for block in blocks]
+
+
+def _root_imports(tree: ast.AST) -> set[str]:
+    """Names taken from the package root: ``from tilechain import name`` or
+    ``tilechain.name`` after ``import tilechain``, also in a script held in
+    a string, as a test runs in a subprocess."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "tilechain"
+                and not node.level):
+            found.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "tilechain"):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "tilechain" in node.value):
+            try:
+                script = ast.parse(textwrap.dedent(node.value))
+            except SyntaxError:
+                continue
+            found |= _root_imports(script)
+    return found
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Bare and attribute names a module refers to, the body of each
+    top-level function that bears the name excluded."""
+    found = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                found.add(name)
+    return found
+
+
+def _python_files(*dirs) -> list[Path]:
+    return sorted(path for name in dirs for path in (ROOT / name).rglob("*.py"))
+
+
+def test_package_root_exports_only_what_is_imported_from_it():
+    # The root re-exports a short list of names; everything else is
+    # imported from its submodule, so a name nobody takes from the root
+    # does not belong there.
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert exported
+    imported = set()
+    for path in _python_files(*_USER_DIRS):
+        imported |= _root_imports(ast.parse(path.read_text(), str(path)))
+    for language, code in _readme_blocks():
+        if language == "python":
+            imported |= _root_imports(ast.parse(code))
+    assert sorted(exported - imported) == []
+
+
+def test_every_public_function_has_a_caller():
+    # A public function that only tests call is a second way to say what
+    # the tests could say with the functions that stay.
+    defined = {node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    called = {word for _, code in _readme_blocks()
+              for word in re.findall(r"\w+", code)}
+    for path in _python_files("src", "perfbench", "demos"):
+        called |= _references(ast.parse(path.read_text(), str(path)))
+    uncalled = defined - called
+    assert sorted(uncalled - set(_UNCALLED_ON_PURPOSE)) == []
+    # Each allow-list entry names a public function that still has no
+    # caller, so the list cannot go stale.
+    assert sorted(set(_UNCALLED_ON_PURPOSE) - uncalled) == []
+
+
+def test_references_skip_a_function_naming_itself():
+    tree = ast.parse(textwrap.dedent("""
+        def walk(node):
+            return [walk(child) for child in node.children]
+
+        def spell(word):
+            return helpers.join(word)
+
+        TABLE = {"k": spell}
+    """))
+    assert _references(tree) >= {"spell", "join", "helpers", "node"}
+    assert "walk" not in _references(tree)
+    assert _root_imports(ast.parse(textwrap.dedent('''
+        import tilechain
+        from tilechain import alpha, beta as b
+        from tilechain.tm import gamma
+        tilechain.delta()
+        SCRIPT = """
+            from tilechain import epsilon
+            print("from tilechain import not code")
+        """
+    '''))) == {"alpha", "beta", "delta", "epsilon"}

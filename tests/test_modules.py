@@ -37,7 +37,6 @@ from tilechain.modules import (
     subset_sum_bounded,
     tiling_to_instance,
     tiling_to_subset_sum,
-    to_edgemap,
     unit,
     verify_witness,
     witness_from_dict,
@@ -166,18 +165,16 @@ class TestFlattening:
         e = from_edgemap(pipe.f0, colors)
         assert e.rank == 2 * len(colors)
         assert len(e) == len(pipe.f0.support())
-        assert to_edgemap(e, colors) == pipe.f0
+        tags = [("H", c) for c in colors] + [("V", c) for c in colors]
+        back = EdgeMap(e.ring, [(((x, y, tags[idx][0]), tags[idx][1]), v)
+                                for (x, y, idx), v in e.items()])
+        assert back == pipe.f0
 
     def test_flattening_is_translation_equivariant(self, artifacts):
         pipe = artifacts.pipeline("unary-eraser", "aa")
         colors = pipe.ts.colors
         moved = from_edgemap(pipe.f0.translate(3, -2), colors)
         assert moved == from_edgemap(pipe.f0, colors).translate(3, -2)
-
-    def test_to_edgemap_checks_rank(self, artifacts):
-        colors = artifacts.tiling("unary-eraser").colors
-        with pytest.raises(RankMismatch, match="does not match"):
-            to_edgemap(unit(Z, 3, 0, 0, 0), colors)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,6 +1048,24 @@ class TestSerialization:
                                   "note": "hi"}]}
         with pytest.raises(ValueError, match="unexpected entry fields"):
             element_from_dict(bad_entry)
+
+    @pytest.mark.parametrize("where, field, value, kind", [
+        ("module entry", "x", 2.7, "float"),
+        ("module entry", "y", True, "bool"),
+        ("module entry", "idx", "0", "str"),
+        ("module entry", "value", "1", "str"),
+        ("module entry", "value", 1.0, "float"),
+        ("module element", "rank", "1", "str"),
+        ("module element", "rank", 1.0, "float")])
+    def test_non_integer_fields_rejected(self, where, field, value, kind):
+        data = element_to_dict(unit(Z, 1, 0, 0, 0))
+        if where == "module element":
+            data[field] = value
+        else:
+            data["entries"][0][field] = value
+        with pytest.raises(ValueError, match=f"{where} field '{field}' must "
+                                             f"be an integer, not {kind}"):
+            element_from_dict(data)
 
     def test_instance_round_trip(self, artifacts):
         pipe = artifacts.pipeline("mini-raw", "a")

@@ -3,6 +3,7 @@ automaton, witness-to-word compilation, and the bounded membership
 search over (automaton state, group element) pairs."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -11,10 +12,11 @@ from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import Ring, Z
 from tilechain.groups import (UnboundSymbol, WreathElement, wreath_eval,
                               wreath_identity)
-from tilechain.machines import unary_eraser
+from tilechain.engine import build_accepting_tiling
+from tilechain.machines import mini_eraser, two_symbol_eraser, unary_eraser
 from tilechain.modules import (DuplicateShift, SemimoduleInstance,
-                               element_from_dict, tiling_to_subset_sum, unit,
-                               zero_element)
+                               certificate_to_witness, element_from_dict,
+                               tiling_to_subset_sum, unit, zero_element)
 from tilechain.rational import (
     Concat,
     Lit,
@@ -29,7 +31,6 @@ from tilechain.rational import (
     expr_from_text,
     expr_letters,
     expr_to_text,
-    load_nfa,
     make_rational_instance,
     nfa_accepts,
     nfa_from_dict,
@@ -166,6 +167,38 @@ class TestAutomaton:
 # witnesses as words
 
 
+def reference_certificate_to_word(witness):
+    """certificate_to_word as it was first written, one token at a time.
+    It stays here as the reference for the text form, which must remain
+    byte-identical to it."""
+    def power(symbol, k):
+        return [symbol] * k if k >= 0 else [symbol.swapcase()] * -k
+
+    picks = sorted(witness, key=lambda p: (p[2], p[1], p[0]))
+    if not picks:
+        return ""
+    rows = {}
+    for gen, dx, dy in picks:
+        rows.setdefault(dy, []).append((dx, gen))
+    first_b, last_b = picks[0][2], picks[-1][2]
+    cur_a = rows[first_b][0][0]
+    tokens = power("x", cur_a) + power("y", first_b)
+    for b in range(first_b, last_b + 1):
+        for a, gen in rows.get(b, []):
+            tokens += ["x"] * (a - cur_a)
+            tokens += [f"g{gen}", "x"]
+            cur_a = a + 1
+        tokens.append("y")
+        nxt = next((bb for bb in range(b + 1, last_b + 1) if bb in rows),
+                   None)
+        if nxt is not None and rows[nxt][0][0] < cur_a:
+            tokens += ["X"] * (cur_a - rows[nxt][0][0])
+            cur_a = rows[nxt][0][0]
+    tokens += power("x", -cur_a)
+    tokens += power("y", -(last_b + 1))
+    return " ".join(tokens)
+
+
 class TestWitnessWords:
     def test_empty_witness(self):
         assert certificate_to_word(()) == ""
@@ -202,6 +235,41 @@ class TestWitnessWords:
             assert nfa_accepts(nfa, word)
             assert sorted(word_plants(word)) == \
                 sorted((g, dx, dy) for g, dx, dy in picks)
+
+    def test_text_matches_token_list_reference(self):
+        # Seeded pick sets, counted by the features the word has to spell:
+        # negative coordinates, empty rows between picks, a row starting
+        # left of where the last one ended, and a generator used twice.
+        rng = random.Random(20261019)
+        seen = dict.fromkeys(("negative", "gap", "realign", "repeat"), 0)
+        for _ in range(400):
+            positions = {(rng.randint(-5, 5), rng.randint(-5, 5))
+                         for _ in range(rng.randint(0, 9))}
+            picks = tuple((rng.randint(0, 3), dx, dy)
+                          for dx, dy in positions)
+            assert certificate_to_word(picks) == \
+                reference_certificate_to_word(picks), picks
+            rows = {}
+            for _, dx, dy in picks:
+                rows.setdefault(dy, []).append(dx)
+            ys = sorted(rows)
+            seen["negative"] += any(dx < 0 or dy < 0 for _, dx, dy in picks)
+            seen["gap"] += any(b - a > 1 for a, b in zip(ys, ys[1:]))
+            seen["realign"] += any(min(rows[b]) <= max(rows[a])
+                                   for a, b in zip(ys, ys[1:]))
+            seen["repeat"] += len({g for g, _, _ in picks}) < len(picks)
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("machine, word", [
+        (mini_eraser, "a"), (unary_eraser, "a"), (unary_eraser, "aa"),
+        (two_symbol_eraser, "ab")])
+    def test_certificate_words_match_token_list_reference(self, machine,
+                                                          word):
+        tm = machine()
+        cert = build_accepting_tiling(tm, word, 64 * (len(word) + 2))
+        picks = certificate_to_witness(cert, compile_tiles(tm))
+        assert certificate_to_word(picks) == \
+            reference_certificate_to_word(picks)
 
     def test_word_plants_tracks_position(self):
         assert word_plants("x x g1 X g0 y Y y g12") == \
@@ -587,9 +655,10 @@ class TestPruningKeepsTheAnswer:
         # used, and the answer still equals the unpruned walk's.
         ring = Ring(3)
         rat = loaded_instance(ring, (1, 1), (1, 0), (((0, 0), 1),))
-        needed = _letters_needed(rat.expr, rat.bindings,
+        nfa = regex_to_nfa(rat.expr)
+        needed = _letters_needed(nfa, rat.bindings,
                                  wreath_eval("g0 g0 x", rat.bindings, ring))
-        start = _NfaSim(regex_to_nfa(rat.expr)).start()
+        start = _NfaSim(nfa).start()
         far = WreathElement(ring, {(5, 5): 2}, (9, -9))
         assert needed(start, far) == 0
         for word in ("g0 x y", "x g0 x g0 x y", "y g0 x y X Y Y"):
@@ -639,7 +708,7 @@ class TestLowerBound:
                     states, element = pairs[prefix]
                     path.append((states, element))
                 if element not in hooks:
-                    hooks[element] = _letters_needed(rat.expr, rat.bindings,
+                    hooks[element] = _letters_needed(sim.nfa, rat.bindings,
                                                      element)
                 needed = hooks[element]
                 bounds = [needed(*pair) for pair in path]
@@ -657,10 +726,10 @@ class TestLowerBound:
         row = WreathElement(three, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
         # Three lamps, at most two per plant: 2 plants.  Lamp (2, 0) needs
         # the cursor at (1, 0) or (2, 0) and back: 2 moves.
-        assert _letters_needed(pair.expr, pair.bindings, row)(
+        assert _letters_needed(sim.nfa, pair.bindings, row)(
             start, origin) == 4
         # No lamp differs: the cursor only has to get home.
-        home = _letters_needed(pair.expr, pair.bindings, origin)
+        home = _letters_needed(sim.nfa, pair.bindings, origin)
         assert home(start, WreathElement(three, pos=(2, -1))) == 3
         # After g0 the automaton needs x and y before it accepts again.
         assert home(sim.step(start, "g0"), origin) == 2
@@ -668,22 +737,24 @@ class TestLowerBound:
         rank2 = make_rational_instance(SemimoduleInstance(
             three, 2, (unit(three, 2, 0, 0, 1),), unit(three, 2, 0, 0, 1),
             mode="subset-sum"))
-        back = _letters_needed(rank2.expr, rank2.bindings, origin)
+        back = _letters_needed(regex_to_nfa(rank2.expr), rank2.bindings,
+                               origin)
         assert back(start, WreathElement(three, pos=(3, 1))) == 3
         # A diagonal move: the larger per-axis count, max(3, 1).
         diagonal = loaded_instance(three, (1, 1), (0, 0), (((0, 0), 1),))
-        assert _letters_needed(diagonal.expr, diagonal.bindings, origin)(
+        assert _letters_needed(regex_to_nfa(diagonal.expr),
+                               diagonal.bindings, origin)(
             start, WreathElement(three, pos=(3, 1))) == 3
         # Over Z/3 a lamp of 2 takes two plants of f, but the bound counts
         # the lamps that differ, not by how much: one plant.
         single = planted_instance(three, (f,), ())
-        assert _letters_needed(single.expr, single.bindings,
+        assert _letters_needed(regex_to_nfa(single.expr), single.bindings,
                                WreathElement(three, {(0, 0): 2}))(
             start, WreathElement(three, {(0, 0): 0})) == 1
         # No plant letter at all: a differing lamp can never be fixed.
         moves_only = {k: v for k, v in single.bindings.items() if k != "g0"}
         moves_only["g0"] = origin
-        assert _letters_needed(single.expr, moves_only,
+        assert _letters_needed(regex_to_nfa(single.expr), moves_only,
                                WreathElement(three, {(0, 0): 1}))(
             start, origin) == _NEVER
 
@@ -695,8 +766,8 @@ class TestLowerBound:
 class TestRationalSerialization:
     def test_nfa_round_trip(self):
         nfa = regex_to_nfa(build_L(2))
-        assert load_nfa(dump_nfa(nfa)) == nfa
-        loaded = load_nfa(dump_nfa(nfa))
+        loaded = nfa_from_dict(json.loads(dump_nfa(nfa)))
+        assert loaded == nfa
         for word, expected in (("g1 x y X Y", True), ("g1 g0", False)):
             assert nfa_accepts(loaded, word) is expected
 
@@ -767,4 +838,17 @@ class TestRationalSerialization:
         data["target"]["fun"] = [{"a": 0, "b": 0, "value": 1, "junk": 5}]
         with pytest.raises(ValueError,
                            match=r"unexpected entry fields: \['junk'\]"):
+            rational_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("a", "0", "str"), ("b", 0.5, "float"), ("value", True, "bool"),
+        ("value", 1.0, "float")])
+    def test_non_integer_lamp_entries_rejected(self, field, value, kind):
+        ring = Ring(2)
+        data = rational_to_dict(make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0))))
+        data["bindings"]["g0"]["fun"][0][field] = value
+        with pytest.raises(ValueError, match=f"lamp entry field '{field}' "
+                                             f"must be an integer, "
+                                             f"not {kind}"):
             rational_from_dict(data)
