@@ -258,18 +258,28 @@ def evaluate_placements(ts: TilingSystem, placements, ring: Ring = Z) -> EdgeMap
     """Sum of the translated tile maps of a placement list.
 
     Every placed tile must belong to the system; repeats are allowed and add.
+    A placed tile is looked up by identity first, as a certificate holds
+    few distinct tile objects.  A tile object seen for the first time is
+    found by the tile's own hash and equality, so an equal copy of a
+    system tile counts; it is then kept with its sides, which keeps its
+    identity from being reused within the call.
     """
     sides = {tile: _sides(tile, ts.distinguished) for tile in ts.tiles}
+    by_id = {id(tile): (tile, sides[tile]) for tile in ts.tiles}
     total: dict = {}
     for placement in placements:
-        tile_sides = sides.get(placement.tile)
-        if tile_sides is None:
-            raise UnknownTile(repr(placement.tile))
+        tile = placement.tile
+        known = by_id.get(id(tile))
+        if known is None:
+            if tile not in sides:
+                raise UnknownTile(repr(tile))
+            known = by_id[id(tile)] = (tile, sides[tile])
+        tile_sides = known[1]
         px, py = placement.x, placement.y
         for (ex, ey, tag), sign in tile_sides:
             key = (px + ex, py + ey, tag)
             total[key] = total.get(key, 0) + sign
-    return _make_vector(EdgeMap, ring, _canon(ring, total.items()))
+    return _make_vector(EdgeMap, ring, _reduced(ring, total))
 
 
 # -- JSON -------------------------------------------------------------------

@@ -768,9 +768,10 @@ def instance_to_dict(instance: SemimoduleInstance) -> dict:
 def instance_from_dict(data: dict) -> SemimoduleInstance:
     _refuse_unknown(data, {"ring", "rank", "mode", "generators", "target"},
                     "unexpected fields")
+    _check_ints("instance", data, ("rank",))
     return SemimoduleInstance(
         ring_from_name(data["ring"]),
-        int(data["rank"]),
+        data["rank"],
         tuple(element_from_dict(g) for g in data["generators"]),
         element_from_dict(data["target"]),
         data["mode"],
@@ -790,11 +791,21 @@ def witness_to_dict(mode: str, witness) -> dict:
 
 
 def witness_from_dict(data: dict):
+    """Read a witness; refuses unknown fields and values that are not
+    integers (``bool``, ``float`` and ``str`` included)."""
     mode = data["mode"]
     if mode == "semimodule":
-        return tuple(WitnessTerm(int(t["gen"]), int(t["dx"]), int(t["dy"]),
-                                 int(t["coeff"])) for t in data["terms"])
-    if mode == "subset-sum":
-        return tuple((int(p["gen"]), int(p["dx"]), int(p["dy"]))
-                     for p in data["picks"])
-    raise ValueError(f"unknown mode {mode!r}")
+        rows, fields = "terms", ("gen", "dx", "dy", "coeff")
+    elif mode == "subset-sum":
+        rows, fields = "picks", ("gen", "dx", "dy")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    _refuse_unknown(data, {"mode", rows}, "unexpected fields")
+    read = []
+    for row in data[rows]:
+        _refuse_unknown(row, set(fields), "unexpected entry fields")
+        _check_ints("witness entry", row, fields)
+        read.append(tuple(row[field] for field in fields))
+    if mode == "semimodule":
+        return tuple(WitnessTerm(*term) for term in read)
+    return tuple(read)

@@ -24,13 +24,14 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Optional
 
 from .edges import Ring, ring_from_name
 from .groups import (UnboundSymbol, WreathElement, _bound, embed_module,
                      wreath_eval, wreath_identity)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
-from .tiling import _check_ints, _refuse_unknown
+from .tiling import _check_ints, _not_int, _refuse_unknown
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,8 @@ def regex_to_nfa(expr: RationalExpr) -> Nfa:
 
 class _NfaSim:
     """Subset simulation with precomputed adjacency; the subset automaton
-    is built lazily, one memoised step at a time."""
+    is built lazily, one memoised step at a time.  Everything it holds is
+    a function of the automaton alone: see :func:`_compiled`."""
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
@@ -256,6 +258,9 @@ class _NfaSim:
         self.by_label: Dict[tuple[int, str], list[int]] = {}
         self._subsets: Dict[frozenset[int], frozenset[int]] = {}
         self._steps: Dict[tuple[frozenset[int], str], frozenset[int]] = {}
+        self._letters = frozenset(nfa.alphabet())
+        self._to_final = _final_distances(nfa)
+        self._distances: Dict[frozenset[int], int] = {}
         for src, label, dst in nfa.edges:
             if label is None:
                 self.eps.setdefault(src, []).append(dst)
@@ -281,9 +286,13 @@ class _NfaSim:
     def step(self, states: frozenset[int], token: str) -> frozenset[int]:
         """The closed subset after ``token``, empty when dead.  Memoised:
         each (subset, letter) pair is closed once, and as closures are
-        interned, a subset reached again is the same frozenset object."""
+        interned, a subset reached again is the same frozenset object.
+        A token outside the alphabet is not memoised, so a shared
+        simulator does not grow with the words it is asked about."""
         moved = self._steps.get((states, token))
         if moved is None:
+            if token not in self._letters:
+                return self.closure(())
             moved = self._steps[states, token] = self.closure(
                 dst for state in states
                 for dst in self.by_label.get((state, token), ()))
@@ -292,10 +301,63 @@ class _NfaSim:
     def accepting(self, states: frozenset[int]) -> bool:
         return not self.nfa.finals.isdisjoint(states)
 
+    def distance(self, states: frozenset[int]) -> int:
+        """The fewest labelled edges from a state of ``states`` to a final
+        state (:data:`_NEVER` when none is reachable), kept per subset."""
+        steps = self._distances.get(states)
+        if steps is None:
+            to_final = self._to_final
+            steps = self._distances[states] = min(
+                (to_final.get(state, _NEVER) for state in states),
+                default=_NEVER)
+        return steps
+
+
+# More letters than any length budget: the bound of a pair from which no
+# accepted word reaches the target.
+_NEVER = sys.maxsize
+
+
+def _final_distances(nfa: Nfa) -> Dict[int, int]:
+    """The fewest labelled edges from each state to a final state, by a
+    0-1 BFS on the reversed automaton (epsilon edges cost 0); a state
+    that reaches no final state is left out."""
+    backward: Dict[int, list[tuple[int, int]]] = {}
+    for src, label, dst in nfa.edges:
+        backward.setdefault(dst, []).append((src, label is not None))
+    to_final = dict.fromkeys(nfa.finals, 0)
+    queue = deque(nfa.finals)
+    while queue:
+        state = queue.popleft()
+        for src, cost in backward.get(state, ()):
+            reached = to_final[state] + cost
+            if reached < to_final.get(src, _NEVER):
+                to_final[src] = reached
+                if cost:
+                    queue.append(src)
+                else:
+                    queue.appendleft(src)
+    return to_final
+
+
+@lru_cache(maxsize=32)
+def _compiled(nfa: Nfa) -> _NfaSim:
+    """The one simulator of an automaton, shared by every search over an
+    equal automaton.
+
+    Its adjacency lists, interned closures, memoised subset steps and
+    distances to a final state depend on the automaton alone, so equal
+    ``build_L(k)`` expressions, whose Thompson automata are equal, work
+    each of them out once.  The subset automaton it grows is finite, so
+    an entry stays bounded however many searches share it.  Callers that
+    race on one entry at most work a step out twice: each memo value is a
+    function of its key, and closures are interned with ``setdefault``."""
+    return _NfaSim(nfa)
+
 
 def nfa_accepts(nfa: Nfa, word: str | Iterable[str]) -> bool:
     tokens = word.split() if isinstance(word, str) else list(word)
-    sim = _NfaSim(nfa)
+    sim = _compiled(nfa)
     states = sim.start()
     for token in tokens:
         states = sim.step(states, token)
@@ -423,7 +485,7 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
 
 def _sweep_walk(expr: RationalExpr, nfa: Nfa,
                 bindings: Dict[str, WreathElement], ring: Ring, max_len: int,
-                needed) -> Iterator[tuple]:
+                position, needed=None) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
     frontier pair by the letters in first-appearance order.  ``nfa`` is
@@ -432,17 +494,27 @@ def _sweep_walk(expr: RationalExpr, nfa: Nfa,
     Yields ``(accepting, element, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
     pairs have identical futures (evaluation is a homomorphism), so the
-    exact visited set loses nothing.  ``needed(subset, element)`` is a
-    lower bound on the letters still needed from a pair; an extension
-    whose bound exceeds the letters left is dropped before it enters the
-    visited set, so the set holds only the pairs yielded.  A negative
+    exact visited set loses nothing.
+
+    Two hooks prune the walk.  Each is a lower bound on the letters still
+    needed from a pair, and an extension whose bound exceeds the letters
+    left is dropped before it enters the visited set, so the set holds
+    only the pairs yielded.  ``position(subset, x, y)`` sees the cursor
+    position alone: the walk adds the letter's shift to the frontier
+    element's position and asks it before the product ``element * value``
+    is built, so a dropped extension costs no product.  ``needed(subset,
+    element)``, when given, is asked after the product, only for the
+    extensions the position test lets through; it must be at least the
+    position test at the element's position.  The position test then
+    never drops an extension that ``needed`` keeps, and the walk visits
+    exactly what ``needed`` alone would let it visit.  A negative
     ``max_len`` is refused.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
     moves = [(letter, _bound(bindings, letter))
              for letter in expr_letters(expr)]
-    sim = _NfaSim(nfa)
+    sim = _compiled(nfa)
     start = (sim.start(), wreath_identity(ring))
     yield sim.accepting(start[0]), start[1], None
     frontier = [(*start, None)]
@@ -454,29 +526,30 @@ def _sweep_walk(expr: RationalExpr, nfa: Nfa,
         for states, element, word in frontier:
             out = arrows.get(states)
             if out is None:
-                # The live letters of a subset, in order, with the subset
-                # each one leads to and whether that subset accepts.
+                # The live letters of a subset, in order, with their
+                # shifts, the subset each one leads to and whether that
+                # subset accepts.
                 out = arrows[states] = [
-                    (letter, value, moved, sim.accepting(moved))
+                    (letter, value, *value.pos, moved, sim.accepting(moved))
                     for letter, value in moves
                     if (moved := sim.step(states, letter))]
-            for letter, value, moved, accepting in out:
+            px, py = element.pos
+            for letter, value, sx, sy, moved, accepting in out:
+                if position(moved, px + sx, py + sy) > remaining:
+                    continue
                 extended = element * value
-                if needed(moved, extended) > remaining:
+                if needed is not None and needed(moved, extended) > remaining:
                     continue
-                key = (moved, extended)
-                if key in visited:
+                # One hash per pair: a pair already visited leaves the
+                # set's size unchanged.
+                size = len(visited)
+                visited.add((moved, extended))
+                if len(visited) == size:
                     continue
-                visited.add(key)
                 grown = (word, letter)
                 yield accepting, extended, grown
                 next_frontier.append((moved, extended, grown))
         frontier = next_frontier
-
-
-# More letters than any length budget: the bound of a pair from which no
-# accepted word reaches the target.
-_NEVER = sys.maxsize
 
 
 def _cursor_distance(steps: list[tuple[int, int]]):
@@ -502,10 +575,43 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     return distance
 
 
+def _plants_move(values: list[WreathElement]) -> bool:
+    """Whether a letter both moves the cursor and lights lamps, so that
+    the plant and move counts of :func:`_letters_needed` may overlap."""
+    return any(value.pos != (0, 0) and value.support() for value in values)
+
+
+def _position_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
+                     target: WreathElement):
+    """The position test of a search for ``target`` over ``nfa``, the
+    walk's own automaton.
+
+    ``position(subset, x, y)`` is ``max(A, d((x, y) - target.pos))``: the
+    automaton distance A of :func:`_letters_needed` and the letters the
+    cursor needs to get home, with ``d`` from :func:`_cursor_distance`.
+    Both are terms of that bound, so the test is at most ``needed(subset,
+    element)`` for every element at (x, y).  Where a letter both moves
+    and lights lamps the bound is A alone, and so is the test.
+    """
+    automaton = _compiled(nfa).distance
+    values = [_bound(bindings, letter) for letter in nfa.alphabet()]
+    if _plants_move(values):
+        return lambda subset, x, y: automaton(subset)
+    distance = _cursor_distance([value.pos for value in values])
+    tx, ty = target.pos
+
+    def position(subset: frozenset[int], x: int, y: int) -> int:
+        return max(automaton(subset), distance(x - tx, y - ty))
+
+    return position
+
+
 def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
                     target: WreathElement):
-    """The :func:`_sweep_walk` hook of a search for ``target`` over ``nfa``,
-    the walk's own automaton.
+    """The lamp bound of a search for ``target`` over ``nfa``, the walk's
+    own automaton: the ``needed`` hook of :func:`_sweep_walk`, asked after
+    the position test of :func:`_position_needed` has let an extension
+    through.
 
     ``needed(subset, element)`` is a lower bound on the length of every
     word ``v`` that takes ``subset`` to an accepting subset and has
@@ -515,7 +621,8 @@ def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
       edge of the Thompson automaton, so ``|v|`` is at least the fewest
       labelled edges from a state of the subset to a final state.  A 0-1
       BFS on the reversed automaton (epsilon edges cost 0) gives that
-      count per state once; the minimum is kept per interned subset.
+      count per state once per automaton (:func:`_final_distances`); the
+      compiled automaton keeps the minimum per interned subset.
     * P, plants: let D be the lamps where ``element`` and ``target``
       differ.  A plant letter does not move and lights at most ``most``
       lamps, a move letter lights none, so ``v`` holds at least
@@ -532,34 +639,10 @@ def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
     A letter that both moves and lights lamps (possible in a loaded
     instance) breaks that split, and then only A is used.
     """
-    backward: Dict[int, list[tuple[int, int]]] = {}
-    for src, label, dst in nfa.edges:
-        backward.setdefault(dst, []).append((src, label is not None))
-    to_final = dict.fromkeys(nfa.finals, 0)
-    queue = deque(nfa.finals)
-    while queue:
-        state = queue.popleft()
-        for src, cost in backward.get(state, ()):
-            reached = to_final[state] + cost
-            if reached < to_final.get(src, _NEVER):
-                to_final[src] = reached
-                if cost:
-                    queue.append(src)
-                else:
-                    queue.appendleft(src)
-    automaton: Dict[frozenset[int], int] = {}
-
-    def automaton_distance(subset: frozenset[int]) -> int:
-        steps = automaton.get(subset)
-        if steps is None:
-            steps = automaton[subset] = min(
-                (to_final.get(state, _NEVER) for state in subset),
-                default=_NEVER)
-        return steps
-
+    automaton = _compiled(nfa).distance
     values = [_bound(bindings, letter) for letter in nfa.alphabet()]
-    if any(value.pos != (0, 0) and value.support() for value in values):
-        return lambda subset, element: automaton_distance(subset)
+    if _plants_move(values):
+        return lambda subset, element: automaton(subset)
     distance = _cursor_distance([value.pos for value in values])
     plants = [value.support() for value in values if value.support()]
     most = max(map(len, plants), default=0)
@@ -599,7 +682,7 @@ def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
         tour = tours.get(element)
         if tour is None:
             tour = tours[element] = plants_and_tour(element)
-        return max(automaton_distance(subset), tour)
+        return max(automaton(subset), tour)
 
     return needed
 
@@ -616,24 +699,28 @@ def rational_member_bounded(expr: RationalExpr,
     Only that word is spelled out, and it is re-evaluated before being
     handed back.
 
-    The walk is pruned by :func:`_letters_needed`, and the word stays the
-    one the unpruned walk returns: the shortest accepted word for the
-    target that comes first in the walk's letter order.  Let ``w`` be
-    that word, of length L, and ``p_i`` the pair of its prefix of length
-    i.  The rest of ``w`` takes ``p_i`` to the target in ``L - i <=
-    max_len - i`` letters, so the bound never prunes ``p_i`` at layer i.
-    No shorter word reaches ``p_i``, and no word of length i earlier in
-    the order does (either would give an answer before ``w``), so the
-    walk first reaches ``p_i`` from ``p_{i-1}`` by the letter ``w`` takes:
-    every pair on the path to the first hit, and its first parent, is
-    kept.  The walk yields its pairs layer by layer and, within a layer,
-    in the order of their words, so no hit comes before ``w``; with no
-    answer within ``max_len`` none comes at all.
+    The walk is pruned by :func:`_letters_needed`, with
+    :func:`_position_needed` asked first so that most pruned extensions
+    cost no product; as the position test never exceeds the full bound,
+    the walk keeps what the full bound keeps.  The word stays the one the
+    unpruned walk returns: the shortest accepted word for the target that
+    comes first in the walk's letter order.  Let ``w`` be that word, of
+    length L, and ``p_i`` the pair of its prefix of length i.  The rest of
+    ``w`` takes ``p_i`` to the target in ``L - i <= max_len - i`` letters,
+    so the bound never prunes ``p_i`` at layer i.  No shorter word
+    reaches ``p_i``, and no word of length i earlier in the order does
+    (either would give an answer before ``w``), so the walk first reaches
+    ``p_i`` from ``p_{i-1}`` by the letter ``w`` takes: every pair on the
+    path to the first hit, and its first parent, is kept.  The walk yields
+    its pairs layer by layer and, within a layer, in the order of their
+    words, so no hit comes before ``w``; with no answer within
+    ``max_len`` none comes at all.
     """
     nfa = regex_to_nfa(expr)
+    position = _position_needed(nfa, bindings, target)
     needed = _letters_needed(nfa, bindings, target)
     for accepting, element, word in _sweep_walk(expr, nfa, bindings, ring,
-                                                 max_len, needed):
+                                                max_len, position, needed):
         if accepting and element == target:
             letters = []
             while word is not None:
@@ -656,19 +743,19 @@ def enumerate_zero_position_hits(expr: RationalExpr,
 
     Runs the walk of :func:`_sweep_walk` to the end.  Branches whose
     position cannot return to the origin within the remaining length
-    budget are pruned: :func:`_cursor_distance` is a true lower bound on
-    the letters that move the position back, so no in-budget word is
-    lost.
+    budget are pruned by the position test alone, before their product is
+    built: :func:`_cursor_distance` is a true lower bound on the letters
+    that move the position back, so no in-budget word is lost.
     """
     distance = _cursor_distance([_bound(bindings, letter).pos
                                  for letter in expr_letters(expr)])
 
-    def needed(subset: frozenset[int], element: WreathElement) -> int:
-        return distance(*element.pos)
+    def position(subset: frozenset[int], x: int, y: int) -> int:
+        return distance(x, y)
 
     return {element for accepting, element, _ in
             _sweep_walk(expr, regex_to_nfa(expr), bindings, ring, max_len,
-                        needed)
+                        position)
             if accepting and element.pos == (0, 0)}
 
 
@@ -689,11 +776,19 @@ def nfa_to_dict(nfa: Nfa) -> dict:
 def nfa_from_dict(data: dict) -> Nfa:
     _refuse_unknown(data, {"state_count", "alphabet", "edges", "initial",
                            "finals"}, "unexpected fields")
-    edges = tuple((int(e["from"]),
+    _check_ints("automaton", data, ("state_count", "initial"))
+    for edge in data["edges"]:
+        _refuse_unknown(edge, {"from", "label", "to"},
+                        "unexpected edge fields")
+        _check_ints("automaton edge", edge, ("from", "to"))
+    for state in data["finals"]:
+        if type(state) is not int:
+            raise _not_int("automaton", "finals", state)
+    edges = tuple((e["from"],
                    None if e["label"] is None else str(e["label"]),
-                   int(e["to"])) for e in data["edges"])
-    return Nfa(int(data["state_count"]), edges, int(data["initial"]),
-               frozenset(int(s) for s in data["finals"]))
+                   e["to"]) for e in data["edges"])
+    return Nfa(data["state_count"], edges, data["initial"],
+               frozenset(data["finals"]))
 
 
 def dump_nfa(nfa: Nfa) -> str:
@@ -738,9 +833,10 @@ def rational_to_dict(instance: RationalInstance) -> dict:
 def rational_from_dict(data: dict) -> RationalInstance:
     _refuse_unknown(data, {"ring", "rank", "stride", "expr", "bindings",
                            "target"}, "unexpected fields")
+    _check_ints("rational instance", data, ("rank", "stride"))
     ring = ring_from_name(data["ring"])
     bindings = {letter: _wreath_from_dict(value, ring)
                 for letter, value in data["bindings"].items()}
-    return RationalInstance(ring, int(data["rank"]), int(data["stride"]),
+    return RationalInstance(ring, data["rank"], data["stride"],
                             expr_from_text(data["expr"]), bindings,
                             _wreath_from_dict(data["target"], ring))

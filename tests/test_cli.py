@@ -474,6 +474,18 @@ class TestSolveCommands:
         assert out == ""
         assert err == "error: unexpected entry fields: ['junk']\n"
 
+    def test_float_stride_is_3(self, capsys, ws, tmp_path):
+        data = json.loads(ws.rat_toy.read_text())
+        data["stride"] = 7.5
+        path = tmp_path / "rat_float_stride.json"
+        path.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "solve", "rational",
+                             "--instance", str(path), "--max-len", "5")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: rational instance field 'stride' must be an "
+                       "integer, not float\n")
+
     def test_negative_max_len_is_3(self, capsys, ws):
         code, out, err = cli(capsys, "solve", "rational",
                              "--instance", str(ws.rat_toy),

@@ -151,6 +151,20 @@ class TestTileEval:
         total = evaluate_placements(ts, [Placement(tile, 0, 0)] * 3)
         assert total.value((0, 1, "H"), letter("a")) == 3
 
+    def test_equal_tile_of_another_object_counts(self):
+        # Placements are looked up by identity first; an equal copy of a
+        # system tile, as a loader builds, must still count.
+        tile = Tile(n=letter("a"), e=C0, s=C0, w=C0, name="t")
+        copy_of = Tile(n=letter("a"), e=C0, s=C0, w=C0, name="t")
+        assert copy_of == tile and copy_of is not tile
+        ts = TilingSystem(colors=(C0, letter("a")), tiles=(tile,))
+        total = evaluate_placements(
+            ts, [Placement(tile, 0, 0), Placement(copy_of, 0, 0)])
+        assert total == tile_eval(tile).scale(2)
+        # Z/2 reduces the doubled side to zero.
+        assert evaluate_placements(ts, [Placement(copy_of, 0, 0)] * 2,
+                                   Ring(2)).is_zero()
+
     def test_unknown_tile_rejected(self):
         tile = Tile(n=letter("a"), e=C0, s=C0, w=C0)
         ts = TilingSystem(colors=(C0,), tiles=())

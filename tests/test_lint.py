@@ -60,16 +60,19 @@ def test_searches_have_no_recursion():
 
 
 def test_rational_searches_have_no_recursion():
-    # The sweep walk, the two searches on it and the bound helpers must
-    # not recurse either.  They are checked by name: the expression
-    # parser and printer in rational.py recurse over the syntax tree,
-    # which is legitimate.
+    # The sweep walk, the two searches on it, the bound helpers and the
+    # compiled automaton (the methods of _NfaSim included) must not
+    # recurse either.  They are checked by name: the expression parser
+    # and printer in rational.py recurse over the syntax tree, which is
+    # legitimate.
     names = {"_sweep_walk", "rational_member_bounded",
              "enumerate_zero_position_hits", "_letters_needed",
-             "_cursor_distance"}
+             "_cursor_distance", "_position_needed", "_plants_move",
+             "_compiled", "_final_distances", "_NfaSim"}
     tree = ast.parse((SRC / "rational.py").read_text())
     funcs = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name in names]
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in names]
     assert sorted(func.name for func in funcs) == sorted(names)
     for func in funcs:
         assert _self_calls(func) == [], func.name

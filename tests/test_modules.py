@@ -1086,6 +1086,50 @@ class TestSerialization:
         picks = ((0, 0, 0), (1, 2, 3))
         assert witness_from_dict(witness_to_dict("subset-sum", picks)) == picks
 
+    @pytest.mark.parametrize("value, kind", [
+        (True, "bool"), (1.9, "float"), ("1", "str")])
+    def test_instance_rank_must_be_an_integer(self, artifacts, value, kind):
+        pipe = artifacts.pipeline("mini-raw", "a")
+        data = instance_to_dict(tiling_to_instance(pipe.ts, pipe.f0))
+        data["rank"] = value
+        with pytest.raises(ValueError, match=f"instance field 'rank' must be "
+                                             f"an integer, not {kind}"):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize("mode, field, value, kind", [
+        ("semimodule", "coeff", True, "bool"),
+        ("semimodule", "dx", 2.5, "float"),
+        ("semimodule", "gen", "1", "str"),
+        ("subset-sum", "dy", True, "bool"),
+        ("subset-sum", "dx", 2.5, "float"),
+        ("subset-sum", "gen", "1", "str")])
+    def test_witness_values_must_be_integers(self, mode, field, value, kind):
+        witness = ((WitnessTerm(0, 1, 2, 3),) if mode == "semimodule"
+                   else ((0, 1, 2),))
+        data = witness_to_dict(mode, witness)
+        rows = data["terms" if mode == "semimodule" else "picks"]
+        rows[0][field] = value
+        with pytest.raises(ValueError, match=f"witness entry field '{field}' "
+                                             f"must be an integer, "
+                                             f"not {kind}"):
+            witness_from_dict(data)
+
+    def test_witness_strictness(self):
+        data = witness_to_dict("subset-sum", ((0, 1, 2),))
+        data["comment"] = "x"
+        with pytest.raises(ValueError, match=r"unexpected fields: \['comment'\]"):
+            witness_from_dict(data)
+        data = witness_to_dict("semimodule", (WitnessTerm(0, 1, 2, 3),))
+        data["terms"][0]["note"] = 1
+        with pytest.raises(ValueError,
+                           match=r"unexpected entry fields: \['note'\]"):
+            witness_from_dict(data)
+        # The other mode's rows are refused, not ignored.
+        data = witness_to_dict("subset-sum", ((0, 1, 2),))
+        data["terms"] = []
+        with pytest.raises(ValueError, match=r"unexpected fields: \['terms'\]"):
+            witness_from_dict(data)
+
     def test_witness_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             witness_to_dict("exact", ())

@@ -10,8 +10,8 @@ import pytest
 
 from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import Ring, Z
-from tilechain.groups import (UnboundSymbol, WreathElement, wreath_eval,
-                              wreath_identity)
+from tilechain.groups import (UnboundSymbol, WreathElement, _make_element,
+                              wreath_eval, wreath_identity)
 from tilechain.engine import build_accepting_tiling
 from tilechain.machines import mini_eraser, two_symbol_eraser, unary_eraser
 from tilechain.modules import (DuplicateShift, SemimoduleInstance,
@@ -42,7 +42,8 @@ from tilechain.rational import (
     regex_to_nfa,
     word_plants,
 )
-from tilechain.rational import _NEVER, _NfaSim, _letters_needed
+from tilechain.rational import (_NEVER, _NfaSim, _compiled, _letters_needed,
+                                _position_needed)
 
 
 def subset_instance(ring, target, gens=None):
@@ -716,6 +717,34 @@ class TestLowerBound:
                            for i, bound in enumerate(bounds)), (word, bounds)
                 assert bounds[-1] == 0
 
+    def test_position_test_never_exceeds_the_bound(self, short_sweep_words):
+        # The position test runs before the product and must never prune
+        # what the full bound keeps: at every prefix pair of every short
+        # accepted word, with the word's value as the target, it is at
+        # most the bound, and it is not zero everywhere.
+        for rat in bound_instances():
+            sim = _NfaSim(regex_to_nfa(rat.expr))
+            start = (sim.start(), wreath_identity(rat.ring))
+            hooks = {}
+            positive = 0
+            for word in short_sweep_words:
+                states, element = start
+                path = [start]
+                for letter in word.split():
+                    states = sim.step(states, letter)
+                    element = element * rat.bindings[letter]
+                    path.append((states, element))
+                if element not in hooks:
+                    hooks[element] = (
+                        _position_needed(sim.nfa, rat.bindings, element),
+                        _letters_needed(sim.nfa, rat.bindings, element))
+                position, needed = hooks[element]
+                for states, value in path:
+                    test = position(states, *value.pos)
+                    assert test <= needed(states, value), (word, value)
+                    positive += test > 0
+            assert positive > 0
+
     def test_hand_computed_bounds(self):
         three = Ring(3)
         f = unit(three, 1, 0, 0, 0)
@@ -757,6 +786,109 @@ class TestLowerBound:
         assert _letters_needed(regex_to_nfa(single.expr), moves_only,
                                WreathElement(three, {(0, 0): 1}))(
             start, origin) == _NEVER
+
+
+# ---------------------------------------------------------------------------
+# the compiled automaton and the position test before the product
+
+
+def reference_hits(expr, bindings, max_len, ring):
+    """enumerate_zero_position_hits as the unpruned walk: every pair of a
+    word of length at most ``max_len``, with an exact visited set and no
+    bound, keeping the accepting values at the origin."""
+    moves = [(letter, bindings[letter]) for letter in expr_letters(expr)]
+    sim = _NfaSim(regex_to_nfa(expr))
+    frontier = [(sim.start(), wreath_identity(ring))]
+    visited = set(frontier)
+    for _ in range(max_len):
+        next_frontier = []
+        for states, element in frontier:
+            for letter, value in moves:
+                pair = (sim.step(states, letter), element * value)
+                if pair[0] and pair not in visited:
+                    visited.add(pair)
+                    next_frontier.append(pair)
+        frontier = next_frontier
+    return {element for states, element in visited
+            if sim.accepting(states) and element.pos == (0, 0)}
+
+
+class _CountingWreath(WreathElement):
+    """A binding that counts the products built with it on the right:
+    as a subclass that defines ``__rmul__``, it is asked before the left
+    factor's ``__mul__``."""
+
+    __slots__ = ()
+    built = [0]
+
+    def __rmul__(self, other):
+        self.built[0] += 1
+        return other * _make_element(WreathElement, self.pos, self._vec)
+
+
+class TestCompiledAutomaton:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equal_expressions_share_one_automaton(self, k):
+        # Two searches in a row, each on a fresh build_L(k): the same
+        # words and hit sets as the unpruned walk, and the second pair of
+        # searches compiles nothing.
+        ring = Ring(3)
+        gens = sweep_gens(ring, (1, 0))[:k]
+        picks = ((k - 1, 1, 0),)
+        runs = []
+        for _ in range(2):
+            rat = planted_instance(ring, gens, picks)
+            before = _compiled.cache_info()
+            word = rational_member_bounded(rat.expr, rat.bindings,
+                                           rat.target, 7, ring)
+            hits = enumerate_zero_position_hits(rat.expr, rat.bindings,
+                                                ring, 7)
+            runs.append((rat, word, hits, before, _compiled.cache_info()))
+        (first, word1, hits1, _, _), (second, word2, hits2, before, after) = runs
+        assert first.expr == second.expr and first.expr is not second.expr
+        assert word1 == word2 == reference_member(
+            first.expr, first.bindings, first.target, 7, ring) is not None
+        assert hits1 == hits2 == reference_hits(first.expr, first.bindings,
+                                                7, ring)
+        assert first.target in hits1
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+        assert _compiled(regex_to_nfa(first.expr)) is \
+            _compiled(regex_to_nfa(second.expr))
+
+    def test_acceptance_shares_the_search_automaton(self):
+        nfa = regex_to_nfa(build_L(1))
+        sim = _compiled(nfa)
+        before = _compiled.cache_info()
+        assert nfa_accepts(regex_to_nfa(build_L(1)), "g0 x y X Y")
+        assert not nfa_accepts(regex_to_nfa(build_L(1)), "g0")
+        assert _compiled.cache_info().misses == before.misses
+        assert _compiled(regex_to_nfa(build_L(1))) is sim
+        # A token outside the alphabet is dead and leaves no memo entry
+        # behind in the shared simulator.
+        assert nfa_accepts(nfa, "x")
+        steps = dict(sim._steps)
+        for word in ("zz", "x zz", "x q0 x"):
+            assert not nfa_accepts(nfa, word)
+        assert sim._steps == steps
+
+    def test_enumeration_products(self):
+        # Z/2, target f + f.x, words of length at most 10: the position
+        # test drops an extension before its product is built, so only
+        # the extensions it keeps cost one (a hook that needs the element
+        # builds all 5,905).  The hit set is the one of the test above.
+        ring = Ring(2)
+        rat = planted_instance(ring, sweep_gens(ring), ((0, 0, 0),
+                                                        (0, 1, 0)))
+        counting = {letter: _make_element(_CountingWreath, value.pos,
+                                          value._vec)
+                    for letter, value in rat.bindings.items()}
+        _CountingWreath.built[0] = 0
+        hits = enumerate_zero_position_hits(rat.expr, counting, ring, 10)
+        assert _CountingWreath.built[0] == 3067
+        assert hits == enumerate_zero_position_hits(rat.expr, rat.bindings,
+                                                    ring, 10)
+        assert len(hits) == 67 and rat.target in hits
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +970,43 @@ class TestRationalSerialization:
         data["target"]["fun"] = [{"a": 0, "b": 0, "value": 1, "junk": 5}]
         with pytest.raises(ValueError,
                            match=r"unexpected entry fields: \['junk'\]"):
+            rational_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("state_count", True, "bool"), ("initial", 1.9, "float"),
+        ("finals", "1", "str"), ("from", 0.5, "float"), ("to", "1", "str")])
+    def test_nfa_values_must_be_integers(self, field, value, kind):
+        data = nfa_to_dict(regex_to_nfa(Lit("x")))
+        where = "automaton"
+        if field == "finals":
+            data["finals"] = [value]
+        elif field in ("from", "to"):
+            data["edges"][0][field] = value
+            where = "automaton edge"
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=f"{where} field '{field}' must "
+                                             f"be an integer, not {kind}"):
+            nfa_from_dict(data)
+
+    def test_nfa_edge_strictness(self):
+        data = nfa_to_dict(regex_to_nfa(Lit("x")))
+        data["edges"][0]["weight"] = 1
+        with pytest.raises(ValueError,
+                           match=r"unexpected edge fields: \['weight'\]"):
+            nfa_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("rank", True, "bool"), ("stride", 7.5, "float"),
+        ("rank", "1", "str"), ("stride", "1", "str")])
+    def test_rank_and_stride_must_be_integers(self, field, value, kind):
+        ring = Ring(2)
+        data = rational_to_dict(make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0))))
+        data[field] = value
+        with pytest.raises(ValueError, match=f"rational instance field "
+                                             f"'{field}' must be an integer, "
+                                             f"not {kind}"):
             rational_from_dict(data)
 
     @pytest.mark.parametrize("field, value, kind", [
