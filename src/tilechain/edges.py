@@ -68,6 +68,9 @@ Z = Ring(None)
 
 
 def ring_from_name(name: str) -> Ring:
+    if type(name) is not str:
+        raise ValueError(f"a ring must be named by a string, not "
+                         f"{type(name).__name__}")
     if name == "Z":
         return Z
     if name.startswith("Zmod:"):

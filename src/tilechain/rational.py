@@ -21,6 +21,7 @@ search over (automaton state, group element) pairs.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .edges import Ring, ring_from_name
 from .groups import (UnboundSymbol, WreathElement, _bound, embed_module,
                      wreath_eval, wreath_identity)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
-from .tiling import _check_ints, _not_int, _refuse_unknown
+from .tiling import _check_ints, _refuse_unknown, _wrong_type
 
 
 # ---------------------------------------------------------------------------
@@ -61,23 +62,6 @@ class Union(RationalExpr):
 @dataclass(frozen=True)
 class Star(RationalExpr):
     inner: RationalExpr
-
-
-def expr_letters(expr: RationalExpr) -> list[str]:
-    """Letters in first-appearance order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: RationalExpr) -> None:
-        if isinstance(node, Lit):
-            seen.setdefault(node.token, None)
-        elif isinstance(node, Concat) or isinstance(node, Union):
-            for part in node.parts:
-                walk(part)
-        elif isinstance(node, Star):
-            walk(node.inner)
-
-    walk(expr)
-    return list(seen)
 
 
 def build_L(k: int) -> RationalExpr:
@@ -114,26 +98,10 @@ def expr_to_text(expr: RationalExpr) -> str:
 _STRUCTURAL = {"(", ")", "|", "*"}
 
 
-def _lex(text: str) -> list[str]:
-    tokens: list[str] = []
-    current = ""
-    for char in text:
-        if char in _STRUCTURAL or char.isspace():
-            if current:
-                tokens.append(current)
-                current = ""
-            if char in _STRUCTURAL:
-                tokens.append(char)
-        else:
-            current += char
-    if current:
-        tokens.append(current)
-    return tokens
-
-
 def expr_from_text(text: str) -> RationalExpr:
-    """Parse the text form produced by :func:`expr_to_text`."""
-    tokens = _lex(text)
+    """Parse the text form produced by :func:`expr_to_text`.  A token is
+    one structural character or a longest run of other non-space ones."""
+    tokens = re.findall(r"[()|*]|[^\s()|*]+", text)
     pos = 0
 
     def peek() -> Optional[str]:
@@ -441,13 +409,12 @@ def word_plants(word: str | Iterable[str]) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # instances and bounded search
 
-def rational_bindings(instance: SemimoduleInstance,
-                      stride: Optional[int] = None
+def rational_bindings(instance: SemimoduleInstance
                       ) -> Dict[str, WreathElement]:
-    """Letter bindings for an instance: x moves by the stride, y by one,
-    and g_j deposits the j-th generator's flattened pattern."""
-    if stride is None:
-        stride = max(instance.rank, 1)
+    """Letter bindings for an instance: x moves by the stride
+    ``max(rank, 1)``, y by one, and g_j deposits the j-th generator's
+    flattened pattern."""
+    stride = max(instance.rank, 1)
     ring = instance.ring
     x = WreathElement(ring, pos=(stride, 0))
     y = WreathElement(ring, pos=(0, 1))
@@ -475,7 +442,7 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
         raise ValueError("rational reduction starts from a subset-sum "
                          "instance")
     stride = max(instance.rank, 1)
-    bindings = rational_bindings(instance, stride)
+    bindings = rational_bindings(instance)
     target = WreathElement(instance.ring,
                            embed_module(instance.target, stride))
     return RationalInstance(instance.ring, instance.rank, stride,
@@ -483,13 +450,13 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
                             target)
 
 
-def _sweep_walk(expr: RationalExpr, nfa: Nfa,
-                bindings: Dict[str, WreathElement], ring: Ring, max_len: int,
-                position, needed=None) -> Iterator[tuple]:
+def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement], ring: Ring,
+                max_len: int, position, needed=None) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
-    frontier pair by the letters in first-appearance order.  ``nfa`` is
-    ``regex_to_nfa(expr)``.
+    frontier pair by the letters of ``nfa.alphabet()`` in order.  For a
+    Thompson automaton that is the order in which the letters first appear
+    in the expression, as each literal's edge is added left to right.
 
     Yields ``(accepting, element, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
@@ -513,7 +480,7 @@ def _sweep_walk(expr: RationalExpr, nfa: Nfa,
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
     moves = [(letter, _bound(bindings, letter))
-             for letter in expr_letters(expr)]
+             for letter in nfa.alphabet()]
     sim = _compiled(nfa)
     start = (sim.start(), wreath_identity(ring))
     yield sim.accepting(start[0]), start[1], None
@@ -575,43 +542,10 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     return distance
 
 
-def _plants_move(values: list[WreathElement]) -> bool:
-    """Whether a letter both moves the cursor and lights lamps, so that
-    the plant and move counts of :func:`_letters_needed` may overlap."""
-    return any(value.pos != (0, 0) and value.support() for value in values)
-
-
-def _position_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
-                     target: WreathElement):
-    """The position test of a search for ``target`` over ``nfa``, the
-    walk's own automaton.
-
-    ``position(subset, x, y)`` is ``max(A, d((x, y) - target.pos))``: the
-    automaton distance A of :func:`_letters_needed` and the letters the
-    cursor needs to get home, with ``d`` from :func:`_cursor_distance`.
-    Both are terms of that bound, so the test is at most ``needed(subset,
-    element)`` for every element at (x, y).  Where a letter both moves
-    and lights lamps the bound is A alone, and so is the test.
-    """
-    automaton = _compiled(nfa).distance
-    values = [_bound(bindings, letter) for letter in nfa.alphabet()]
-    if _plants_move(values):
-        return lambda subset, x, y: automaton(subset)
-    distance = _cursor_distance([value.pos for value in values])
-    tx, ty = target.pos
-
-    def position(subset: frozenset[int], x: int, y: int) -> int:
-        return max(automaton(subset), distance(x - tx, y - ty))
-
-    return position
-
-
-def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
-                    target: WreathElement):
-    """The lamp bound of a search for ``target`` over ``nfa``, the walk's
-    own automaton: the ``needed`` hook of :func:`_sweep_walk`, asked after
-    the position test of :func:`_position_needed` has let an extension
-    through.
+def _search_bounds(nfa: Nfa, bindings: Dict[str, WreathElement],
+                   target: WreathElement):
+    """The two pruning hooks of a search for ``target`` over ``nfa``, the
+    walk's own automaton: ``(position, needed)`` for :func:`_sweep_walk`.
 
     ``needed(subset, element)`` is a lower bound on the length of every
     word ``v`` that takes ``subset`` to an accepting subset and has
@@ -635,14 +569,19 @@ def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
       maximised over l (with ``d`` from :func:`_cursor_distance`).  For
       empty D the cursor still has to get home: ``d(pos, target.pos)``.
 
+    ``position(subset, x, y)`` is ``max(A, d((x, y) - target.pos))``.
+    Both are terms of the bound, so it is at most ``needed(subset,
+    element)`` for every element at (x, y).
+
     Plant and move letters are distinct, so P + T counts distinct letters.
     A letter that both moves and lights lamps (possible in a loaded
-    instance) breaks that split, and then only A is used.
+    instance) breaks that split.  Then the bound is A alone, which the
+    position test already is, and ``needed`` is None.
     """
     automaton = _compiled(nfa).distance
     values = [_bound(bindings, letter) for letter in nfa.alphabet()]
-    if _plants_move(values):
-        return lambda subset, element: automaton(subset)
+    if any(value.pos != (0, 0) and value.support() for value in values):
+        return lambda subset, x, y: automaton(subset), None
     distance = _cursor_distance([value.pos for value in values])
     plants = [value.support() for value in values if value.support()]
     most = max(map(len, plants), default=0)
@@ -651,6 +590,9 @@ def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
     tx, ty = target.pos
     spots: Dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     tours: Dict[WreathElement, int] = {}
+
+    def position(subset: frozenset[int], x: int, y: int) -> int:
+        return max(automaton(subset), distance(x - tx, y - ty))
 
     def cursor_spots(a: int, b: int) -> list[tuple[int, int, int]]:
         # The positions a plant can change lamp (a, b) from, each with the
@@ -684,7 +626,7 @@ def _letters_needed(nfa: Nfa, bindings: Dict[str, WreathElement],
             tour = tours[element] = plants_and_tour(element)
         return max(automaton(subset), tour)
 
-    return needed
+    return position, needed
 
 
 def rational_member_bounded(expr: RationalExpr,
@@ -699,12 +641,12 @@ def rational_member_bounded(expr: RationalExpr,
     Only that word is spelled out, and it is re-evaluated before being
     handed back.
 
-    The walk is pruned by :func:`_letters_needed`, with
-    :func:`_position_needed` asked first so that most pruned extensions
-    cost no product; as the position test never exceeds the full bound,
-    the walk keeps what the full bound keeps.  The word stays the one the
-    unpruned walk returns: the shortest accepted word for the target that
-    comes first in the walk's letter order.  Let ``w`` be that word, of
+    The walk is pruned by the bound of :func:`_search_bounds`, with its
+    position test asked first so that most pruned extensions cost no
+    product; as that test never exceeds the full bound, the walk keeps
+    what the full bound keeps.  The word stays the one the unpruned walk
+    returns: the shortest accepted word for the target that comes first
+    in the walk's letter order.  Let ``w`` be that word, of
     length L, and ``p_i`` the pair of its prefix of length i.  The rest of
     ``w`` takes ``p_i`` to the target in ``L - i <= max_len - i`` letters,
     so the bound never prunes ``p_i`` at layer i.  No shorter word
@@ -717,10 +659,9 @@ def rational_member_bounded(expr: RationalExpr,
     ``max_len`` none comes at all.
     """
     nfa = regex_to_nfa(expr)
-    position = _position_needed(nfa, bindings, target)
-    needed = _letters_needed(nfa, bindings, target)
-    for accepting, element, word in _sweep_walk(expr, nfa, bindings, ring,
-                                                max_len, position, needed):
+    for accepting, element, word in _sweep_walk(
+            nfa, bindings, ring, max_len,
+            *_search_bounds(nfa, bindings, target)):
         if accepting and element == target:
             letters = []
             while word is not None:
@@ -747,15 +688,12 @@ def enumerate_zero_position_hits(expr: RationalExpr,
     built: :func:`_cursor_distance` is a true lower bound on the letters
     that move the position back, so no in-budget word is lost.
     """
+    nfa = regex_to_nfa(expr)
     distance = _cursor_distance([_bound(bindings, letter).pos
-                                 for letter in expr_letters(expr)])
-
-    def position(subset: frozenset[int], x: int, y: int) -> int:
-        return distance(x, y)
-
+                                 for letter in nfa.alphabet()])
     return {element for accepting, element, _ in
-            _sweep_walk(expr, regex_to_nfa(expr), bindings, ring, max_len,
-                        position)
+            _sweep_walk(nfa, bindings, ring, max_len,
+                        lambda subset, x, y: distance(x, y))
             if accepting and element.pos == (0, 0)}
 
 
@@ -774,6 +712,9 @@ def nfa_to_dict(nfa: Nfa) -> dict:
 
 
 def nfa_from_dict(data: dict) -> Nfa:
+    """Read an automaton; refuses unknown fields, states that are not
+    integers, labels that are neither strings nor null, and an alphabet
+    other than the sorted edge labels :func:`nfa_to_dict` writes."""
     _refuse_unknown(data, {"state_count", "alphabet", "edges", "initial",
                            "finals"}, "unexpected fields")
     _check_ints("automaton", data, ("state_count", "initial"))
@@ -781,14 +722,19 @@ def nfa_from_dict(data: dict) -> Nfa:
         _refuse_unknown(edge, {"from", "label", "to"},
                         "unexpected edge fields")
         _check_ints("automaton edge", edge, ("from", "to"))
+        if edge["label"] is not None and type(edge["label"]) is not str:
+            raise _wrong_type("automaton edge", "label", edge["label"],
+                              "a string or null")
     for state in data["finals"]:
         if type(state) is not int:
-            raise _not_int("automaton", "finals", state)
-    edges = tuple((e["from"],
-                   None if e["label"] is None else str(e["label"]),
-                   e["to"]) for e in data["edges"])
-    return Nfa(data["state_count"], edges, data["initial"],
-               frozenset(data["finals"]))
+            raise _wrong_type("automaton", "finals", state)
+    nfa = Nfa(data["state_count"],
+              tuple((e["from"], e["label"], e["to"]) for e in data["edges"]),
+              data["initial"], frozenset(data["finals"]))
+    if data["alphabet"] != sorted(nfa.alphabet()):
+        raise ValueError(f"automaton alphabet {data['alphabet']!r} is not "
+                         f"its sorted edge labels {sorted(nfa.alphabet())!r}")
+    return nfa
 
 
 def dump_nfa(nfa: Nfa) -> str:
@@ -834,6 +780,10 @@ def rational_from_dict(data: dict) -> RationalInstance:
     _refuse_unknown(data, {"ring", "rank", "stride", "expr", "bindings",
                            "target"}, "unexpected fields")
     _check_ints("rational instance", data, ("rank", "stride"))
+    for field, kind, wanted in (("expr", str, "a string"),
+                                ("bindings", dict, "an object")):
+        if type(data[field]) is not kind:
+            raise _wrong_type("rational instance", field, data[field], wanted)
     ring = ring_from_name(data["ring"])
     bindings = {letter: _wreath_from_dict(value, ring)
                 for letter, value in data["bindings"].items()}

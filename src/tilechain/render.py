@@ -111,27 +111,31 @@ def render_certificate_ascii(cert: Certificate) -> str:
 
 _SVG_UNIT = 60
 
+# The drawing of an empty certificate or a zero edge map.
+_EMPTY_SVG = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+              '<svg xmlns="http://www.w3.org/2000/svg" '
+              'viewBox="0 0 60 60"></svg>\n')
 
-def _svg_header(xmin: int, ymin: int, xmax: int, ymax: int,
-                pad: int = 1) -> tuple[list[str], int]:
-    width = (xmax - xmin + 2 * pad) * _SVG_UNIT
-    height = (ymax - ymin + 2 * pad) * _SVG_UNIT
-    lines = [
+
+def _svg_header(xmin: int, ymin: int, xmax: int, ymax: int) -> list[str]:
+    # The grid is drawn with one unit of margin on every side.
+    width = (xmax - xmin + 2) * _SVG_UNIT
+    height = (ymax - ymin + 2) * _SVG_UNIT
+    return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {width} {height}" '
         f'font-family="monospace" font-size="11">',
     ]
-    return lines, pad
 
 
-def _svg_x(x: int, xmin: int, pad: int) -> int:
-    return (x - xmin + pad) * _SVG_UNIT
+def _svg_x(x: int, xmin: int) -> int:
+    return (x - xmin + 1) * _SVG_UNIT
 
 
-def _svg_y(y: int, ymax: int, pad: int) -> int:
+def _svg_y(y: int, ymax: int) -> int:
     # SVG's y axis points down; flip so larger grid y is drawn higher.
-    return (ymax - y + pad) * _SVG_UNIT
+    return (ymax - y + 1) * _SVG_UNIT
 
 
 def render_certificate_svg(cert: Certificate) -> str:
@@ -141,26 +145,24 @@ def render_certificate_svg(cert: Certificate) -> str:
     text between its coordinates, and each column's and row's coordinates
     are spelled once; a placement is then one join of the three."""
     if not cert.placements:
-        return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-                '<svg xmlns="http://www.w3.org/2000/svg" '
-                'viewBox="0 0 60 60"></svg>\n')
+        return _EMPTY_SVG
     xs = [p.x for p in cert.placements]
     ys = [p.y for p in cert.placements]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     _check_span(xmin, xmax, ymin, ymax)
-    lines, pad = _svg_header(xmin, ymin, xmax, ymax)
+    lines = _svg_header(xmin, ymin, xmax, ymax)
     u = _SVG_UNIT
     # x strings of the rectangle and of the north/south, west and east
     # labels, each followed by the text up to its y value.
     columns = {}
     for x in range(xmin, xmax + 1):
-        left = _svg_x(x, xmin, pad)
+        left = _svg_x(x, xmin)
         columns[x] = (f'<rect x="{left}" y="', f'{left + u // 2}" y="',
                       f'{left + 4}" y="', f'{left + u - 4}" y="')
     # y strings of the rectangle and of the north, south and side labels.
     rows = {}
     for y in range(ymin, ymax + 1):
-        top = _svg_y(y, ymax, pad) - u
+        top = _svg_y(y, ymax) - u
         rows[y] = (str(top), str(top + 12), str(top + u - 4),
                    str(top + u // 2))
     # The labels are escaped and joined in as text, never used as a format
@@ -190,19 +192,17 @@ def render_certificate_svg(cert: Certificate) -> str:
 def render_edgemap_svg(f: EdgeMap) -> str:
     """One line segment per colored edge with a signed label."""
     if f.is_zero():
-        return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-                '<svg xmlns="http://www.w3.org/2000/svg" '
-                'viewBox="0 0 60 60"></svg>\n')
+        return _EMPTY_SVG
     keys = [key for key, _ in f.support()]
     xs = [x for (x, _, _), _ in keys]
     ys = [y for (_, y, _), _ in keys]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     _check_span(xmin, xmax, ymin, ymax)
-    lines, pad = _svg_header(xmin, ymin, xmax, ymax)
+    lines = _svg_header(xmin, ymin, xmax, ymax)
     u = _SVG_UNIT
     for ((x, y, orient), color), value in f.support():
-        x1 = _svg_x(x, xmin, pad)
-        y1 = _svg_y(y, ymax, pad)
+        x1 = _svg_x(x, xmin)
+        y1 = _svg_y(y, ymax)
         x2, y2 = (x1 + u, y1) if orient == "H" else (x1, y1 - u)
         lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                      f'stroke="black"/>')

@@ -83,6 +83,9 @@ def color_to_str(color: Color) -> str:
 
 
 def color_from_str(text: str) -> Color:
+    if type(text) is not str:
+        raise ValueError(f"a color must be a string, not "
+                         f"{type(text).__name__}")
     if text == "c0":
         return C0
     if text == "diag":
@@ -273,8 +276,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
 _PLACEMENT_FIELDS = {"tile", "x", "y"}
 
 
-def _not_int(where: str, field: str, value) -> ValueError:
-    return ValueError(f"{where} field {field!r} must be an integer, "
+def _wrong_type(where: str, field: str, value,
+                wanted: str = "an integer") -> ValueError:
+    return ValueError(f"{where} field {field!r} must be {wanted}, "
                       f"not {type(value).__name__}")
 
 
@@ -283,7 +287,7 @@ def _check_ints(where: str, row: dict, fields: tuple[str, ...]) -> None:
     and ``str`` included); a missing field raises ``KeyError``."""
     for field in fields:
         if type(row[field]) is not int:
-            raise _not_int(where, field, row[field])
+            raise _wrong_type(where, field, row[field])
 
 
 def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Certificate:
@@ -293,7 +297,7 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                     "unknown certificate fields")
     for field in ("m", "rows"):
         if field in data and type(data[field]) is not int:
-            raise _not_int("certificate", field, data[field])
+            raise _wrong_type("certificate", field, data[field])
     # Each distinct tile dict is built once; an entry that cannot serve as
     # a key goes straight to tile_from_dict, which reports what is wrong.
     built: dict = {}
@@ -319,7 +323,7 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
         x, y = row["x"], row["y"]
         if type(x) is not int or type(y) is not int:
             field, value = ("x", x) if type(x) is not int else ("y", y)
-            raise _not_int("placement", field, value)
+            raise _wrong_type("placement", field, value)
         placements.append(Placement(tile, x, y))
     return Certificate(tuple(placements), data["m"], data["rows"])
 

@@ -2,8 +2,10 @@
 documented exit codes (0 success, 1 negative search/check, 2 usage,
 3 input error, 4 internal error), and byte-stable outputs."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 from tilechain import cli as cli_module
 from tilechain.cli import main
 from tilechain.compiler import compile_tiles, initial_map
-from tilechain.edges import Ring, Z, load_edgemap
+from tilechain.edges import Ring, Z, dump_edgemap, load_edgemap
 from tilechain.engine import build_accepting_tiling
 from tilechain.groups import make_submonoid_instance, submonoid_to_dict
 from tilechain.machines import mini_eraser, right_walker, unary_eraser
@@ -47,6 +49,7 @@ from tilechain.tiling import (
     Certificate,
     Placement,
     dump_certificate,
+    dump_system,
     load_certificate,
     load_system,
 )
@@ -567,6 +570,97 @@ class TestExitCodes:
         code, _, err = cli(capsys, "tm", "validate", "--tm", str(bad))
         assert code == 3
         assert err.startswith("error: ")
+
+
+class TestNonStringNames:
+    @pytest.mark.parametrize("ring, kind", [(5, "int"), (None, "NoneType"),
+                                            (["Z"], "list")])
+    def test_ring_name_must_be_a_string(self, capsys, tmp_path, ring, kind):
+        path = tmp_path / "edgemap.json"
+        path.write_text(json.dumps({"ring": ring, "entries": []}))
+        code, out, err = cli(capsys, "render", "--edgemap", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: a ring must be named by a string, not {kind}\n"
+
+    @pytest.mark.parametrize("color, kind", [(7, "int"), (True, "bool"),
+                                             ({"kind": "c0"}, "dict")])
+    def test_color_must_be_a_string(self, capsys, ws, tmp_path, color, kind):
+        data = json.loads(dump_certificate(ws.mini_cert))
+        data["placements"][0]["tile"]["e"] = color
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "render", "--cert", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: a color must be a string, not {kind}\n"
+
+
+# Values of each JSON type, for replacing a field with one of another type.
+_JSON_VALUES = {"number": (0, -3, 2.5), "bool": (True, False),
+                "null": (None,), "string": ("", "c0", "Zmod:x"),
+                "array": ([], [1, "a"]), "object": ({}, {"x": 0})}
+_JSON_TYPE = {bool: "bool", int: "number", float: "number", str: "string",
+              type(None): "null", list: "array", dict: "object"}
+
+
+def mutate_one_field(rng, document):
+    """A copy of ``document`` with one field, reached by a seeded walk
+    down from the top, replaced by a value of another JSON type."""
+    data = copy.deepcopy(document)
+    node = data
+    while True:
+        key = rng.choice(list(node) if isinstance(node, dict)
+                         else range(len(node)))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and rng.random() < 0.5:
+            node = child
+            continue
+        other = rng.choice([kind for kind in _JSON_VALUES
+                            if kind != _JSON_TYPE[type(child)]])
+        node[key] = rng.choice(_JSON_VALUES[other])
+        return data
+
+
+class TestMalformedDocuments:
+    CASES_PER_KIND = 16
+
+    def test_type_mutations_give_a_verdict_or_one_error_line(
+            self, capsys, ws, tmp_path):
+        # Every document kind the commands read, with one field swapped
+        # for a value of another JSON type: the command answers (0 or 1)
+        # or refuses the input (3) in one `error:` line, never with an
+        # uncaught exception.
+        initial = tmp_path / "initial.json"
+        initial.write_text(dump_edgemap(ws.mini_f0))
+        kinds = [
+            (json.loads(dump_tm(ws.mini_tm)),
+             ["tile", "build", "--input", "a", "--fuel", "500", "--tm"]),
+            (json.loads(dump_system(ws.mini_ts)),
+             ["tile", "search", "--initial", str(initial), "--max-m", "4",
+              "--max-rows", "4", "--tiles"]),
+            (json.loads(dump_edgemap(ws.mini_f0)),
+             ["render", "--edgemap"]),
+            (json.loads(dump_certificate(ws.mini_cert)),
+             ["render", "--format", "svg", "--cert"]),
+            (json.loads(ws.sub_mini_2.read_text()),
+             ["reduce", "rational", "--instance"]),
+            (json.loads(ws.sem_mini_z.read_text()),
+             ["reduce", "submonoid", "--instance"]),
+            (json.loads(ws.rat_toy.read_text()),
+             ["solve", "rational", "--max-len", "4", "--instance"]),
+        ]
+        rng = random.Random(20260829)
+        path = tmp_path / "mutant.json"
+        for document, argv in kinds:
+            for _ in range(self.CASES_PER_KIND):
+                mutant = mutate_one_field(rng, document)
+                path.write_text(json.dumps(mutant))
+                code, out, err = cli(capsys, *argv, str(path))
+                assert code in (0, 1, 3), (argv[:2], mutant, err)
+                if code == 3:
+                    assert out == "" and err.startswith("error: ") \
+                        and err.count("\n") == 1, (argv[:2], mutant, err)
+                else:
+                    assert "error" not in err, (argv[:2], mutant, err)
 
 
 class TestInternalErrors:

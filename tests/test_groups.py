@@ -993,3 +993,37 @@ class TestSubmonoidSerialization:
         data["note"] = "x"
         with pytest.raises(ValueError, match="unexpected fields"):
             submonoid_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("rank", 1.9, "float"), ("rank", True, "bool"),
+        ("stride", "3", "str"), ("stride", None, "NoneType")])
+    def test_rank_and_stride_must_be_integers(self, field, value, kind):
+        # Refused, not coerced: 1.9 used to load as rank 1, "3" as 3.
+        data = submonoid_to_dict(make_submonoid_instance(toy_instance()))
+        data[field] = value
+        with pytest.raises(ValueError, match=f"submonoid instance field "
+                                             f"'{field}' must be an "
+                                             f"integer, not {kind}"):
+            submonoid_from_dict(data)
+
+    @pytest.mark.parametrize("where, value, kind", [
+        ("generators", 5, "int"), ("generators", None, "NoneType"),
+        ("generators", ["x"], "list"), ("target", 5, "int"),
+        ("target", {}, "dict")])
+    def test_words_must_be_strings(self, where, value, kind):
+        # A generator 5 used to load as the word "5".
+        data = submonoid_to_dict(make_submonoid_instance(toy_instance()))
+        if where == "generators":
+            data["generators"][0] = value
+        else:
+            data["target"] = value
+        with pytest.raises(ValueError, match=f"submonoid instance words "
+                                             f"must be strings, not {kind}"):
+            submonoid_from_dict(data)
+
+    def test_generators_must_be_a_list(self):
+        data = submonoid_to_dict(make_submonoid_instance(toy_instance()))
+        data["generators"] = "x y"
+        with pytest.raises(ValueError, match="field 'generators' must be a "
+                                             "list, not str"):
+            submonoid_from_dict(data)

@@ -29,7 +29,6 @@ from tilechain.rational import (
     dump_nfa,
     enumerate_zero_position_hits,
     expr_from_text,
-    expr_letters,
     expr_to_text,
     make_rational_instance,
     nfa_accepts,
@@ -42,8 +41,7 @@ from tilechain.rational import (
     regex_to_nfa,
     word_plants,
 )
-from tilechain.rational import (_NEVER, _NfaSim, _compiled, _letters_needed,
-                                _position_needed)
+from tilechain.rational import _NEVER, _NfaSim, _compiled, _search_bounds
 
 
 def subset_instance(ring, target, gens=None):
@@ -77,7 +75,10 @@ class TestExpressions:
             build_L(0)
 
     def test_letters_in_first_appearance_order(self):
-        assert expr_letters(build_L(2)) == ["x", "X", "y", "Y", "g0", "g1"]
+        # Thompson's construction adds each literal's edge left to right,
+        # so the automaton lists the letters in the expression's order.
+        assert regex_to_nfa(build_L(2)).alphabet() == \
+            ["x", "X", "y", "Y", "g0", "g1"]
 
     def test_text_round_trip(self):
         for expr in (Lit("x"),
@@ -472,9 +473,8 @@ class TestSearchGoldens:
 def short_sweep_words():
     """Every word of length <= 6 that build_L(1) accepts, shortest first
     and, within a length, in the search's letter order."""
-    expr = build_L(1)
-    nfa = regex_to_nfa(expr)
-    letters = expr_letters(expr)
+    nfa = regex_to_nfa(build_L(1))
+    letters = nfa.alphabet()
     return [" ".join(word) for length in range(7)
             for word in itertools.product(letters, repeat=length)
             if nfa_accepts(nfa, word)]
@@ -519,8 +519,9 @@ def reference_member(expr, bindings, target, max_len, ring):
     """The search as it was before pruning: the same breadth-first walk
     over (subset, element) pairs with an exact visited set, no bound, and
     the first accepting pair at the target spelled out."""
-    moves = [(letter, bindings[letter]) for letter in expr_letters(expr)]
-    sim = _NfaSim(regex_to_nfa(expr))
+    nfa = regex_to_nfa(expr)
+    moves = [(letter, bindings[letter]) for letter in nfa.alphabet()]
+    sim = _NfaSim(nfa)
     start = (sim.start(), wreath_identity(ring))
     if sim.accepting(start[0]) and start[1] == target:
         return ""
@@ -578,7 +579,7 @@ def random_accepted_word(rng, rat, max_len):
     """A seeded random word of at most ``max_len`` letters that the sweep
     automaton accepts, drawn letter by letter among the live letters."""
     sim = _NfaSim(regex_to_nfa(rat.expr))
-    letters = expr_letters(rat.expr)
+    letters = sim.nfa.alphabet()
     while True:
         states, word = sim.start(), []
         for _ in range(rng.randint(0, max_len)):
@@ -653,15 +654,17 @@ class TestPruningKeepsTheAnswer:
 
     def test_fallback_when_a_plant_moves(self):
         # g0 both moves and lights a lamp: only the automaton distance is
-        # used, and the answer still equals the unpruned walk's.
+        # used, by the position test alone, and the answer still equals
+        # the unpruned walk's.
         ring = Ring(3)
         rat = loaded_instance(ring, (1, 1), (1, 0), (((0, 0), 1),))
         nfa = regex_to_nfa(rat.expr)
-        needed = _letters_needed(nfa, rat.bindings,
-                                 wreath_eval("g0 g0 x", rat.bindings, ring))
-        start = _NfaSim(nfa).start()
-        far = WreathElement(ring, {(5, 5): 2}, (9, -9))
-        assert needed(start, far) == 0
+        position, needed = _search_bounds(
+            nfa, rat.bindings, wreath_eval("g0 g0 x", rat.bindings, ring))
+        assert needed is None
+        sim = _NfaSim(nfa)
+        assert position(sim.start(), 9, -9) == 0
+        assert position(sim.step(sim.start(), "g0"), 9, -9) == 2
         for word in ("g0 x y", "x g0 x g0 x y", "y g0 x y X Y Y"):
             target = wreath_eval(word, rat.bindings, ring)
             expected = reference_member(rat.expr, rat.bindings, target,
@@ -687,6 +690,14 @@ def bound_instances():
     yield loaded_instance(three, (1, 1), (0, 0), (((0, 0), 1), ((1, 0), 1)))
 
 
+def lamp_bound(nfa, bindings, target):
+    """The ``needed`` hook of :func:`_search_bounds`, for bindings whose
+    plants do not move."""
+    _, needed = _search_bounds(nfa, bindings, target)
+    assert needed is not None
+    return needed
+
+
 class TestLowerBound:
     def test_bound_never_exceeds_the_letters_left(self, short_sweep_words):
         # Every accepted word of length <= 6, with its own value as the
@@ -709,8 +720,8 @@ class TestLowerBound:
                     states, element = pairs[prefix]
                     path.append((states, element))
                 if element not in hooks:
-                    hooks[element] = _letters_needed(sim.nfa, rat.bindings,
-                                                     element)
+                    hooks[element] = lamp_bound(sim.nfa, rat.bindings,
+                                                element)
                 needed = hooks[element]
                 bounds = [needed(*pair) for pair in path]
                 assert all(bound <= len(letters) - i
@@ -735,9 +746,8 @@ class TestLowerBound:
                     element = element * rat.bindings[letter]
                     path.append((states, element))
                 if element not in hooks:
-                    hooks[element] = (
-                        _position_needed(sim.nfa, rat.bindings, element),
-                        _letters_needed(sim.nfa, rat.bindings, element))
+                    hooks[element] = _search_bounds(sim.nfa, rat.bindings,
+                                                    element)
                 position, needed = hooks[element]
                 for states, value in path:
                     test = position(states, *value.pos)
@@ -755,10 +765,9 @@ class TestLowerBound:
         row = WreathElement(three, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
         # Three lamps, at most two per plant: 2 plants.  Lamp (2, 0) needs
         # the cursor at (1, 0) or (2, 0) and back: 2 moves.
-        assert _letters_needed(sim.nfa, pair.bindings, row)(
-            start, origin) == 4
+        assert lamp_bound(sim.nfa, pair.bindings, row)(start, origin) == 4
         # No lamp differs: the cursor only has to get home.
-        home = _letters_needed(sim.nfa, pair.bindings, origin)
+        home = lamp_bound(sim.nfa, pair.bindings, origin)
         assert home(start, WreathElement(three, pos=(2, -1))) == 3
         # After g0 the automaton needs x and y before it accepts again.
         assert home(sim.step(start, "g0"), origin) == 2
@@ -766,25 +775,24 @@ class TestLowerBound:
         rank2 = make_rational_instance(SemimoduleInstance(
             three, 2, (unit(three, 2, 0, 0, 1),), unit(three, 2, 0, 0, 1),
             mode="subset-sum"))
-        back = _letters_needed(regex_to_nfa(rank2.expr), rank2.bindings,
-                               origin)
+        back = lamp_bound(regex_to_nfa(rank2.expr), rank2.bindings, origin)
         assert back(start, WreathElement(three, pos=(3, 1))) == 3
         # A diagonal move: the larger per-axis count, max(3, 1).
         diagonal = loaded_instance(three, (1, 1), (0, 0), (((0, 0), 1),))
-        assert _letters_needed(regex_to_nfa(diagonal.expr),
-                               diagonal.bindings, origin)(
+        assert lamp_bound(regex_to_nfa(diagonal.expr), diagonal.bindings,
+                          origin)(
             start, WreathElement(three, pos=(3, 1))) == 3
         # Over Z/3 a lamp of 2 takes two plants of f, but the bound counts
         # the lamps that differ, not by how much: one plant.
         single = planted_instance(three, (f,), ())
-        assert _letters_needed(regex_to_nfa(single.expr), single.bindings,
-                               WreathElement(three, {(0, 0): 2}))(
+        assert lamp_bound(regex_to_nfa(single.expr), single.bindings,
+                          WreathElement(three, {(0, 0): 2}))(
             start, WreathElement(three, {(0, 0): 0})) == 1
         # No plant letter at all: a differing lamp can never be fixed.
         moves_only = {k: v for k, v in single.bindings.items() if k != "g0"}
         moves_only["g0"] = origin
-        assert _letters_needed(regex_to_nfa(single.expr), moves_only,
-                               WreathElement(three, {(0, 0): 1}))(
+        assert lamp_bound(regex_to_nfa(single.expr), moves_only,
+                          WreathElement(three, {(0, 0): 1}))(
             start, origin) == _NEVER
 
 
@@ -796,8 +804,9 @@ def reference_hits(expr, bindings, max_len, ring):
     """enumerate_zero_position_hits as the unpruned walk: every pair of a
     word of length at most ``max_len``, with an exact visited set and no
     bound, keeping the accepting values at the origin."""
-    moves = [(letter, bindings[letter]) for letter in expr_letters(expr)]
-    sim = _NfaSim(regex_to_nfa(expr))
+    nfa = regex_to_nfa(expr)
+    moves = [(letter, bindings[letter]) for letter in nfa.alphabet()]
+    sim = _NfaSim(nfa)
     frontier = [(sim.start(), wreath_identity(ring))]
     visited = set(frontier)
     for _ in range(max_len):
@@ -988,6 +997,44 @@ class TestRationalSerialization:
         with pytest.raises(ValueError, match=f"{where} field '{field}' must "
                                              f"be an integer, not {kind}"):
             nfa_from_dict(data)
+
+    @pytest.mark.parametrize("label, kind", [
+        (5, "int"), (True, "bool"), (["x"], "list"), ({}, "dict")])
+    def test_nfa_label_is_a_string_or_null(self, label, kind):
+        # A label 5 used to load as the letter '5'.
+        data = nfa_to_dict(regex_to_nfa(Lit("x")))
+        data["edges"][0]["label"] = label
+        with pytest.raises(ValueError, match=f"automaton edge field 'label' "
+                                             f"must be a string or null, "
+                                             f"not {kind}"):
+            nfa_from_dict(data)
+
+    @pytest.mark.parametrize("alphabet", ["junk", ["y"], ["x", "x"], [],
+                                          None])
+    def test_nfa_alphabet_is_the_sorted_labels(self, alphabet):
+        data = nfa_to_dict(regex_to_nfa(Concat((Lit("y"), Lit("x")))))
+        assert data["alphabet"] == ["x", "y"]
+        data["alphabet"] = alphabet
+        with pytest.raises(ValueError, match="is not its sorted edge labels "
+                                             r"\['x', 'y'\]"):
+            nfa_from_dict(data)
+        data["alphabet"] = ["x", "y"]
+        assert nfa_from_dict(data) == regex_to_nfa(Concat((Lit("y"),
+                                                          Lit("x"))))
+
+    @pytest.mark.parametrize("field, value, wanted, kind", [
+        ("expr", 5, "a string", "int"), ("expr", [1, "x"], "a string", "list"),
+        ("bindings", 5, "an object", "int"),
+        ("bindings", [], "an object", "list")])
+    def test_expression_and_bindings_types(self, field, value, wanted, kind):
+        ring = Ring(2)
+        data = rational_to_dict(make_rational_instance(
+            subset_instance(ring, unit(ring, 1, 0, 0, 0))))
+        data[field] = value
+        with pytest.raises(ValueError, match=f"rational instance field "
+                                             f"'{field}' must be {wanted}, "
+                                             f"not {kind}"):
+            rational_from_dict(data)
 
     def test_nfa_edge_strictness(self):
         data = nfa_to_dict(regex_to_nfa(Lit("x")))

@@ -179,11 +179,11 @@ def reference_svg(cert, glyph=color_glyph):
     ys = [p.y for p in cert.placements]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     _check_span(xmin, xmax, ymin, ymax)
-    lines, pad = _svg_header(xmin, ymin, xmax, ymax)
+    lines = _svg_header(xmin, ymin, xmax, ymax)
     u = _SVG_UNIT
     for p in cert.placements:
-        left = _svg_x(p.x, xmin, pad)
-        top = _svg_y(p.y, ymax, pad) - u
+        left = _svg_x(p.x, xmin)
+        top = _svg_y(p.y, ymax) - u
         n, e, s, w = (glyph(c) for c in p.tile.sides())
         lines.append(f'<rect x="{left}" y="{top}" width="{u}" height="{u}" '
                      f'fill="none" stroke="black"/>')

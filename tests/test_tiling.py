@@ -339,7 +339,8 @@ class TestCertificateDump:
         good = tile_to_dict(Tile(C0, C0, C0, C0))
         bad_tiles = [(dict(good, colour="c0"), "unknown tile fields"),
                      (dict(good, n="q-nope"), "unknown color string"),
-                     (dict(good, e=["c0"]), "unhashable"),
+                     (dict(good, e=["c0"]),
+                      "a color must be a string, not list"),
                      (["not", "a", "dict"], "unknown tile fields")]
         for bad, message in bad_tiles:
             with pytest.raises(Exception, match=message) as direct:
