@@ -3,6 +3,7 @@ problems their halting behavior reduces to.
 
 The pipeline, in library order:
 
+  documents — the one reader of the JSON documents every loader uses
   tm        — machines, simulation, validation, normalization
   tiling    — colors, tiles, tiling systems, placement certificates
   edges     — finitely supported edge-color maps and tile evaluation

@@ -3,9 +3,9 @@
 Exit codes: 0 on success (including "member found" and "verified"),
 1 when a bounded search or check comes back negative (out of fuel, sum
 not zero, audit flags raised, nothing found within bounds), 2 on usage
-errors (argparse), 3 on input errors (unreadable files, malformed data,
-invalid machines, bounds below their floor), 4 on internal errors (a
-failed re-verification of a result, or the recursion limit hit),
+errors (argparse), 3 on input errors: exactly an ``OSError`` or
+``ValueError`` (unreadable files, malformed documents, invalid machines,
+bounds below their floor), 4 on any other exception, an internal error,
 reported in one line with no traceback.
 """
 
@@ -34,9 +34,6 @@ from .tiling import dump_certificate, dump_system, load_certificate, \
     load_system
 from .tm import dump_tm, load_tm, normalize, run, validate
 
-_INTERNAL_ERRORS = (AssertionError, RecursionError)
-_INPUT_ERRORS = (OSError, ValueError, KeyError, IndexError, TypeError)
-
 
 def _read(path: str) -> str:
     return Path(path).read_text()
@@ -53,9 +50,12 @@ def _json_dump(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _load_machine(path: str):
+def _load_machine(path: str, total: bool):
+    """Load and validate a machine; unless ``total``, missing transitions
+    are allowed, since normalizing and compiling are how they get fixed."""
     tm = load_tm(_read(path))
-    problems = validate(tm)
+    problems = [p for p in validate(tm)
+                if total or not p.startswith("missing transition")]
     if problems:
         raise ValueError("invalid machine: " + "; ".join(problems))
     return tm
@@ -93,24 +93,13 @@ def _cmd_tm_validate(args) -> int:
 
 
 def _cmd_tm_normalize(args) -> int:
-    tm = _load_machine_lenient(args.tm)
+    tm = _load_machine(args.tm, total=False)
     _write(dump_tm(normalize(tm)), args.output)
     return 0
 
 
-def _load_machine_lenient(path: str):
-    """Load without requiring totality (normalize exists to repair that),
-    but still reject structurally broken machines."""
-    tm = load_tm(_read(path))
-    problems = [p for p in validate(tm)
-                if not p.startswith("missing transition")]
-    if problems:
-        raise ValueError("invalid machine: " + "; ".join(problems))
-    return tm
-
-
 def _cmd_tm_run(args) -> int:
-    tm = _load_machine_lenient(args.tm)
+    tm = _load_machine(args.tm, total=False)
     trace = run(tm, list(args.input), _fuel(args, 0))
     if trace is None:
         print(f"out of fuel after {args.fuel} steps", file=sys.stderr)
@@ -123,20 +112,20 @@ def _cmd_tm_run(args) -> int:
 
 
 def _cmd_tile_compile(args) -> int:
-    ts = compile_tiles(_load_machine_lenient(args.tm))
+    ts = compile_tiles(_load_machine(args.tm, total=False))
     _write(dump_system(ts), args.output)
     return 0
 
 
 def _cmd_tile_initial(args) -> int:
-    tm = _load_machine_lenient(args.tm)
+    tm = _load_machine(args.tm, total=False)
     f0 = initial_map(tm, list(args.input), ring_from_name(args.ring))
     _write(dump_edgemap(f0), args.output)
     return 0
 
 
 def _cmd_tile_build(args) -> int:
-    tm = _load_machine(args.tm)
+    tm = _load_machine(args.tm, total=True)
     cert = build_accepting_tiling(tm, list(args.input), _fuel(args, 0))
     if cert is None:
         print(f"out of fuel after {args.fuel} steps", file=sys.stderr)
@@ -146,7 +135,7 @@ def _cmd_tile_build(args) -> int:
 
 
 def _cmd_tile_verify(args) -> int:
-    tm = _load_machine(args.tm)
+    tm = _load_machine(args.tm, total=True)
     ring = ring_from_name(args.ring)
     ts = compile_tiles(tm)
     f0 = initial_map(tm, list(args.input), ring)
@@ -182,7 +171,7 @@ def _cmd_tile_audit(args) -> int:
 
 
 def _cmd_reduce_module(args) -> int:
-    tm = _load_machine(args.tm)
+    tm = _load_machine(args.tm, total=True)
     ring = ring_from_name(args.ring)
     ts = compile_tiles(tm)
     f0 = initial_map(tm, list(args.input), ring)
@@ -419,14 +408,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _INTERNAL_ERRORS as exc:
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}",
               file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -37,8 +37,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .tiling import (C0, Color, Tile, TilingSystem, _check_ints,
-                     _refuse_unknown, color_from_str, color_to_str)
+from .documents import fields
+from .tiling import (C0, Color, Tile, TilingSystem, color_from_str,
+                     color_to_str)
 
 
 class RingMismatch(ValueError):
@@ -73,8 +74,11 @@ def ring_from_name(name: str) -> Ring:
                          f"{type(name).__name__}")
     if name == "Z":
         return Z
-    if name.startswith("Zmod:"):
-        return Ring(int(name.split(":", 1)[1]))
+    digits = name.removeprefix("Zmod:")
+    # Only the name a ring writes: not "Zmod:03", not "Zmod: 3".
+    if digits != name and digits.isascii() and digits.isdigit() \
+            and Ring(int(digits)).name == name:
+        return Ring(int(digits))
     raise ValueError(f"unknown ring {name!r}")
 
 
@@ -298,17 +302,17 @@ def edgemap_to_dict(f: EdgeMap) -> dict:
 
 
 def edgemap_from_dict(data: dict) -> EdgeMap:
-    _refuse_unknown(data, {"ring", "entries"}, "unknown edge map fields")
-    ring = ring_from_name(data["ring"])
+    ring_name, rows = fields(data, "edge map",
+                             {"ring": None, "entries": list})
+    ring = ring_from_name(ring_name)
+    row_spec = {"x": int, "y": int, "orient": None, "color": None,
+                "value": int}
     entries = []
-    for row in data["entries"]:
-        _refuse_unknown(row, {"x", "y", "orient", "color", "value"},
-                        "unknown entry fields")
-        if row["orient"] not in ("H", "V"):
-            raise ValueError(f"bad orientation {row['orient']!r}")
-        _check_ints("edge map entry", row, ("x", "y", "value"))
-        key = ((row["x"], row["y"], row["orient"]), color_from_str(row["color"]))
-        entries.append((key, row["value"]))
+    for row in rows:
+        x, y, orient, color, value = fields(row, "edge map entry", row_spec)
+        if orient not in ("H", "V"):
+            raise ValueError(f"bad orientation {orient!r}")
+        entries.append((((x, y, orient), color_from_str(color)), value))
     return EdgeMap(ring, entries)
 
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
+from .documents import fields
 from .edges import (Ring, RingMismatch, SparseVector, Z, _canon,
                     _make_vector, _reduced, ring_from_name)
 from .modules import BadTerm, ModuleElement, SemimoduleInstance
-from .tiling import _check_ints, _refuse_unknown, _wrong_type
 
 Point = Tuple[int, int]
 FlowKey = Tuple[int, int, str]  # (x, y, 'H' horizontal | 'V' vertical)
@@ -674,19 +674,14 @@ def submonoid_to_dict(instance: SubmonoidInstance) -> dict:
 
 
 def submonoid_from_dict(data: dict) -> SubmonoidInstance:
-    """Read a word-product instance; refuses unknown fields, a rank or
-    stride that is not an integer and words that are not strings."""
-    _refuse_unknown(data, {"flavor", "ring", "rank", "stride", "generators",
-                           "target"}, "unexpected fields")
-    _check_ints("submonoid instance", data, ("rank", "stride"))
-    generators = data["generators"]
-    if type(generators) is not list:
-        raise _wrong_type("submonoid instance", "generators", generators,
-                          "a list")
-    for word in (*generators, data["target"]):
+    """Read a word-product instance; its words must be strings."""
+    flavor, ring_name, rank, stride, generators, target = fields(
+        data, "submonoid instance", {"flavor": None, "ring": None, "rank": int,
+                                     "stride": int, "generators": list,
+                                     "target": None})
+    for word in (*generators, target):
         if type(word) is not str:
             raise ValueError("submonoid instance words must be strings, "
                              f"not {type(word).__name__}")
-    return SubmonoidInstance(data["flavor"], ring_from_name(data["ring"]),
-                             data["rank"], data["stride"], tuple(generators),
-                             data["target"])
+    return SubmonoidInstance(flavor, ring_from_name(ring_name), rank, stride,
+                             tuple(generators), target)

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .documents import fields
 from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
                     tile_eval)
-from .tiling import (Certificate, Color, TilingSystem, _check_ints,
-                     _refuse_unknown)
+from .tiling import Certificate, Color, TilingSystem
 
 
 class UnknownColor(ValueError):
@@ -742,17 +742,15 @@ def element_to_dict(e: ModuleElement) -> dict:
 
 
 def element_from_dict(data: dict) -> ModuleElement:
-    _refuse_unknown(data, {"ring", "rank", "entries"}, "unexpected fields")
-    ring = ring_from_name(data["ring"])
-    _check_ints("module element", data, ("rank",))
+    ring_name, rank, rows = fields(
+        data, "module element", {"ring": None, "rank": int, "entries": list})
+    ring = ring_from_name(ring_name)
+    row_spec = dict.fromkeys(("x", "y", "idx", "value"), int)
     entries: dict[EntryKey, int] = {}
-    for item in data["entries"]:
-        _refuse_unknown(item, {"x", "y", "idx", "value"},
-                        "unexpected entry fields")
-        _check_ints("module entry", item, ("x", "y", "idx", "value"))
-        key = (item["x"], item["y"], item["idx"])
-        entries[key] = entries.get(key, 0) + item["value"]
-    return ModuleElement(ring, data["rank"], entries)
+    for row in rows:
+        x, y, idx, value = fields(row, "module entry", row_spec)
+        entries[(x, y, idx)] = entries.get((x, y, idx), 0) + value
+    return ModuleElement(ring, rank, entries)
 
 
 def instance_to_dict(instance: SemimoduleInstance) -> dict:
@@ -766,16 +764,12 @@ def instance_to_dict(instance: SemimoduleInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> SemimoduleInstance:
-    _refuse_unknown(data, {"ring", "rank", "mode", "generators", "target"},
-                    "unexpected fields")
-    _check_ints("instance", data, ("rank",))
-    return SemimoduleInstance(
-        ring_from_name(data["ring"]),
-        data["rank"],
-        tuple(element_from_dict(g) for g in data["generators"]),
-        element_from_dict(data["target"]),
-        data["mode"],
-    )
+    ring_name, rank, mode, generators, target = fields(
+        data, "instance", {"ring": None, "rank": int, "mode": None,
+                           "generators": list, "target": None})
+    return SemimoduleInstance(ring_from_name(ring_name), rank,
+                              tuple(map(element_from_dict, generators)),
+                              element_from_dict(target), mode)
 
 
 def witness_to_dict(mode: str, witness) -> dict:
@@ -790,22 +784,24 @@ def witness_to_dict(mode: str, witness) -> dict:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+# The rows field and the spec of one row, for each witness mode.
+_WITNESS_ROWS = {
+    "semimodule": ("terms", dict.fromkeys(("gen", "dx", "dy", "coeff"), int)),
+    "subset-sum": ("picks", dict.fromkeys(("gen", "dx", "dy"), int)),
+}
+
+
 def witness_from_dict(data: dict):
-    """Read a witness; refuses unknown fields and values that are not
-    integers (``bool``, ``float`` and ``str`` included)."""
-    mode = data["mode"]
-    if mode == "semimodule":
-        rows, fields = "terms", ("gen", "dx", "dy", "coeff")
-    elif mode == "subset-sum":
-        rows, fields = "picks", ("gen", "dx", "dy")
-    else:
+    """Read a witness: the rows its mode names, of integers only."""
+    mode = data.get("mode") if type(data) is dict else None
+    if type(mode) is not str:
+        # Not an object, or no mode string: fields says which.
+        fields(data, "witness", {"mode": str})
+    if mode not in _WITNESS_ROWS:
         raise ValueError(f"unknown mode {mode!r}")
-    _refuse_unknown(data, {"mode", rows}, "unexpected fields")
-    read = []
-    for row in data[rows]:
-        _refuse_unknown(row, set(fields), "unexpected entry fields")
-        _check_ints("witness entry", row, fields)
-        read.append(tuple(row[field] for field in fields))
+    rows, entry = _WITNESS_ROWS[mode]
+    _, items = fields(data, "witness", {"mode": str, rows: list})
+    read = [tuple(fields(item, "witness entry", entry)) for item in items]
     if mode == "semimodule":
         return tuple(WitnessTerm(*term) for term in read)
     return tuple(read)

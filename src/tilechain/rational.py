@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Optional
 
+from .documents import fields
 from .edges import Ring, ring_from_name
 from .groups import (UnboundSymbol, WreathElement, _bound, embed_module,
                      wreath_eval, wreath_identity)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
-from .tiling import _check_ints, _refuse_unknown, _wrong_type
 
 
 # ---------------------------------------------------------------------------
@@ -712,27 +712,18 @@ def nfa_to_dict(nfa: Nfa) -> dict:
 
 
 def nfa_from_dict(data: dict) -> Nfa:
-    """Read an automaton; refuses unknown fields, states that are not
-    integers, labels that are neither strings nor null, and an alphabet
-    other than the sorted edge labels :func:`nfa_to_dict` writes."""
-    _refuse_unknown(data, {"state_count", "alphabet", "edges", "initial",
-                           "finals"}, "unexpected fields")
-    _check_ints("automaton", data, ("state_count", "initial"))
-    for edge in data["edges"]:
-        _refuse_unknown(edge, {"from", "label", "to"},
-                        "unexpected edge fields")
-        _check_ints("automaton edge", edge, ("from", "to"))
-        if edge["label"] is not None and type(edge["label"]) is not str:
-            raise _wrong_type("automaton edge", "label", edge["label"],
-                              "a string or null")
-    for state in data["finals"]:
-        if type(state) is not int:
-            raise _wrong_type("automaton", "finals", state)
-    nfa = Nfa(data["state_count"],
-              tuple((e["from"], e["label"], e["to"]) for e in data["edges"]),
-              data["initial"], frozenset(data["finals"]))
-    if data["alphabet"] != sorted(nfa.alphabet()):
-        raise ValueError(f"automaton alphabet {data['alphabet']!r} is not "
+    """Read an automaton; refuses an alphabet other than the sorted edge
+    labels :func:`nfa_to_dict` writes."""
+    state_count, alphabet, edges, initial, finals = fields(
+        data, "automaton", {"state_count": int, "alphabet": None,
+                            "edges": list, "initial": int, "finals": [int]})
+    edge_spec = {"from": int, "label": (str, type(None)), "to": int}
+    nfa = Nfa(state_count,
+              tuple(tuple(fields(edge, "automaton edge", edge_spec))
+                    for edge in edges),
+              initial, frozenset(finals))
+    if alphabet != sorted(nfa.alphabet()):
+        raise ValueError(f"automaton alphabet {alphabet!r} is not "
                          f"its sorted edge labels {sorted(nfa.alphabet())!r}")
     return nfa
 
@@ -750,17 +741,15 @@ def _wreath_to_dict(e: WreathElement) -> dict:
 
 
 def _wreath_from_dict(data: dict, ring: Ring) -> WreathElement:
-    _refuse_unknown(data, {"pos", "fun"}, "unexpected fields")
-    pos = data["pos"]
-    if not (isinstance(pos, list) and len(pos) == 2
+    pos, lamps = fields(data, "wreath element", {"pos": None, "fun": list})
+    if not (type(pos) is list and len(pos) == 2
             and all(type(v) is int for v in pos)):
         raise ValueError(f"pos must be two integers, got {pos!r}")
+    lamp_spec = dict.fromkeys(("a", "b", "value"), int)
     fun: Dict[tuple[int, int], int] = {}
-    for item in data["fun"]:
-        _refuse_unknown(item, {"a", "b", "value"}, "unexpected entry fields")
-        _check_ints("lamp entry", item, ("a", "b", "value"))
-        key = (item["a"], item["b"])
-        fun[key] = fun.get(key, 0) + item["value"]
+    for lamp in lamps:
+        a, b, value = fields(lamp, "lamp entry", lamp_spec)
+        fun[(a, b)] = fun.get((a, b), 0) + value
     return WreathElement(ring, fun, (pos[0], pos[1]))
 
 
@@ -777,16 +766,13 @@ def rational_to_dict(instance: RationalInstance) -> dict:
 
 
 def rational_from_dict(data: dict) -> RationalInstance:
-    _refuse_unknown(data, {"ring", "rank", "stride", "expr", "bindings",
-                           "target"}, "unexpected fields")
-    _check_ints("rational instance", data, ("rank", "stride"))
-    for field, kind, wanted in (("expr", str, "a string"),
-                                ("bindings", dict, "an object")):
-        if type(data[field]) is not kind:
-            raise _wrong_type("rational instance", field, data[field], wanted)
-    ring = ring_from_name(data["ring"])
-    bindings = {letter: _wreath_from_dict(value, ring)
-                for letter, value in data["bindings"].items()}
-    return RationalInstance(ring, data["rank"], data["stride"],
-                            expr_from_text(data["expr"]), bindings,
-                            _wreath_from_dict(data["target"], ring))
+    ring_name, rank, stride, expr, bindings, target = fields(
+        data, "rational instance", {"ring": None, "rank": int, "stride": int,
+                                    "expr": str, "bindings": dict,
+                                    "target": None})
+    ring = ring_from_name(ring_name)
+    return RationalInstance(
+        ring, rank, stride, expr_from_text(expr),
+        {letter: _wreath_from_dict(value, ring)
+         for letter, value in bindings.items()},
+        _wreath_from_dict(target, ring))

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
+from .documents import fields, wrong_type
+
 
 class Color(NamedTuple):
     kind: str
@@ -225,23 +227,11 @@ def tile_to_dict(tile: Tile) -> dict:
     return data
 
 
-def _refuse_unknown(data, allowed, what: str) -> None:
-    """Refuse a key of ``data`` outside ``allowed``; the message names the
-    strays after ``what``, as in ``unknown tile fields: ['q']``."""
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"{what}: {sorted(unknown)}")
-
-
 def tile_from_dict(data: dict) -> Tile:
-    _refuse_unknown(data, {"n", "e", "s", "w", "name"}, "unknown tile fields")
-    return Tile(
-        n=color_from_str(data["n"]),
-        e=color_from_str(data["e"]),
-        s=color_from_str(data["s"]),
-        w=color_from_str(data["w"]),
-        name=data.get("name", ""),
-    )
+    *sides, name = fields(data, "tile", {"n": None, "e": None, "s": None,
+                                         "w": None, "name": str},
+                          {"name": ""})
+    return Tile(*map(color_from_str, sides), name)
 
 
 def system_to_dict(ts: TilingSystem) -> dict:
@@ -253,13 +243,13 @@ def system_to_dict(ts: TilingSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> TilingSystem:
-    _refuse_unknown(data, {"colors", "distinguished", "tiles"},
-                    "unknown tiling system fields")
-    return TilingSystem(
-        colors=tuple(color_from_str(c) for c in data["colors"]),
-        tiles=tuple(tile_from_dict(t) for t in data["tiles"]),
-        distinguished=color_from_str(data.get("distinguished", "c0")),
-    )
+    colors, distinguished, tiles = fields(
+        data, "tiling system",
+        {"colors": list, "distinguished": None, "tiles": list},
+        {"distinguished": "c0"})
+    return TilingSystem(tuple(map(color_from_str, colors)),
+                        tuple(map(tile_from_dict, tiles)),
+                        color_from_str(distinguished))
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -273,43 +263,32 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {"m": cert.width_m, "rows": cert.rows, "placements": rows}
 
 
-_PLACEMENT_FIELDS = {"tile", "x", "y"}
-
-
-def _wrong_type(where: str, field: str, value,
-                wanted: str = "an integer") -> ValueError:
-    return ValueError(f"{where} field {field!r} must be {wanted}, "
-                      f"not {type(value).__name__}")
-
-
-def _check_ints(where: str, row: dict, fields: tuple[str, ...]) -> None:
-    """Refuse a field of ``row`` that is not an integer (``bool``, ``float``
-    and ``str`` included); a missing field raises ``KeyError``."""
-    for field in fields:
-        if type(row[field]) is not int:
-            raise _wrong_type(where, field, row[field])
-
-
 def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Certificate:
-    """Read a certificate; refuses unknown fields and coordinates, width or
-    height that are not integers (``bool`` and ``float`` included)."""
-    _refuse_unknown(data, {"m", "rows", "placements"},
-                    "unknown certificate fields")
-    for field in ("m", "rows"):
-        if field in data and type(data[field]) is not int:
-            raise _wrong_type("certificate", field, data[field])
+    """Read a certificate; a tile given by name is looked up in ``ts``."""
+    width_m, rows, entries = fields(
+        data, "certificate", {"m": int, "rows": int, "placements": list})
     # Each distinct tile dict is built once; an entry that cannot serve as
     # a key goes straight to tile_from_dict, which reports what is wrong.
     built: dict = {}
     placements = []
-    for row in data["placements"]:
+    row_spec = {"tile": None, "x": None, "y": None}
+    for row in entries:
+        # A row of exactly these three keys is read directly; fields reads
+        # any other and says what is wrong with it.
+        try:
+            ref, x, y = row["tile"], row["x"], row["y"]
+        except (KeyError, TypeError):
+            ref, x, y = fields(row, "placement", row_spec)
         if len(row) != 3:
-            _refuse_unknown(row, _PLACEMENT_FIELDS, "unknown placement fields")
-        ref = row["tile"]
+            fields(row, "placement", row_spec)
         if isinstance(ref, str):
             if ts is None:
                 raise ValueError("tile referenced by name but no tiling system given")
-            tile = ts.tile_named(ref)
+            try:
+                tile = ts.tile_named(ref)
+            except KeyError:
+                raise ValueError(f"placement names tile {ref!r}, which the "
+                                 "tiling system does not have") from None
         else:
             try:
                 key = tuple(ref.items())
@@ -320,12 +299,11 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                 tile = tile_from_dict(ref)
                 if key is not None:
                     built[key] = tile
-        x, y = row["x"], row["y"]
         if type(x) is not int or type(y) is not int:
             field, value = ("x", x) if type(x) is not int else ("y", y)
-            raise _wrong_type("placement", field, value)
+            raise wrong_type("placement", field, value, int)
         placements.append(Placement(tile, x, y))
-    return Certificate(tuple(placements), data["m"], data["rows"])
+    return Certificate(tuple(placements), width_m, rows)
 
 
 def dump_system(ts: TilingSystem) -> str:

@@ -23,6 +23,8 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .documents import fields
+
 
 class LeftEdgeViolation(ValueError):
     """The head tried to move left from cell 0."""
@@ -287,11 +289,6 @@ def normalize(tm: TuringMachine) -> TuringMachine:
 
 # -- JSON -------------------------------------------------------------------
 
-_TM_FIELDS = {"states", "tape_alphabet", "input_alphabet", "blank",
-              "initial", "accepting", "transitions"}
-_TRANSITION_FIELDS = {"from", "read", "to", "write", "move"}
-
-
 def tm_to_dict(tm: TuringMachine) -> dict:
     return {
         "states": list(tm.states),
@@ -308,35 +305,20 @@ def tm_to_dict(tm: TuringMachine) -> dict:
 
 
 def tm_from_dict(data: dict) -> TuringMachine:
-    if not isinstance(data, dict):
-        raise ValueError("machine document must be a JSON object")
-    unknown = set(data) - _TM_FIELDS
-    if unknown:
-        raise ValueError(f"unknown machine fields: {sorted(unknown)}")
-    missing = _TM_FIELDS - set(data)
-    if missing:
-        raise ValueError(f"missing machine fields: {sorted(missing)}")
+    states, tape, inputs, blank, initial, accepting, rows = fields(
+        data, "machine", {"states": [str], "tape_alphabet": [str],
+                          "input_alphabet": [str], "blank": str,
+                          "initial": str, "accepting": str,
+                          "transitions": list})
+    row_spec = dict.fromkeys(("from", "read", "to", "write", "move"), str)
     transitions = {}
-    for row in data["transitions"]:
-        unknown = set(row) - _TRANSITION_FIELDS
-        if unknown:
-            raise ValueError(f"unknown transition fields: {sorted(unknown)}")
-        missing = _TRANSITION_FIELDS - set(row)
-        if missing:
-            raise ValueError(f"missing transition fields: {sorted(missing)}")
-        key = (row["from"], row["read"])
-        if key in transitions:
-            raise ValueError(f"duplicate transition for {key}")
-        transitions[key] = (row["to"], row["write"], row["move"])
-    return TuringMachine(
-        states=tuple(data["states"]),
-        tape_alphabet=tuple(data["tape_alphabet"]),
-        input_alphabet=tuple(data["input_alphabet"]),
-        blank=data["blank"],
-        initial=data["initial"],
-        accepting=data["accepting"],
-        transitions=transitions,
-    )
+    for row in rows:
+        q, a, p, b, move = fields(row, "transition", row_spec)
+        if (q, a) in transitions:
+            raise ValueError(f"duplicate transition for {(q, a)}")
+        transitions[(q, a)] = (p, b, move)
+    return TuringMachine(tuple(states), tuple(tape), tuple(inputs), blank,
+                         initial, accepting, transitions)
 
 
 def dump_tm(tm: TuringMachine) -> str:

@@ -77,6 +77,14 @@ def accepted_words(name: str) -> list[str]:
     raise KeyError(name)
 
 
+# Values of each JSON type, for replacing a value with one of another type.
+JSON_VALUES = {"number": (0, -3, 2.5), "bool": (True, False),
+               "null": (None,), "string": ("", "c0", "Zmod:x"),
+               "array": ([], [1, "a"]), "object": ({}, {"x": 0})}
+JSON_TYPE = {bool: "bool", int: "number", float: "number", str: "string",
+             type(None): "null", list: "array", dict: "object"}
+
+
 class Pipeline(NamedTuple):
     tm: TuringMachine
     ts: TilingSystem

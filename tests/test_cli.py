@@ -55,6 +55,8 @@ from tilechain.tiling import (
 )
 from tilechain.tm import dump_tm, normalize, run
 
+from conftest import JSON_TYPE, JSON_VALUES
+
 
 def cli(capsys, *argv):
     code = main(list(argv))
@@ -168,6 +170,12 @@ class TestTilingCommands:
                            "--input", "a", "--ring", "Zmod:2")
         assert code == 0
         assert load_edgemap(out) == initial_map(ws.mini_tm, "a", Ring(2))
+
+    @pytest.mark.parametrize("ring", ["Zmod:x", "Zmod:03", "Zmod: 3", "Q"])
+    def test_unknown_ring_is_3(self, capsys, ws, ring):
+        code, out, err = cli(capsys, "tile", "initial", "--tm", str(ws.mini),
+                             "--input", "a", "--ring", ring)
+        assert (code, out, err) == (3, "", f"error: unknown ring {ring!r}\n")
 
     def test_build(self, capsys, ws, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -475,7 +483,7 @@ class TestSolveCommands:
                              "--instance", str(path), "--max-len", "5")
         assert code == 3
         assert out == ""
-        assert err == "error: unexpected entry fields: ['junk']\n"
+        assert err == "error: unknown lamp entry fields: ['junk']\n"
 
     def test_float_stride_is_3(self, capsys, ws, tmp_path):
         data = json.loads(ws.rat_toy.read_text())
@@ -594,14 +602,6 @@ class TestNonStringNames:
         assert err == f"error: a color must be a string, not {kind}\n"
 
 
-# Values of each JSON type, for replacing a field with one of another type.
-_JSON_VALUES = {"number": (0, -3, 2.5), "bool": (True, False),
-                "null": (None,), "string": ("", "c0", "Zmod:x"),
-                "array": ([], [1, "a"]), "object": ({}, {"x": 0})}
-_JSON_TYPE = {bool: "bool", int: "number", float: "number", str: "string",
-              type(None): "null", list: "array", dict: "object"}
-
-
 def mutate_one_field(rng, document):
     """A copy of ``document`` with one field, reached by a seeded walk
     down from the top, replaced by a value of another JSON type."""
@@ -614,24 +614,48 @@ def mutate_one_field(rng, document):
         if isinstance(child, (dict, list)) and child and rng.random() < 0.5:
             node = child
             continue
-        other = rng.choice([kind for kind in _JSON_VALUES
-                            if kind != _JSON_TYPE[type(child)]])
-        node[key] = rng.choice(_JSON_VALUES[other])
+        other = rng.choice([kind for kind in JSON_VALUES
+                            if kind != JSON_TYPE[type(child)]])
+        node[key] = rng.choice(JSON_VALUES[other])
         return data
+
+
+# Fields with a default: a tile's name, a tiling system's distinguished
+# color.
+_OPTIONAL = {"name", "distinguished"}
+
+
+def delete_one_field(rng, document):
+    """A copy of ``document`` with one required field, reached by a seeded
+    walk down from the top, deleted; returns the copy and the field."""
+    data = copy.deepcopy(document)
+    node = data
+    while True:
+        key = rng.choice([key for key in node if key not in _OPTIONAL])
+        child = node[key]
+        # The bindings map's keys are letters, not fields: walk past them.
+        if key == "bindings":
+            child = list(child.values())
+        if isinstance(child, list):
+            objects = [item for item in child if isinstance(item, dict)]
+            child = rng.choice(objects) if objects else None
+        if isinstance(child, dict) and child and rng.random() < 0.5:
+            node = child
+            continue
+        del node[key]
+        return data, key
 
 
 class TestMalformedDocuments:
     CASES_PER_KIND = 16
 
-    def test_type_mutations_give_a_verdict_or_one_error_line(
-            self, capsys, ws, tmp_path):
-        # Every document kind the commands read, with one field swapped
-        # for a value of another JSON type: the command answers (0 or 1)
-        # or refuses the input (3) in one `error:` line, never with an
-        # uncaught exception.
+    @staticmethod
+    def kinds(ws, tmp_path):
+        """Every document kind the commands read, with the command that
+        reads it; the document's path goes last."""
         initial = tmp_path / "initial.json"
         initial.write_text(dump_edgemap(ws.mini_f0))
-        kinds = [
+        return [
             (json.loads(dump_tm(ws.mini_tm)),
              ["tile", "build", "--input", "a", "--fuel", "500", "--tm"]),
             (json.loads(dump_system(ws.mini_ts)),
@@ -648,9 +672,15 @@ class TestMalformedDocuments:
             (json.loads(ws.rat_toy.read_text()),
              ["solve", "rational", "--max-len", "4", "--instance"]),
         ]
+
+    def test_type_mutations_give_a_verdict_or_one_error_line(
+            self, capsys, ws, tmp_path):
+        # Each document kind with one field swapped for a value of another
+        # JSON type: the command answers (0 or 1) or refuses the input (3)
+        # in one `error:` line, never with an uncaught exception.
         rng = random.Random(20260829)
         path = tmp_path / "mutant.json"
-        for document, argv in kinds:
+        for document, argv in self.kinds(ws, tmp_path):
             for _ in range(self.CASES_PER_KIND):
                 mutant = mutate_one_field(rng, document)
                 path.write_text(json.dumps(mutant))
@@ -662,6 +692,21 @@ class TestMalformedDocuments:
                 else:
                     assert "error" not in err, (argv[:2], mutant, err)
 
+    def test_deleted_fields_are_refused_by_name(self, capsys, ws, tmp_path):
+        # Each document kind with one required field deleted: the command
+        # refuses the input (3) in one `error:` line that names the field.
+        rng = random.Random(20260829)
+        path = tmp_path / "mutant.json"
+        for document, argv in self.kinds(ws, tmp_path):
+            for _ in range(self.CASES_PER_KIND):
+                mutant, field = delete_one_field(rng, document)
+                path.write_text(json.dumps(mutant))
+                code, out, err = cli(capsys, *argv, str(path))
+                assert (code, out) == (3, ""), (argv[:2], mutant, err)
+                assert err.startswith("error: missing ") \
+                    and repr(field) in err and err.count("\n") == 1, \
+                    (argv[:2], field, err)
+
 
 class TestInternalErrors:
     @pytest.mark.parametrize("exc,line", [
@@ -670,6 +715,15 @@ class TestInternalErrors:
         (AssertionError("BFS hit 'g0 x' does not\nre-evaluate to the target"),
          "internal error: AssertionError: BFS hit 'g0 x' does not "
          "re-evaluate to the target"),
+        # A defect's KeyError or TypeError is not a user's bad input.
+        (KeyError("y"), "internal error: KeyError: 'y'"),
+        (TypeError("unhashable type: 'list'"),
+         "internal error: TypeError: unhashable type: 'list'"),
+        (IndexError("list index out of range"),
+         "internal error: IndexError: list index out of range"),
+        (AttributeError("'NoneType' object has no attribute 'pos'"),
+         "internal error: AttributeError: 'NoneType' object has no "
+         "attribute 'pos'"),
     ])
     def test_internal_error_is_4(self, capsys, monkeypatch, ws, exc, line):
         def broken(args):

@@ -51,6 +51,14 @@ class TestRing:
             ring_from_name("Q")
         with pytest.raises(ValueError):
             ring_from_name("Zmod:x")
+        # Only a name the ring writes back reads: no second spelling.
+        for name in ("Zmod:x", "Zmod: 3", "Zmod:03", "Zmod:+3", "Zmod:-3",
+                     "Zmod:", "Zmod:\u0663", "z", "Z "):
+            with pytest.raises(ValueError) as refused:
+                ring_from_name(name)
+            assert str(refused.value) == f"unknown ring {name!r}"
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            ring_from_name("Zmod:1")
 
 
 class TestEdgeMap:
@@ -216,7 +224,7 @@ class TestSerialization:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown edge map fields"):
             edgemap_from_dict({"ring": "Z", "entries": [], "pad": 1})
-        with pytest.raises(ValueError, match="unknown entry fields"):
+        with pytest.raises(ValueError, match="unknown edge map entry fields"):
             edgemap_from_dict({"ring": "Z", "entries": [
                 {"x": 0, "y": 0, "orient": "H", "color": "c0", "value": 1,
                  "q": 2}]})

@@ -991,7 +991,8 @@ class TestSubmonoidSerialization:
     def test_strictness(self):
         data = submonoid_to_dict(make_submonoid_instance(toy_instance()))
         data["note"] = "x"
-        with pytest.raises(ValueError, match="unexpected fields"):
+        with pytest.raises(ValueError,
+                           match="unknown submonoid instance fields"):
             submonoid_from_dict(data)
 
     @pytest.mark.parametrize("field, value, kind", [

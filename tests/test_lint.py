@@ -194,6 +194,26 @@ def test_calls_by_name_sees_names_attributes_and_nested_calls():
                              "module_to_word:5:word_from_tokens"]
 
 
+def test_every_loader_reads_through_fields():
+    # One reader, documents.fields, decides what a malformed document is.
+    # A loader with checks of its own would let a missing field or a wrong
+    # container type escape as a bare KeyError or TypeError again.
+    loaders, readers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.endswith("_from_dict")}
+        loaders |= names
+        readers |= {found.split(":")[0]
+                    for found in _calls_by_name(tree, names, {"fields"})}
+        if path.name != "documents.py":
+            assert not re.search(r"(unknown|missing|unexpected) [\w ]*"
+                                 r"fields: ", path.read_text()), path.name
+    assert len(loaders) == 12
+    assert sorted(loaders - readers) == []
+
+
 _ELEMENT_MAKERS = {"ModuleElement", "zero_element", "unit", "plus", "scale",
                    "translate"}
 

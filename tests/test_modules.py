@@ -1041,12 +1041,12 @@ class TestSerialization:
     def test_element_strictness(self):
         data = element_to_dict(unit(Z, 1, 0, 0, 0))
         data["extra"] = 1
-        with pytest.raises(ValueError, match="unexpected fields"):
+        with pytest.raises(ValueError, match="unknown module element fields"):
             element_from_dict(data)
         bad_entry = {"ring": "Z", "rank": 1,
                      "entries": [{"x": 0, "y": 0, "idx": 0, "value": 1,
                                   "note": "hi"}]}
-        with pytest.raises(ValueError, match="unexpected entry fields"):
+        with pytest.raises(ValueError, match="unknown module entry fields"):
             element_from_dict(bad_entry)
 
     @pytest.mark.parametrize("where, field, value, kind", [
@@ -1077,7 +1077,7 @@ class TestSerialization:
         pipe = artifacts.pipeline("mini-raw", "a")
         data = instance_to_dict(tiling_to_instance(pipe.ts, pipe.f0))
         data["comment"] = "x"
-        with pytest.raises(ValueError, match="unexpected fields"):
+        with pytest.raises(ValueError, match="unknown instance fields"):
             instance_from_dict(data)
 
     def test_witness_round_trips(self):
@@ -1117,17 +1117,19 @@ class TestSerialization:
     def test_witness_strictness(self):
         data = witness_to_dict("subset-sum", ((0, 1, 2),))
         data["comment"] = "x"
-        with pytest.raises(ValueError, match=r"unexpected fields: \['comment'\]"):
+        with pytest.raises(ValueError,
+                           match=r"unknown witness fields: \['comment'\]"):
             witness_from_dict(data)
         data = witness_to_dict("semimodule", (WitnessTerm(0, 1, 2, 3),))
         data["terms"][0]["note"] = 1
         with pytest.raises(ValueError,
-                           match=r"unexpected entry fields: \['note'\]"):
+                           match=r"unknown witness entry fields: \['note'\]"):
             witness_from_dict(data)
         # The other mode's rows are refused, not ignored.
         data = witness_to_dict("subset-sum", ((0, 1, 2),))
         data["terms"] = []
-        with pytest.raises(ValueError, match=r"unexpected fields: \['terms'\]"):
+        with pytest.raises(ValueError,
+                           match=r"unknown witness fields: \['terms'\]"):
             witness_from_dict(data)
 
     def test_witness_unknown_mode(self):

@@ -915,7 +915,7 @@ class TestRationalSerialization:
     def test_nfa_strictness(self):
         data = nfa_to_dict(regex_to_nfa(Lit("x")))
         data["comment"] = "x"
-        with pytest.raises(ValueError, match="unexpected fields"):
+        with pytest.raises(ValueError, match="unknown automaton fields"):
             nfa_from_dict(data)
 
     def test_instance_round_trip(self):
@@ -963,22 +963,23 @@ class TestRationalSerialization:
             subset_instance(ring, unit(ring, 1, 0, 0, 0)))
         data = rational_to_dict(rat)
         data["extra"] = 1
-        with pytest.raises(ValueError, match="unexpected fields"):
+        with pytest.raises(ValueError,
+                           match="unknown rational instance fields"):
             rational_from_dict(data)
         bad = rational_to_dict(rat)
         bad["target"]["note"] = "x"
-        with pytest.raises(ValueError, match="unexpected fields"):
+        with pytest.raises(ValueError, match="unknown wreath element fields"):
             rational_from_dict(bad)
 
     def test_lamp_entry_strictness(self):
-        # A lamp entry with an unknown field is refused with the module
-        # loader's message, not loaded with the field ignored.
+        # A lamp entry with an unknown field is refused in the message form
+        # of every loader, not loaded with the field ignored.
         ring = Ring(2)
         data = rational_to_dict(make_rational_instance(
             subset_instance(ring, unit(ring, 1, 0, 0, 0))))
         data["target"]["fun"] = [{"a": 0, "b": 0, "value": 1, "junk": 5}]
         with pytest.raises(ValueError,
-                           match=r"unexpected entry fields: \['junk'\]"):
+                           match=r"unknown lamp entry fields: \['junk'\]"):
             rational_from_dict(data)
 
     @pytest.mark.parametrize("field, value, kind", [
@@ -1039,8 +1040,9 @@ class TestRationalSerialization:
     def test_nfa_edge_strictness(self):
         data = nfa_to_dict(regex_to_nfa(Lit("x")))
         data["edges"][0]["weight"] = 1
-        with pytest.raises(ValueError,
-                           match=r"unexpected edge fields: \['weight'\]"):
+        with pytest.raises(
+                ValueError,
+                match=r"unknown automaton edge fields: \['weight'\]"):
             nfa_from_dict(data)
 
     @pytest.mark.parametrize("field, value, kind", [

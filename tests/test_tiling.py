@@ -227,6 +227,10 @@ class TestSerialization:
         assert cert.placements[0].tile == ts.tile_named("b0")
         with pytest.raises(ValueError, match="no tiling system given"):
             certificate_from_dict(data)
+        # A name the system lacks is bad input, not a KeyError.
+        data["placements"][0]["tile"] = "nope"
+        with pytest.raises(ValueError, match="names tile 'nope'"):
+            certificate_from_dict(data, ts)
 
     def test_certificate_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown certificate fields"):
@@ -254,8 +258,9 @@ class TestSerialization:
                                              f"must be an integer, not {kind}"):
             certificate_from_dict(data)
 
-    def test_missing_placement_field_still_a_key_error(self):
-        with pytest.raises(KeyError, match="'y'"):
+    def test_missing_placement_field_is_named(self):
+        with pytest.raises(ValueError,
+                           match=r"missing placement fields: \['y'\]"):
             certificate_from_dict({"m": 1, "rows": 0, "placements": [
                 {"tile": tile_to_dict(Tile(C0, C0, C0, C0)), "x": 0}]})
 
@@ -341,7 +346,8 @@ class TestCertificateDump:
                      (dict(good, n="q-nope"), "unknown color string"),
                      (dict(good, e=["c0"]),
                       "a color must be a string, not list"),
-                     (["not", "a", "dict"], "unknown tile fields")]
+                     (["not", "a", "dict"],
+                      "tile must be a JSON object, not list")]
         for bad, message in bad_tiles:
             with pytest.raises(Exception, match=message) as direct:
                 tile_from_dict(bad)

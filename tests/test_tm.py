@@ -227,6 +227,25 @@ class TestJson:
         with pytest.raises(ValueError, match="unknown transition fields"):
             tm_from_dict(data)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", [1], "machine field 'states' must be a string, not int"),
+        ("states", "q0", "machine field 'states' must be a list, not str"),
+        ("blank", None, "machine field 'blank' must be a string, "
+                        "not NoneType")])
+    def test_wrong_json_types_rejected(self, field, value, message):
+        data = tm_to_dict(unary_eraser())
+        data[field] = value
+        with pytest.raises(ValueError) as refused:
+            tm_from_dict(data)
+        assert str(refused.value) == message
+
+    def test_missing_transition_field_named(self):
+        data = tm_to_dict(unary_eraser())
+        del data["transitions"][0]["move"]
+        with pytest.raises(ValueError,
+                           match=r"missing transition fields: \['move'\]"):
+            tm_from_dict(data)
+
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             tm_from_dict([1, 2])
