@@ -7,6 +7,10 @@ errors (argparse), 3 on input errors: exactly an ``OSError`` or
 ``ValueError`` (unreadable files, malformed documents, invalid machines,
 bounds below their floor), 4 on any other exception, an internal error,
 reported in one line with no traceback.
+
+The command surface is data: a flag is one entry of ``_OPTIONS`` and a
+command is one row of ``_COMMANDS``; ``build_parser`` turns both into the
+argparse tree, and nothing else adds a parser or an argument.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .compiler import compile_tiles, initial_map
 from .deduce import forced_search
@@ -39,15 +42,23 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write(text: str, output: Optional[str]) -> None:
-    if output is None:
+def _emit(text: str, args) -> int:
+    """Write ``text`` to ``--output``, or to stdout without one: exit 0."""
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        Path(args.output).write_text(text)
+    return 0
 
 
-def _json_dump(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+def _emit_json(data: dict, args) -> int:
+    return _emit(json.dumps(data, indent=2) + "\n", args)
+
+
+def _negative(message: str) -> int:
+    """A negative answer: one line on stderr, exit 1."""
+    print(message, file=sys.stderr)
+    return 1
 
 
 def _load_machine(path: str, total: bool):
@@ -93,17 +104,14 @@ def _cmd_tm_validate(args) -> int:
 
 
 def _cmd_tm_normalize(args) -> int:
-    tm = _load_machine(args.tm, total=False)
-    _write(dump_tm(normalize(tm)), args.output)
-    return 0
+    return _emit(dump_tm(normalize(_load_machine(args.tm, total=False))), args)
 
 
 def _cmd_tm_run(args) -> int:
     tm = _load_machine(args.tm, total=False)
     trace = run(tm, list(args.input), _fuel(args, 0))
     if trace is None:
-        print(f"out of fuel after {args.fuel} steps", file=sys.stderr)
-        return 1
+        return _negative(f"out of fuel after {args.fuel} steps")
     for i, config in enumerate(trace.configs):
         tape = " ".join(config.tape)
         print(f"{i:4d}  {config.state:>8s} @ {config.head}  [{tape}]")
@@ -113,25 +121,21 @@ def _cmd_tm_run(args) -> int:
 
 def _cmd_tile_compile(args) -> int:
     ts = compile_tiles(_load_machine(args.tm, total=False))
-    _write(dump_system(ts), args.output)
-    return 0
+    return _emit(dump_system(ts), args)
 
 
 def _cmd_tile_initial(args) -> int:
     tm = _load_machine(args.tm, total=False)
     f0 = initial_map(tm, list(args.input), ring_from_name(args.ring))
-    _write(dump_edgemap(f0), args.output)
-    return 0
+    return _emit(dump_edgemap(f0), args)
 
 
 def _cmd_tile_build(args) -> int:
     tm = _load_machine(args.tm, total=True)
     cert = build_accepting_tiling(tm, list(args.input), _fuel(args, 0))
     if cert is None:
-        print(f"out of fuel after {args.fuel} steps", file=sys.stderr)
-        return 1
-    _write(dump_certificate(cert), args.output)
-    return 0
+        return _negative(f"out of fuel after {args.fuel} steps")
+    return _emit(dump_certificate(cert), args)
 
 
 def _cmd_tile_verify(args) -> int:
@@ -143,8 +147,7 @@ def _cmd_tile_verify(args) -> int:
     if verify_zero(f0, cert, ts):
         print("zero sum verified")
         return 0
-    print("sum is not zero", file=sys.stderr)
-    return 1
+    return _negative("sum is not zero")
 
 
 def _cmd_tile_search(args) -> int:
@@ -152,10 +155,8 @@ def _cmd_tile_search(args) -> int:
     f0 = load_edgemap(_read(args.initial))
     cert = forced_search(ts, f0, args.max_m, args.max_rows)
     if cert is None:
-        print("no certificate within bounds", file=sys.stderr)
-        return 1
-    _write(dump_certificate(cert), args.output)
-    return 0
+        return _negative("no certificate within bounds")
+    return _emit(dump_certificate(cert), args)
 
 
 def _cmd_tile_audit(args) -> int:
@@ -175,16 +176,14 @@ def _cmd_reduce_module(args) -> int:
     ring = ring_from_name(args.ring)
     ts = compile_tiles(tm)
     f0 = initial_map(tm, list(args.input), ring)
-    instance = tiling_to_instance(ts, f0, args.mode)
-    _write(_json_dump(instance_to_dict(instance)), args.output)
-    return 0
+    return _emit_json(instance_to_dict(tiling_to_instance(ts, f0, args.mode)),
+                      args)
 
 
 def _cmd_reduce_submonoid(args) -> int:
     instance = instance_from_dict(json.loads(_read(args.instance)))
     sub = make_submonoid_instance(instance, args.flavor)
-    _write(_json_dump(submonoid_to_dict(sub)), args.output)
-    return 0
+    return _emit_json(submonoid_to_dict(sub), args)
 
 
 def _cmd_reduce_rational(args) -> int:
@@ -192,24 +191,19 @@ def _cmd_reduce_rational(args) -> int:
     rat = make_rational_instance(instance)
     if args.nfa is not None:
         Path(args.nfa).write_text(dump_nfa(regex_to_nfa(rat.expr)))
-    _write(_json_dump(rational_to_dict(rat)), args.output)
-    return 0
+    return _emit_json(rational_to_dict(rat), args)
 
 
 def _cmd_solve_semimodule(args) -> int:
     instance = instance_from_dict(json.loads(_read(args.instance)))
     window = _parse_window(args.window)
     witness = member_bounded(instance, window, args.max_coeff, _fuel(args, 1))
+    if witness is None and member_is_exact(instance.ring):
+        return _negative(f"no witness in window {','.join(map(str, window))} "
+                         f"(exact elimination over Z/{instance.ring.modulus})")
     if witness is None:
-        if member_is_exact(instance.ring):
-            print(f"no witness in window {','.join(map(str, window))} (exact "
-                  f"elimination over Z/{instance.ring.modulus})",
-                  file=sys.stderr)
-        else:
-            print("no witness within bounds", file=sys.stderr)
-        return 1
-    _write(_json_dump(witness_to_dict("semimodule", witness)), args.output)
-    return 0
+        return _negative("no witness within bounds")
+    return _emit_json(witness_to_dict("semimodule", witness), args)
 
 
 def _cmd_solve_subset_sum(args) -> int:
@@ -217,10 +211,8 @@ def _cmd_solve_subset_sum(args) -> int:
     witness = subset_sum_bounded(instance, _parse_window(args.window),
                                  _fuel(args, 1))
     if witness is None:
-        print("no witness within bounds", file=sys.stderr)
-        return 1
-    _write(_json_dump(witness_to_dict("subset-sum", witness)), args.output)
-    return 0
+        return _negative("no witness within bounds")
+    return _emit_json(witness_to_dict("subset-sum", witness), args)
 
 
 def _cmd_solve_rational(args) -> int:
@@ -228,10 +220,8 @@ def _cmd_solve_rational(args) -> int:
     word = rational_member_bounded(rat.expr, rat.bindings, rat.target,
                                    args.max_len, rat.ring)
     if word is None:
-        print("no witness within bounds", file=sys.stderr)
-        return 1
-    _write(_json_dump({"word": word}), args.output)
-    return 0
+        return _negative("no witness within bounds")
+    return _emit_json({"word": word}, args)
 
 
 def _cmd_render(args) -> int:
@@ -243,21 +233,86 @@ def _cmd_render(args) -> int:
         f0 = load_edgemap(_read(args.edgemap))
         text = (render_edgemap_svg(f0) if args.format == "svg"
                 else render_edgemap_ascii(f0))
-    _write(text, args.output)
-    return 0
+    return _emit(text, args)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_output(parser) -> None:
-    parser.add_argument("-o", "--output", default=None,
-                        help="write to this file instead of stdout")
+# Each flag spelled once: its option strings and argparse settings.
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_OPTIONS = {
+    "tm": (("--tm",), _REQUIRED),
+    "input": (("--input",), _REQUIRED),
+    "cert": (("--cert",), _REQUIRED),
+    "edgemap": (("--edgemap",), _REQUIRED),
+    "tiles": (("--tiles",), _REQUIRED),
+    "initial": (("--initial",), _REQUIRED),
+    "instance": (("--instance",), _REQUIRED),
+    "fuel": (("--fuel",), _REQUIRED_INT),
+    "search-fuel": (("--fuel",), {"type": int, "default": 1_000_000}),
+    "max-m": (("--max-m",), _REQUIRED_INT),
+    "max-rows": (("--max-rows",), _REQUIRED_INT),
+    "max-len": (("--max-len",), _REQUIRED_INT),
+    "max-coeff": (("--max-coeff",), {"type": int, "default": 1}),
+    "window": (("--window",), {"required": True, "help": "inclusive "
+                               "translation box x0,y0,x1,y1"}),
+    "ring": (("--ring",), {"default": "Z", "help": "coefficient ring: Z or "
+                           "Zmod:n (default Z)"}),
+    "flavor": (("--flavor",), {"choices": ("wreath", "free-metabelian"),
+                               "default": "wreath"}),
+    "nfa": (("--nfa",), {"help": "also write the compiled automaton here"}),
+    "format": (("--format",), {"choices": ("ascii", "svg"),
+                               "default": "ascii"}),
+    "output": (("-o", "--output"), {"help": "write to this file instead of "
+                                    "stdout"}),
+}
 
+_GROUPS = {"tm": "machine operations",
+           "tile": "tiling systems and certificates",
+           "reduce": "emit downstream instances",
+           "solve": "bounded searches"}
 
-def _add_ring(parser) -> None:
-    parser.add_argument("--ring", default="Z",
-                        help="coefficient ring: Z or Zmod:n (default Z)")
+# One row per command: group (None at the top level), name, help (None
+# leaves it out of the group's listing), options (``a|b``: exactly one of
+# them), handler and fixed settings.  Handlers are named, not bound, so
+# the parser picks up the module's current functions.
+_COMMANDS = (
+    ("tm", "validate", "check machine well-formedness", "tm",
+     "_cmd_tm_validate"),
+    ("tm", "normalize", "complete the table and route acceptance through a "
+     "tape-clearing sweep", "tm output", "_cmd_tm_normalize"),
+    ("tm", "run", "simulate on an input word", "tm input fuel", "_cmd_tm_run"),
+    ("tile", "compile", "tile set of a machine", "tm output",
+     "_cmd_tile_compile"),
+    ("tile", "initial", "starting edge map of a word", "tm input ring output",
+     "_cmd_tile_initial"),
+    ("tile", "build", "certificate from an accepting run",
+     "tm input fuel output", "_cmd_tile_build"),
+    ("tile", "verify", "check a certificate cancels the starting map",
+     "tm input cert ring", "_cmd_tile_verify"),
+    ("tile", "search", "machine-free certificate deduction from colors alone",
+     "tiles initial max-m max-rows output", "_cmd_tile_search"),
+    ("tile", "audit", "structural audit of a certificate", "cert initial",
+     "_cmd_tile_audit"),
+    ("reduce", "semimodule", "membership instance from a machine and word",
+     "tm input ring output", "_cmd_reduce_module", ("mode", "semimodule")),
+    ("reduce", "subset-sum", "0/1 distinct-translate instance",
+     "tm input ring output", "_cmd_reduce_module", ("mode", "subset-sum")),
+    ("reduce", "submonoid", "word-product instance from a module instance",
+     "instance flavor output", "_cmd_reduce_submonoid"),
+    ("reduce", "rational", "sweep-language instance from a subset-sum "
+     "instance", "instance nfa output", "_cmd_reduce_rational"),
+    ("solve", "semimodule", None,
+     "instance window max-coeff search-fuel output", "_cmd_solve_semimodule"),
+    ("solve", "subset-sum", None, "instance window search-fuel output",
+     "_cmd_solve_subset_sum"),
+    ("solve", "rational", None, "instance max-len output",
+     "_cmd_solve_rational"),
+    (None, "render", "draw a certificate or edge map",
+     "cert|edgemap format output", "_cmd_render"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,142 +320,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tilechain",
         description="Turing machines, tiling certificates, and the "
                     "membership problems they reduce to.")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    tm_parser = top.add_parser("tm", help="machine operations")
-    tm_sub = tm_parser.add_subparsers(dest="subcommand", required=True)
-
-    p = tm_sub.add_parser("validate", help="check machine well-formedness")
-    p.add_argument("--tm", required=True)
-    p.set_defaults(handler=_cmd_tm_validate)
-
-    p = tm_sub.add_parser("normalize",
-                          help="complete the table and route acceptance "
-                               "through a tape-clearing sweep")
-    p.add_argument("--tm", required=True)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_tm_normalize)
-
-    p = tm_sub.add_parser("run", help="simulate on an input word")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--fuel", type=int, required=True)
-    p.set_defaults(handler=_cmd_tm_run)
-
-    tile_parser = top.add_parser("tile", help="tiling systems and "
-                                              "certificates")
-    tile_sub = tile_parser.add_subparsers(dest="subcommand", required=True)
-
-    p = tile_sub.add_parser("compile", help="tile set of a machine")
-    p.add_argument("--tm", required=True)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_tile_compile)
-
-    p = tile_sub.add_parser("initial", help="starting edge map of a word")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--input", required=True)
-    _add_ring(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_tile_initial)
-
-    p = tile_sub.add_parser("build", help="certificate from an accepting "
-                                          "run")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--fuel", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_tile_build)
-
-    p = tile_sub.add_parser("verify", help="check a certificate cancels "
-                                           "the starting map")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--cert", required=True)
-    _add_ring(p)
-    p.set_defaults(handler=_cmd_tile_verify)
-
-    p = tile_sub.add_parser("search", help="machine-free certificate "
-                                           "deduction from colors alone")
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--initial", required=True)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--max-rows", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_tile_search)
-
-    p = tile_sub.add_parser("audit", help="structural audit of a "
-                                          "certificate")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--initial", required=True)
-    p.set_defaults(handler=_cmd_tile_audit)
-
-    reduce_parser = top.add_parser("reduce", help="emit downstream "
-                                                  "instances")
-    reduce_sub = reduce_parser.add_subparsers(dest="subcommand",
-                                              required=True)
-
-    for mode, summary in (
-            ("semimodule", "membership instance from a machine and word"),
-            ("subset-sum", "0/1 distinct-translate instance")):
-        p = reduce_sub.add_parser(mode, help=summary)
-        p.add_argument("--tm", required=True)
-        p.add_argument("--input", required=True)
-        _add_ring(p)
-        _add_output(p)
-        p.set_defaults(handler=_cmd_reduce_module, mode=mode)
-
-    p = reduce_sub.add_parser("submonoid", help="word-product instance "
-                                                "from a module instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--flavor", choices=("wreath", "free-metabelian"),
-                   default="wreath")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_reduce_submonoid)
-
-    p = reduce_sub.add_parser("rational", help="sweep-language instance "
-                                               "from a subset-sum "
-                                               "instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--nfa", default=None,
-                   help="also write the compiled automaton here")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_reduce_rational)
-
-    solve_parser = top.add_parser("solve", help="bounded searches")
-    solve_sub = solve_parser.add_subparsers(dest="subcommand",
-                                            required=True)
-
-    p = solve_sub.add_parser("semimodule")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--window", required=True,
-                   help="inclusive translation box x0,y0,x1,y1")
-    p.add_argument("--max-coeff", type=int, default=1)
-    p.add_argument("--fuel", type=int, default=1_000_000)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_solve_semimodule)
-
-    p = solve_sub.add_parser("subset-sum")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--window", required=True,
-                   help="inclusive translation box x0,y0,x1,y1")
-    p.add_argument("--fuel", type=int, default=1_000_000)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_solve_subset_sum)
-
-    p = solve_sub.add_parser("rational")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_solve_rational)
-
-    p = top.add_parser("render", help="draw a certificate or edge map")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cert")
-    group.add_argument("--edgemap")
-    p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_render)
-
+    subparsers = {None: parser.add_subparsers(dest="command", required=True)}
+    for group, name, help, options, handler, *fixed in _COMMANDS:
+        if group not in subparsers:
+            subparsers[group] = subparsers[None].add_parser(
+                group, help=_GROUPS[group]).add_subparsers(
+                    dest="subcommand", required=True)
+        p = subparsers[group].add_parser(
+            name, **({} if help is None else {"help": help}))
+        for option in options.split():
+            target = p
+            if "|" in option:
+                target = p.add_mutually_exclusive_group(required=True)
+            for member in option.split("|"):
+                flags, settings = _OPTIONS[member]
+                if target is not p:  # the group is required, not its members
+                    settings = dict(settings, required=False)
+                target.add_argument(*flags, **settings)
+        p.set_defaults(handler=globals()[handler], **dict(fixed))
     return parser
 
 

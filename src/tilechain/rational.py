@@ -97,12 +97,21 @@ def expr_to_text(expr: RationalExpr) -> str:
 
 _STRUCTURAL = {"(", ")", "|", "*"}
 
+# The deepest nesting expr_from_text accepts, counting each enclosing open
+# parenthesis and each star stacked over a part.  The parser, regex_to_nfa
+# and expr_to_text recurse once or a few times per level, so a bound well
+# inside the interpreter's recursion limit keeps every accepted text from
+# failing with RecursionError; build_L nests four deep.
+MAX_EXPR_DEPTH = 100
+
 
 def expr_from_text(text: str) -> RationalExpr:
     """Parse the text form produced by :func:`expr_to_text`.  A token is
-    one structural character or a longest run of other non-space ones."""
+    one structural character or a longest run of other non-space ones.
+    Nesting deeper than ``MAX_EXPR_DEPTH`` is refused."""
     tokens = re.findall(r"[()|*]|[^\s()|*]+", text)
     pos = 0
+    opened = 0
 
     def peek() -> Optional[str]:
         return tokens[pos] if pos < len(tokens) else None
@@ -113,42 +122,57 @@ def expr_from_text(text: str) -> RationalExpr:
         pos += 1
         return token
 
-    def parse_union() -> RationalExpr:
-        parts = [parse_concat()]
+    def check(depth: int) -> None:
+        if depth > MAX_EXPR_DEPTH:
+            raise ValueError(f"expression nests deeper than "
+                             f"{MAX_EXPR_DEPTH} levels")
+
+    # Each parser returns its node and the node's own depth: the
+    # parentheses and stars nested inside it.
+    def parse_union() -> tuple[RationalExpr, int]:
+        node, depth = parse_concat()
+        parts = [node]
         while peek() == "|":
             take()
-            parts.append(parse_concat())
-        return parts[0] if len(parts) == 1 else Union(tuple(parts))
+            node, inner = parse_concat()
+            parts.append(node)
+            depth = max(depth, inner)
+        return (parts[0] if len(parts) == 1 else Union(tuple(parts))), depth
 
-    def parse_concat() -> RationalExpr:
-        parts = []
+    def parse_concat() -> tuple[RationalExpr, int]:
+        parts, depth = [], 0
         while peek() is not None and peek() not in (")", "|"):
-            parts.append(parse_factor())
-        if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+            node, inner = parse_factor()
+            parts.append(node)
+            depth = max(depth, inner)
+        return (parts[0] if len(parts) == 1 else Concat(tuple(parts))), depth
 
-    def parse_factor() -> RationalExpr:
-        node = parse_atom()
+    def parse_factor() -> tuple[RationalExpr, int]:
+        node, depth = parse_atom()
         while peek() == "*":
             take()
-            node = Star(node)
-        return node
+            node, depth = Star(node), depth + 1
+            check(opened + depth)
+        return node, depth
 
-    def parse_atom() -> RationalExpr:
+    def parse_atom() -> tuple[RationalExpr, int]:
+        nonlocal opened
         token = peek()
         if token == "(":
             take()
-            node = parse_union()
+            opened += 1
+            check(opened)
+            node, depth = parse_union()
             if peek() != ")":
                 raise ValueError("unbalanced parenthesis")
             take()
-            return node
+            opened -= 1
+            return node, depth + 1
         if token is None or token in _STRUCTURAL:
             raise ValueError(f"unexpected token {token!r}")
-        return Lit(take())
+        return Lit(take()), 0
 
-    expr = parse_union()
+    expr, _ = parse_union()
     if pos != len(tokens):
         raise ValueError(f"trailing tokens at {pos}")
     return expr

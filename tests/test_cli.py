@@ -497,6 +497,21 @@ class TestSolveCommands:
         assert err == ("error: rational instance field 'stride' must be an "
                        "integer, not float\n")
 
+    @pytest.mark.parametrize("expr", ["(" * 400 + "x" + ")" * 400,
+                                      "x" + " *" * 5000],
+                             ids=["parentheses", "stars"])
+    def test_deep_expression_is_3(self, capsys, ws, tmp_path, expr):
+        instance = instance_from_dict(json.loads(ws.sub_mini_2.read_text()))
+        data = rational_to_dict(make_rational_instance(instance))
+        data["expr"] = expr
+        path = tmp_path / "rat_deep.json"
+        path.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "solve", "rational",
+                             "--instance", str(path), "--max-len", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: expression nests deeper than 100 levels\n"
+
     def test_negative_max_len_is_3(self, capsys, ws):
         code, out, err = cli(capsys, "solve", "rational",
                              "--instance", str(ws.rat_toy),

@@ -492,3 +492,44 @@ def test_references_skip_a_function_naming_itself():
             print("from tilechain import not code")
         """
     '''))) == {"alpha", "beta", "delta", "epsilon"}
+
+
+def _table(tree: ast.AST, name: str):
+    """The literal value a module assigns to ``name`` at its top level."""
+    values = [node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == name
+                      for target in node.targets)]
+    assert len(values) == 1, name
+    return ast.literal_eval(values[0])
+
+
+def test_cli_surface_is_one_table():
+    # A command is one row of _COMMANDS and a flag one entry of _OPTIONS;
+    # only build_parser turns them into parsers, so no handler or helper
+    # becomes a second place where the surface is spelled.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    surface_calls = {"add_parser", "add_argument"}
+    every = sorted(f"{node.lineno}:{_callee_name(node)}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and _callee_name(node) in surface_calls)
+    inside = sorted(found.split(":", 1)[1]
+                    for found in _calls_by_name(tree, {"build_parser"},
+                                                surface_calls))
+    assert inside and every == inside
+    handlers = {node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")}
+    named = {row[4] for row in _table(tree, "_COMMANDS")}
+    assert sorted(named - handlers) == [] and sorted(handlers - named) == []
+
+
+def test_table_reads_a_top_level_literal():
+    tree = ast.parse(textwrap.dedent("""
+        ROWS = (("tm", "run", None, "tm fuel", "_cmd_tm_run", ("k", 1)),)
+        def f():
+            ROWS = ()
+    """))
+    assert _table(tree, "ROWS") == (
+        ("tm", "run", None, "tm fuel", "_cmd_tm_run", ("k", 1)),)

@@ -18,6 +18,7 @@ from tilechain.modules import (DuplicateShift, SemimoduleInstance,
                                certificate_to_witness, element_from_dict,
                                tiling_to_subset_sum, unit, zero_element)
 from tilechain.rational import (
+    MAX_EXPR_DEPTH,
     Concat,
     Lit,
     Nfa,
@@ -95,6 +96,29 @@ class TestExpressions:
             expr_from_text("a ) b")
         with pytest.raises(ValueError, match="unexpected token"):
             expr_from_text("a | *")
+
+    # Texts nesting ``depth`` levels, each with a word its automaton takes.
+    NESTINGS = [
+        (lambda depth: "x" + " *" * depth, lambda depth: ["x"] * 3),
+        (lambda depth: "( x " * depth + ")" * depth,
+         lambda depth: ["x"] * depth),
+        (lambda depth: ("( " * (depth // 2) + "x" + " ) *" * (depth // 2)
+                        + " *" * (depth % 2)),
+         lambda depth: ["x"] * 2),
+    ]
+    NESTING_IDS = ["stars", "parentheses", "starred-parentheses"]
+
+    @pytest.mark.parametrize("text,word", NESTINGS, ids=NESTING_IDS)
+    def test_nesting_at_the_bound_round_trips_and_compiles(self, text, word):
+        expr = expr_from_text(text(MAX_EXPR_DEPTH))
+        assert expr_from_text(expr_to_text(expr)) == expr
+        assert nfa_accepts(regex_to_nfa(expr), word(MAX_EXPR_DEPTH))
+
+    @pytest.mark.parametrize("text,word", NESTINGS, ids=NESTING_IDS)
+    def test_nesting_past_the_bound_is_refused(self, text, word):
+        with pytest.raises(ValueError, match=f"nests deeper than "
+                                             f"{MAX_EXPR_DEPTH} levels"):
+            expr_from_text(text(MAX_EXPR_DEPTH + 1))
 
 
 # ---------------------------------------------------------------------------
