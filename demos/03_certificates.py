@@ -12,9 +12,11 @@ from collections import Counter
 
 from tilechain.compiler import compile_tiles, initial_map
 from tilechain.deduce import forced_search
+from tilechain.edges import evaluate_placements
 from tilechain.engine import build_accepting_tiling, claims_audit, verify_zero
 from tilechain.machines import corpus
-from tilechain.render import render_certificate_ascii
+from tilechain.render import render_certificate_ascii, render_edgemap_ascii
+from tilechain.tiling import Certificate
 
 tm = corpus()["unary-eraser"]
 ts = compile_tiles(tm)
@@ -34,6 +36,18 @@ print()
 print("=== Auditing the certificate ===")
 report = claims_audit(cert, f0)
 print(f"  clean certificate: ok={report.ok}, flags={list(report.flags)}")
+
+print()
+print("=== A broken tiling leaves edges uncancelled ===")
+gone = cert.placements[len(cert.placements) // 2]
+broken = Certificate(tuple(p for p in cert.placements if p is not gone),
+                     cert.width_m, cert.rows)
+print(f"  without {gone.tile.name} at ({gone.x}, {gone.y}): "
+      f"cancels: {verify_zero(f0, broken, ts)}")
+left = f0 + evaluate_placements(ts, broken.placements, f0.ring)
+print(f"  f0 + evaluate_placements(...) keeps {len(left)} edges: the "
+      f"missing tile's sides, negated:")
+print(render_edgemap_ascii(left))
 
 print()
 print("=== Rebuilding it with the machine-free search ===")

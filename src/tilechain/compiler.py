@@ -21,6 +21,8 @@ arrow and a right arrow.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .edges import EdgeMap, Ring, Z
 from .tiling import (ARROW_D, ARROW_L, ARROW_R, ARROW_U, C0, DIAG, TRI_L,
                      TRI_R, Color, Tile, TilingSystem, color_sort_key, head,
@@ -62,7 +64,27 @@ def compile_tiles(tm: TuringMachine) -> TilingSystem:
 
     Tile count: 2 per letter, 2 per (state, letter) pair, 1 per table entry,
     plus the 8 boundary tiles.
+
+    Equal machines share one system: the result is memoised on the
+    machine's content, read afresh on every call, so a table changed in
+    place is compiled again.  The key keeps the order of the states, the
+    alphabets and the table: tile order, and so every generator index,
+    follows the states and the alphabet.
     """
+    return _compiled_system(
+        tuple(tm.states), tuple(tm.tape_alphabet), tuple(tm.input_alphabet),
+        tm.blank, tm.initial, tm.accepting, tuple(tm.transitions.items()))
+
+
+@lru_cache(maxsize=32)
+def _compiled_system(states, tape_alphabet, input_alphabet, blank, initial,
+                     accepting, table) -> TilingSystem:
+    """The system of the machine with these fields; see compile_tiles."""
+    return _build_system(TuringMachine(states, tape_alphabet, input_alphabet,
+                                       blank, initial, accepting, dict(table)))
+
+
+def _build_system(tm: TuringMachine) -> TilingSystem:
     tiles: list[Tile] = []
     for a in tm.tape_alphabet:
         la = letter(a)

@@ -261,27 +261,41 @@ def tile_eval(tile: Tile, ring: Ring = Z, distinguished: Color = C0) -> EdgeMap:
     return _make_vector(EdgeMap, ring, _canon(ring, _sides(tile, distinguished)))
 
 
-def evaluate_placements(ts: TilingSystem, placements, ring: Ring = Z) -> EdgeMap:
-    """Sum of the translated tile maps of a placement list.
+def _side_lookup(ts: TilingSystem):
+    """A function from a placed tile to the keys and signs of its
+    non-distinguished sides at the origin.
 
-    Every placed tile must belong to the system; repeats are allowed and add.
     A placed tile is looked up by identity first, as a certificate holds
     few distinct tile objects.  A tile object seen for the first time is
     found by the tile's own hash and equality, so an equal copy of a
     system tile counts; it is then kept with its sides, which keeps its
-    identity from being reused within the call.
+    identity from being reused while the function lives.  A tile outside
+    the system raises :class:`UnknownTile`.
     """
     sides = {tile: _sides(tile, ts.distinguished) for tile in ts.tiles}
     by_id = {id(tile): (tile, sides[tile]) for tile in ts.tiles}
-    total: dict = {}
-    for placement in placements:
-        tile = placement.tile
+
+    def sides_of(tile: Tile) -> list:
         known = by_id.get(id(tile))
         if known is None:
             if tile not in sides:
                 raise UnknownTile(repr(tile))
             known = by_id[id(tile)] = (tile, sides[tile])
-        tile_sides = known[1]
+        return known[1]
+
+    return sides_of
+
+
+def evaluate_placements(ts: TilingSystem, placements, ring: Ring = Z) -> EdgeMap:
+    """Sum of the translated tile maps of a placement list.
+
+    Every placed tile must belong to the system (see :func:`_side_lookup`);
+    repeats are allowed and add.
+    """
+    sides_of = _side_lookup(ts)
+    total: dict = {}
+    for placement in placements:
+        tile_sides = sides_of(placement.tile)
         px, py = placement.x, placement.y
         for (ex, ey, tag), sign in tile_sides:
             key = (px + ex, py + ey, tag)

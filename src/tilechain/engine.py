@@ -3,8 +3,17 @@
 The builder transcribes an accepting trace literally: one row of tiles per
 computation step, a bottom row extending the input row to the full width,
 and a cap row over the final all-blank configuration.  Verification is
-independent of the construction: it just sums translated tile maps and
-checks that the starting map is cancelled exactly.
+independent of the construction: it sums translated tile maps and checks
+that the starting map is cancelled exactly.
+
+Verification and the audit read a certificate's run view
+(:meth:`~tilechain.tiling.Certificate.runs`).  The sum is checked line by
+line, a line being one height, orientation and color: a run puts the same
+sign on ``count`` consecutive edges of a line, so it adds one interval to
+the line's difference array (+sign where it starts, -sign one past its
+end), and the line is zero exactly when its difference array is.  The
+audit checks each run's region and columns once and compares the spans of
+a row to find stacked cells.
 """
 
 from __future__ import annotations
@@ -15,9 +24,10 @@ from typing import NamedTuple, Optional
 
 from .compiler import EmptyInput, compile_tiles
 from .deduce import MalformedInput, parse_initial_shape
-from .edges import EdgeMap, evaluate_placements
+from .edges import EdgeMap, _side_lookup
 from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Placement, Tile,
-                     TilingSystem, head, letter, state)
+                     TilingSystem, _disjoint_integer_spans, head, letter,
+                     state)
 from .tm import RunTrace, TuringMachine, run, tape_extent
 
 
@@ -110,9 +120,37 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
 
 
 def verify_zero(f0: EdgeMap, cert: Certificate, ts: TilingSystem) -> bool:
-    """True when the placements cancel ``f0`` exactly."""
-    total = f0 + evaluate_placements(ts, cert.placements, f0.ring)
-    return total.is_zero()
+    """True when the placements cancel ``f0`` exactly: the result of
+    ``(f0 + evaluate_placements(ts, cert.placements, f0.ring)).is_zero()``,
+    with the same :class:`~tilechain.edges.UnknownTile` for a foreign tile.
+
+    The total lives on lines ``(y, (orientation, color))``.  An entry of
+    value v at x is the interval [x, x + 1) of the line with value v, and a
+    run of ``count`` tiles puts each non-distinguished side's sign on the
+    interval [x0 + dx, x0 + dx + count).  ``jumps`` keeps each interval as
+    +v where it starts and -v where it ends.  The total is zero iff every
+    jump sums to zero in the ring: of the nonzero edges of a line whose x
+    differ by integers, the leftmost leaves a nonzero jump.  So stacked,
+    shuffled, gapped and non-integer placements need no second path, and
+    the work is per run, not per placement.
+    """
+    sides_of = _side_lookup(ts)
+    jumps: dict = {}
+    get = jumps.get
+    for ((x, y, orient), color), value in f0.support():
+        tag = (orient, color)
+        jumps[x, y, tag] = get((x, y, tag), 0) + value
+        jumps[x + 1, y, tag] = get((x + 1, y, tag), 0) - value
+    for tile, x0, y, count in cert.runs():
+        for (dx, dy, tag), sign in sides_of(tile):
+            start, row = x0 + dx, y + dy
+            jumps[start, row, tag] = get((start, row, tag), 0) + sign
+            end = start + count
+            jumps[end, row, tag] = get((end, row, tag), 0) - sign
+    modulus = f0.ring.modulus
+    if modulus is None:
+        return not any(jumps.values())
+    return not any(value % modulus for value in jumps.values())
 
 
 class AuditFlag(NamedTuple):
@@ -148,18 +186,39 @@ def claims_audit(cert: Certificate, f0: EdgeMap) -> AuditReport:
         n, _, _ = parse_initial_shape(f0)
     except MalformedInput as exc:
         return AuditReport((AuditFlag("malformed-input", 0, 0, str(exc)),))
+    m = cert.width_m
+    placements = cert.placements
     flags: list[AuditFlag] = []
+    # Per row, the spans (first x, last x, first index, end index) of its
+    # runs.
+    spans: dict = {}
+    start = 0
+    for tile, x0, y, count in cert.runs():
+        end = start + count
+        last = x0 + count - 1 if count > 1 else x0
+        # Within a run x rises, so its first and last x decide whether
+        # any of its tiles is flagged; only such a run is read tile by
+        # tile.
+        if (y < 0 or (y == 0 and x0 < n + 1) or x0 < 0 or last > m
+                or (y >= 1 and tile.w == ARROW_R)):
+            label = tile.name or "tile"
+            for _, x, py in placements[start:end]:
+                if py < 0 or (py == 0 and x < n + 1):
+                    flags.append(AuditFlag("outside-region", x, py, label))
+                if py >= 1 and tile.w == ARROW_R:
+                    flags.append(AuditFlag("floor-tile-raised", x, py, label))
+                if x < 0 or x > m:
+                    flags.append(AuditFlag("outside-columns", x, py, label))
+        spans.setdefault(y, []).append((x0, last, start, end))
+        start = end
+    # Cells are counted only in rows whose spans may share one.
     seen: dict[tuple[int, int], int] = {}
-    for placement in cert.placements:
-        tile, x, y = placement.tile, placement.x, placement.y
-        label = tile.name or "tile"
-        if y < 0 or (y == 0 and x < n + 1):
-            flags.append(AuditFlag("outside-region", x, y, label))
-        if y >= 1 and tile.w == ARROW_R:
-            flags.append(AuditFlag("floor-tile-raised", x, y, label))
-        if x < 0 or x > cert.width_m:
-            flags.append(AuditFlag("outside-columns", x, y, label))
-        seen[(x, y)] = seen.get((x, y), 0) + 1
+    for row in spans.values():
+        row.sort()
+        if not _disjoint_integer_spans(row):
+            for _, _, start, end in row:
+                for _, x, y in placements[start:end]:
+                    seen[x, y] = seen.get((x, y), 0) + 1
     for (x, y), count in sorted(seen.items()):
         if count > 1:
             flags.append(AuditFlag("stacked", x, y, f"{count} tiles"))

@@ -2,6 +2,9 @@
 
 ASCII grids list rows top line first but bottom row of the grid last-to-
 first, i.e. the printed page matches the plane (higher y printed higher).
+A certificate's ASCII rows are built from its run view: a run of ``count``
+tiles is its tile's box repeated ``count`` times, and the gaps between
+runs are blank boxes.
 SVG output uses exactly one rectangle per placed tile, with the four side
 colors as small labels, so rectangle count equals placement count.  Labels
 are escaped, so the SVG is well-formed XML whatever the color names hold.
@@ -9,8 +12,11 @@ are escaped, so the SVG is well-formed XML whatever the color names hold.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .edges import EdgeMap
-from .tiling import Certificate, color_glyph, color_sort_key
+from .tiling import (Certificate, _disjoint_integer_spans, color_glyph,
+                     color_sort_key)
 
 _MAX_SPAN = 10_000
 
@@ -73,20 +79,58 @@ def _glyphs_by_tile(tiles) -> dict[int, tuple[str, str, str, str]]:
             for key, tile in distinct.items()}
 
 
+_first = itemgetter(0)
+
+
 def render_certificate_ascii(cert: Certificate) -> str:
     """Draw each placed tile as a bordered box with its four side colors
     (north and south on the borders, west and east inside).
 
-    A stacked cell shows its last placement.  Each distinct tile's box is
-    drawn once; a grid row is then one box per column, blank for a gap."""
+    A stacked cell shows its last placement, and the box width comes from
+    the tiles shown.  Each distinct tile's box is drawn once.  A row whose
+    runs are disjoint spans of integer x is its runs' boxes, repeated, and
+    blank gaps; a row with overlapping spans, or an x of another type, is
+    resolved cell by cell, the last placement winning."""
     if not cert.placements:
         return ""
-    grid = {(p.x, p.y): p.tile for p in cert.placements}
-    xs = [x for x, _ in grid]
-    ys = [y for _, y in grid]
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    placements = cert.placements
+    runs = cert.runs()
+    # Per row, its runs (first x, last x, tile, first index, end index).
+    # The extremes are the first placement's of equal ones, as when taken
+    # from a dict of cells: with ints and floats mixed, which one it is
+    # decides whether range() takes it.
+    spans: dict = {}
+    xmin = xmax = runs[0][1]
+    ymin = ymax = runs[0][2]
+    start = 0
+    for tile, x0, y, count in runs:
+        end = start + count
+        last = x0 + count - 1 if count > 1 else x0
+        spans.setdefault(y, []).append((x0, last, tile, start, end))
+        start = end
+        if x0 < xmin:
+            xmin = x0
+        if last > xmax:
+            xmax = last
+        if y < ymin:
+            ymin = y
+        elif y > ymax:
+            ymax = y
+    # A row drawn run by run keeps its runs sorted by x; any other row
+    # keeps its cells, filled in placement order.
+    rows: dict = {}
+    shown: list = []
+    for y, row in spans.items():
+        ordered = sorted(row, key=_first)
+        if _disjoint_integer_spans(ordered):
+            rows[y] = ordered
+            shown += [tile for _, _, tile, _, _ in ordered]
+        else:
+            cells = rows[y] = {x: tile for _, _, tile, start, end in row
+                               for _, x, _ in placements[start:end]}
+            shown += cells.values()
     _check_span(xmin, xmax, ymin, ymax)
-    glyphs = _glyphs_by_tile(grid.values())
+    glyphs = _glyphs_by_tile(shown)
     inner = max(max(len(g) for sides in glyphs.values() for g in sides) * 2
                 + 2, 8)
     side = "|" + " " * inner + "|"
@@ -96,17 +140,39 @@ def render_certificate_ascii(cert: Certificate) -> str:
         boxes[key] = ("+" + n.center(inner, "-") + "+", side,
                       "|" + w + pad + e + "|", side,
                       "+" + s.center(inner, "-") + "+")
-    at = {pos: boxes[id(tile)] for pos, tile in grid.items()}
-    blank = (" " * (inner + 2),) * 5
     columns = range(xmin, xmax + 1)
+    blanks = (" " * (inner + 2),) * 5
+    # The five lines of a run of ``count`` tiles, or of a gap that wide.
+    strips: dict = {}
     lines: list[str] = []
     for y in range(ymax, ymin - 1, -1):
         label = f"y={y} "
         margin = " " * len(label)
-        band = zip(*[at.get((x, y), blank) for x in columns])
-        for lead, part in zip((margin, margin, label, margin, margin), band):
-            lines.append((lead + "".join(part)).rstrip())
+        band = [(margin, margin, label, margin, margin)]
+        row = rows.get(y, ())
+        if type(row) is dict:
+            band += [boxes[id(row[x])] if x in row else blanks
+                     for x in columns]
+        else:
+            cursor = xmin
+            for x0, last, tile, _, _ in row:
+                if x0 > cursor:
+                    band.append(_strip(strips, blanks, x0 - cursor))
+                band.append(_strip(strips, boxes[id(tile)], last - x0 + 1))
+                cursor = last + 1
+        lines += ["".join(part).rstrip() for part in zip(*band)]
     return "\n".join(lines) + "\n"
+
+
+def _strip(strips: dict, box: tuple, count: int) -> tuple:
+    """``box`` repeated ``count`` times side by side, kept in ``strips``."""
+    if count == 1:
+        return box
+    key = (box, count)
+    strip = strips.get(key)
+    if strip is None:
+        strip = strips[key] = tuple(part * count for part in box)
+    return strip
 
 
 _SVG_UNIT = 60

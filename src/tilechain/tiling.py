@@ -10,6 +10,13 @@ is evaluated as an edge map.
 A certificate is a finite multiset of tile placements together with the
 width and height of the region it is supposed to fill.  Nothing here knows
 about Turing machines; certificates are checked purely through colors.
+
+The placements tuple is a certificate's stored form.  Its one derived view,
+:meth:`Certificate.runs`, cuts it into maximal runs of one tile object at
+consecutive integer x in one row.  A built row is one machine
+configuration, and a step changes the tape only next to the head, so a row
+is a few long runs: verification, the audit, the ASCII drawing and the
+JSON writer work run by run.
 """
 
 from __future__ import annotations
@@ -202,11 +209,80 @@ class Certificate:
     ``width_m`` is the x coordinate of the rightmost column, ``rows`` the y
     coordinate of the top (cap) row.  Placements are stored row-major,
     bottom row first.
+
+    :meth:`runs` is the run view of the placements, worked out on first
+    use and kept on the instance.  It is not a field, so equality, hash,
+    repr, ``dataclasses.replace``, pickling and JSON ignore it.
     """
 
     placements: tuple[Placement, ...]
     width_m: int
     rows: int
+
+    def runs(self) -> tuple[tuple[Tile, int, int, int], ...]:
+        """The maximal runs ``(tile, x0, y, count)`` of the placements, in
+        placement order: ``count`` consecutive placements of one tile
+        object in row ``y`` at x = x0, x0 + 1, ..., x0 + count - 1.
+
+        Only ints extend a run, so a coordinate of another type (a float,
+        a Fraction, a bool) stands in a run of one.  Every placement lies
+        in exactly one run, and the runs, read in order, spell the
+        placements."""
+        try:
+            return self.__dict__["_runs"]
+        except KeyError:
+            runs = _placement_runs(self.placements)
+            object.__setattr__(self, "_runs", runs)
+            return runs
+
+    def __getstate__(self):
+        # Pickles and copies carry the fields only; the run view is
+        # worked out again on the copy's first use.
+        state = dict(self.__dict__)
+        state.pop("_runs", None)
+        return state
+
+
+# Equal to nothing but itself: the "no run yet" and "no tile read yet" mark.
+_UNSET = object()
+
+
+def _placement_runs(placements) -> tuple[tuple[Tile, int, int, int], ...]:
+    """The maximal runs of a placement sequence; see
+    :meth:`Certificate.runs`.  One pass that compares tiles by identity."""
+    runs = []
+    append = runs.append
+    tile = row = nxt = _UNSET
+    x0 = count = 0
+    for t, x, y in placements:
+        if (t is tile and x == nxt and y == row and type(x) is int
+                and type(y) is int):
+            nxt += 1
+            count += 1
+            continue
+        if count:
+            append((tile, x0, row, count))
+        tile, x0, row, count = t, x, y, 1
+        nxt = x + 1 if type(x) is int and type(y) is int else _UNSET
+    if count:
+        append((tile, x0, row, count))
+    return tuple(runs)
+
+
+def _disjoint_integer_spans(spans: list) -> bool:
+    """Whether one row's spans, tuples that begin with a run's first and
+    last x and are sorted by the first, start at ints and do not overlap.
+    A row where this holds has no stacked cell."""
+    reach = None
+    for span in spans:
+        x0 = span[0]
+        if type(x0) is not int or (reach is not None and x0 <= reach):
+            return False
+        reach = span[1]
+    return True
+
+
+_new_placement = tuple.__new__
 
 
 def sort_placements(placements) -> tuple[Placement, ...]:
@@ -269,9 +345,13 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
         data, "certificate", {"m": int, "rows": int, "placements": list})
     # Each distinct tile dict is built once; an entry that cannot serve as
     # a key goes straight to tile_from_dict, which reports what is wrong.
+    # Rows come in runs of one tile, so a row whose tile equals the
+    # previous row's, already read, takes the same tile without a lookup.
     built: dict = {}
     placements = []
+    append = placements.append
     row_spec = {"tile": None, "x": None, "y": None}
+    last_ref = _UNSET
     for row in entries:
         # A row of exactly these three keys is read directly; fields reads
         # any other and says what is wrong with it.
@@ -281,28 +361,31 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
             ref, x, y = fields(row, "placement", row_spec)
         if len(row) != 3:
             fields(row, "placement", row_spec)
-        if isinstance(ref, str):
-            if ts is None:
-                raise ValueError("tile referenced by name but no tiling system given")
-            try:
-                tile = ts.tile_named(ref)
-            except KeyError:
-                raise ValueError(f"placement names tile {ref!r}, which the "
-                                 "tiling system does not have") from None
-        else:
-            try:
-                key = tuple(ref.items())
-                tile = built.get(key)
-            except (AttributeError, TypeError):
-                key = tile = None
-            if tile is None:
-                tile = tile_from_dict(ref)
-                if key is not None:
-                    built[key] = tile
+        if ref is not last_ref and ref != last_ref:
+            if isinstance(ref, str):
+                if ts is None:
+                    raise ValueError("tile referenced by name but no tiling "
+                                     "system given")
+                try:
+                    tile = ts.tile_named(ref)
+                except KeyError:
+                    raise ValueError(f"placement names tile {ref!r}, which "
+                                     "the tiling system does not have") from None
+            else:
+                try:
+                    key = tuple(ref.items())
+                    tile = built.get(key)
+                except (AttributeError, TypeError):
+                    key = tile = None
+                if tile is None:
+                    tile = tile_from_dict(ref)
+                    if key is not None:
+                        built[key] = tile
+            last_ref = ref
         if type(x) is not int or type(y) is not int:
             field, value = ("x", x) if type(x) is not int else ("y", y)
             raise wrong_type("placement", field, value, int)
-        placements.append(Placement(tile, x, y))
+        append(_new_placement(Placement, (tile, x, y)))
     return Certificate(tuple(placements), width_m, rows)
 
 
@@ -320,27 +403,43 @@ def _json_number(value) -> str:
 
 def dump_certificate(cert: Certificate) -> str:
     """``json.dumps(certificate_to_dict(cert), indent=2)`` plus a newline,
-    byte for byte, with each distinct tile's block rendered once.
+    byte for byte, written one run at a time.
 
-    Blocks are keyed by tile and name together, because tile equality
-    ignores the name.
+    Each distinct tile's block is rendered once.  A run's entries differ
+    only in x, so a run is one join of its x values between the text that
+    surrounds them.  Placements that are not strictly increasing in
+    ``(y, x)`` are sorted first, as ``certificate_to_dict`` does.
     """
     head = (f'{{\n  "m": {json.dumps(cert.width_m)},\n'
             f'  "rows": {json.dumps(cert.rows)},\n  "placements": ')
     if not cert.placements:
         return head + "[]\n}\n"
-    blocks: dict = {}
+    runs = cert.runs()
+    last = None
+    for _, x0, y, count in runs:
+        if last is not None and not (y, x0) > last:
+            runs = _placement_runs(sort_placements(cert.placements))
+            break
+        last = (y, x0 + count - 1 if count > 1 else x0)
+    opening: dict = {}
     items = []
-    for tile, x, y in sort_placements(cert.placements):
-        key = (tile, tile.name)
-        block = blocks.get(key)
-        if block is None:
-            block = blocks[key] = json.dumps(
-                tile_to_dict(tile), indent=2).replace("\n", "\n      ")
-        items.append(f'    {{\n      "tile": {block},\n'
-                     f'      "x": {_json_number(x)},\n'
-                     f'      "y": {_json_number(y)}\n    }}')
-    return head + "[\n" + ",\n".join(items) + "\n  ]\n}\n"
+    row = _UNSET
+    for tile, x0, y, count in runs:
+        before = opening.get(id(tile))
+        if before is None:
+            block = json.dumps(tile_to_dict(tile), indent=2)
+            before = opening[id(tile)] = (
+                '    {\n      "tile": ' + block.replace("\n", "\n      ")
+                + ',\n      "x": ')
+        if y is not row:
+            row = y
+            after = f',\n      "y": {_json_number(y)}\n    }}'
+        if count == 1:
+            items.append(before + _json_number(x0) + after)
+        else:
+            items.append(before + (after + ",\n" + before).join(
+                map(str, range(x0, x0 + count))) + after)
+    return "".join((head, "[\n", ",\n".join(items), "\n  ]\n}\n"))
 
 
 def load_certificate(text: str, ts: Optional[TilingSystem] = None) -> Certificate:

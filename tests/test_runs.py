@@ -1,0 +1,351 @@
+"""The run view of a certificate and the paths that read it.
+
+``verify_zero``, ``claims_audit``, the ASCII drawing and the certificate
+JSON writer work on maximal runs of one tile object in one row.  Each is
+compared here with a per-placement reference on every corpus certificate
+and on seeded mutants: deleted, duplicated, shifted and retiled
+placements, shuffled order, stacked cells, gaps, negative and non-integer
+coordinates, and foreign tiles.  The memoised ``compile_tiles`` is tested
+here too, since the builder reuses its system.
+"""
+
+import copy
+import dataclasses
+import json
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+from tilechain.compiler import _build_system, compile_tiles, initial_map
+from tilechain.edges import Ring, UnknownTile, Z, evaluate_placements
+from tilechain.engine import (AuditFlag, AuditReport, build_accepting_tiling,
+                              claims_audit, verify_zero)
+from tilechain.machines import two_symbol_eraser, unary_eraser
+from tilechain.deduce import MalformedInput, parse_initial_shape
+from tilechain.render import render_certificate_ascii
+from tilechain.tiling import (ARROW_R, C0, Certificate, Placement, Tile,
+                              certificate_to_dict, dump_certificate, letter,
+                              load_certificate)
+
+from test_render import reference_ascii
+
+MUTANTS_PER_BASE = 44
+FOREIGN = Tile(letter("zz"), C0, letter("zz"), ARROW_R, name="foreign")
+
+
+def reference_audit(cert, f0):
+    """``claims_audit`` as it read every placement one by one."""
+    try:
+        n, _, _ = parse_initial_shape(f0)
+    except MalformedInput as exc:
+        return AuditReport((AuditFlag("malformed-input", 0, 0, str(exc)),))
+    flags = []
+    seen = {}
+    for placement in cert.placements:
+        tile, x, y = placement.tile, placement.x, placement.y
+        label = tile.name or "tile"
+        if y < 0 or (y == 0 and x < n + 1):
+            flags.append(AuditFlag("outside-region", x, y, label))
+        if y >= 1 and tile.w == ARROW_R:
+            flags.append(AuditFlag("floor-tile-raised", x, y, label))
+        if x < 0 or x > cert.width_m:
+            flags.append(AuditFlag("outside-columns", x, y, label))
+        seen[(x, y)] = seen.get((x, y), 0) + 1
+    for (x, y), count in sorted(seen.items()):
+        if count > 1:
+            flags.append(AuditFlag("stacked", x, y, f"{count} tiles"))
+    return AuditReport(tuple(flags))
+
+
+def reference_verify(f0, cert, ts):
+    return (f0 + evaluate_placements(ts, cert.placements, f0.ring)).is_zero()
+
+
+def reference_dump(cert):
+    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+
+
+def outcome(function, *args):
+    """The value of ``function(*args)``, or the type and text of what it
+    raised."""
+    try:
+        return ("value", function(*args))
+    except Exception as exc:   # compared, never swallowed
+        return ("raised", type(exc), str(exc))
+
+
+def expand(runs):
+    return [(tile, x0 + i if count > 1 else x0, y)
+            for tile, x0, y, count in runs for i in range(count)]
+
+
+# -- mutants ------------------------------------------------------------------
+
+def _delete(rng, ps, ts):
+    del ps[rng.randrange(len(ps))]
+
+
+def _duplicate(rng, ps, ts):
+    ps.insert(rng.randrange(len(ps) + 1), rng.choice(ps))
+
+
+def _shift(rng, ps, ts):
+    i = rng.randrange(len(ps))
+    tile, x, y = ps[i]
+    ps[i] = Placement(tile, x + rng.choice((-2, -1, 1, 2)),
+                      y + rng.choice((-1, 0, 0, 1)))
+
+
+def _retile(rng, ps, ts):
+    i = rng.randrange(len(ps))
+    ps[i] = ps[i]._replace(tile=rng.choice(ts.tiles))
+
+
+def _equal_copy(rng, ps, ts):
+    # An equal tile that is another object, so lookups by identity miss.
+    i = rng.randrange(len(ps))
+    ps[i] = ps[i]._replace(tile=dataclasses.replace(ps[i].tile))
+
+
+def _shuffle(rng, ps, ts):
+    rng.shuffle(ps)
+
+
+def _stack(rng, ps, ts):
+    _, x, y = rng.choice(ps)
+    ps.insert(rng.randrange(len(ps) + 1),
+              Placement(rng.choice(ts.tiles), x, y))
+
+
+def _gap(rng, ps, ts):
+    i = rng.randrange(len(ps))
+    del ps[i:i + rng.randrange(1, 6)]
+
+
+def _translate(rng, ps, ts):
+    dx, dy = rng.randrange(-9, 1), rng.randrange(-4, 1)
+    ps[:] = [Placement(tile, x + dx, y + dy) for tile, x, y in ps]
+
+
+def _non_integer(rng, ps, ts):
+    i = rng.randrange(len(ps))
+    tile, x, y = ps[i]
+    kind = rng.randrange(4)
+    if kind == 0:
+        ps[i] = Placement(tile, x + 0.5, y)
+    elif kind == 1:
+        ps[i] = Placement(tile, Fraction(2 * x + 1, 2), y)
+    elif kind == 2:
+        ps[i] = Placement(tile, float(x), y)
+    else:
+        ps[i] = Placement(tile, x, float(y))
+
+
+def _foreign(rng, ps, ts):
+    ps.insert(rng.randrange(len(ps) + 1),
+              Placement(FOREIGN, rng.randrange(-1, 8), rng.randrange(4)))
+
+
+MUTATIONS = (_delete, _duplicate, _shift, _retile, _equal_copy, _shuffle,
+             _stack, _gap, _translate, _non_integer, _foreign)
+
+
+def mutants(cert, ts, seed):
+    """Seeded mutants of ``cert``: one mutation of each kind, then mixes
+    of one to three."""
+    rng = random.Random(seed)
+    plans = [[mutation] for mutation in MUTATIONS]
+    while len(plans) < MUTANTS_PER_BASE:
+        plans.append(rng.choices(MUTATIONS, k=rng.randrange(1, 4)))
+    for plan in plans:
+        ps = list(cert.placements)
+        for mutation in plan:
+            if ps:
+                mutation(rng, ps, ts)
+        yield ([mutation.__name__ for mutation in plan],
+               Certificate(tuple(ps), cert.width_m, cert.rows))
+
+
+def bases(artifacts):
+    """Every corpus certificate, and two larger built ones, as
+    ``(machine, word, system, certificate)``."""
+    found = []
+    for name, word in artifacts.accepted_pairs():
+        tm, ts, _, cert = artifacts.pipeline(name, word)
+        found.append((tm, word, ts, cert))
+    for tm, word in ((unary_eraser(), "a" * 9),
+                     (two_symbol_eraser(), "abbab")):
+        found.append((tm, word, compile_tiles(tm),
+                      build_accepting_tiling(tm, word, 4000)))
+    return found
+
+
+def check_against_references(cert, ts, f0):
+    assert outcome(verify_zero, f0, cert, ts) == \
+        outcome(reference_verify, f0, cert, ts)
+    assert outcome(claims_audit, cert, f0) == \
+        outcome(reference_audit, cert, f0)
+    assert outcome(render_certificate_ascii, cert) == \
+        outcome(reference_ascii, cert)
+    assert outcome(dump_certificate, cert) == outcome(reference_dump, cert)
+    assert expand(cert.runs()) == [tuple(p) for p in cert.placements]
+
+
+RINGS = (Z, Ring(2), Ring(3))
+
+
+class TestAgainstReferences:
+    def test_corpus_certificates(self, artifacts):
+        for tm, word, ts, cert in bases(artifacts):
+            for ring in RINGS:
+                f0 = initial_map(tm, word, ring)
+                assert verify_zero(f0, cert, ts)
+                check_against_references(cert, ts, f0)
+
+    def test_seeded_mutants(self, artifacts):
+        count = cancelled = 0
+        for seed, (tm, word, ts, cert) in enumerate(bases(artifacts)):
+            for plan, mutant in mutants(cert, ts, 20261019 + seed):
+                f0 = initial_map(tm, word, RINGS[count % len(RINGS)])
+                try:
+                    check_against_references(mutant, ts, f0)
+                except AssertionError:
+                    pytest.fail(f"{tm.states} {word!r} {plan} "
+                                f"{f0.ring.name}")
+                count += 1
+                cancelled += outcome(verify_zero, f0, mutant, ts) == \
+                    ("value", True)
+        assert count >= 1000
+        # A shuffle or an equal copy still cancels; most mutants do not.
+        assert 0 < cancelled < count // 2
+
+    def test_ring_decides_cancellation(self, artifacts):
+        # Two more copies of a placed tile vanish mod 2 only.
+        tm, ts, _, cert = artifacts.pipeline("unary-eraser", "aa")
+        doubled = Certificate(cert.placements + (cert.placements[0],) * 2,
+                              cert.width_m, cert.rows)
+        for ring in RINGS:
+            f0 = initial_map(tm, "aa", ring)
+            assert verify_zero(f0, doubled, ts) == (ring == Ring(2))
+            check_against_references(doubled, ts, f0)
+
+    def test_equal_int_and_float_extremes(self, artifacts):
+        # The drawing takes the first of equal extremes, as a dict of cells
+        # does; range() then refuses it if it is a float.
+        _, ts, f0, _ = artifacts.pipeline("unary-eraser", "a")
+        tile, other = ts.tiles[:2]
+        for cells in ([(0, 0), (0.0, 1)], [(0.0, 1), (0, 0)],
+                      [(2, 0), (2.0, 1), (1, 1)], [(2.0, 1), (2, 0), (1, 1)],
+                      [(1, 0), (1, 0.0), (0, 2)], [(1, 0.0), (1, 0), (0, 2)],
+                      [(0, 0), (0, 1), (1, 1.0)], [(0, 0), (1, 1.0), (0, 1)]):
+            for pick in (tile, other):
+                cert = Certificate(tuple(Placement(pick if i else tile, x, y)
+                                         for i, (x, y) in enumerate(cells)),
+                                   3, 3)
+                check_against_references(cert, ts, f0)
+
+    def test_foreign_tile_raises_as_before(self, artifacts):
+        _, ts, f0, cert = artifacts.pipeline("unary-eraser", "aa")
+        foreign = Certificate(cert.placements + (Placement(FOREIGN, 1, 1),),
+                              cert.width_m, cert.rows)
+        result = outcome(verify_zero, f0, foreign, ts)
+        assert result == outcome(reference_verify, f0, foreign, ts)
+        assert result[:2] == ("raised", UnknownTile)
+
+
+class TestRunView:
+    def cert(self, artifacts):
+        return artifacts.pipeline("two-symbol-eraser", "abba").cert
+
+    def test_runs_spell_the_placements(self, artifacts):
+        cert = self.cert(artifacts)
+        runs = cert.runs()
+        assert expand(runs) == [tuple(p) for p in cert.placements]
+        assert len(runs) < len(cert.placements)
+        assert cert.runs() is runs
+
+    def test_runs_are_maximal(self, artifacts):
+        runs = self.cert(artifacts).runs()
+        for (tile, x0, y, count), (nxt, x1, y1, _) in zip(runs, runs[1:]):
+            assert not (nxt is tile and y1 == y and x1 == x0 + count)
+
+    def test_only_ints_extend_a_run(self):
+        tile = FOREIGN
+        cert = Certificate((Placement(tile, 0, 0), Placement(tile, 1.0, 0),
+                            Placement(tile, 2, 0), Placement(tile, 3, 0.0),
+                            Placement(tile, 4, 0), Placement(tile, True, 1),
+                            Placement(tile, 2, 1)), 4, 1)
+        assert [run[1:] for run in cert.runs()] == [
+            (0, 0, 1), (1.0, 0, 1), (2, 0, 1), (3, 0.0, 1), (4, 0, 1),
+            (True, 1, 1), (2, 1, 1)]
+
+    def test_equal_tiles_that_are_other_objects_split_runs(self):
+        twin = dataclasses.replace(FOREIGN)
+        cert = Certificate((Placement(FOREIGN, 0, 0), Placement(twin, 1, 0)),
+                           1, 0)
+        assert len(cert.runs()) == 2
+
+    def test_the_view_is_not_part_of_the_value(self, artifacts):
+        cert = self.cert(artifacts)
+        fresh = Certificate(cert.placements, cert.width_m, cert.rows)
+        before = (repr(fresh), hash(fresh))
+        fresh.runs()
+        assert (repr(fresh), hash(fresh)) == before
+        assert fresh == cert
+        assert [f.name for f in dataclasses.fields(fresh)] == [
+            "placements", "width_m", "rows"]
+        replaced = dataclasses.replace(fresh)
+        assert replaced == fresh and "_runs" not in vars(replaced)
+        for clone in (pickle.loads(pickle.dumps(fresh)), copy.copy(fresh),
+                      copy.deepcopy(fresh)):
+            assert clone == fresh and "_runs" not in vars(clone)
+            assert expand(clone.runs()) == expand(fresh.runs())
+        assert dump_certificate(fresh) == reference_dump(cert)
+
+    def test_empty_certificate(self):
+        empty = Certificate((), 0, 0)
+        assert empty.runs() == ()
+        check_against_references(empty, compile_tiles(unary_eraser()),
+                                 initial_map(unary_eraser(), "a"))
+
+    def test_loaded_rows_share_tiles(self, artifacts):
+        _, ts, _, cert = artifacts.pipeline("unary-eraser", "aaaa")
+        for back in (load_certificate(dump_certificate(cert)),
+                     load_certificate(dump_certificate(cert), ts)):
+            assert back == cert
+            assert len(back.runs()) == len(cert.runs())
+
+
+class TestCompileMemo:
+    def test_equal_machines_share_one_system(self):
+        assert compile_tiles(unary_eraser()) is compile_tiles(unary_eraser())
+
+    def test_changed_transition_gives_another_system(self):
+        tm = unary_eraser()
+        key = next(iter(tm.transitions))
+        p, b, move = tm.transitions[key]
+        other = dataclasses.replace(
+            tm, transitions={**tm.transitions,
+                             key: (p, b, "L" if move == "R" else "R")})
+        assert compile_tiles(other) != compile_tiles(tm)
+        assert compile_tiles(other) == _build_system(other)
+
+    def test_table_mutated_in_place_is_compiled_again(self):
+        tm = unary_eraser()
+        before = compile_tiles(tm)
+        key = next(iter(tm.transitions))
+        p, b, move = tm.transitions[key]
+        tm.transitions[key] = (p, b, "L" if move == "R" else "R")
+        after = compile_tiles(tm)
+        assert after is not before and after != before
+        assert after == _build_system(tm)
+
+    def test_tile_order_matches_an_uncached_compile(self, artifacts):
+        for tm in artifacts.machines.values():
+            cached = compile_tiles(tm)
+            fresh = _build_system(tm)
+            assert cached == fresh
+            assert [t.name for t in cached.tiles] == \
+                [t.name for t in fresh.tiles]
