@@ -24,7 +24,9 @@ re-checkable by direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
+from operator import index
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .documents import fields
@@ -567,6 +569,24 @@ class SubmonoidInstance:
         return (k, k + 1, k + 2, k + 3)
 
 
+def _spell(e: ModuleElement, flavor: str, stride: int) -> str:
+    """The word of a flattened module element: lamps for the wreath
+    product, unit-cell commutators for the free metabelian group."""
+    if flavor == METABELIAN:
+        return cells_to_word(embed_module(e, stride))
+    return module_to_word(e, stride)
+
+
+@lru_cache(maxsize=32)
+def _generator_words(generators: tuple[ModuleElement, ...], flavor: str,
+                     stride: int) -> tuple[str, ...]:
+    """The generators' words followed by the four move words, spelled once
+    for every instance with equal generators, flavor and stride.  Words
+    are immutable, so instances share the tuple."""
+    moves = (" ".join("x" * stride), " ".join("X" * stride), "y", "Y")
+    return tuple(_spell(g, flavor, stride) for g in generators) + moves
+
+
 def make_submonoid_instance(instance: SemimoduleInstance,
                             flavor: str = WREATH) -> SubmonoidInstance:
     """Flatten a module membership instance into a word problem.
@@ -575,20 +595,17 @@ def make_submonoid_instance(instance: SemimoduleInstance,
     of a generator by (dx, dy) corresponds to conjugating its word by
     ``x^(stride * dx) y^dy``, which the four move words make available
     inside the submonoid.
+
+    The generator and move words depend on the generators, the flavor and
+    the stride alone, so they come from :func:`_generator_words` and equal
+    generators share one tuple of words; only the target is spelled on
+    every call.
     """
-    if flavor == METABELIAN:
-        stride = instance.rank + 1
-        gen_words = tuple(cells_to_word(embed_module(g, stride))
-                          for g in instance.generators)
-        target = cells_to_word(embed_module(instance.target, stride))
-    else:
-        stride = max(instance.rank, 1)
-        gen_words = tuple(module_to_word(g, stride)
-                          for g in instance.generators)
-        target = module_to_word(instance.target, stride)
-    moves = (" ".join("x" * stride), " ".join("X" * stride), "y", "Y")
+    stride = instance.rank + 1 if flavor == METABELIAN else \
+        max(instance.rank, 1)
+    words = _generator_words(tuple(instance.generators), flavor, stride)
     return SubmonoidInstance(flavor, instance.ring, instance.rank, stride,
-                             gen_words + moves, target)
+                             words, _spell(instance.target, flavor, stride))
 
 
 def witness_to_submonoid_certificate(witness,
@@ -614,20 +631,65 @@ def witness_to_submonoid_certificate(witness,
     return tuple(indices)
 
 
+class _WordSteps(dict):
+    """The fold steps of one tuple of generator words in one flavor and
+    ring, each word folded the first time its index is looked up, so
+    unused words are never read.  ``letters`` is the flavor's
+    :class:`_LetterSteps`, kept with them for the target.  A fold that
+    raises (an unbound letter) keeps nothing."""
+
+    __slots__ = ("_words", "letters")
+
+    def __init__(self, words: tuple[str, ...], letters: _LetterSteps):
+        super().__init__()
+        self._words, self.letters = words, letters
+
+    def __missing__(self, i: int) -> Step:
+        pos, sums = _fold(_runs(self._words[i]), self.letters)
+        step = self[i] = _step(pos, {key: v for key, v in sums.items() if v})
+        return step
+
+
+@lru_cache(maxsize=32)
+def _word_steps(words: tuple[str, ...], flavor: str, ring: Ring) -> _WordSteps:
+    """The one :class:`_WordSteps` of a tuple of generator words, shared by
+    every verification over equal words, flavor and ring.
+
+    It is keyed by the words' text, never by how an instance was built, so
+    a verdict stays a function of the instance's text.  Callers that race
+    on one entry at most fold a word twice: each step is a function of its
+    word."""
+    if flavor == WREATH:
+        letters = _LetterSteps(wreath_bindings(ring), ring,
+                               WreathElement._read)
+    else:
+        letters = _LetterSteps(_horizontal_bindings(), ring,
+                               MetabelianElement._read)
+    return _WordSteps(words, letters)
+
+
 def verify_submonoid_certificate(instance: SubmonoidInstance,
                                  indices: Sequence[int]) -> bool:
     """Multiply the chosen generator words' values and compare the product
     with the target's value in the ambient group.
 
     Every index is checked before anything is evaluated.  Each used
-    generator word is then read from the instance's text and folded once
-    into its value, kept as a fold step (sums, displacement, telescoping
-    form).  The certificate's runs of equal indices are folded with those
-    steps, which is the same group product by associativity: a run of a
+    generator word is then read from the instance's text and folded into
+    its value, kept as a fold step (sums, displacement, telescoping form).
+    The certificate's runs of equal indices are folded with those steps,
+    which is the same group product by associativity: a run of a
     generator that does not move is one scaled add, and a run of a move
     word is one shift or telescopes.  The cost is per run of indices plus
-    one read of each used word and of the target.  Nothing is taken from
-    the construction of the instance or kept between calls.
+    one read of the target and of each used word not read before.
+
+    Nothing is taken from the construction of the instance.  What is kept
+    between calls is the fold step of each generator word and of each
+    letter, in a bounded memo (:func:`_word_steps`) keyed by the tuple of
+    generator words, the flavor and the ring, so instances with equal
+    words share it.  The target and the certificate's runs are folded on
+    every call, and a word whose fold raises is read again next time.
+    Indices are read as ints (``operator.index``), so a float index
+    raises ``TypeError`` whatever the memo holds.
 
     Both values stay in the fold's coordinates: the position and the
     plain sums, reduced into the ring.  For the wreath product those are
@@ -643,18 +705,9 @@ def verify_submonoid_certificate(instance: SubmonoidInstance,
         if not 0 <= i < count:
             raise BadIndex(f"generator {i} out of range")
     ring = instance.ring
-    if instance.flavor == WREATH:
-        letters = _LetterSteps(wreath_bindings(ring), ring,
-                               WreathElement._read)
-    else:
-        letters = _LetterSteps(_horizontal_bindings(), ring,
-                               MetabelianElement._read)
-    steps = {}
-    for i in {i for i, _ in runs}:
-        pos, sums = _fold(_runs(instance.generators[i]), letters)
-        steps[i] = _step(pos, {key: v for key, v in sums.items() if v})
-    pos, sums = _fold(runs, steps)
-    target_pos, target_sums = _fold(_runs(instance.target), letters)
+    steps = _word_steps(tuple(instance.generators), instance.flavor, ring)
+    pos, sums = _fold([(index(i), k) for i, k in runs], steps)
+    target_pos, target_sums = _fold(_runs(instance.target), steps.letters)
     return (pos == target_pos
             and _reduced(ring, sums) == _reduced(ring, target_sums))
 

@@ -29,6 +29,7 @@ search step is one fused call: the child residual is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -197,16 +198,26 @@ def tiling_to_instance(ts: TilingSystem, f0: EdgeMap,
     """Instance whose witnesses are the tile multisets cancelling ``f0``.
 
     Generators are the tile vectors in system order; the target is the
-    negated starting map, so a witness sums to exactly ``-f0``.
+    negated starting map, so a witness sums to exactly ``-f0``.  The
+    generators depend on the system and the ring alone: they come from
+    :func:`_tile_vectors`, so equal systems share one tuple, and only the
+    target is flattened on every call.
     """
-    colors = ts.colors
-    table = _color_table(colors)
-    generators = tuple(
-        _flatten(tile_eval(tile, f0.ring, ts.distinguished), colors, table)
-        for tile in ts.tiles)
-    target = _flatten(-f0, colors, table)
-    return SemimoduleInstance(f0.ring, 2 * len(colors), generators, target,
-                              mode)
+    table = _color_table(ts.colors)
+    target = _flatten(-f0, ts.colors, table)
+    return SemimoduleInstance(f0.ring, 2 * len(ts.colors),
+                              _tile_vectors(ts, f0.ring), target, mode)
+
+
+@lru_cache(maxsize=32)
+def _tile_vectors(ts: TilingSystem, ring: Ring) -> tuple[ModuleElement, ...]:
+    """The flattened tile vectors of a system over a ring, in system
+    order, built once for every equal system and ring.  The elements are
+    immutable, so instances share them."""
+    table = _color_table(ts.colors)
+    return tuple(_flatten(tile_eval(tile, ring, ts.distinguished), ts.colors,
+                          table)
+                 for tile in ts.tiles)
 
 
 def tiling_to_subset_sum(ts: TilingSystem, f0: EdgeMap) -> SemimoduleInstance:
@@ -702,15 +713,26 @@ def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
 def certificate_to_witness(cert: Certificate,
                            ts: TilingSystem) -> tuple[SubsetPick, ...]:
     """Read a tiling certificate as a subset-sum witness (tile index and
-    position per placement).  A tile outside ``ts`` raises ``ValueError``."""
+    position per placement), sorted by row, then x, then index.
+
+    The certificate is read run by run (:meth:`Certificate.runs`), with
+    one tile lookup per run.  Every cell is still checked for a second
+    tile, and a run's first cell before its tile is looked up, so a
+    repeated cell raises :class:`DuplicateShift` and a tile outside ``ts``
+    raises ``ValueError`` in the order a placement-by-placement reading
+    meets them."""
     index_of = ts.index_of
     picks: list[SubsetPick] = []
     seen: set[tuple[int, int]] = set()
-    for tile, x, y in cert.placements:
-        if (x, y) in seen:
-            raise DuplicateShift(f"two tiles at ({x}, {y})")
-        seen.add((x, y))
-        picks.append((index_of(tile), x, y))
+    for tile, x0, y, count in cert.runs():
+        if (x0, y) in seen:
+            raise DuplicateShift(f"two tiles at ({x0}, {y})")
+        gen = index_of(tile)
+        for x in range(x0, x0 + count) if count > 1 else (x0,):
+            if (x, y) in seen:
+                raise DuplicateShift(f"two tiles at ({x}, {y})")
+            seen.add((x, y))
+            picks.append((gen, x, y))
     return tuple(sorted(picks, key=lambda p: (p[2], p[1], p[0])))
 
 

@@ -86,26 +86,31 @@ def render_certificate_ascii(cert: Certificate) -> str:
     """Draw each placed tile as a bordered box with its four side colors
     (north and south on the borders, west and east inside).
 
-    A stacked cell shows its last placement, and the box width comes from
-    the tiles shown.  Each distinct tile's box is drawn once.  A row whose
-    runs are disjoint spans of integer x is its runs' boxes, repeated, and
-    blank gaps; a row with overlapping spans, or an x of another type, is
-    resolved cell by cell, the last placement winning."""
+    The grid has integer cells, so a placement whose x or y is not an int
+    (a float, a Fraction, a bool) raises ``ValueError``, as the JSON
+    loader does.  A stacked cell shows its last placement, and the box
+    width comes from the tiles shown.  Each distinct tile's box is drawn
+    once.  A row whose runs are disjoint spans is its runs' boxes,
+    repeated, and blank gaps; a row with overlapping spans is resolved
+    cell by cell, the last placement winning."""
     if not cert.placements:
         return ""
     placements = cert.placements
     runs = cert.runs()
+    # A coordinate that is not an int stands in a run of one, so checking
+    # each run's first placement checks them all.
+    for tile, x0, y, _ in runs:
+        if type(x0) is not int or type(y) is not int:
+            raise ValueError(f"placement of {tile.name or 'tile'} at "
+                             f"({x0!r}, {y!r}) is not on the integer grid")
     # Per row, its runs (first x, last x, tile, first index, end index).
-    # The extremes are the first placement's of equal ones, as when taken
-    # from a dict of cells: with ints and floats mixed, which one it is
-    # decides whether range() takes it.
     spans: dict = {}
     xmin = xmax = runs[0][1]
     ymin = ymax = runs[0][2]
     start = 0
     for tile, x0, y, count in runs:
         end = start + count
-        last = x0 + count - 1 if count > 1 else x0
+        last = x0 + count - 1
         spans.setdefault(y, []).append((x0, last, tile, start, end))
         start = end
         if x0 < xmin:

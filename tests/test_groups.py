@@ -2,6 +2,7 @@
 rank-2 flow elements, module flattening into words, and submonoid
 membership instances."""
 
+import copy
 import itertools
 import random
 import subprocess
@@ -24,6 +25,7 @@ from tilechain.groups import (
     WREATH,
     WreathElement,
     _horizontal_bindings,
+    _word_steps,
     cell_flow,
     cells_to_flow,
     cells_to_word,
@@ -966,6 +968,130 @@ class TestCertificateSemantics:
             cut = indices.index(xf)
             assert not verify_submonoid_certificate(
                 inst, indices[:cut] + indices[cut + 1:])
+
+
+def seeded_edits(rng, indices, count):
+    """``count`` seeded mutants of ``indices``: one index deleted, one
+    inserted or two swapped."""
+    top = max(indices) + 1
+    found = []
+    for k in range(count):
+        edited = list(indices)
+        i = rng.randrange(len(edited))
+        if k % 3 == 0:
+            del edited[i]
+        elif k % 3 == 1:
+            edited.insert(i, rng.randrange(top))
+        else:
+            j = rng.randrange(len(edited))
+            edited[i], edited[j] = edited[j], edited[i]
+        found.append(tuple(edited))
+    return found
+
+
+class TestGeneratorMemos:
+    """The words of an instance's generators, and their fold steps, are
+    kept between calls; each verdict must still be a function of the
+    instance's text."""
+
+    MOVES = ("x", "X", "y", "Y")
+
+    @pytest.mark.parametrize("flavor,modulus", [
+        (WREATH, None), (WREATH, 2), (WREATH, 3), (METABELIAN, None)])
+    def test_mutants_match_an_uncached_reference(self, artifacts, flavor,
+                                                 modulus):
+        # Every verdict after the first reads the memo; the reference
+        # evaluates the concatenated words afresh.
+        ring = Z if modulus is None else Ring(modulus)
+        if flavor == WREATH:
+            bindings = wreath_bindings(ring)
+            evaluate = lambda w: wreath_eval(w, bindings, ring)
+        else:
+            evaluate = metabelian_eval
+        rng = random.Random(21)
+        verdicts = set()
+        for name, word in (("unary-eraser", "a"), ("two-symbol-eraser", "a")):
+            pipe = artifacts.pipeline(name, word)
+            sem = tiling_to_instance(pipe.ts, initial_map(pipe.tm, word, ring))
+            inst = make_submonoid_instance(sem, flavor)
+            genuine = witness_to_submonoid_certificate(
+                certificate_to_witness(pipe.cert, pipe.ts), inst)
+            target = evaluate(inst.target)
+            for indices in [genuine] + seeded_edits(rng, genuine, 15):
+                expected = evaluate(" ".join(inst.generators[i]
+                                             for i in indices)) == target
+                assert verify_submonoid_certificate(inst, indices) == expected
+                verdicts.add(expected)
+            steps = _word_steps(inst.generators, flavor, ring)
+            assert 0 < len(steps) <= len(inst.generators)
+        assert verdicts == {True, False}
+
+    def test_equal_instances_share_one_tuple_of_words(self, artifacts):
+        pipe = artifacts.pipeline("unary-eraser", "aa")
+        sem = tiling_to_instance(pipe.ts, pipe.f0)
+        copied = copy.deepcopy(sem)
+        assert copied == sem and copied.generators[0] is not sem.generators[0]
+        for flavor in (WREATH, METABELIAN):
+            words = make_submonoid_instance(sem, flavor).generators
+            assert make_submonoid_instance(copied, flavor).generators is words
+        assert make_submonoid_instance(sem, WREATH).generators != \
+            make_submonoid_instance(sem, METABELIAN).generators
+
+    def test_instances_one_word_apart_get_their_own_verdicts(self):
+        for flavor, word, other in ((WREATH, "x g X", "x g g X"),
+                                    (METABELIAN, "x y X Y", "y x Y X")):
+            first = SubmonoidInstance(flavor, Z, 1, 1, (word,) + self.MOVES,
+                                      word)
+            second = SubmonoidInstance(flavor, Z, 1, 1,
+                                       (other,) + self.MOVES, word)
+            for _ in range(2):
+                assert verify_submonoid_certificate(first, (0,))
+                assert not verify_submonoid_certificate(second, (0,))
+
+    def test_rings_do_not_share_steps(self):
+        inst = SubmonoidInstance(WREATH, Z, 1, 1, ("g g",) + self.MOVES, "")
+        mod2 = SubmonoidInstance(WREATH, Ring(2), 1, 1, ("g g",) + self.MOVES,
+                                 "")
+        for _ in range(2):
+            assert not verify_submonoid_certificate(inst, (0,))
+            assert verify_submonoid_certificate(mod2, (0,))
+
+    def test_unbound_letter_raises_on_every_call(self):
+        for flavor, live in ((WREATH, "x g X"), (METABELIAN, "x y X Y")):
+            words = ("x z X", live) + self.MOVES
+            inst = SubmonoidInstance(flavor, Z, 1, 1, words, live)
+            bad_target = SubmonoidInstance(flavor, Z, 1, 1, words, "x q")
+            for _ in range(3):
+                with pytest.raises(UnboundSymbol, match="no binding for 'z'"):
+                    verify_submonoid_certificate(inst, (1, 0))
+                with pytest.raises(UnboundSymbol, match="no binding for 'q'"):
+                    verify_submonoid_certificate(bad_target, (1,))
+                assert verify_submonoid_certificate(inst, (1,))
+                assert not verify_submonoid_certificate(inst, (2, 3, 1, 1))
+            assert 0 not in _word_steps(words, flavor, Z)
+
+    def test_float_index_raises_whatever_the_memo_holds(self):
+        inst = SubmonoidInstance(WREATH, Z, 1, 1, ("x g X",) + self.MOVES,
+                                 "x g X")
+        assert verify_submonoid_certificate(inst, (0,))
+        with pytest.raises(TypeError):
+            verify_submonoid_certificate(inst, (0.0,))
+        assert verify_submonoid_certificate(inst, (False,))
+
+    def test_a_list_of_generators_verifies(self):
+        sem = toy_instance()
+        witness = (WitnessTerm(0, 0, 0, 1), WitnessTerm(1, 1, 0, 1))
+        for flavor in (WREATH, METABELIAN):
+            inst = make_submonoid_instance(sem, flavor)
+            listed = SubmonoidInstance(flavor, Z, inst.rank, inst.stride,
+                                       list(inst.generators), inst.target)
+            indices = witness_to_submonoid_certificate(witness, inst)
+            assert verify_submonoid_certificate(listed, indices)
+            assert not verify_submonoid_certificate(listed, indices[1:])
+        listed = SemimoduleInstance(Z, sem.rank, list(sem.generators),
+                                    sem.target)
+        assert make_submonoid_instance(listed).generators == \
+            make_submonoid_instance(sem).generators
 
 
 def one_edit_away(indices):

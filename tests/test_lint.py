@@ -139,7 +139,8 @@ def test_classes_defining_counts_each_class():
 
 _TOKEN_BUILDERS = {"pow_tokens", "word_from_tokens", "_conjugate"}
 _TEXT_SPELLERS = {
-    "groups.py": {"module_to_word", "cells_to_word", "make_submonoid_instance"},
+    "groups.py": {"module_to_word", "cells_to_word", "make_submonoid_instance",
+                  "_spell", "_generator_words"},
     "rational.py": {"certificate_to_word"},
 }
 
@@ -533,3 +534,85 @@ def test_table_reads_a_top_level_literal():
     """))
     assert _table(tree, "ROWS") == (
         ("tm", "run", None, "tm fuel", "_cmd_tm_run", ("k", 1)),)
+
+
+def _unbounded_caches(tree: ast.AST) -> list[str]:
+    """Uses of functools' memos without an explicit finite size: ``cache``,
+    ``lru_cache`` bare or called without a size, and a ``maxsize`` that is
+    not a positive int literal (``None`` makes it unbounded)."""
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "functools"
+                for alias in node.names}
+
+    def memo(node):
+        if isinstance(node, ast.Name):
+            return imported.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            return node.attr
+        return None
+
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        kind = memo(node)
+        if kind not in ("cache", "lru_cache"):
+            continue
+        call = calls.get(id(node))
+        if kind == "lru_cache" and call is not None:
+            sizes = call.args[:1] + [keyword.value for keyword in call.keywords
+                                     if keyword.arg == "maxsize"]
+            if (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int and sizes[0].value > 0):
+                continue
+        found.append((node.lineno, kind))
+    return [f"{line}:{kind}" for line, kind in sorted(found)]
+
+
+def test_every_memo_has_a_finite_size():
+    # A memo keyed by content grows with every distinct key it sees; in a
+    # long-running process only an explicit bound keeps it from holding
+    # every machine, automaton and instance ever reduced.
+    files = sorted(SRC.glob("*.py"))
+    found = [f"{path.name}:{where}" for path in files
+             for where in _unbounded_caches(ast.parse(path.read_text()))]
+    assert found == []
+    assert any("lru_cache(maxsize=" in path.read_text() for path in files)
+
+
+def test_unbounded_caches_sees_every_unbounded_form():
+    tree = ast.parse(textwrap.dedent("""
+        import functools
+        from functools import cache, lru_cache, lru_cache as memo
+
+        @lru_cache(maxsize=32)
+        def a(): ...
+
+        @lru_cache(8)
+        def b(): ...
+
+        @lru_cache
+        def c(): ...
+
+        @lru_cache()
+        def d(): ...
+
+        @memo(maxsize=None)
+        def e(): ...
+
+        @cache
+        def f(): ...
+
+        @functools.lru_cache(maxsize=0)
+        def g(): ...
+
+        h = functools.cache(len)
+        i = functools.lru_cache(maxsize=4)(len)
+        cache_size = lru_cache(size)
+    """))
+    assert _unbounded_caches(tree) == [
+        "11:lru_cache", "14:lru_cache", "17:lru_cache", "20:cache",
+        "23:lru_cache", "26:cache", "28:lru_cache"]

@@ -1,6 +1,7 @@
 """Tests for the translated-generator module layer: elements, flattening,
 membership instances, the bounded searches, and witness serialization."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -1020,6 +1021,39 @@ class TestCertificateWitnesses:
         with pytest.raises(ValueError) as info:
             certificate_to_witness(cert, ts)
         assert str(info.value) == f"tile {stranger} is not in the system"
+
+
+class TestTileVectorMemo:
+    """The tile vectors of a system are built once per system and ring."""
+
+    def test_equal_systems_share_one_generator_tuple(self, artifacts):
+        pipe = artifacts.pipeline("unary-eraser", "aa")
+        copy = dataclasses.replace(pipe.ts)
+        assert copy == pipe.ts and copy is not pipe.ts
+        other_word = initial_map(pipe.tm, "a")
+        first = tiling_to_instance(pipe.ts, pipe.f0)
+        second = tiling_to_subset_sum(copy, other_word)
+        assert second.generators is first.generators
+        assert second.target != first.target
+        assert second.target == from_edgemap(-other_word, pipe.ts.colors)
+
+    def test_generators_are_the_tile_vectors_per_ring(self, artifacts):
+        pipe = artifacts.pipeline("two-symbol-eraser", "ab")
+        for ring in (Z, Ring(2), Ring(3)):
+            inst = tiling_to_instance(pipe.ts,
+                                      initial_map(pipe.tm, "ab", ring))
+            assert inst.ring == ring
+            assert inst.generators == tuple(
+                from_edgemap(tile_eval(tile, ring, pipe.ts.distinguished),
+                             pipe.ts.colors)
+                for tile in pipe.ts.tiles)
+            assert all(g.ring == ring for g in inst.generators)
+
+    def test_another_system_gets_its_own_vectors(self, artifacts):
+        unary = artifacts.pipeline("unary-eraser", "a")
+        two = artifacts.pipeline("two-symbol-eraser", "a")
+        assert tiling_to_instance(unary.ts, unary.f0).generators != \
+            tiling_to_instance(two.ts, two.f0).generators
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The run view of a certificate and the paths that read it.
 
-``verify_zero``, ``claims_audit``, the ASCII drawing and the certificate
-JSON writer work on maximal runs of one tile object in one row.  Each is
+``verify_zero``, ``claims_audit``, the ASCII drawing, the certificate
+JSON writer and ``certificate_to_witness`` work on maximal runs of one
+tile object in one row.  Each is
 compared here with a per-placement reference on every corpus certificate
 and on seeded mutants: deleted, duplicated, shifted and retiled
 placements, shuffled order, stacked cells, gaps, negative and non-integer
@@ -24,6 +25,7 @@ from tilechain.engine import (AuditFlag, AuditReport, build_accepting_tiling,
                               claims_audit, verify_zero)
 from tilechain.machines import two_symbol_eraser, unary_eraser
 from tilechain.deduce import MalformedInput, parse_initial_shape
+from tilechain.modules import DuplicateShift, certificate_to_witness
 from tilechain.render import render_certificate_ascii
 from tilechain.tiling import (ARROW_R, C0, Certificate, Placement, Tile,
                               certificate_to_dict, dump_certificate, letter,
@@ -61,6 +63,18 @@ def reference_audit(cert, f0):
 
 def reference_verify(f0, cert, ts):
     return (f0 + evaluate_placements(ts, cert.placements, f0.ring)).is_zero()
+
+
+def reference_witness(cert, ts):
+    """``certificate_to_witness`` as it read every placement one by one."""
+    picks = []
+    seen = set()
+    for tile, x, y in cert.placements:
+        if (x, y) in seen:
+            raise DuplicateShift(f"two tiles at ({x}, {y})")
+        seen.add((x, y))
+        picks.append((ts.index_of(tile), x, y))
+    return tuple(sorted(picks, key=lambda p: (p[2], p[1], p[0])))
 
 
 def reference_dump(cert):
@@ -190,6 +204,8 @@ def check_against_references(cert, ts, f0):
     assert outcome(render_certificate_ascii, cert) == \
         outcome(reference_ascii, cert)
     assert outcome(dump_certificate, cert) == outcome(reference_dump, cert)
+    assert outcome(certificate_to_witness, cert, ts) == \
+        outcome(reference_witness, cert, ts)
     assert expand(cert.runs()) == [tuple(p) for p in cert.placements]
 
 
@@ -232,8 +248,9 @@ class TestAgainstReferences:
             check_against_references(doubled, ts, f0)
 
     def test_equal_int_and_float_extremes(self, artifacts):
-        # The drawing takes the first of equal extremes, as a dict of cells
-        # does; range() then refuses it if it is a float.
+        # The drawing's grid has integer cells, so a float coordinate is
+        # refused whichever placement comes first, even where it equals an
+        # int at an extreme.
         _, ts, f0, _ = artifacts.pipeline("unary-eraser", "a")
         tile, other = ts.tiles[:2]
         for cells in ([(0, 0), (0.0, 1)], [(0.0, 1), (0, 0)],
@@ -245,6 +262,8 @@ class TestAgainstReferences:
                                          for i, (x, y) in enumerate(cells)),
                                    3, 3)
                 check_against_references(cert, ts, f0)
+                with pytest.raises(ValueError, match="not on the integer grid"):
+                    render_certificate_ascii(cert)
 
     def test_foreign_tile_raises_as_before(self, artifacts):
         _, ts, f0, cert = artifacts.pipeline("unary-eraser", "aa")
