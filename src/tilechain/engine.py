@@ -26,8 +26,7 @@ from .compiler import EmptyInput, compile_tiles
 from .deduce import MalformedInput, parse_initial_shape
 from .edges import EdgeMap, _side_lookup
 from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Placement, Tile,
-                     TilingSystem, _disjoint_integer_spans, head, letter,
-                     state)
+                     TilingSystem, _disjoint_spans, head, letter, state)
 from .tm import RunTrace, TuringMachine, run, tape_extent
 
 
@@ -129,10 +128,10 @@ def verify_zero(f0: EdgeMap, cert: Certificate, ts: TilingSystem) -> bool:
     run of ``count`` tiles puts each non-distinguished side's sign on the
     interval [x0 + dx, x0 + dx + count).  ``jumps`` keeps each interval as
     +v where it starts and -v where it ends.  The total is zero iff every
-    jump sums to zero in the ring: of the nonzero edges of a line whose x
-    differ by integers, the leftmost leaves a nonzero jump.  So stacked,
-    shuffled, gapped and non-integer placements need no second path, and
-    the work is per run, not per placement.
+    jump sums to zero in the ring: of the nonzero edges of a line, the
+    leftmost leaves a nonzero jump.  So stacked, shuffled and gapped
+    placements need no second path, and the work is per run, not per
+    placement.
     """
     sides_of = _side_lookup(ts)
     jumps: dict = {}
@@ -187,37 +186,32 @@ def claims_audit(cert: Certificate, f0: EdgeMap) -> AuditReport:
     except MalformedInput as exc:
         return AuditReport((AuditFlag("malformed-input", 0, 0, str(exc)),))
     m = cert.width_m
-    placements = cert.placements
     flags: list[AuditFlag] = []
-    # Per row, the spans (first x, last x, first index, end index) of its
-    # runs.
+    # Per row, the spans (first x, last x) of its runs.
     spans: dict = {}
-    start = 0
     for tile, x0, y, count in cert.runs():
-        end = start + count
-        last = x0 + count - 1 if count > 1 else x0
+        last = x0 + count - 1
         # Within a run x rises, so its first and last x decide whether
         # any of its tiles is flagged; only such a run is read tile by
         # tile.
         if (y < 0 or (y == 0 and x0 < n + 1) or x0 < 0 or last > m
                 or (y >= 1 and tile.w == ARROW_R)):
             label = tile.name or "tile"
-            for _, x, py in placements[start:end]:
-                if py < 0 or (py == 0 and x < n + 1):
-                    flags.append(AuditFlag("outside-region", x, py, label))
-                if py >= 1 and tile.w == ARROW_R:
-                    flags.append(AuditFlag("floor-tile-raised", x, py, label))
+            for x in range(x0, last + 1):
+                if y < 0 or (y == 0 and x < n + 1):
+                    flags.append(AuditFlag("outside-region", x, y, label))
+                if y >= 1 and tile.w == ARROW_R:
+                    flags.append(AuditFlag("floor-tile-raised", x, y, label))
                 if x < 0 or x > m:
-                    flags.append(AuditFlag("outside-columns", x, py, label))
-        spans.setdefault(y, []).append((x0, last, start, end))
-        start = end
+                    flags.append(AuditFlag("outside-columns", x, y, label))
+        spans.setdefault(y, []).append((x0, last))
     # Cells are counted only in rows whose spans may share one.
     seen: dict[tuple[int, int], int] = {}
-    for row in spans.values():
+    for y, row in spans.items():
         row.sort()
-        if not _disjoint_integer_spans(row):
-            for _, _, start, end in row:
-                for _, x, y in placements[start:end]:
+        if not _disjoint_spans(row):
+            for x0, last in row:
+                for x in range(x0, last + 1):
                     seen[x, y] = seen.get((x, y), 0) + 1
     for (x, y), count in sorted(seen.items()):
         if count > 1:

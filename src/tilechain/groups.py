@@ -69,13 +69,17 @@ def _conjugate(a: int, b: int, body: list, x: tuple, y: tuple) -> list:
     return word
 
 
+def _power(letter: str, k: int) -> str:
+    """``letter^k`` as text, each letter followed by one space; a negative
+    power swaps case."""
+    return (f"{letter} " if k >= 0 else f"{letter.swapcase()} ") * abs(k)
+
+
 def _spell_conjugate(a: int, b: int, body: str) -> str:
     """``x^a y^b · body · y^-b x^-a`` as text in which every letter,
     including those of ``body``, is followed by one space."""
-    x, back_x = ("x ", "X ") if a >= 0 else ("X ", "x ")
-    y, back_y = ("y ", "Y ") if b >= 0 else ("Y ", "y ")
-    a, b = abs(a), abs(b)
-    return f"{x * a}{y * b}{body}{back_y * b}{back_x * a}"
+    return (_power("x", a) + _power("y", b) + body + _power("y", -b)
+            + _power("x", -a))
 
 
 Run = Tuple[str, int]  # (letter, repeat count >= 1)
@@ -83,7 +87,7 @@ Run = Tuple[str, int]  # (letter, repeat count >= 1)
 
 def _runs(word: str | Iterable[str]) -> Iterator[Run]:
     """Maximal runs of equal letters in a whitespace-separated string or a
-    token iterable."""
+    token iterable, such as a certificate's generator indices."""
     tokens = word.split() if isinstance(word, str) else word
     for letter, group in groupby(tokens):
         yield letter, len(list(group))
@@ -700,7 +704,7 @@ def verify_submonoid_certificate(instance: SubmonoidInstance,
     differences, so equal sums mean equal elements.
     """
     count = len(instance.generators)
-    runs = [(i, len(list(group))) for i, group in groupby(indices)]
+    runs = list(_runs(indices))
     for i, _ in runs:
         if not 0 <= i < count:
             raise BadIndex(f"generator {i} out of range")

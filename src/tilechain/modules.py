@@ -728,7 +728,7 @@ def certificate_to_witness(cert: Certificate,
         if (x0, y) in seen:
             raise DuplicateShift(f"two tiles at ({x0}, {y})")
         gen = index_of(tile)
-        for x in range(x0, x0 + count) if count > 1 else (x0,):
+        for x in range(x0, x0 + count):
             if (x, y) in seen:
                 raise DuplicateShift(f"two tiles at ({x}, {y})")
             seen.add((x, y))

@@ -30,8 +30,8 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from .documents import fields
 from .edges import Ring, ring_from_name
-from .groups import (UnboundSymbol, WreathElement, _bound, embed_module,
-                     wreath_eval, wreath_identity)
+from .groups import (UnboundSymbol, WreathElement, _bound, _power,
+                     embed_module, wreath_eval, wreath_identity)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
 
 
@@ -360,12 +360,6 @@ def nfa_accepts(nfa: Nfa, word: str | Iterable[str]) -> bool:
 
 # ---------------------------------------------------------------------------
 # witnesses as words
-
-def _power(letter: str, k: int) -> str:
-    """``letter^k`` as text, each letter followed by one space; a negative
-    power swaps case."""
-    return (f"{letter} " if k >= 0 else f"{letter.swapcase()} ") * abs(k)
-
 
 def certificate_to_word(witness: Iterable[SubsetPick]) -> str:
     """Compile a subset-sum witness into a word of the sweep language.

@@ -2,9 +2,9 @@
 
 ASCII grids list rows top line first but bottom row of the grid last-to-
 first, i.e. the printed page matches the plane (higher y printed higher).
-A certificate's ASCII rows are built from its run view: a run of ``count``
-tiles is its tile's box repeated ``count`` times, and the gaps between
-runs are blank boxes.
+Both certificate drawings read its run view.  In the ASCII rows a run of
+``count`` tiles is its tile's box repeated ``count`` times, and the gaps
+between runs are blank boxes.
 SVG output uses exactly one rectangle per placed tile, with the four side
 colors as small labels, so rectangle count equals placement count.  Labels
 are escaped, so the SVG is well-formed XML whatever the color names hold.
@@ -15,8 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .edges import EdgeMap
-from .tiling import (Certificate, _disjoint_integer_spans, color_glyph,
-                     color_sort_key)
+from .tiling import Certificate, _disjoint_spans, color_glyph, color_sort_key
 
 _MAX_SPAN = 10_000
 
@@ -82,57 +81,45 @@ def _glyphs_by_tile(tiles) -> dict[int, tuple[str, str, str, str]]:
 _first = itemgetter(0)
 
 
+def _run_extent(runs) -> tuple[int, int, int, int]:
+    """``(xmin, xmax, ymin, ymax)`` of the cells of a nonempty run view."""
+    xmin = min(x0 for _, x0, _, _ in runs)
+    xmax = max(x0 + count - 1 for _, x0, _, count in runs)
+    ymin = min(y for _, _, y, _ in runs)
+    ymax = max(y for _, _, y, _ in runs)
+    return xmin, xmax, ymin, ymax
+
+
 def render_certificate_ascii(cert: Certificate) -> str:
     """Draw each placed tile as a bordered box with its four side colors
     (north and south on the borders, west and east inside).
 
-    The grid has integer cells, so a placement whose x or y is not an int
-    (a float, a Fraction, a bool) raises ``ValueError``, as the JSON
-    loader does.  A stacked cell shows its last placement, and the box
-    width comes from the tiles shown.  Each distinct tile's box is drawn
-    once.  A row whose runs are disjoint spans is its runs' boxes,
-    repeated, and blank gaps; a row with overlapping spans is resolved
-    cell by cell, the last placement winning."""
+    The drawing reads the run view.  A stacked cell shows its last
+    placement, and the box width comes from the tiles shown.  Each
+    distinct tile's box is drawn once.  A row whose runs are disjoint
+    spans is its runs' boxes, repeated, and blank gaps; a row with
+    overlapping spans is resolved cell by cell, the last placement
+    winning."""
     if not cert.placements:
         return ""
-    placements = cert.placements
     runs = cert.runs()
-    # A coordinate that is not an int stands in a run of one, so checking
-    # each run's first placement checks them all.
-    for tile, x0, y, _ in runs:
-        if type(x0) is not int or type(y) is not int:
-            raise ValueError(f"placement of {tile.name or 'tile'} at "
-                             f"({x0!r}, {y!r}) is not on the integer grid")
-    # Per row, its runs (first x, last x, tile, first index, end index).
+    xmin, xmax, ymin, ymax = _run_extent(runs)
+    # Per row, its runs (first x, last x, tile).
     spans: dict = {}
-    xmin = xmax = runs[0][1]
-    ymin = ymax = runs[0][2]
-    start = 0
     for tile, x0, y, count in runs:
-        end = start + count
-        last = x0 + count - 1
-        spans.setdefault(y, []).append((x0, last, tile, start, end))
-        start = end
-        if x0 < xmin:
-            xmin = x0
-        if last > xmax:
-            xmax = last
-        if y < ymin:
-            ymin = y
-        elif y > ymax:
-            ymax = y
+        spans.setdefault(y, []).append((x0, x0 + count - 1, tile))
     # A row drawn run by run keeps its runs sorted by x; any other row
     # keeps its cells, filled in placement order.
     rows: dict = {}
     shown: list = []
     for y, row in spans.items():
         ordered = sorted(row, key=_first)
-        if _disjoint_integer_spans(ordered):
+        if _disjoint_spans(ordered):
             rows[y] = ordered
-            shown += [tile for _, _, tile, _, _ in ordered]
+            shown += [tile for _, _, tile in ordered]
         else:
-            cells = rows[y] = {x: tile for _, _, tile, start, end in row
-                               for _, x, _ in placements[start:end]}
+            cells = rows[y] = {x: tile for x0, last, tile in row
+                               for x in range(x0, last + 1)}
             shown += cells.values()
     _check_span(xmin, xmax, ymin, ymax)
     glyphs = _glyphs_by_tile(shown)
@@ -160,7 +147,7 @@ def render_certificate_ascii(cert: Certificate) -> str:
                      for x in columns]
         else:
             cursor = xmin
-            for x0, last, tile, _, _ in row:
+            for x0, last, tile in row:
                 if x0 > cursor:
                     band.append(_strip(strips, blanks, x0 - cursor))
                 band.append(_strip(strips, boxes[id(tile)], last - x0 + 1))
@@ -210,16 +197,16 @@ def _svg_y(y: int, ymax: int) -> int:
 
 
 def render_certificate_svg(cert: Certificate) -> str:
-    """One rectangle per placement, side colors as labels.
+    """One rectangle per placement, side colors as labels, in placement
+    order.
 
     Each distinct tile's rectangle-and-labels block is cut once into the
     text between its coordinates, and each column's and row's coordinates
-    are spelled once; a placement is then one join of the three."""
+    are spelled once; a run's cells are then one join of the three each."""
     if not cert.placements:
         return _EMPTY_SVG
-    xs = [p.x for p in cert.placements]
-    ys = [p.y for p in cert.placements]
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    runs = cert.runs()
+    xmin, xmax, ymin, ymax = _run_extent(runs)
     _check_span(xmin, xmax, ymin, ymax)
     lines = _svg_header(xmin, ymin, xmax, ymax)
     u = _SVG_UNIT
@@ -239,8 +226,7 @@ def render_certificate_svg(cert: Certificate) -> str:
     # The labels are escaped and joined in as text, never used as a format
     # string.
     blocks = {}
-    for key, glyphs in _glyphs_by_tile(
-            p.tile for p in cert.placements).items():
+    for key, glyphs in _glyphs_by_tile(run[0] for run in runs).items():
         n, e, s, w = map(_xml_text, glyphs)
         blocks[key] = (
             f'" width="{u}" height="{u}" fill="none" stroke="black"/>'
@@ -249,13 +235,14 @@ def render_certificate_svg(cert: Certificate) -> str:
             '" text-anchor="middle">' + s + '</text>\n<text x="',
             '">' + w + '</text>\n<text x="',
             '" text-anchor="end">' + e + '</text>')
-    for tile, x, y in cert.placements:
-        rect, center, west, east = columns[x]
+    for tile, x0, y, count in runs:
         top, north_y, south_y, side_y = rows[y]
         b0, b1, b2, b3, b4 = blocks[id(tile)]
-        lines.append("".join((rect, top, b0, center, north_y, b1, center,
-                              south_y, b2, west, side_y, b3, east, side_y,
-                              b4)))
+        for x in range(x0, x0 + count):
+            rect, center, west, east = columns[x]
+            lines.append("".join((rect, top, b0, center, north_y, b1,
+                                  center, south_y, b2, west, side_y, b3,
+                                  east, side_y, b4)))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

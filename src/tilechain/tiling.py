@@ -11,12 +11,13 @@ A certificate is a finite multiset of tile placements together with the
 width and height of the region it is supposed to fill.  Nothing here knows
 about Turing machines; certificates are checked purely through colors.
 
-The placements tuple is a certificate's stored form.  Its one derived view,
-:meth:`Certificate.runs`, cuts it into maximal runs of one tile object at
-consecutive integer x in one row.  A built row is one machine
-configuration, and a step changes the tape only next to the head, so a row
-is a few long runs: verification, the audit, the ASCII drawing and the
-JSON writer work run by run.
+The placements tuple is a certificate's stored form, and its coordinates
+are ints by type: a certificate is checked once, when it is made.  The
+same pass works out its one derived view, :meth:`Certificate.runs`, the
+maximal runs of one tile object at consecutive x in one row.  A built row
+is one machine configuration, and a step changes the tape only next to
+the head, so a row is a few long runs: verification, the audit, the
+witness reader, both drawings and the JSON writer work run by run.
 """
 
 from __future__ import annotations
@@ -210,37 +211,30 @@ class Certificate:
     coordinate of the top (cap) row.  Placements are stored row-major,
     bottom row first.
 
-    :meth:`runs` is the run view of the placements, worked out on first
-    use and kept on the instance.  It is not a field, so equality, hash,
-    repr, ``dataclasses.replace``, pickling and JSON ignore it.
+    Cells are integer lattice points: ``width_m``, ``rows`` and every x
+    and y must be of type ``int`` (``bool`` refused), or construction
+    raises the JSON loader's ``ValueError``.  The same pass works out
+    :meth:`runs`.  The run view is not a field, so equality, hash and
+    repr ignore it.
     """
 
     placements: tuple[Placement, ...]
     width_m: int
     rows: int
 
+    def __post_init__(self):
+        for name, value in (("m", self.width_m), ("rows", self.rows)):
+            if type(value) is not int:
+                raise wrong_type("certificate", name, value, int)
+        object.__setattr__(self, "_runs", _placement_runs(self.placements))
+
     def runs(self) -> tuple[tuple[Tile, int, int, int], ...]:
         """The maximal runs ``(tile, x0, y, count)`` of the placements, in
         placement order: ``count`` consecutive placements of one tile
         object in row ``y`` at x = x0, x0 + 1, ..., x0 + count - 1.
-
-        Only ints extend a run, so a coordinate of another type (a float,
-        a Fraction, a bool) stands in a run of one.  Every placement lies
-        in exactly one run, and the runs, read in order, spell the
-        placements."""
-        try:
-            return self.__dict__["_runs"]
-        except KeyError:
-            runs = _placement_runs(self.placements)
-            object.__setattr__(self, "_runs", runs)
-            return runs
-
-    def __getstate__(self):
-        # Pickles and copies carry the fields only; the run view is
-        # worked out again on the copy's first use.
-        state = dict(self.__dict__)
-        state.pop("_runs", None)
-        return state
+        Every placement lies in exactly one run, and the runs, read in
+        order, spell the placements."""
+        return self._runs
 
 
 # Equal to nothing but itself: the "no run yet" and "no tile read yet" mark.
@@ -249,37 +243,34 @@ _UNSET = object()
 
 def _placement_runs(placements) -> tuple[tuple[Tile, int, int, int], ...]:
     """The maximal runs of a placement sequence; see
-    :meth:`Certificate.runs`.  One pass that compares tiles by identity."""
+    :meth:`Certificate.runs`.  One pass that refuses a coordinate that is
+    not an int and compares tiles by identity."""
     runs = []
     append = runs.append
-    tile = row = nxt = _UNSET
-    x0 = count = 0
+    tile = row = _UNSET
+    nxt = x0 = count = 0
     for t, x, y in placements:
-        if (t is tile and x == nxt and y == row and type(x) is int
-                and type(y) is int):
+        if type(x) is not int or type(y) is not int:
+            field, value = ("x", x) if type(x) is not int else ("y", y)
+            raise wrong_type("placement", field, value, int)
+        if t is tile and x == nxt and y == row:
             nxt += 1
             count += 1
             continue
         if count:
             append((tile, x0, row, count))
         tile, x0, row, count = t, x, y, 1
-        nxt = x + 1 if type(x) is int and type(y) is int else _UNSET
+        nxt = x + 1
     if count:
         append((tile, x0, row, count))
     return tuple(runs)
 
 
-def _disjoint_integer_spans(spans: list) -> bool:
+def _disjoint_spans(spans: list) -> bool:
     """Whether one row's spans, tuples that begin with a run's first and
-    last x and are sorted by the first, start at ints and do not overlap.
-    A row where this holds has no stacked cell."""
-    reach = None
-    for span in spans:
-        x0 = span[0]
-        if type(x0) is not int or (reach is not None and x0 <= reach):
-            return False
-        reach = span[1]
-    return True
+    last x and are sorted by the first, do not overlap.  A row where this
+    holds has no stacked cell."""
+    return all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
 
 
 _new_placement = tuple.__new__
@@ -340,7 +331,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Certificate:
-    """Read a certificate; a tile given by name is looked up in ``ts``."""
+    """Read a certificate; a tile given by name is looked up in ``ts``.
+    :class:`Certificate` refuses an x or y that is not an int, once every
+    row is read."""
     width_m, rows, entries = fields(
         data, "certificate", {"m": int, "rows": int, "placements": list})
     # Each distinct tile dict is built once; an entry that cannot serve as
@@ -382,9 +375,6 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                     if key is not None:
                         built[key] = tile
             last_ref = ref
-        if type(x) is not int or type(y) is not int:
-            field, value = ("x", x) if type(x) is not int else ("y", y)
-            raise wrong_type("placement", field, value, int)
         append(_new_placement(Placement, (tile, x, y)))
     return Certificate(tuple(placements), width_m, rows)
 
@@ -397,10 +387,6 @@ def load_system(text: str) -> TilingSystem:
     return system_from_dict(json.loads(text))
 
 
-def _json_number(value) -> str:
-    return str(value) if type(value) is int else json.dumps(value)
-
-
 def dump_certificate(cert: Certificate) -> str:
     """``json.dumps(certificate_to_dict(cert), indent=2)`` plus a newline,
     byte for byte, written one run at a time.
@@ -410,8 +396,8 @@ def dump_certificate(cert: Certificate) -> str:
     surrounds them.  Placements that are not strictly increasing in
     ``(y, x)`` are sorted first, as ``certificate_to_dict`` does.
     """
-    head = (f'{{\n  "m": {json.dumps(cert.width_m)},\n'
-            f'  "rows": {json.dumps(cert.rows)},\n  "placements": ')
+    head = (f'{{\n  "m": {cert.width_m},\n'
+            f'  "rows": {cert.rows},\n  "placements": ')
     if not cert.placements:
         return head + "[]\n}\n"
     runs = cert.runs()
@@ -420,7 +406,7 @@ def dump_certificate(cert: Certificate) -> str:
         if last is not None and not (y, x0) > last:
             runs = _placement_runs(sort_placements(cert.placements))
             break
-        last = (y, x0 + count - 1 if count > 1 else x0)
+        last = (y, x0 + count - 1)
     opening: dict = {}
     items = []
     row = _UNSET
@@ -433,9 +419,9 @@ def dump_certificate(cert: Certificate) -> str:
                 + ',\n      "x": ')
         if y is not row:
             row = y
-            after = f',\n      "y": {_json_number(y)}\n    }}'
+            after = f',\n      "y": {y}\n    }}'
         if count == 1:
-            items.append(before + _json_number(x0) + after)
+            items.append(before + str(x0) + after)
         else:
             items.append(before + (after + ",\n" + before).join(
                 map(str, range(x0, x0 + count))) + after)

@@ -616,3 +616,59 @@ def test_unbounded_caches_sees_every_unbounded_form():
     assert _unbounded_caches(tree) == [
         "11:lru_cache", "14:lru_cache", "17:lru_cache", "20:cache",
         "23:lru_cache", "26:cache", "28:lru_cache"]
+
+
+def _placement_reads(tree: ast.AST) -> list[str]:
+    """Reads of a ``.placements`` attribute other than an emptiness test
+    (``not x.placements``, or ``x.placements`` as the test of an ``if``,
+    ``while`` or conditional expression) or a ``len`` of it."""
+    parents = {id(child): node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "placements"
+                and isinstance(node.ctx, ast.Load)):
+            continue
+        parent = parents[id(node)]
+        if isinstance(parent, ast.UnaryOp) and isinstance(parent.op, ast.Not):
+            continue
+        if (isinstance(parent, (ast.If, ast.While, ast.IfExp))
+                and parent.test is node):
+            continue
+        if (isinstance(parent, ast.Call) and isinstance(parent.func, ast.Name)
+                and parent.func.id == "len" and parent.args == [node]):
+            continue
+        found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_tiling_reads_placements():
+    # A certificate's readers work from its run view, which the certificate
+    # makes once, with its integer check; a reader that walks the
+    # placements would bring back a per-placement path beside it.
+    files = sorted(SRC.glob("*.py"))
+    found = [f"{path.name}:{line}" for path in files
+             if path.name != "tiling.py"
+             for line in _placement_reads(ast.parse(path.read_text()))]
+    assert found == []
+    assert _placement_reads(ast.parse((SRC / "tiling.py").read_text()))
+
+
+def test_placement_reads_see_iteration_indexing_and_slicing():
+    tree = ast.parse(textwrap.dedent("""
+        if not cert.placements:
+            pass
+        if cert.placements:
+            pass
+        size = len(cert.placements)
+        shown = cert.placements if cert.placements else ()
+        for p in cert.placements:
+            pass
+        first = cert.placements[0]
+        rest = cert.placements[1:]
+        xs = [p.x for p in cert.placements]
+        copied = tuple(cert.placements)
+        alias = cert.placements
+        cert.placements = ()
+    """))
+    assert _placement_reads(tree) == [7, 8, 10, 11, 12, 13, 14]

@@ -5,9 +5,10 @@ JSON writer and ``certificate_to_witness`` work on maximal runs of one
 tile object in one row.  Each is
 compared here with a per-placement reference on every corpus certificate
 and on seeded mutants: deleted, duplicated, shifted and retiled
-placements, shuffled order, stacked cells, gaps, negative and non-integer
-coordinates, and foreign tiles.  The memoised ``compile_tiles`` is tested
-here too, since the builder reuses its system.
+placements, shuffled order, stacked cells, gaps, negative coordinates,
+and foreign tiles.  A mutant with a non-integer coordinate is refused
+when it is built, as the JSON loader refuses it.  The memoised
+``compile_tiles`` is tested here too, since the builder reuses its system.
 """
 
 import copy
@@ -28,8 +29,8 @@ from tilechain.deduce import MalformedInput, parse_initial_shape
 from tilechain.modules import DuplicateShift, certificate_to_witness
 from tilechain.render import render_certificate_ascii
 from tilechain.tiling import (ARROW_R, C0, Certificate, Placement, Tile,
-                              certificate_to_dict, dump_certificate, letter,
-                              load_certificate)
+                              _placement_runs, certificate_to_dict,
+                              dump_certificate, letter, load_certificate)
 
 from test_render import reference_ascii
 
@@ -91,8 +92,19 @@ def outcome(function, *args):
 
 
 def expand(runs):
-    return [(tile, x0 + i if count > 1 else x0, y)
+    return [(tile, x0 + i, y)
             for tile, x0, y, count in runs for i in range(count)]
+
+
+def loader_refusal(placements):
+    """The JSON loader's text for the first x or y that is not an int, or
+    None when every coordinate is one."""
+    for _, x, y in placements:
+        for field, value in (("x", x), ("y", y)):
+            if type(value) is not int:
+                return (f"placement field '{field}' must be an integer, "
+                        f"not {type(value).__name__}")
+    return None
 
 
 # -- mutants ------------------------------------------------------------------
@@ -167,8 +179,8 @@ MUTATIONS = (_delete, _duplicate, _shift, _retile, _equal_copy, _shuffle,
 
 
 def mutants(cert, ts, seed):
-    """Seeded mutants of ``cert``: one mutation of each kind, then mixes
-    of one to three."""
+    """Seeded mutants of ``cert``, as placement tuples: one mutation of
+    each kind, then mixes of one to three."""
     rng = random.Random(seed)
     plans = [[mutation] for mutation in MUTATIONS]
     while len(plans) < MUTANTS_PER_BASE:
@@ -178,8 +190,7 @@ def mutants(cert, ts, seed):
         for mutation in plan:
             if ps:
                 mutation(rng, ps, ts)
-        yield ([mutation.__name__ for mutation in plan],
-               Certificate(tuple(ps), cert.width_m, cert.rows))
+        yield [mutation.__name__ for mutation in plan], tuple(ps)
 
 
 def bases(artifacts):
@@ -221,19 +232,30 @@ class TestAgainstReferences:
                 check_against_references(cert, ts, f0)
 
     def test_seeded_mutants(self, artifacts):
-        count = cancelled = 0
+        count = refused = cancelled = 0
         for seed, (tm, word, ts, cert) in enumerate(bases(artifacts)):
-            for plan, mutant in mutants(cert, ts, 20261019 + seed):
+            for plan, placements in mutants(cert, ts, 20261019 + seed):
                 f0 = initial_map(tm, word, RINGS[count % len(RINGS)])
+                count += 1
+                built = outcome(Certificate, placements, cert.width_m,
+                                cert.rows)
+                refusal = loader_refusal(placements)
+                if refusal is not None:
+                    # A non-integer coordinate never makes a certificate.
+                    assert built == ("raised", ValueError, refusal), plan
+                    refused += 1
+                    continue
+                assert built[0] == "value", plan
+                mutant = built[1]
                 try:
                     check_against_references(mutant, ts, f0)
                 except AssertionError:
                     pytest.fail(f"{tm.states} {word!r} {plan} "
                                 f"{f0.ring.name}")
-                count += 1
                 cancelled += outcome(verify_zero, f0, mutant, ts) == \
                     ("value", True)
         assert count >= 1000
+        assert 0 < refused < count // 4
         # A shuffle or an equal copy still cancels; most mutants do not.
         assert 0 < cancelled < count // 2
 
@@ -248,22 +270,26 @@ class TestAgainstReferences:
             check_against_references(doubled, ts, f0)
 
     def test_equal_int_and_float_extremes(self, artifacts):
-        # The drawing's grid has integer cells, so a float coordinate is
-        # refused whichever placement comes first, even where it equals an
-        # int at an extreme.
-        _, ts, f0, _ = artifacts.pipeline("unary-eraser", "a")
+        # Cells are integer lattice points, so a float coordinate is
+        # refused when the certificate is made, whichever placement comes
+        # first, even where it equals an int at an extreme.
+        _, ts, _, _ = artifacts.pipeline("unary-eraser", "a")
         tile, other = ts.tiles[:2]
-        for cells in ([(0, 0), (0.0, 1)], [(0.0, 1), (0, 0)],
-                      [(2, 0), (2.0, 1), (1, 1)], [(2.0, 1), (2, 0), (1, 1)],
-                      [(1, 0), (1, 0.0), (0, 2)], [(1, 0.0), (1, 0), (0, 2)],
-                      [(0, 0), (0, 1), (1, 1.0)], [(0, 0), (1, 1.0), (0, 1)]):
+        for cells, field in (([(0, 0), (0.0, 1)], "x"), ([(0.0, 1), (0, 0)], "x"),
+                             ([(2, 0), (2.0, 1), (1, 1)], "x"),
+                             ([(2.0, 1), (2, 0), (1, 1)], "x"),
+                             ([(1, 0), (1, 0.0), (0, 2)], "y"),
+                             ([(1, 0.0), (1, 0), (0, 2)], "y"),
+                             ([(0, 0), (0, 1), (1, 1.0)], "y"),
+                             ([(0, 0), (1, 1.0), (0, 1)], "y")):
             for pick in (tile, other):
-                cert = Certificate(tuple(Placement(pick if i else tile, x, y)
-                                         for i, (x, y) in enumerate(cells)),
-                                   3, 3)
-                check_against_references(cert, ts, f0)
-                with pytest.raises(ValueError, match="not on the integer grid"):
-                    render_certificate_ascii(cert)
+                placements = tuple(Placement(pick if i else tile, x, y)
+                                   for i, (x, y) in enumerate(cells))
+                with pytest.raises(ValueError) as caught:
+                    Certificate(placements, 3, 3)
+                assert str(caught.value) == (
+                    f"placement field '{field}' must be an integer, "
+                    "not float") == loader_refusal(placements)
 
     def test_foreign_tile_raises_as_before(self, artifacts):
         _, ts, f0, cert = artifacts.pipeline("unary-eraser", "aa")
@@ -291,14 +317,23 @@ class TestRunView:
             assert not (nxt is tile and y1 == y and x1 == x0 + count)
 
     def test_only_ints_extend_a_run(self):
+        # Values equal to the next x or the row (1.0, 0.0, True,
+        # Fraction(3)) do not extend a run: the certificate is refused.
         tile = FOREIGN
-        cert = Certificate((Placement(tile, 0, 0), Placement(tile, 1.0, 0),
-                            Placement(tile, 2, 0), Placement(tile, 3, 0.0),
-                            Placement(tile, 4, 0), Placement(tile, True, 1),
-                            Placement(tile, 2, 1)), 4, 1)
-        assert [run[1:] for run in cert.runs()] == [
-            (0, 0, 1), (1.0, 0, 1), (2, 0, 1), (3, 0.0, 1), (4, 0, 1),
-            (True, 1, 1), (2, 1, 1)]
+        row = (Placement(tile, 0, 0), Placement(tile, 1, 0),
+               Placement(tile, 2, 0), Placement(tile, 4, 0),
+               Placement(tile, 1, 1), Placement(tile, 2, 1))
+        assert [run[1:] for run in Certificate(row, 4, 1).runs()] == [
+            (0, 0, 3), (4, 0, 1), (1, 1, 2)]
+        for i, x, y, field, kind in ((1, 1.0, 0, "x", "float"),
+                                     (3, 3, 0.0, "y", "float"),
+                                     (4, True, 1, "x", "bool"),
+                                     (3, Fraction(3), 0, "x", "Fraction")):
+            bent = row[:i] + (Placement(tile, x, y),) + row[i + 1:]
+            with pytest.raises(ValueError) as caught:
+                Certificate(bent, 4, 1)
+            assert str(caught.value) == \
+                f"placement field '{field}' must be an integer, not {kind}"
 
     def test_equal_tiles_that_are_other_objects_split_runs(self):
         twin = dataclasses.replace(FOREIGN)
@@ -309,18 +344,25 @@ class TestRunView:
     def test_the_view_is_not_part_of_the_value(self, artifacts):
         cert = self.cert(artifacts)
         fresh = Certificate(cert.placements, cert.width_m, cert.rows)
-        before = (repr(fresh), hash(fresh))
-        fresh.runs()
-        assert (repr(fresh), hash(fresh)) == before
-        assert fresh == cert
         assert [f.name for f in dataclasses.fields(fresh)] == [
             "placements", "width_m", "rows"]
-        replaced = dataclasses.replace(fresh)
-        assert replaced == fresh and "_runs" not in vars(replaced)
-        for clone in (pickle.loads(pickle.dumps(fresh)), copy.copy(fresh),
+        before = (repr(fresh), hash(fresh))
+        assert "runs" not in before[0]
+        # A certificate whose view were other still equals, hashes and
+        # prints the same.
+        blank = Certificate(cert.placements, cert.width_m, cert.rows)
+        object.__setattr__(blank, "_runs", ())
+        assert blank == fresh == cert
+        assert (repr(blank), hash(blank)) == before
+        for clone in (dataclasses.replace(fresh),
+                      pickle.loads(pickle.dumps(fresh)), copy.copy(fresh),
                       copy.deepcopy(fresh)):
-            assert clone == fresh and "_runs" not in vars(clone)
-            assert expand(clone.runs()) == expand(fresh.runs())
+            assert clone == fresh
+            assert clone.runs() == fresh.runs()
+            # The view a clone holds is the one its own placements give.
+            assert ([(id(t), x0, y, k) for t, x0, y, k in clone.runs()]
+                    == [(id(t), x0, y, k) for t, x0, y, k
+                        in _placement_runs(clone.placements)])
         assert dump_certificate(fresh) == reference_dump(cert)
 
     def test_empty_certificate(self):

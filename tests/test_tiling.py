@@ -1,6 +1,7 @@
 """Colors, tiles, tiling systems, certificates, and the machine compiler."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -258,6 +259,33 @@ class TestSerialization:
                                              f"must be an integer, not {kind}"):
             certificate_from_dict(data)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("x", 1.0, "float"), ("x", Fraction(1), "Fraction"),
+        ("x", True, "bool"), ("y", 0.0, "float"),
+        ("y", Fraction(1, 2), "Fraction"), ("y", False, "bool"),
+        ("m", 1.0, "float"), ("m", True, "bool"),
+        ("rows", 0.0, "float"), ("rows", False, "bool")])
+    def test_certificate_refuses_what_the_loader_refuses(self, field, value,
+                                                         kind):
+        t = Tile(C0, C0, C0, C0)
+        cell = {"x": 1, "y": 0}
+        size = {"m": 1, "rows": 0}
+        where = "placement" if field in cell else "certificate"
+        (cell if field in cell else size)[field] = value
+        message = (f"{where} field '{field}' must be an integer, "
+                   f"not {kind}")
+        with pytest.raises(ValueError) as caught:
+            Certificate((Placement(t, 0, 0), Placement(t, cell["x"],
+                                                       cell["y"])),
+                        size["m"], size["rows"])
+        assert str(caught.value) == message
+        data = {**size, "placements": [
+            {"tile": tile_to_dict(t), "x": 0, "y": 0},
+            {"tile": tile_to_dict(t), **cell}]}
+        with pytest.raises(ValueError) as caught:
+            certificate_from_dict(data)
+        assert str(caught.value) == message
+
     def test_missing_placement_field_is_named(self):
         with pytest.raises(ValueError,
                            match=r"missing placement fields: \['y'\]"):
@@ -303,19 +331,23 @@ class TestCertificateDump:
         assert load_certificate(dump_certificate(cert)) == cert
 
     def test_negative_and_non_integer_coordinates(self):
-        # Dumping writes whatever numbers a certificate holds; loading takes
-        # integers only, negative ones included.
+        # Negative integers round-trip; a coordinate that is not an int is
+        # refused by the certificate and by the loader with one text.
         t = Tile(letter("a"), ARROW_R, C0, DIAG, name="t")
         cert = Certificate((Placement(t, -3, 2), Placement(t, 0, -1),
-                            Placement(t, -12, -7), Placement(t, 1.5, -1)),
-                           -2, -5)
+                            Placement(t, -12, -7)), -2, -5)
         text = dump_certificate(cert)
         assert text == reference_dump(cert)
-        with pytest.raises(ValueError, match="'x' must be an integer"):
-            load_certificate(text)
-        integral = Certificate(cert.placements[:3], -2, -5)
-        assert load_certificate(dump_certificate(integral)).placements == \
-            sort_placements(integral.placements)
+        assert load_certificate(text).placements == \
+            sort_placements(cert.placements)
+        bent = cert.placements + (Placement(t, 1.5, -1),)
+        message = "placement field 'x' must be an integer, not float"
+        with pytest.raises(ValueError, match=message):
+            Certificate(bent, -2, -5)
+        data = {"m": -2, "rows": -5, "placements": [
+            {"tile": tile_to_dict(p.tile), "x": p.x, "y": p.y} for p in bent]}
+        with pytest.raises(ValueError, match=message):
+            load_certificate(json.dumps(data))
 
     def test_awkward_names(self):
         names = ['say "hi"', "back\\slash", "caf\u00e9 \u2192 \U0001f600",
