@@ -58,17 +58,6 @@ class BadIndex(IndexError):
     """A certificate references a generator that does not exist."""
 
 
-def _conjugate(a: int, b: int, body: list, x: tuple, y: tuple) -> list:
-    """``x^a y^b · body · y^-b x^-a`` as a list of generator indices, where
-    ``x`` and ``y`` are the ``(forward, back)`` move indices."""
-    word = [x[a < 0]] * abs(a)
-    word += [y[b < 0]] * abs(b)
-    word += body
-    word += [y[b >= 0]] * abs(b)
-    word += [x[a >= 0]] * abs(a)
-    return word
-
-
 def _power(letter: str, k: int) -> str:
     """``letter^k`` as text, each letter followed by one space; a negative
     power swaps case."""
@@ -612,26 +601,77 @@ def make_submonoid_instance(instance: SemimoduleInstance,
                              words, _spell(instance.target, flavor, stride))
 
 
+def _moves(k: int, forward: int, back: int) -> list[int]:
+    """``k`` steps as generator indices: ``forward`` repeated ``k`` times,
+    or ``back`` repeated ``-k`` times."""
+    return [forward] * k if k > 0 else [back] * -k
+
+
 def witness_to_submonoid_certificate(witness,
                                      instance: SubmonoidInstance
                                      ) -> tuple[int, ...]:
-    """Turn a module witness into a generator-index sequence: per term,
-    move words shift to the translation, the generator repeats by its
-    coefficient, and inverse moves return to the origin."""
+    """Turn a module witness into a generator-index sequence: one walk
+    that visits every pick and returns to the origin once.
+
+    Each term is ``(gen, dx, dy)`` or ``(gen, dx, dy, coeff)``, all four
+    of type ``int`` (``bool`` is refused); a non-int field, a generator
+    out of range (:class:`BadIndex`) or a negative coefficient raises
+    before anything is spelled.  The terms are sorted column-major, by
+    ``(dx, dy, gen)``, and terms with coefficient 0 are dropped.  The walk
+    starts with ``x^a y^b`` to the first pick; within a column it steps
+    by ``y^(b2-b1)``, between columns by ``y^-b1 x^(a2-a1) y^b2``; each
+    pick adds ``gen`` repeated ``coeff`` times; after the last pick
+    ``y^-b x^-a`` returns to the origin.  So a one-term witness gives the
+    conjugate ``x^a y^b · gen^coeff · y^-b x^-a``, and the length is about
+    the number of picks plus twice the moves between columns, not
+    2(|a| + |b|) per pick.
+
+    The walk is the free reduction of the product of those per-term
+    conjugates in the sorted order: only adjacent forward and back moves
+    cancel, which holds in any group.  The order is free because
+    :func:`make_submonoid_instance` spells every module generator word
+    with zero displacement, so the conjugates lie in an abelian normal
+    subgroup (the lamp group, or the derived subgroup) and commute.
+    :func:`verify_submonoid_certificate` relies on neither fact: it
+    evaluates the indices as given, so a wrong order could only turn a
+    yes into a no.
+    """
     xf, xb, yu, yd = instance.move_indices()
-    indices: list[int] = []
+    count = instance.module_generator_count
+    picks: list[tuple[int, int, int, int]] = []
     for term in witness:
         if len(term) == 4:
             gen, dx, dy, coeff = term
         else:
             gen, dx, dy = term
             coeff = 1
-        if not 0 <= gen < instance.module_generator_count:
+        if not type(gen) is type(dx) is type(dy) is type(coeff) is int:
+            name, value = next(
+                field for field in zip(("gen", "dx", "dy", "coeff"),
+                                       (gen, dx, dy, coeff))
+                if type(field[1]) is not int)
+            raise BadTerm(f"term {(gen, dx, dy, coeff)}: {name} {value!r} "
+                          f"is not an int")
+        if not 0 <= gen < count:
             raise BadIndex(f"generator {gen} out of range")
         if coeff < 0:
             raise BadTerm(f"term {(gen, dx, dy, coeff)}: negative "
                           f"coefficient")
-        indices += _conjugate(dx, dy, [gen] * coeff, (xf, xb), (yu, yd))
+        if coeff:
+            picks.append((dx, dy, gen, coeff))
+    picks.sort()
+    indices: list[int] = []
+    a = b = 0
+    for dx, dy, gen, coeff in picks:
+        if dx != a:
+            indices += _moves(-b, yu, yd)
+            indices += _moves(dx - a, xf, xb)
+            a, b = dx, 0
+        indices += _moves(dy - b, yu, yd)
+        indices += [gen] * coeff
+        b = dy
+    indices += _moves(-b, yu, yd)
+    indices += _moves(-a, xf, xb)
     return tuple(indices)
 
 

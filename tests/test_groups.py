@@ -49,10 +49,12 @@ from tilechain.groups import (
 )
 from tilechain.compiler import initial_map
 from tilechain.modules import (
+    BadTerm,
     ModuleElement,
     SemimoduleInstance,
     WitnessTerm,
     certificate_to_witness,
+    eval_member_witness,
     member_bounded,
     tiling_to_instance,
     unit,
@@ -805,6 +807,40 @@ class TestCertificates:
         assert witness_to_submonoid_certificate(((0, 1, 0),), inst) == \
             (1, 0, 2)
 
+    def test_picks_are_walked_column_by_column(self):
+        # Column 0 holds the pick at height 2; column 1 the picks at
+        # heights 0 and 1, reached by y^-2 x and left by y^-1 x^-1.
+        inst = make_submonoid_instance(
+            SemimoduleInstance(Z, 1, (unit(Z, 1, 0, 0, 0),),
+                               unit(Z, 1, 0, 0, 0)))
+        witness = ((0, 1, 0), (0, 0, 2), (0, 1, 1))
+        assert witness_to_submonoid_certificate(witness, inst) == \
+            (3, 3, 0, 4, 4, 1, 0, 3, 0, 4, 2)
+
+    @pytest.mark.parametrize("field", range(4),
+                             ids=("gen", "dx", "dy", "coeff"))
+    @pytest.mark.parametrize("value", (1.0, True, 0.5),
+                             ids=("float", "bool", "half"))
+    def test_non_int_field_is_refused(self, field, value):
+        inst = make_submonoid_instance(toy_instance())
+        term = [0, 1, 0, 1]
+        term[field] = value
+        name = ("gen", "dx", "dy", "coeff")[field]
+        with pytest.raises(BadTerm, match=rf"term \({', '.join(map(str, term))}"
+                                          rf"\): {name} {value!r} is not "
+                                          rf"an int"):
+            witness_to_submonoid_certificate(
+                ((0, 0, 0, 1), tuple(term)), inst)
+        if field < 3:
+            with pytest.raises(BadTerm, match=f"{name} {value!r} is not"):
+                witness_to_submonoid_certificate((tuple(term[:3]),), inst)
+
+    def test_float_generator_is_refused(self):
+        inst = make_submonoid_instance(toy_instance())
+        with pytest.raises(BadTerm, match=r"term \(0\.0, 0, 0, 1\): gen "
+                                          r"0\.0 is not an int"):
+            witness_to_submonoid_certificate(((0.0, 0, 0),), inst)
+
     def test_bad_generator_index(self):
         inst = make_submonoid_instance(toy_instance())
         with pytest.raises(BadIndex, match="generator 2 out of range"):
@@ -966,6 +1002,178 @@ class TestCertificateSemantics:
             assert verify_submonoid_certificate(inst, indices)
             xf = inst.move_indices()[0]
             cut = indices.index(xf)
+            assert not verify_submonoid_certificate(
+                inst, indices[:cut] + indices[cut + 1:])
+
+
+def reference_certificate(witness, inst):
+    """The per-term certificate: every term spelled as its own conjugate
+    ``x^a y^b · gen^coeff · y^-b x^-a``, in the witness's order."""
+    xf, xb, yu, yd = inst.move_indices()
+    indices = []
+    for term in witness:
+        gen, dx, dy, coeff = term if len(term) == 4 else (*term, 1)
+        indices += [(xf, xb)[dx < 0]] * abs(dx)
+        indices += [(yu, yd)[dy < 0]] * abs(dy)
+        indices += [gen] * coeff
+        indices += [(yu, yd)[dy >= 0]] * abs(dy)
+        indices += [(xf, xb)[dx >= 0]] * abs(dx)
+    return tuple(indices)
+
+
+def free_reduction(indices, inst):
+    """Cancel adjacent forward and back moves until none are left."""
+    xf, xb, yu, yd = inst.move_indices()
+    inverse = {xf: xb, xb: xf, yu: yd, yd: yu}
+    reduced = []
+    for i in indices:
+        if reduced and inverse.get(i) == reduced[-1]:
+            reduced.pop()
+        else:
+            reduced.append(i)
+    return tuple(reduced)
+
+
+def column_major(witness):
+    return sorted(witness, key=lambda term: (term[1], term[2], term[0]))
+
+
+def random_witness(rng, gen_count):
+    """Terms of three and four fields over a few shifts, so shifts repeat;
+    shifts are negative, zero and positive, coefficients 0 to 3."""
+    shifts = [(rng.randint(-3, 3), rng.randint(-3, 3))
+              for _ in range(rng.randint(1, 4))] + [(0, 0)]
+    witness = []
+    for _ in range(rng.randint(0, 6)):
+        gen, (dx, dy) = rng.randrange(gen_count), rng.choice(shifts)
+        if rng.random() < 0.3:
+            witness.append((gen, dx, dy))
+        else:
+            witness.append(WitnessTerm(gen, dx, dy, rng.randint(0, 3)))
+    return tuple(witness)
+
+
+def random_module_instance(rng, ring):
+    rank = rng.randint(1, 2)
+    gens = tuple(ModuleElement(ring, rank, {
+        (rng.randint(-1, 1), rng.randint(-1, 1), rng.randrange(rank)):
+            rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 3))})
+        for _ in range(rng.randint(1, 3)))
+    return SemimoduleInstance(ring, rank, gens, zero_element(ring, rank))
+
+
+def generator_edit(rng, walk, per_term, inst, kind):
+    """One delete, insert or replace at the same generator occurrence of
+    both certificates, which stands at the same pick in each."""
+    def places(indices):
+        return [k for k, i in enumerate(indices)
+                if i < inst.module_generator_count]
+    occurrence = rng.randrange(len(places(walk)))
+    other = rng.randrange(inst.module_generator_count)
+    edited = []
+    for indices in (walk, per_term):
+        k = places(indices)[occurrence]
+        if kind == "delete":
+            edited.append(indices[:k] + indices[k + 1:])
+        elif kind == "insert":
+            edited.append(indices[:k] + (other,) + indices[k:])
+        else:
+            edited.append(indices[:k] + (other,) + indices[k + 1:])
+    return edited
+
+
+class TestWalkCertificates:
+    """The certificate is one column-major walk: the free reduction of the
+    per-term conjugates of the sorted witness, with the same verdicts."""
+
+    def test_walk_is_the_free_reduction_of_the_sorted_terms(self):
+        rng = random.Random(2101)
+        seen = set()
+        for _ in range(300):
+            ring = rng.choice((Z, Ring(2), Ring(3)))
+            sem = random_module_instance(rng, ring)
+            flavor = METABELIAN if ring == Z and rng.random() < 0.5 else \
+                WREATH
+            inst = make_submonoid_instance(sem, flavor)
+            witness = random_witness(rng, len(sem.generators))
+            walk = witness_to_submonoid_certificate(witness, inst)
+            expected = free_reduction(
+                reference_certificate(column_major(witness), inst), inst)
+            assert walk == expected, witness
+            if len(witness) == 1:
+                assert walk == free_reduction(
+                    reference_certificate(witness, inst), inst)
+            seen.update(len(term) for term in witness)
+            seen.update(f"coeff {term[3]}" for term in witness
+                        if len(term) == 4 and term[3] in (0, 2))
+        assert {3, 4, "coeff 0", "coeff 2"} <= seen
+
+    def test_one_term_is_todays_conjugate(self):
+        inst = make_submonoid_instance(toy_instance())
+        for term in ((1, -2, 3, 2), (0, 0, -1, 1), (1, 4, 0, 3), (0, 0, 0)):
+            assert witness_to_submonoid_certificate((term,), inst) == \
+                reference_certificate((term,), inst)
+        assert witness_to_submonoid_certificate(((1, 2, 2, 0),), inst) == ()
+
+    @pytest.mark.parametrize("flavor,modulus", [
+        (WREATH, None), (WREATH, 2), (WREATH, 3), (METABELIAN, None)])
+    def test_verdicts_match_the_per_term_certificate(self, flavor, modulus):
+        ring = Z if modulus is None else Ring(modulus)
+        if flavor == WREATH:
+            bindings = wreath_bindings(ring)
+            evaluate = lambda w: wreath_eval(w, bindings, ring)
+        else:
+            evaluate = metabelian_eval
+        rng = random.Random(f"walk-verdicts:{flavor}:{modulus}")
+        verdicts = set()
+        for _ in range(40):
+            sem = random_module_instance(rng, ring)
+            witness = random_witness(rng, len(sem.generators))
+            # The target is the witness's sum, or that of another witness.
+            summed = witness if rng.random() < 0.7 else \
+                random_witness(rng, len(sem.generators))
+            target = eval_member_witness(sem, (
+                term if len(term) == 4 else (*term, 1) for term in summed))
+            inst = make_submonoid_instance(SemimoduleInstance(
+                ring, sem.rank, sem.generators, target), flavor)
+            walk = witness_to_submonoid_certificate(witness, inst)
+            expected = verify_submonoid_certificate(
+                inst, reference_certificate(witness, inst))
+            assert verify_submonoid_certificate(inst, walk) == expected
+            verdicts.add(expected)
+            if not walk:
+                continue
+            value = evaluate(inst.target)
+            for edited in seeded_edits(rng, walk, 3):
+                # Anywhere in the walk, against the concatenated words.
+                assert verify_submonoid_certificate(inst, edited) == (
+                    evaluate(" ".join(inst.generators[i] for i in edited))
+                    == value)
+            if any(i < inst.module_generator_count for i in walk):
+                # The sorted per-term certificate holds the generator
+                # occurrences in the walk's order.
+                per_term = reference_certificate(column_major(witness), inst)
+                for kind in ("delete", "insert", "replace"):
+                    mutant, reference = generator_edit(rng, walk, per_term,
+                                                       inst, kind)
+                    verdict = verify_submonoid_certificate(inst, reference)
+                    assert verify_submonoid_certificate(inst, mutant) == \
+                        verdict
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n,length", [(24, 4185), (64, 26465)])
+    def test_length_grows_with_picks_not_moves(self, artifacts, n, length):
+        # One round trip per pick spelled 108,887 and 1,746,887 indices.
+        pipe = artifacts.pipeline("unary-eraser", "a" * n)
+        sem = tiling_to_instance(pipe.ts, pipe.f0)
+        picks = certificate_to_witness(pipe.cert, pipe.ts)
+        for flavor in (WREATH, METABELIAN):
+            inst = make_submonoid_instance(sem, flavor)
+            indices = witness_to_submonoid_certificate(picks, inst)
+            assert len(indices) == length
+            assert verify_submonoid_certificate(inst, indices)
+            cut = len(indices) // 3
             assert not verify_submonoid_certificate(
                 inst, indices[:cut] + indices[cut + 1:])
 
