@@ -8,9 +8,16 @@ closure to keep it that way.
 The search works row by row.  A pending row is the list of north colors the
 placements so far have exposed at some height; the next row of tiles must
 cancel it exactly, which pins each tile through its south color and the
-west color shared with its left neighbour.  The outer loop tries each row
-width in turn, because the starting map does not determine how far the
-bottom row extends.
+west color shared with its left neighbour.  The starting map does not
+determine how far the bottom row extends, so an outer search picks the row
+width.  Sides of the distinguished color contribute nothing, so padding a
+certificate with an empty column on the right makes it a certificate one
+column wider: if some width has a certificate, every wider one has too.
+The outer search therefore gallops from the narrow end, probing widths
+n+1, n+2, n+4, n+8, ... up to the bound, and bisects between the last
+width that failed and the first that succeeded.  It returns the
+certificate of the narrowest width, the one a search trying each width in
+turn would return, after O(log) widths instead of one search per width.
 
 Each row is found in one backward pass and one forward walk.  The backward
 pass goes right to left and computes, for every column i, ``live[i]``: the
@@ -34,8 +41,17 @@ width nor the height of a certificate meets the interpreter's recursion
 limit.  When a choice in one row leads nowhere in the rows above it, the
 stack pops back to that row's next assignment, so the first completed stack
 of rows is the certificate a recursive depth-first search finds first.
-The memo belongs to one ``forced_search`` call: it is built lazily as rows
-are deduced and dropped when the call returns.
+
+Whether the rows above a pending row can be finished depends only on that
+row and its height, not on the rows below that exposed it.  So a pending
+row whose every assignment led nowhere is kept as dead at its height, and
+a row that exposes it there again is not searched again.  The skip drops
+only branches that would fail, so the certificate found is the same, but
+a system whose rows expose one pending row in many ways no longer pays
+for it once per way.  Pending rows of different widths never meet, so the
+dead rows belong to one width's search.  The column memo belongs to one
+``forced_search`` call and serves every width it probes: it is built
+lazily as rows are deduced and dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -176,34 +192,74 @@ def forced_search(ts: TilingSystem, f0: EdgeMap, max_m: int,
                   max_rows: int) -> Optional[Certificate]:
     """Search for a certificate cancelling ``f0`` by forced row deduction.
 
-    Widths ``n+1..max_m`` are tried in order; within each width rows are
-    deduced upwards until they become empty (success) or ``max_rows`` is
-    exceeded.  Returns the first certificate found, or None when every
-    width fails within the bounds.  A None is a bounded verdict, not a
-    proof that no certificate exists.
+    Returns the certificate of the narrowest width in ``n+1..max_m`` that
+    has one, as a search trying the widths in order would, or None when no
+    width has one within ``max_rows`` rows.  A None is a bounded verdict,
+    not a proof that no certificate exists.
+
+    Sides of the distinguished color contribute nothing, so a certificate
+    of width m padded with one empty column on the right is a certificate
+    of width m+1: whether a width has a certificate is monotone in the
+    width.  The widths are therefore probed galloping from the narrow end,
+    at n+1, n+2, n+4, n+8, ... up to ``max_m``, and then bisected between
+    the last probe that failed and the first that succeeded.  A reject
+    costs O(log(max_m - n)) searches instead of one per width, and the
+    certificate returned is that of the narrowest width, found by the same
+    depth-first search as at that width alone.  All probes share one
+    column memo.
     """
     n, row0, arrow = parse_initial_shape(f0)
-    c0 = ts.distinguished
     deducer = _RowDeducer(ts)
-    for m in range(n + 1, max_m + 1):
-        # One entry per row under trial, bottom row first: the row's
-        # enumerator and the assignment it gave last.
-        stack = [[deducer.rows([c0] * (m - n), arrow), None]]
-        while stack:
-            entry = stack[-1]
-            assignment = next(entry[0], None)
-            if assignment is None:
-                stack.pop()
-                continue
-            entry[1] = assignment
-            y = len(stack) - 1
-            norths = [c0 if tile is None else tile.n for tile in assignment]
-            if y == 0:
-                norths = row0 + norths
-            if norths.count(c0) == len(norths):
-                return _certificate(stack, n, m)
-            if y < max_rows:
-                stack.append([deducer.rows(norths, c0), None])
+    # Every width up to ``low`` has no certificate.
+    low, step = n, 1
+    while True:
+        high = min(n + step, max_m)
+        if high <= low:
+            return None
+        found = _width_search(deducer, row0, arrow, high, max_rows)
+        if found is not None:
+            break
+        low, step = high, 2 * step
+    while high - low > 1:
+        mid = (low + high) // 2
+        certificate = _width_search(deducer, row0, arrow, mid, max_rows)
+        if certificate is None:
+            low = mid
+        else:
+            high, found = mid, certificate
+    return found
+
+
+def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
+                  m: int, max_rows: int) -> Optional[Certificate]:
+    """The first certificate of width ``m`` in depth-first order: rows are
+    deduced upwards until they become empty (success) or ``max_rows`` is
+    exceeded."""
+    n = len(row0) - 1
+    c0 = deducer.c0
+    # (pending row, height) pairs from which no rows finish.
+    dead: set[tuple] = set()
+    # One entry per row under trial, bottom row first: the row's
+    # enumerator, the assignment it gave last, and the pending row it
+    # cancels, None for the bottom row.
+    stack = [[deducer.rows([c0] * (m - n), arrow), None, None]]
+    while stack:
+        entry = stack[-1]
+        assignment = next(entry[0], None)
+        if assignment is None:
+            stack.pop()
+            if entry[2] is not None:
+                dead.add((tuple(entry[2]), len(stack)))
+            continue
+        entry[1] = assignment
+        y = len(stack) - 1
+        norths = [c0 if tile is None else tile.n for tile in assignment]
+        if y == 0:
+            norths = row0 + norths
+        if norths.count(c0) == len(norths):
+            return _certificate(stack, n, m)
+        if y < max_rows and not (dead and (tuple(norths), y + 1) in dead):
+            stack.append([deducer.rows(norths, c0), None, norths])
     return None
 
 
@@ -211,7 +267,7 @@ def _certificate(stack: list, n: int, m: int) -> Certificate:
     """The certificate of a completed row stack; its placements come out
     row-major, bottom row first."""
     placements = []
-    for y, (_, assignment) in enumerate(stack):
+    for y, (_, assignment, _) in enumerate(stack):
         x0 = n + 1 if y == 0 else 0
         placements.extend(Placement(tile, x0 + x, y)
                           for x, tile in enumerate(assignment)

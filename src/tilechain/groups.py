@@ -32,7 +32,8 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .documents import fields
 from .edges import (Ring, RingMismatch, SparseVector, Z, _canon,
                     _make_vector, _reduced, ring_from_name)
-from .modules import BadTerm, ModuleElement, SemimoduleInstance
+from .modules import (BadTerm, ModuleElement, SemimoduleInstance,
+                      non_int_term)
 
 Point = Tuple[int, int]
 FlowKey = Tuple[int, int, str]  # (x, y, 'H' horizontal | 'V' vertical)
@@ -646,12 +647,7 @@ def witness_to_submonoid_certificate(witness,
             gen, dx, dy = term
             coeff = 1
         if not type(gen) is type(dx) is type(dy) is type(coeff) is int:
-            name, value = next(
-                field for field in zip(("gen", "dx", "dy", "coeff"),
-                                       (gen, dx, dy, coeff))
-                if type(field[1]) is not int)
-            raise BadTerm(f"term {(gen, dx, dy, coeff)}: {name} {value!r} "
-                          f"is not an int")
+            raise non_int_term(gen, dx, dy, coeff)
         if not 0 <= gen < count:
             raise BadIndex(f"generator {gen} out of range")
         if coeff < 0:

@@ -52,7 +52,8 @@ class DuplicateShift(ValueError):
 
 
 class BadTerm(ValueError):
-    """A witness term names no generator or has a negative coefficient."""
+    """A witness term has a field that is not an int, names no generator or
+    has a negative coefficient."""
 
 
 EntryKey = tuple[int, int, int]  # (x, y, coordinate index)
@@ -236,19 +237,32 @@ SubsetPick = tuple[int, int, int]  # (gen, dx, dy)
 Window = tuple[int, int, int, int]  # inclusive (x0, y0, x1, y1)
 
 
+def non_int_term(gen, dx, dy, coeff) -> BadTerm:
+    """The error for a witness term with a field whose type is not exactly
+    ``int``, naming the first such field."""
+    name, value = next((name, value) for name, value in
+                       zip(("gen", "dx", "dy", "coeff"), (gen, dx, dy, coeff))
+                       if type(value) is not int)
+    return BadTerm(f"term {(gen, dx, dy, coeff)}: {name} {value!r} "
+                   f"is not an int")
+
+
 def eval_member_witness(instance: SemimoduleInstance,
                         terms: Iterable[WitnessTerm]) -> ModuleElement:
     """Sum of the terms' translated, scaled generators.
 
-    Raises :class:`BadTerm` for a term whose generator index is out of
-    range or whose coefficient is negative: a semimodule element is a
-    combination with coefficients in N.  The terms are summed into one
-    dict and reduced into the ring once, so the cost is linear in the
-    witness.
+    Raises :class:`BadTerm` for a term with a field whose type is not
+    exactly ``int`` (a bool or a float is not read as a number), whose
+    generator index is out of range or whose coefficient is negative: a
+    semimodule element is a combination with coefficients in N.  The
+    terms are summed into one dict and reduced into the ring once, so the
+    cost is linear in the witness.
     """
     gens = instance.generators
     sums: dict[EntryKey, int] = {}
     for gen, dx, dy, coeff in terms:
+        if not type(gen) is type(dx) is type(dy) is type(coeff) is int:
+            raise non_int_term(gen, dx, dy, coeff)
         if not 0 <= gen < len(gens):
             raise BadTerm(f"term {(gen, dx, dy, coeff)}: generator {gen} "
                           f"out of range")
@@ -266,17 +280,20 @@ def eval_subset_witness(instance: SemimoduleInstance,
     """Sum of the picks' translated generators, each read as a term with
     coefficient 1.
 
-    Raises :class:`DuplicateShift` for a translation used twice and
-    :class:`BadTerm` for a pick whose generator index is out of range.
+    Raises :class:`BadTerm` for a pick with a field that is not an
+    ``int`` or whose generator index is out of range, and then
+    :class:`DuplicateShift` for a translation used twice; the order keeps
+    ``True`` or ``1.0`` from being read as the translation 1.
     """
     picks = tuple(picks)
+    total = eval_member_witness(
+        instance, (WitnessTerm(gen, dx, dy, 1) for gen, dx, dy in picks))
     seen: set[tuple[int, int]] = set()
     for _, dx, dy in picks:
         if (dx, dy) in seen:
             raise DuplicateShift(f"translation ({dx}, {dy}) used twice")
         seen.add((dx, dy))
-    return eval_member_witness(
-        instance, (WitnessTerm(gen, dx, dy, 1) for gen, dx, dy in picks))
+    return total
 
 
 def verify_witness(instance: SemimoduleInstance, witness) -> bool:

@@ -1,5 +1,6 @@
 """Forced deduction against a plain recursive reference, and without recursion."""
 
+import functools
 import os
 import random
 import subprocess
@@ -7,8 +8,13 @@ import sys
 import textwrap
 from pathlib import Path
 
-from tilechain import EdgeMap, Z
-from tilechain.deduce import forced_search, parse_initial_shape
+import pytest
+
+from tilechain import (EdgeMap, Z, build_accepting_tiling, compile_tiles,
+                       initial_map, verify_zero)
+from tilechain.deduce import (_RowDeducer, _width_search, forced_search,
+                              parse_initial_shape)
+from tilechain.machines import right_walker, two_symbol_eraser, unary_eraser
 from tilechain.tiling import (ARROW_D, ARROW_R, C0, Certificate, Placement,
                               Tile, TilingSystem, letter, sort_placements)
 
@@ -46,6 +52,9 @@ def reference_forced_search(ts, f0, max_m, max_rows):
     for tile in ts.tiles:
         by_sw.setdefault((tile.s, tile.w), []).append(tile)
 
+    # The rows above a pending row depend on nothing but that row and its
+    # height, so each answer is cached; the first answer is the same.
+    @functools.cache
     def solve_rows(pending, y):
         if all(color == c0 for color in pending):
             return [], y - 1
@@ -53,7 +62,7 @@ def reference_forced_search(ts, f0, max_m, max_rows):
             return None
         for assignment in reference_assignments(by_sw, pending, c0, c0):
             norths = [tile.n if tile else c0 for tile in assignment]
-            sub = solve_rows(norths, y + 1)
+            sub = solve_rows(tuple(norths), y + 1)
             if sub is not None:
                 rows, top = sub
                 placed = [Placement(tile, x, y)
@@ -64,7 +73,7 @@ def reference_forced_search(ts, f0, max_m, max_rows):
     for m in range(n + 1, max_m + 1):
         for bottom in reference_assignments(by_sw, [c0] * (m - n), arrow, c0):
             pending = row0 + [tile.n if tile else c0 for tile in bottom]
-            sub = solve_rows(pending, 1)
+            sub = solve_rows(tuple(pending), 1)
             if sub is None:
                 continue
             rows, top = sub
@@ -80,11 +89,12 @@ LETTERS = [letter("p"), letter("q")]
 COLORS = (C0, ARROW_D, ARROW_R, *LETTERS)
 
 
-def planted_case(rng):
+def planted_case(rng, spare_widths=1, spare_rows=1):
     """A system holding the tiles of one random tiling over a random
     starting row, plus decoys that share a (south, west) pair with a
     planted tile and then run on to other colors, so rows branch and
-    often dead-end.  The bounds are drawn around the planted size."""
+    often dead-end.  The bounds are drawn from one below the planted size
+    to ``spare_widths`` and ``spare_rows`` above it."""
     n, extra, height = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
     row0 = [rng.choice(LETTERS) for _ in range(n)]
     sides = set()
@@ -100,14 +110,20 @@ def planted_case(rng):
             west = east
         souths = [ARROW_D] + row0 + norths if y == 0 else norths
         west = C0
-    for north, east, south, west in list(sides):
+    for north, east, south, west in sorted(sides):
         if rng.random() < 0.6:
             sides.add((rng.choice(COLORS), rng.choice(COLORS), south, west))
     tiles = [Tile(*key, name=f"t{i}") for i, key in enumerate(sorted(sides))]
     rng.shuffle(tiles)
     ts = TilingSystem(COLORS, tuple(tiles))
-    return (ts, shaped_map(row0), n + extra + rng.randint(-1, 1),
-            height + rng.randint(-1, 1))
+    return (ts, shaped_map(row0), n + extra + rng.randint(-1, spare_widths),
+            height + rng.randint(-1, spare_rows))
+
+
+def slack_case(rng):
+    """A planted case whose bounds may leave up to 8 widths and 4 rows
+    spare, so that galloping probes widths past the narrowest one."""
+    return planted_case(rng, spare_widths=8, spare_rows=4)
 
 
 def shaped_map(row):
@@ -155,3 +171,165 @@ def test_forced_search_needs_no_recursion():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "True"
+
+
+@functools.cache
+def slack_answers():
+    """Three hundred seeded slack cases with the reference's answers,
+    worked out once for the tests that share them."""
+    rng = random.Random(20261019)
+    cases = [slack_case(rng) for _ in range(300)]
+    return [(case, reference_forced_search(*case)) for case in cases]
+
+
+def test_slack_forced_search_matches_recursive_reference():
+    found = exhausted = past_first = 0
+    for (ts, f0, max_m, max_rows), expected in slack_answers():
+        assert forced_search(ts, f0, max_m, max_rows) == expected
+        if expected is None:
+            exhausted += 1
+        else:
+            found += 1
+            n = parse_initial_shape(f0)[0]
+            past_first += expected.width_m > n + 1
+    assert found >= 40 and exhausted >= 40 and past_first >= 20
+
+
+def test_certificates_persist_at_wider_widths():
+    # The lemma that galloping rests on: an empty column on the right keeps
+    # a certificate one.  Up to the narrowest width with a certificate the
+    # search finds none, from there it finds one, and so does the search
+    # one column wider; the narrowest certificate, padded out, cancels the
+    # map at every width up to the bound.  So whether the search finds a
+    # certificate never goes from yes to no as the width grows.  (Where the
+    # reference finds no width, every answer is no.)
+    turns = 0
+    for (ts, f0, max_m, max_rows), expected in slack_answers():
+        if expected is None:
+            continue
+        n, row0, arrow = parse_initial_shape(f0)
+        narrowest = expected.width_m
+        deducer = _RowDeducer(ts)
+        widths = range(n + 1, min(narrowest + 1, max_m) + 1)
+        seen = [_width_search(deducer, row0, arrow, m, max_rows) is not None
+                for m in widths]
+        assert seen == [m >= narrowest for m in widths]
+        turns += n + 1 < narrowest < max_m
+        for wider in range(narrowest, max_m + 1):
+            padded = Certificate(expected.placements, wider, expected.rows)
+            assert verify_zero(f0, padded, ts)
+    assert turns >= 20
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_narrowest_width_anywhere_in_the_bounds(length):
+    # The bottom row is a chain of ``length`` tiles linked by their east
+    # colors, so the narrowest certificate is ``length`` columns past the
+    # word, and every wider width has it padded.  Over the lengths the
+    # narrowest width is a galloping probe or lies between two of them,
+    # up to the capped last probe.
+    p = letter("p")
+    links = [letter(f"k{i}") for i in range(1, length)]
+    wests, easts = [ARROW_R, *links], [*links, C0]
+    tiles = [Tile(C0, east, C0, west) for west, east in zip(wests, easts)]
+    tiles += [Tile(C0, C0, ARROW_D, C0), Tile(C0, C0, p, C0)]
+    ts = TilingSystem((C0, ARROW_D, ARROW_R, p, *links), tuple(tiles))
+    f0 = shaped_map([p, p])
+    expected = reference_forced_search(ts, f0, 2 + 12, 2)
+    assert expected.width_m == 2 + length
+    assert forced_search(ts, f0, 2 + 12, 2) == expected
+
+
+def test_dead_row_is_dead_at_its_height_only():
+    # Over the bottom tile u, two rows lead to the row r at height 3, too
+    # high to finish within three rows; over v, one row leads to the same
+    # row r at height 2, where it finishes.  Only the second is a
+    # certificate, and the search meets r at height 3 first.
+    p, u, v, w, r, s = (letter(c) for c in "puvwrs")
+    tiles = [Tile(u, C0, C0, ARROW_R), Tile(v, C0, C0, ARROW_R),
+             Tile(C0, C0, ARROW_D, C0), Tile(C0, C0, p, C0),
+             Tile(w, C0, u, C0), Tile(r, C0, w, C0), Tile(r, C0, v, C0),
+             Tile(s, C0, r, C0), Tile(C0, C0, s, C0)]
+    ts = TilingSystem((C0, ARROW_D, ARROW_R, p, u, v, w, r, s), tuple(tiles))
+    f0 = shaped_map([p])
+    expected = reference_forced_search(ts, f0, 2, 3)
+    assert expected is not None and expected.rows == 3
+    assert forced_search(ts, f0, 2, 3) == expected
+
+
+MACHINES = {"unary": unary_eraser, "two-symbol": two_symbol_eraser,
+            "walker": right_walker}
+
+
+def corpus_cases():
+    """Corpus machines with bounds that leave spare widths: accepted words
+    up to 8 widths and 4 rows past their certificate, and rejected words
+    at the smallest bounds the certify benchmark gives its rejects."""
+    cases = [("unary", "a" * k, spare)
+             for k in range(1, 7) for spare in (0, 3, 8)]
+    cases += [("two-symbol", word, 8) for word in ("ab", "aab", "abb", "abab")]
+    cases += [("two-symbol", word, 12) for word in ("b", "ba", "bab", "bba")]
+    cases += [("walker", "a" * k, 14) for k in range(1, 4)]
+    return cases
+
+
+@pytest.mark.parametrize("machine,word,spare", corpus_cases())
+def test_corpus_with_spare_widths_matches_reference(machine, word, spare):
+    tm = MACHINES[machine]()
+    ts, f0 = compile_tiles(tm), initial_map(tm, word)
+    built = build_accepting_tiling(tm, word, 8 * len(word) + 32)
+    if built is None:
+        max_m, max_rows = len(word) + spare, spare
+    else:
+        max_m, max_rows = built.width_m + spare, built.rows + spare // 2
+    expected = reference_forced_search(ts, f0, max_m, max_rows)
+    assert (expected is None) == (built is None)
+    assert forced_search(ts, f0, max_m, max_rows) == expected
+
+
+class TestRowsOpened:
+    """Row enumerations one rejected search opens, counted by wrapping
+    ``_RowDeducer.rows``."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        calls = []
+        rows = _RowDeducer.rows
+
+        def counted(deducer, souths, west):
+            calls.append(souths)
+            return rows(deducer, souths, west)
+
+        monkeypatch.setattr(_RowDeducer, "rows", counted)
+        return calls
+
+    # A search per width from n+1 up opened 39,709 and 1,976 rows on these
+    # two inputs; probing the widths opens 2,673 and 501.
+    @pytest.mark.parametrize("tm,word,max_m,max_rows,threshold", [
+        (right_walker(), "aa", 62, 60, 3000),
+        (two_symbol_eraser(), "bab", 23, 20, 600),
+    ], ids=("walker-aa", "two-symbol-bab"))
+    def test_widths_are_probed_not_walked(self, opened, tm, word, max_m,
+                                          max_rows, threshold):
+        ts, f0 = compile_tiles(tm), initial_map(tm, word)
+        assert forced_search(ts, f0, max_m, max_rows) is None
+        assert 0 < len(opened) <= threshold
+
+    def test_pending_row_reached_many_ways_is_searched_once(self, opened):
+        # The row over p^10 has 2^10 assignments, one per choice of wire
+        # colors, and every one exposes the same row of q's, on which no
+        # tile sits.  That row is searched once per width probed, not once
+        # per assignment.
+        p, q, a, b = letter("p"), letter("q"), letter("A"), letter("B")
+        tiles = [Tile(C0, C0, C0, ARROW_R, name="start")]
+        tiles += [Tile(q, east, ARROW_D, C0) for east in (a, b)]
+        tiles += [Tile(q, east, p, west)
+                  for west in (a, b) for east in (a, b, C0)]
+        ts = TilingSystem((C0, ARROW_D, ARROW_R, p, q, a, b), tuple(tiles))
+        f0 = shaped_map([p] * 10)
+        assert reference_forced_search(ts, f0, 16, 4) is None
+        assert forced_search(ts, f0, 16, 4) is None
+        # Three rows per probe, at widths 11, 12, 14 and 16: the bottom
+        # row, the row over the word and the dead row of q's.  Without the
+        # skip it is 2 + 2^10 per probe.
+        assert len(opened) == 12

@@ -264,6 +264,40 @@ class TestWitnessEvaluation:
                 verify_witness(subset, ((gen, 0, 0),))
         assert isinstance(BadTerm("x"), ValueError)
 
+    @pytest.mark.parametrize("field", range(4),
+                             ids=("gen", "dx", "dy", "coeff"))
+    @pytest.mark.parametrize("value", (True, False, 1.0, 0.5),
+                             ids=("true", "false", "float", "half"))
+    def test_non_int_field_is_refused(self, field, value):
+        # A bool is an int subclass and 1.0 == 1, so neither may be read as
+        # a number: the text is the one the certificate conversion uses.
+        f = unit(Z, 1, 0, 0, 0)
+        inst = SemimoduleInstance(Z, 1, (f,), f.translate(1, 0))
+        term = [0, 1, 0, 1]
+        term[field] = value
+        name = ("gen", "dx", "dy", "coeff")[field]
+        text = (rf"term \({', '.join(map(str, term))}\): {name} {value!r} "
+                rf"is not an int")
+        with pytest.raises(BadTerm, match=text):
+            verify_witness(inst, (WitnessTerm(0, 1, 0, 1),
+                                  WitnessTerm(*term)))
+        with pytest.raises(BadTerm, match=text):
+            eval_member_witness(inst, (tuple(term),))
+        if field == 3:
+            return
+        ring = Ring(2)
+        g = unit(ring, 1, 0, 0, 0)
+        subset = SemimoduleInstance(ring, 1, (g,), g.translate(1, 0),
+                                    mode="subset-sum")
+        pick = tuple(term[:3])
+        text = (rf"term \({', '.join(map(str, pick))}, 1\): {name} "
+                rf"{value!r} is not an int")
+        with pytest.raises(BadTerm, match=text):
+            verify_witness(subset, (pick,))
+        # Read as ints, the two picks may repeat the translation (1, 0).
+        with pytest.raises(BadTerm, match=text):
+            eval_subset_witness(subset, ((0, 1, 0), pick))
+
     def test_negative_coefficient_is_refused(self):
         f = unit(Z, 1, 0, 0, 0)
         # -f is not a nonnegative combination of f, whatever the witness.
