@@ -41,17 +41,9 @@ width nor the height of a certificate meets the interpreter's recursion
 limit.  When a choice in one row leads nowhere in the rows above it, the
 stack pops back to that row's next assignment, so the first completed stack
 of rows is the certificate a recursive depth-first search finds first.
-
-Whether the rows above a pending row can be finished depends only on that
-row and its height, not on the rows below that exposed it.  So a pending
-row whose every assignment led nowhere is kept as dead at its height, and
-a row that exposes it there again is not searched again.  The skip drops
-only branches that would fail, so the certificate found is the same, but
-a system whose rows expose one pending row in many ways no longer pays
-for it once per way.  Pending rows of different widths never meet, so the
-dead rows belong to one width's search.  The column memo belongs to one
-``forced_search`` call and serves every width it probes: it is built
-lazily as rows are deduced and dropped when the call returns.
+The memo belongs to one ``forced_search`` call and serves every width it
+probes: it is built lazily as rows are deduced and dropped when the call
+returns.
 """
 
 from __future__ import annotations
@@ -203,10 +195,10 @@ def forced_search(ts: TilingSystem, f0: EdgeMap, max_m: int,
     width.  The widths are therefore probed galloping from the narrow end,
     at n+1, n+2, n+4, n+8, ... up to ``max_m``, and then bisected between
     the last probe that failed and the first that succeeded.  A reject
-    costs O(log(max_m - n)) searches instead of one per width, and the
-    certificate returned is that of the narrowest width, found by the same
-    depth-first search as at that width alone.  All probes share one
-    column memo.
+    costs about log2(max_m - n) + 1 searches instead of one per width,
+    and an accept at most about twice that.  The certificate returned is
+    that of the narrowest width, found by the same depth-first search as
+    at that width alone.  All probes share one column memo.
     """
     n, row0, arrow = parse_initial_shape(f0)
     deducer = _RowDeducer(ts)
@@ -237,19 +229,14 @@ def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
     exceeded."""
     n = len(row0) - 1
     c0 = deducer.c0
-    # (pending row, height) pairs from which no rows finish.
-    dead: set[tuple] = set()
     # One entry per row under trial, bottom row first: the row's
-    # enumerator, the assignment it gave last, and the pending row it
-    # cancels, None for the bottom row.
-    stack = [[deducer.rows([c0] * (m - n), arrow), None, None]]
+    # enumerator and the assignment it gave last.
+    stack = [[deducer.rows([c0] * (m - n), arrow), None]]
     while stack:
         entry = stack[-1]
         assignment = next(entry[0], None)
         if assignment is None:
             stack.pop()
-            if entry[2] is not None:
-                dead.add((tuple(entry[2]), len(stack)))
             continue
         entry[1] = assignment
         y = len(stack) - 1
@@ -258,8 +245,8 @@ def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
             norths = row0 + norths
         if norths.count(c0) == len(norths):
             return _certificate(stack, n, m)
-        if y < max_rows and not (dead and (tuple(norths), y + 1) in dead):
-            stack.append([deducer.rows(norths, c0), None, norths])
+        if y < max_rows:
+            stack.append([deducer.rows(norths, c0), None])
     return None
 
 
@@ -267,7 +254,7 @@ def _certificate(stack: list, n: int, m: int) -> Certificate:
     """The certificate of a completed row stack; its placements come out
     row-major, bottom row first."""
     placements = []
-    for y, (_, assignment, _) in enumerate(stack):
+    for y, (_, assignment) in enumerate(stack):
         x0 = n + 1 if y == 0 else 0
         placements.extend(Placement(tile, x0 + x, y)
                           for x, tile in enumerate(assignment)
