@@ -16,6 +16,16 @@ generator's flattened lamp pattern at the current position.
 The module provides the expression (AST, text form, Thompson NFA),
 witness-to-word compilation, and a bounded breadth-first membership
 search over (automaton state, group element) pairs.
+
+The search keys a pair as ``(subset, x, y, code)``: the cursor position
+and the lamp table packed into one int (:class:`_LampCode`).  The lamp at
+(a, b) is one fixed-width digit, ``(n - 1).bit_length()`` bits over Z/n
+and sign and magnitude over Z, wide enough for the length bound times the
+largest lamp of a letter.  Digits are placed by Szudzik's pairing of the
+zigzagged coordinates, so a code stays as small as the lamps it lights
+whatever the bound.  A letter's product is one digit add per lamp it
+lights, and the visited set hashes and compares ints; group elements are
+built only for the answers.
 """
 
 from __future__ import annotations
@@ -26,12 +36,13 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 from typing import Dict, Iterable, Iterator, Optional
 
 from .documents import fields
-from .edges import Ring, ring_from_name
-from .groups import (UnboundSymbol, WreathElement, _bound, _power,
-                     embed_module, wreath_eval, wreath_identity)
+from .edges import Ring, RingMismatch, ring_from_name
+from .groups import (Point, UnboundSymbol, WreathElement, _bound, _power,
+                     embed_module, wreath_eval)
 from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
 
 
@@ -468,15 +479,118 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
                             target)
 
 
-def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement], ring: Ring,
-                max_len: int, position, needed=None) -> Iterator[tuple]:
+def _lamp_index(a: int, b: int) -> int:
+    """The digit index of lamp (a, b): Szudzik's pairing of the zigzag
+    codes of a and b.  The lamps at most r steps from the origin along
+    either axis take the first (2r + 1)² indices, so a code grows with the
+    lamps lit, not with a length bound."""
+    u = a + a if a >= 0 else -a - a - 1
+    v = b + b if b >= 0 else -b - b - 1
+    return v * v + u if u < v else u * u + u + v
+
+
+def _lamp_at(index: int) -> Point:
+    """The lamp whose digit index is ``index``: the inverse of
+    :func:`_lamp_index`."""
+    s = isqrt(index)
+    r = index - s * s
+    u, v = (r, s) if r < s else (s, r - s)
+    return (u >> 1) ^ -(u & 1), (v >> 1) ^ -(v & 1)
+
+
+class _LampCode:
+    """Lamp tables as ints: the lamp at (a, b) is the digit at index
+    :func:`_lamp_index` ``(a, b)``, ``width`` bits wide.
+
+    Over Z/n a digit is the residue, ``(n - 1).bit_length()`` bits.  Over
+    Z it is sign and magnitude: the sign bit above enough magnitude bits
+    for ``max_len`` times the largest |lamp| of any letter, and for every
+    lamp of the ``fixed`` elements (a search's target).  A walk of at most
+    ``max_len`` letters changes a lamp by at most that much, so no digit
+    overflows.  A zero lamp is the digit 0 either way, so a table has one
+    code, and equal tables are equal ints."""
+
+    __slots__ = ("ring", "modulus", "width", "mask", "sign")
+
+    def __init__(self, ring: Ring, letters: Iterable[WreathElement],
+                 max_len: int, fixed: Iterable[WreathElement] = ()):
+        self.ring, self.modulus = ring, ring.modulus
+        if self.modulus is None:
+            most = max([max_len * abs(v) for value in letters
+                        for v in value.fun().values()]
+                       + [abs(v) for value in fixed
+                          for v in value.fun().values()], default=0)
+            self.sign = 1 << most.bit_length()
+            self.width = most.bit_length() + 1
+        else:
+            self.sign = 0
+            self.width = (self.modulus - 1).bit_length()
+        self.mask = (1 << self.width) - 1
+
+    def add(self, code: int, a: int, b: int, value: int) -> int:
+        """``code`` with ``value`` added to lamp (a, b) in the ring: one
+        digit read and one digit written."""
+        shift = _lamp_index(a, b) * self.width
+        digit = code >> shift & self.mask
+        if self.modulus is not None:
+            total = (digit + value) % self.modulus
+        else:
+            total = self.lamp(digit) + value
+            if total < 0:
+                total = self.sign - total
+        return code + (total - digit << shift)
+
+    def lamp(self, digit: int) -> int:
+        """The lamp a digit holds: over Z a set sign bit negates the
+        magnitude below it."""
+        return -(digit ^ self.sign) if digit & self.sign else digit
+
+    def encode(self, fun: Dict[Point, int]) -> int:
+        code = 0
+        for (a, b), value in fun.items():
+            code = self.add(code, a, b, value)
+        return code
+
+    def indices(self, code: int) -> list[int]:
+        """The indices of the nonzero digits of ``code``, lowest first."""
+        found, width, index = [], self.width, 0
+        while code:
+            skip = ((code & -code).bit_length() - 1) // width
+            index += skip
+            found.append(index)
+            code >>= (skip + 1) * width
+            index += 1
+        return found
+
+    def decode(self, code: int) -> Dict[Point, int]:
+        """The lamp table of ``code``: the inverse of :meth:`encode`."""
+        return {_lamp_at(index): self.lamp(code >> index * self.width
+                                           & self.mask)
+                for index in self.indices(code)}
+
+
+def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement],
+                lamps: _LampCode, max_len: int, position,
+                needed=None) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
     frontier pair by the letters of ``nfa.alphabet()`` in order.  For a
     Thompson automaton that is the order in which the letters first appear
     in the expression, as each literal's edge is added left to right.
 
-    Yields ``(accepting, element, word)`` once per distinct pair, where
+    A pair is keyed ``(subset, x, y, code)``: the cursor position and the
+    lamp table as one int of the layout ``lamps`` (see
+    :class:`_LampCode`).  A letter's product is its shift added to the
+    position and one digit add per lamp it lights, at the lamp's offset
+    from the position before the move; the visited set hashes and compares
+    ints, and no group element is built.  A digit is
+    ``(n - 1).bit_length()`` bits over Z/n, or a sign bit over enough
+    magnitude bits for ``max_len`` times the largest lamp of a letter over
+    Z.  Digits are placed by Szudzik's pairing of the zigzagged
+    coordinates, so a code whose lamps lie within r steps of the origin
+    has at most (2r + 1)² digits, however large ``max_len`` is.
+
+    Yields ``(accepting, x, y, code, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
     pairs have identical futures (evaluation is a homomorphism), so the
     exact visited set loses nothing.
@@ -486,54 +600,63 @@ def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement], ring: Ring,
     left is dropped before it enters the visited set, so the set holds
     only the pairs yielded.  ``position(subset, x, y)`` sees the cursor
     position alone: the walk adds the letter's shift to the frontier
-    element's position and asks it before the product ``element * value``
-    is built, so a dropped extension costs no product.  ``needed(subset,
-    element)``, when given, is asked after the product, only for the
-    extensions the position test lets through; it must be at least the
-    position test at the element's position.  The position test then
-    never drops an extension that ``needed`` keeps, and the walk visits
-    exactly what ``needed`` alone would let it visit.  A negative
-    ``max_len`` is refused.
+    pair's position and asks it before any lamp add, so a dropped
+    extension costs no product.  ``needed(subset, x, y, code)``, when
+    given, is asked after the lamp adds, only for the extensions the
+    position test lets through; it must be at least the position test at
+    (x, y).  The position test then never drops an extension that
+    ``needed`` keeps, and the walk visits exactly what ``needed`` alone
+    would let it visit.  A negative ``max_len`` is refused.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
-    moves = [(letter, _bound(bindings, letter))
-             for letter in nfa.alphabet()]
+    moves = []
+    for letter in nfa.alphabet():
+        value = _bound(bindings, letter)
+        if value.ring != lamps.ring:
+            raise RingMismatch(f"{value.ring.name} binding for {letter!r} "
+                               f"in a {lamps.ring.name} search")
+        moves.append((letter, *value.pos, tuple(
+            (a, b, v) for (a, b), v in value.fun().items())))
+    add = lamps.add
     sim = _compiled(nfa)
-    start = (sim.start(), wreath_identity(ring))
-    yield sim.accepting(start[0]), start[1], None
+    start = (sim.start(), 0, 0, 0)
+    yield sim.accepting(start[0]), 0, 0, 0, None
     frontier = [(*start, None)]
     visited = {start}
     arrows: Dict[frozenset[int], list[tuple]] = {}
     for layer in range(max_len):
         remaining = max_len - layer - 1
         next_frontier = []
-        for states, element, word in frontier:
+        for states, px, py, code, word in frontier:
             out = arrows.get(states)
             if out is None:
                 # The live letters of a subset, in order, with their
-                # shifts, the subset each one leads to and whether that
-                # subset accepts.
+                # shifts and lamps, the subset each one leads to and
+                # whether that subset accepts.
                 out = arrows[states] = [
-                    (letter, value, *value.pos, moved, sim.accepting(moved))
-                    for letter, value in moves
+                    (letter, sx, sy, lit, moved, sim.accepting(moved))
+                    for letter, sx, sy, lit in moves
                     if (moved := sim.step(states, letter))]
-            px, py = element.pos
-            for letter, value, sx, sy, moved, accepting in out:
-                if position(moved, px + sx, py + sy) > remaining:
+            for letter, sx, sy, lit, moved, accepting in out:
+                x, y = px + sx, py + sy
+                if position(moved, x, y) > remaining:
                     continue
-                extended = element * value
-                if needed is not None and needed(moved, extended) > remaining:
+                extended = code
+                for a, b, value in lit:
+                    extended = add(extended, px + a, py + b, value)
+                if needed is not None and \
+                        needed(moved, x, y, extended) > remaining:
                     continue
                 # One hash per pair: a pair already visited leaves the
                 # set's size unchanged.
                 size = len(visited)
-                visited.add((moved, extended))
+                visited.add((moved, x, y, extended))
                 if len(visited) == size:
                     continue
                 grown = (word, letter)
-                yield accepting, extended, grown
-                next_frontier.append((moved, extended, grown))
+                yield accepting, x, y, extended, grown
+                next_frontier.append((moved, x, y, extended, grown))
         frontier = next_frontier
 
 
@@ -551,6 +674,9 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     max_dx = max((abs(sx) for sx, _ in steps), default=0) or 1
     max_dy = max((abs(sy) for _, sy in steps), default=0) or 1
     axis_moves_only = all(sx == 0 or sy == 0 for sx, sy in steps)
+    if axis_moves_only and max_dx == max_dy == 1:
+        # Unit steps, as in the sweep language over rank 1: no division.
+        return lambda dx, dy: abs(dx) + abs(dy)
 
     def distance(dx: int, dy: int) -> int:
         need_x = -(-abs(dx) // max_dx)
@@ -561,13 +687,15 @@ def _cursor_distance(steps: list[tuple[int, int]]):
 
 
 def _search_bounds(nfa: Nfa, bindings: Dict[str, WreathElement],
-                   target: WreathElement):
+                   target: WreathElement, lamps: _LampCode):
     """The two pruning hooks of a search for ``target`` over ``nfa``, the
-    walk's own automaton: ``(position, needed)`` for :func:`_sweep_walk`.
+    walk's own automaton: ``(position, needed)`` for :func:`_sweep_walk`,
+    whose pairs hold lamp tables in the layout ``lamps``.
 
-    ``needed(subset, element)`` is a lower bound on the length of every
+    ``needed(subset, x, y, code)`` is a lower bound on the length of every
     word ``v`` that takes ``subset`` to an accepting subset and has
-    ``element * eval(v) == target``.  It is ``max(A, P + T)``:
+    ``element * eval(v) == target``, where ``element`` is at (x, y) with
+    lamp table ``code``.  It is ``max(A, P + T)``:
 
     * A, automaton distance: each letter of ``v`` crosses one labelled
       edge of the Thompson automaton, so ``|v|`` is at least the fewest
@@ -576,20 +704,22 @@ def _search_bounds(nfa: Nfa, bindings: Dict[str, WreathElement],
       count per state once per automaton (:func:`_final_distances`); the
       compiled automaton keeps the minimum per interned subset.
     * P, plants: let D be the lamps where ``element`` and ``target``
-      differ.  A plant letter does not move and lights at most ``most``
-      lamps, a move letter lights none, so ``v`` holds at least
-      ``ceil(|D| / most)`` plant letters.
+      differ, the nonzero digits of ``code`` xor the target's code.  A
+      plant letter does not move and lights at most ``most`` lamps, a
+      move letter lights none, so ``v`` holds at least ``ceil(|D| /
+      most)`` plant letters.
     * T, lamp tour: a plant with lamp offsets R changes lamp l only from
       a cursor position q in ``l - R``, and only move letters move the
-      cursor.  So for every l in D the cursor goes from ``element.pos`` to
-      some such q and on to ``target.pos``, and ``v`` holds at least
-      ``d(pos, q) + d(q, target.pos)`` move letters, minimised over q and
+      cursor.  So for every l in D the cursor goes from (x, y) to some
+      such q and on to ``target.pos``, and ``v`` holds at least ``d((x,
+      y), q) + d(q, target.pos)`` move letters, minimised over q and
       maximised over l (with ``d`` from :func:`_cursor_distance`).  For
-      empty D the cursor still has to get home: ``d(pos, target.pos)``.
+      empty D the cursor still has to get home: ``d((x, y),
+      target.pos)``.  P + T is kept per ``(x, y, code)``.
 
     ``position(subset, x, y)`` is ``max(A, d((x, y) - target.pos))``.
-    Both are terms of the bound, so it is at most ``needed(subset,
-    element)`` for every element at (x, y).
+    Both are terms of the bound, so it is at most ``needed(subset, x, y,
+    code)`` for every code.
 
     Plant and move letters are distinct, so P + T counts distinct letters.
     A letter that both moves and lights lamps (possible in a loaded
@@ -603,45 +733,40 @@ def _search_bounds(nfa: Nfa, bindings: Dict[str, WreathElement],
     distance = _cursor_distance([value.pos for value in values])
     plants = [value.support() for value in values if value.support()]
     most = max(map(len, plants), default=0)
-    reach = {offset for lamps in plants for offset in lamps}
-    goal = target.fun()
+    reach = {offset for lit in plants for offset in lit}
+    goal = lamps.encode(target.fun())
     tx, ty = target.pos
-    spots: Dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    tours: Dict[WreathElement, int] = {}
+    legs: Dict[tuple[int, int, int], int] = {}
+    tours: Dict[tuple[int, int, int], int] = {}
 
     def position(subset: frozenset[int], x: int, y: int) -> int:
         return max(automaton(subset), distance(x - tx, y - ty))
 
-    def cursor_spots(a: int, b: int) -> list[tuple[int, int, int]]:
-        # The positions a plant can change lamp (a, b) from, each with the
-        # letters from there to the target's position.
-        found = spots.get((a, b))
-        if found is None:
-            found = spots[a, b] = [(a - ra, b - rb,
-                                    distance(a - ra - tx, b - rb - ty))
-                                   for ra, rb in reach]
-        return found
-
-    def plants_and_tour(element: WreathElement) -> int:
-        lamps = element.fun()
-        differ = [lamp for lamp, value in lamps.items()
-                  if goal.get(lamp) != value]
-        differ += [lamp for lamp in goal if lamp not in lamps]
-        px, py = element.pos
-        tour = distance(px - tx, py - ty)
+    def plants_and_tour(x: int, y: int, code: int) -> int:
+        differ = lamps.indices(code ^ goal)
+        tour = distance(x - tx, y - ty)
         if not differ:
             return tour
         if not most:
             return _NEVER
-        for a, b in differ:
-            tour = max(tour, min(distance(px - qx, py - qy) + back
-                                 for qx, qy, back in cursor_spots(a, b)))
+        for index in differ:
+            # The fewest moves from (x, y) to a position a plant can
+            # change the lamp of digit ``index`` from, and on to the
+            # target's position.
+            leg = legs.get((x, y, index))
+            if leg is None:
+                a, b = _lamp_at(index)
+                leg = legs[x, y, index] = min(
+                    distance(x - a + ra, y - b + rb)
+                    + distance(a - ra - tx, b - rb - ty) for ra, rb in reach)
+            if leg > tour:
+                tour = leg
         return -(-len(differ) // most) + tour
 
-    def needed(subset: frozenset[int], element: WreathElement) -> int:
-        tour = tours.get(element)
+    def needed(subset: frozenset[int], x: int, y: int, code: int) -> int:
+        tour = tours.get((x, y, code))
         if tour is None:
-            tour = tours[element] = plants_and_tour(element)
+            tour = tours[x, y, code] = plants_and_tour(x, y, code)
         return max(automaton(subset), tour)
 
     return position, needed
@@ -654,14 +779,14 @@ def rational_member_bounded(expr: RationalExpr,
     """Breadth-first search for a shortest accepted word evaluating to the
     target, over words of length at most ``max_len``.
 
-    Returns the first accepting pair of :func:`_sweep_walk` whose element
-    is the target, so the word is the first shortest one in its order.
-    Only that word is spelled out, and it is re-evaluated before being
-    handed back.
+    Returns the first accepting pair of :func:`_sweep_walk` at the
+    target's position and lamp code, so the word is the first shortest
+    one in its order.  Only that word is spelled out, and it is
+    re-evaluated with ``wreath_eval`` before being handed back.
 
     The walk is pruned by the bound of :func:`_search_bounds`, with its
     position test asked first so that most pruned extensions cost no
-    product; as that test never exceeds the full bound, the walk keeps
+    lamp add; as that test never exceeds the full bound, the walk keeps
     what the full bound keeps.  The word stays the one the unpruned walk
     returns: the shortest accepted word for the target that comes first
     in the walk's letter order.  Let ``w`` be that word, of
@@ -677,10 +802,14 @@ def rational_member_bounded(expr: RationalExpr,
     ``max_len`` none comes at all.
     """
     nfa = regex_to_nfa(expr)
-    for accepting, element, word in _sweep_walk(
-            nfa, bindings, ring, max_len,
-            *_search_bounds(nfa, bindings, target)):
-        if accepting and element == target:
+    lamps = _LampCode(ring, [_bound(bindings, letter)
+                             for letter in nfa.alphabet()],
+                      max_len, (target,))
+    goal = (*target.pos, lamps.encode(target.fun()))
+    for accepting, x, y, code, word in _sweep_walk(
+            nfa, bindings, lamps, max_len,
+            *_search_bounds(nfa, bindings, target, lamps)):
+        if accepting and (x, y, code) == goal:
             letters = []
             while word is not None:
                 word, letter = word
@@ -702,17 +831,20 @@ def enumerate_zero_position_hits(expr: RationalExpr,
 
     Runs the walk of :func:`_sweep_walk` to the end.  Branches whose
     position cannot return to the origin within the remaining length
-    budget are pruned by the position test alone, before their product is
-    built: :func:`_cursor_distance` is a true lower bound on the letters
-    that move the position back, so no in-budget word is lost.
+    budget are pruned by the position test alone, before any lamp add:
+    :func:`_cursor_distance` is a true lower bound on the letters that
+    move the position back, so no in-budget word is lost.  Each distinct
+    lamp code hit is decoded into a group element once.
     """
     nfa = regex_to_nfa(expr)
-    distance = _cursor_distance([_bound(bindings, letter).pos
-                                 for letter in nfa.alphabet()])
-    return {element for accepting, element, _ in
-            _sweep_walk(nfa, bindings, ring, max_len,
-                        lambda subset, x, y: distance(x, y))
-            if accepting and element.pos == (0, 0)}
+    values = [_bound(bindings, letter) for letter in nfa.alphabet()]
+    lamps = _LampCode(ring, values, max_len)
+    distance = _cursor_distance([value.pos for value in values])
+    codes = {code for accepting, x, y, code, _ in
+             _sweep_walk(nfa, bindings, lamps, max_len,
+                         lambda subset, x, y: distance(x, y))
+             if accepting and x == 0 == y}
+    return {WreathElement(ring, lamps.decode(code)) for code in codes}
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,16 @@ def test_searches_have_no_recursion():
 
 
 def test_rational_searches_have_no_recursion():
-    # The sweep walk, the two searches on it, the bound builders and the
-    # compiled automaton (the methods of _NfaSim included) must not
-    # recurse either.  They are checked by name: the expression parser
-    # and printer in rational.py recurse over the syntax tree, which is
-    # legitimate.
+    # The sweep walk, the two searches on it, the bound builders, the
+    # compiled automaton (the methods of _NfaSim included) and the lamp
+    # code (its encoder, decoder and digit add, the methods of _LampCode)
+    # must not recurse either.  They are checked by name: the expression
+    # parser and printer in rational.py recurse over the syntax tree,
+    # which is legitimate.
     names = {"_sweep_walk", "rational_member_bounded",
              "enumerate_zero_position_hits", "_search_bounds",
-             "_cursor_distance", "_compiled", "_final_distances", "_NfaSim"}
+             "_cursor_distance", "_compiled", "_final_distances", "_NfaSim",
+             "_lamp_index", "_lamp_at", "_LampCode"}
     tree = ast.parse((SRC / "rational.py").read_text())
     funcs = [node for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))

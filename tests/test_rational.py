@@ -9,7 +9,7 @@ import random
 import pytest
 
 from tilechain.compiler import compile_tiles, initial_map
-from tilechain.edges import Ring, Z
+from tilechain.edges import Ring, RingMismatch, Z, ring_from_name
 from tilechain.groups import (UnboundSymbol, WreathElement, _make_element,
                               wreath_eval, wreath_identity)
 from tilechain.engine import build_accepting_tiling
@@ -42,7 +42,9 @@ from tilechain.rational import (
     regex_to_nfa,
     word_plants,
 )
-from tilechain.rational import _NEVER, _NfaSim, _compiled, _search_bounds
+from tilechain import rational
+from tilechain.rational import (_NEVER, _LampCode, _NfaSim, _compiled,
+                                _lamp_at, _lamp_index, _search_bounds)
 
 
 def subset_instance(ring, target, gens=None):
@@ -408,6 +410,16 @@ class TestBoundedSearch:
         with pytest.raises(UnboundSymbol, match="no binding for 'g0'"):
             rational_member_bounded(rat.expr, bindings, rat.target, 3, ring)
 
+    def test_binding_over_another_ring(self):
+        ring = Ring(2)
+        rat = make_rational_instance(subset_instance(ring,
+                                                     unit(ring, 1, 0, 0, 0)))
+        bindings = dict(rat.bindings, g0=WreathElement(Ring(3), {(0, 0): 1}))
+        with pytest.raises(RingMismatch, match="Zmod:3 binding for 'g0'"):
+            rational_member_bounded(rat.expr, bindings, rat.target, 5, ring)
+        with pytest.raises(RingMismatch, match="Zmod:3 binding for 'g0'"):
+            enumerate_zero_position_hits(rat.expr, bindings, ring, 5)
+
 
 class TestEnumeration:
     def test_short_words_only_reach_identity(self):
@@ -683,7 +695,7 @@ class TestPruningKeepsTheAnswer:
         ring = Ring(3)
         rat = loaded_instance(ring, (1, 1), (1, 0), (((0, 0), 1),))
         nfa = regex_to_nfa(rat.expr)
-        position, needed = _search_bounds(
+        position, needed = search_hooks(
             nfa, rat.bindings, wreath_eval("g0 g0 x", rat.bindings, ring))
         assert needed is None
         sim = _NfaSim(nfa)
@@ -714,10 +726,24 @@ def bound_instances():
     yield loaded_instance(three, (1, 1), (0, 0), (((0, 0), 1), ((1, 0), 1)))
 
 
+def search_hooks(nfa, bindings, target, max_len=6):
+    """The hooks of :func:`_search_bounds` for a walk of at most
+    ``max_len`` letters, with ``needed`` read at a (subset, element) pair:
+    the element goes through the walk's lamp encoder first."""
+    lamps = _LampCode(target.ring, [bindings[letter]
+                                    for letter in nfa.alphabet()],
+                      max_len, (target,))
+    position, needed = _search_bounds(nfa, bindings, target, lamps)
+    if needed is None:
+        return position, None
+    return position, lambda subset, element: needed(
+        subset, *element.pos, lamps.encode(element.fun()))
+
+
 def lamp_bound(nfa, bindings, target):
     """The ``needed`` hook of :func:`_search_bounds`, for bindings whose
-    plants do not move."""
-    _, needed = _search_bounds(nfa, bindings, target)
+    plants do not move, read at a (subset, element) pair."""
+    _, needed = search_hooks(nfa, bindings, target)
     assert needed is not None
     return needed
 
@@ -770,8 +796,8 @@ class TestLowerBound:
                     element = element * rat.bindings[letter]
                     path.append((states, element))
                 if element not in hooks:
-                    hooks[element] = _search_bounds(sim.nfa, rat.bindings,
-                                                    element)
+                    hooks[element] = search_hooks(sim.nfa, rat.bindings,
+                                                  element)
                 position, needed = hooks[element]
                 for states, value in path:
                     test = position(states, *value.pos)
@@ -905,23 +931,160 @@ class TestCompiledAutomaton:
             assert not nfa_accepts(nfa, word)
         assert sim._steps == steps
 
-    def test_enumeration_products(self):
-        # Z/2, target f + f.x, words of length at most 10: the position
-        # test drops an extension before its product is built, so only
-        # the extensions it keeps cost one (a hook that needs the element
-        # builds all 5,905).  The hit set is the one of the test above.
+    def test_enumeration_products(self, monkeypatch):
+        # Z/2, target f + f.x, words of length at most 10.  The walk keys a
+        # pair by its lamp code and builds no group element product (a
+        # walk over elements built 3,067 of the 5,905 extensions', 520 of
+        # them by g0).  The position test still comes first: it is asked
+        # of every extension, and each of the 520 lamp adds comes right
+        # after the test at its own extension, g0's lamp being where the
+        # cursor stands.  The hit set is the one of the test above.
         ring = Ring(2)
         rat = planted_instance(ring, sweep_gens(ring), ((0, 0, 0),
                                                         (0, 1, 0)))
         counting = {letter: _make_element(_CountingWreath, value.pos,
                                           value._vec)
                     for letter, value in rat.bindings.items()}
+        events = []
+        cursor_distance, add = rational._cursor_distance, _LampCode.add
+
+        def recording_distance(steps):
+            distance = cursor_distance(steps)
+
+            def record(dx, dy):
+                events.append(("position", dx, dy))
+                return distance(dx, dy)
+            return record
+
+        def recording_add(self, code, a, b, value):
+            events.append(("add", a, b))
+            return add(self, code, a, b, value)
+
+        monkeypatch.setattr(rational, "_cursor_distance", recording_distance)
+        monkeypatch.setattr(_LampCode, "add", recording_add)
         _CountingWreath.built[0] = 0
         hits = enumerate_zero_position_hits(rat.expr, counting, ring, 10)
-        assert _CountingWreath.built[0] == 3067
+        monkeypatch.undo()
+        assert _CountingWreath.built[0] == 0
+        kinds = [kind for kind, _, _ in events]
+        assert kinds.count("position") == 5905
+        assert kinds.count("add") == 520
+        assert all(events[i - 1] == ("position", a, b)
+                   for i, (kind, a, b) in enumerate(events) if kind == "add")
         assert hits == enumerate_zero_position_hits(rat.expr, rat.bindings,
                                                     ring, 10)
         assert len(hits) == 67 and rat.target in hits
+
+
+# ---------------------------------------------------------------------------
+# lamp tables as ints
+
+
+class TestLampCodes:
+    RINGS = ["Zmod:2", "Zmod:3", "Zmod:4", "Zmod:5", "Z"]
+
+    def test_pairing_fills_a_square_of_lamps(self):
+        # The lamps at most r steps from the origin on each axis take
+        # exactly the first (2r + 1)² digits, and _lamp_at inverts.
+        for r in range(6):
+            box = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
+            assert sorted(map(_lamp_index, *zip(*box))) == \
+                list(range((2 * r + 1) ** 2))
+            assert all(_lamp_at(_lamp_index(a, b)) == (a, b) for a, b in box)
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_encode_decode_round_trip(self, name):
+        ring = ring_from_name(name)
+        rng = random.Random(f"lamp codes {name}")
+        plant = WreathElement(ring, {(0, 0): 1, (1, 0): -1})
+        lamps = _LampCode(ring, [plant], 20)
+        for _ in range(200):
+            table = WreathElement(ring, {
+                (rng.randint(-9, 9), rng.randint(-9, 9)): rng.randint(-20, 20)
+                for _ in range(rng.randint(0, 12))}).fun()
+            code = lamps.encode(table)
+            assert lamps.decode(code) == table
+            assert lamps.encode(dict(reversed(table.items()))) == code
+            assert len(lamps.indices(code)) == len(table)
+        assert lamps.encode({}) == 0
+
+    @pytest.mark.parametrize("name", ["Zmod:2", "Z"])
+    def test_code_size_follows_the_lamps_not_the_bound(self, name):
+        # A digit's place depends on its lamp alone.  Over Z/n its width
+        # is fixed too; over Z it grows with the bound's bit length.
+        ring = ring_from_name(name)
+        plant = WreathElement(ring, {(0, 0): 1})
+        for lamp in ((0, 0),) + ((3, -2),) * (ring.modulus is not None):
+            sizes = {_LampCode(ring, [plant], max_len).encode(
+                {lamp: 1}).bit_length() for max_len in (4, 400)}
+            assert len(sizes) == 1, (lamp, sizes)
+        assert _LampCode(ring, [plant], 4).encode({(0, 0): 1}) == 1
+
+    def test_digit_widths(self):
+        plant = WreathElement(Z, {(0, 0): 2, (1, 0): -1})
+        widths = [_LampCode(ring_from_name(name), [plant], 6).width
+                  for name in self.RINGS]
+        # Z: a sign bit over magnitudes up to 6 x 2.
+        assert widths == [1, 2, 2, 3, 5]
+        target = WreathElement(Z, {(0, 0): 40})
+        assert _LampCode(Z, [plant], 6, (target,)).width == 7
+
+    @pytest.mark.parametrize("name,lit", [
+        ("Z", (((0, 0), 2), ((1, 0), -1))),
+        ("Zmod:4", (((0, 0), 1), ((1, 0), 3))),
+        ("Zmod:5", (((0, 0), 2), ((0, 1), 4))),
+    ])
+    def test_loaded_rings_match_the_unpruned_walk(self, name, lit):
+        ring = ring_from_name(name)
+        rng = random.Random(f"loaded {name}")
+        for rat in (loaded_instance(ring, (1, 0), (0, 0), lit),
+                    loaded_instance(ring, (1, 1), (0, 0), lit)):
+            for _ in range(8):
+                word = random_accepted_word(rng, rat, 6)
+                target = wreath_eval(word, rat.bindings, ring)
+                for max_len in range(len(word.split()) + 2):
+                    expected = reference_member(rat.expr, rat.bindings,
+                                                target, max_len, ring)
+                    assert rational_member_bounded(
+                        rat.expr, rat.bindings, target, max_len,
+                        ring) == expected, (word, max_len)
+            for max_len in range(7):
+                assert enumerate_zero_position_hits(
+                    rat.expr, rat.bindings, ring, max_len) == \
+                    reference_hits(rat.expr, rat.bindings, max_len, ring)
+
+    @pytest.mark.parametrize("modulus", [4, 5])
+    def test_planted_odd_and_composite_moduli(self, modulus):
+        ring = Ring(modulus)
+        for picks in (((0, 0, 0),), ((1, 1, 0),), ((0, 0, 0), (1, 1, 0))):
+            rat = rational_from_dict(rational_to_dict(planted_instance(
+                ring, sweep_gens(ring, (1, 0)), picks)))
+            assert rat.ring == ring
+            length = len(certificate_to_word(picks).split())
+            for max_len in (length - 1, length):
+                expected = reference_member(rat.expr, rat.bindings,
+                                            rat.target, max_len, ring)
+                assert (expected is None) == (max_len < length)
+                assert rational_member_bounded(
+                    rat.expr, rat.bindings, rat.target, max_len,
+                    ring) == expected
+            assert enumerate_zero_position_hits(
+                rat.expr, rat.bindings, ring, 7) == \
+                reference_hits(rat.expr, rat.bindings, 7, ring)
+
+    def test_integer_target_out_of_reach(self):
+        # Over Z a lamp of 40 needs at least 20 plants of 2; the target's
+        # code gets digits wide enough for it, and nothing within 6
+        # letters reaches it.
+        rat = loaded_instance(Z, (1, 0), (0, 0), (((0, 0), 2), ((1, 0), -1)))
+        target = WreathElement(Z, {(0, 0): 40, (1, 0): -20})
+        assert reference_member(rat.expr, rat.bindings, target, 6, Z) is None
+        assert rational_member_bounded(rat.expr, rat.bindings, target, 6,
+                                       Z) is None
+        # The same lamps at 2 and -1 are one plant away.
+        near = WreathElement(Z, {(0, 0): 2, (1, 0): -1})
+        assert rational_member_bounded(rat.expr, rat.bindings, near, 6,
+                                       Z) == "g0 x y X Y"
 
 
 # ---------------------------------------------------------------------------
