@@ -22,10 +22,12 @@ and the lamp table packed into one int (:class:`_LampCode`).  The lamp at
 (a, b) is one fixed-width digit, ``(n - 1).bit_length()`` bits over Z/n
 and sign and magnitude over Z, wide enough for the length bound times the
 largest lamp of a letter.  Digits are placed by Szudzik's pairing of the
-zigzagged coordinates, so a code stays as small as the lamps it lights
-whatever the bound.  A letter's product is one digit add per lamp it
-lights, and the visited set hashes and compares ints; group elements are
-built only for the answers.
+zigzagged coordinates: the lamps at most r steps from the origin take the
+first (2r + 1)² digits, so a code's length grows with the square of its
+farthest lamp's distance, not with the bound or the number of lamps lit
+(over Z the digit width also grows with the log of the bound).  A
+letter's product is one digit add per lamp it lights, and the visited set
+hashes and compares ints; group elements are built only for the answers.
 """
 
 from __future__ import annotations
@@ -482,8 +484,9 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
 def _lamp_index(a: int, b: int) -> int:
     """The digit index of lamp (a, b): Szudzik's pairing of the zigzag
     codes of a and b.  The lamps at most r steps from the origin along
-    either axis take the first (2r + 1)² indices, so a code grows with the
-    lamps lit, not with a length bound."""
+    either axis take the first (2r + 1)² indices, so a code's length grows
+    with the square of its farthest lamp's distance, not with a length
+    bound."""
     u = a + a if a >= 0 else -a - a - 1
     v = b + b if b >= 0 else -b - b - 1
     return v * v + u if u < v else u * u + u + v
@@ -588,7 +591,9 @@ def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement],
     magnitude bits for ``max_len`` times the largest lamp of a letter over
     Z.  Digits are placed by Szudzik's pairing of the zigzagged
     coordinates, so a code whose lamps lie within r steps of the origin
-    has at most (2r + 1)² digits, however large ``max_len`` is.
+    has at most (2r + 1)² digits, however large ``max_len`` is: one lamp
+    far from the origin makes a long code, and each add and each hash
+    reads all of it.
 
     Yields ``(accepting, x, y, code, word)`` once per distinct pair, where
     ``word`` is a chain of (prefix, letter) links, None when empty.  Equal
@@ -674,9 +679,6 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     max_dx = max((abs(sx) for sx, _ in steps), default=0) or 1
     max_dy = max((abs(sy) for _, sy in steps), default=0) or 1
     axis_moves_only = all(sx == 0 or sy == 0 for sx, sy in steps)
-    if axis_moves_only and max_dx == max_dy == 1:
-        # Unit steps, as in the sweep language over rank 1: no division.
-        return lambda dx, dy: abs(dx) + abs(dy)
 
     def distance(dx: int, dy: int) -> int:
         need_x = -(-abs(dx) // max_dx)
@@ -801,6 +803,9 @@ def rational_member_bounded(expr: RationalExpr,
     words, so no hit comes before ``w``; with no answer within
     ``max_len`` none comes at all.
     """
+    if target.ring != ring:
+        raise RingMismatch(f"{target.ring.name} target in a {ring.name} "
+                           "search")
     nfa = regex_to_nfa(expr)
     lamps = _LampCode(ring, [_bound(bindings, letter)
                              for letter in nfa.alphabet()],

@@ -419,6 +419,10 @@ class TestBoundedSearch:
             rational_member_bounded(rat.expr, bindings, rat.target, 5, ring)
         with pytest.raises(RingMismatch, match="Zmod:3 binding for 'g0'"):
             enumerate_zero_position_hits(rat.expr, bindings, ring, 5)
+        # A target over Z whose lamp of 3 would read as 1 in a Z/2 code.
+        target = WreathElement(Ring(None), {(0, 0): 3})
+        with pytest.raises(RingMismatch, match="Z target in a Zmod:2"):
+            rational_member_bounded(rat.expr, rat.bindings, target, 5, ring)
 
 
 class TestEnumeration:
