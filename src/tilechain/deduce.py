@@ -48,10 +48,11 @@ returns.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional
 
 from .edges import EdgeMap
-from .tiling import (ARROW_D, ARROW_R, Certificate, Color, Placement, Tile,
+from .tiling import (ARROW_D, ARROW_R, Certificate, Color, Tile,
                      TilingSystem)
 
 
@@ -251,12 +252,18 @@ def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
 
 
 def _certificate(stack: list, n: int, m: int) -> Certificate:
-    """The certificate of a completed row stack; its placements come out
-    row-major, bottom row first."""
-    placements = []
+    """The certificate of a completed row stack, made from its runs: each
+    row assignment, bottom row first, grouped by tile identity with its
+    empty slots left out."""
+    runs = []
+    append = runs.append
     for y, (_, assignment) in enumerate(stack):
         x0 = n + 1 if y == 0 else 0
-        placements.extend(Placement(tile, x0 + x, y)
-                          for x, tile in enumerate(assignment)
-                          if tile is not None)
-    return Certificate(tuple(placements), m, len(stack) - 1)
+        i = 0
+        for _, group in groupby(assignment, key=id):
+            count = len(list(group))
+            tile = assignment[i]
+            if tile is not None:
+                append((tile, x0 + i, y, count))
+            i += count
+    return Certificate._from_runs(runs, m, len(stack) - 1)

@@ -19,14 +19,14 @@ a row to find stacked cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .compiler import EmptyInput, compile_tiles
 from .deduce import MalformedInput, parse_initial_shape
 from .edges import EdgeMap, _side_lookup
-from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Placement, Tile,
-                     TilingSystem, _disjoint_spans, head, letter, state)
+from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Tile, TilingSystem,
+                     _disjoint_spans, head, letter, state)
 from .tm import RunTrace, TuringMachine, run, tape_extent
 
 
@@ -70,17 +70,21 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
                   for a in tm.tape_alphabet}
     right_carry = {a: pick(letter(a), TRI_R, letter(a), TRI_R)
                    for a in tm.tape_alphabet}
-    # Rows go out bottom first, each left to right: the order a Certificate
-    # stores.
-    placements: list[Placement] = []
+    # Rows go out bottom first, each left to right, as maximal runs of one
+    # tile object: the form a Certificate stores.
+    runs: list = []
+    append = runs.append
 
-    for x in range(n + 1, m):
-        placements.append(Placement(b0, x, 0))
-    placements.append(Placement(b1, m, 0))
+    if m > n + 1:
+        append((b0, n + 1, 0, m - n - 1))
+    append((b1, m, 0, 1))
 
     for y in range(1, len(trace.configs)):
         config = trace.configs[y - 1]
-        if tape_extent(config, blank) > m - 1:
+        # A run keeps the head on its tape, so only a tape longer than
+        # m - 1 cells can need more.
+        if (len(config.tape) > m - 1
+                and tape_extent(config, blank) > m - 1):
             raise AssertionError(f"row {y} needs more than {m - 1} cells")
         cells = config.tape + (blank,) * (m - len(config.tape))
         q, head_pos = config.state, config.head
@@ -103,19 +107,34 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
             east = pick(head(p, cells[head_pos + 1]), TRI_R,
                         letter(cells[head_pos + 1]), state(p))
             left_end = j - 1
-        row = [b7, *map(left_carry.__getitem__, cells[:left_end]), west,
-               east, *map(right_carry.__getitem__, cells[left_end + 2:m - 1]),
-               b2]
-        placements += map(Placement, row, range(m + 1), repeat(y))
+        append((b7, 0, y, 1))
+        x = _carry_runs(left_carry, cells[:left_end], 1, y, append)
+        append((west, x, y, 1))
+        append((east, x + 1, y, 1))
+        x = _carry_runs(right_carry, cells[left_end + 2:m - 1], x + 2, y,
+                        append)
+        append((b2, x, y, 1))
 
     cap_y = len(trace.configs)
-    placements.append(Placement(b6, 0, cap_y))
-    placements.append(Placement(b5, 1, cap_y))
-    for x in range(2, m):
-        placements.append(Placement(b4, x, cap_y))
-    placements.append(Placement(b3, m, cap_y))
+    append((b6, 0, cap_y, 1))
+    append((b5, 1, cap_y, 1))
+    if m > 2:
+        append((b4, 2, cap_y, m - 2))
+    append((b3, m, cap_y, 1))
 
-    return Certificate(tuple(placements), m, cap_y)
+    return Certificate._from_runs(runs, m, cap_y)
+
+
+def _carry_runs(carry: dict, symbols, x: int, y: int, append) -> int:
+    """Append the runs of the carry tiles over ``symbols``, the first at
+    column ``x`` of row ``y``, and return the column after the last.  A
+    symbol has one carry tile, so a run of one symbol is a run of one
+    tile object."""
+    for symbol, group in groupby(symbols):
+        count = len(list(group))
+        append((carry[symbol], x, y, count))
+        x += count
+    return x
 
 
 def verify_zero(f0: EdgeMap, cert: Certificate, ts: TilingSystem) -> bool:

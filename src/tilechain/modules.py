@@ -31,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .documents import fields
 from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
                     tile_eval)
-from .tiling import Certificate, Color, TilingSystem
+from .tiling import Certificate, Color, TilingSystem, _placement_runs
 
 
 class UnknownColor(ValueError):
@@ -760,12 +761,11 @@ def witness_to_certificate(witness: Iterable[SubsetPick],
 
     Kept as the reduction's reverse direction: a subset-sum witness is a
     tiling, so a "yes" for the instance is a "yes" for the tiling."""
-    from .tiling import Placement, sort_placements
-    placements = [Placement(ts.tiles[gen], dx, dy)
-                  for gen, dx, dy in witness]
-    width = max((p.x for p in placements), default=0)
-    rows = max((p.y for p in placements), default=0)
-    return Certificate(sort_placements(placements), width, rows)
+    cells = [(ts.tiles[gen], dx, dy) for gen, dx, dy in witness]
+    width = max((x for _, x, _ in cells), default=0)
+    rows = max((y for _, _, y in cells), default=0)
+    cells.sort(key=itemgetter(2, 1))
+    return Certificate._from_runs(_placement_runs(cells), width, rows)
 
 
 # ---------------------------------------------------------------------------

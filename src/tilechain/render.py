@@ -100,9 +100,9 @@ def render_certificate_ascii(cert: Certificate) -> str:
     spans is its runs' boxes, repeated, and blank gaps; a row with
     overlapping spans is resolved cell by cell, the last placement
     winning."""
-    if not cert.placements:
-        return ""
     runs = cert.runs()
+    if not runs:
+        return ""
     xmin, xmax, ymin, ymax = _run_extent(runs)
     # Per row, its runs (first x, last x, tile).
     spans: dict = {}
@@ -203,9 +203,9 @@ def render_certificate_svg(cert: Certificate) -> str:
     Each distinct tile's rectangle-and-labels block is cut once into the
     text between its coordinates, and each column's and row's coordinates
     are spelled once; a run's cells are then one join of the three each."""
-    if not cert.placements:
-        return _EMPTY_SVG
     runs = cert.runs()
+    if not runs:
+        return _EMPTY_SVG
     xmin, xmax, ymin, ymax = _run_extent(runs)
     _check_span(xmin, xmax, ymin, ymax)
     lines = _svg_header(xmin, ymin, xmax, ymax)

@@ -11,13 +11,15 @@ A certificate is a finite multiset of tile placements together with the
 width and height of the region it is supposed to fill.  Nothing here knows
 about Turing machines; certificates are checked purely through colors.
 
-The placements tuple is a certificate's stored form, and its coordinates
-are ints by type: a certificate is checked once, when it is made.  The
-same pass works out its one derived view, :meth:`Certificate.runs`, the
-maximal runs of one tile object at consecutive x in one row.  A built row
-is one machine configuration, and a step changes the tape only next to
-the head, so a row is a few long runs: verification, the audit, the
-witness reader, both drawings and the JSON writer work run by run.
+A certificate's stored form is its runs: the maximal runs of one tile
+object at consecutive x in one row, read by :meth:`Certificate.runs`.  A
+built row is one machine configuration, and a step changes the tape only
+next to the head, so a row is a few long runs.  The builder, the forced
+search and the JSON loader make certificates from runs, checked once per
+run; verification, the audit, the witness reader, both drawings and the
+JSON writer work run by run.  Coordinates are ints by type.  The
+placements tuple, one ``(tile, x, y)`` per cell, is expanded from the
+runs when first read, and is what equality, hashing and ``repr`` see.
 """
 
 from __future__ import annotations
@@ -213,9 +215,12 @@ class Certificate:
 
     Cells are integer lattice points: ``width_m``, ``rows`` and every x
     and y must be of type ``int`` (``bool`` refused), or construction
-    raises the JSON loader's ``ValueError``.  The same pass works out
-    :meth:`runs`.  The run view is not a field, so equality, hash and
-    repr ignore it.
+    raises the JSON loader's ``ValueError``.  The stored form is
+    :meth:`runs`.  ``Certificate(placements, width_m, rows)`` scans the
+    placements into runs; the producers in the library hand over their
+    runs to :meth:`_from_runs` instead, and ``placements`` is then expanded
+    from the runs when first read and kept.  The runs are not a field, so
+    equality, hash and repr see the placements alone.
     """
 
     placements: tuple[Placement, ...]
@@ -223,10 +228,36 @@ class Certificate:
     rows: int
 
     def __post_init__(self):
-        for name, value in (("m", self.width_m), ("rows", self.rows)):
-            if type(value) is not int:
-                raise wrong_type("certificate", name, value, int)
+        _check_size(self.width_m, self.rows)
         object.__setattr__(self, "_runs", _placement_runs(self.placements))
+
+    @classmethod
+    def _from_runs(cls, runs, width_m: int, rows: int) -> Certificate:
+        """The certificate whose :meth:`runs` are ``runs``, which must be
+        maximal by tile identity.  Refuses what the constructor refuses,
+        with its texts, checking each run once."""
+        _check_size(width_m, rows)
+        runs = tuple(runs)
+        for _, x0, y, count in runs:
+            if type(x0) is not int or type(y) is not int:
+                raise _cell_refusal(x0, y)
+            if type(count) is not int:
+                raise wrong_type("run", "count", count, int)
+        cert = object.__new__(cls)
+        cert.__dict__.update(width_m=width_m, rows=rows, _runs=runs)
+        return cert
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: ``placements`` of
+        # a certificate made from runs is expanded here, once.
+        if name != "placements":
+            raise AttributeError(f"'Certificate' object has no attribute "
+                                 f"{name!r}")
+        placements = tuple(_new_placement(Placement, (tile, x, y))
+                           for tile, x0, y, count in self._runs
+                           for x in range(x0, x0 + count))
+        object.__setattr__(self, "placements", placements)
+        return placements
 
     def runs(self) -> tuple[tuple[Tile, int, int, int], ...]:
         """The maximal runs ``(tile, x0, y, count)`` of the placements, in
@@ -235,6 +266,18 @@ class Certificate:
         Every placement lies in exactly one run, and the runs, read in
         order, spell the placements."""
         return self._runs
+
+
+def _check_size(width_m, rows) -> None:
+    for name, value in (("m", width_m), ("rows", rows)):
+        if type(value) is not int:
+            raise wrong_type("certificate", name, value, int)
+
+
+def _cell_refusal(x, y) -> ValueError:
+    """The refusal of a cell whose x or y is not an int, x first."""
+    field, value = ("x", x) if type(x) is not int else ("y", y)
+    return wrong_type("placement", field, value, int)
 
 
 # Equal to nothing but itself: the "no run yet" and "no tile read yet" mark.
@@ -251,8 +294,7 @@ def _placement_runs(placements) -> tuple[tuple[Tile, int, int, int], ...]:
     nxt = x0 = count = 0
     for t, x, y in placements:
         if type(x) is not int or type(y) is not int:
-            field, value = ("x", x) if type(x) is not int else ("y", y)
-            raise wrong_type("placement", field, value, int)
+            raise _cell_refusal(x, y)
         if t is tile and x == nxt and y == row:
             nxt += 1
             count += 1
@@ -332,19 +374,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Certificate:
     """Read a certificate; a tile given by name is looked up in ``ts``.
-    :class:`Certificate` refuses an x or y that is not an int, once every
-    row is read."""
+    An x or y that is not an int is refused once every row is read."""
     width_m, rows, entries = fields(
         data, "certificate", {"m": int, "rows": int, "placements": list})
     # Each distinct tile dict is built once; an entry that cannot serve as
     # a key goes straight to tile_from_dict, which reports what is wrong.
     # Rows come in runs of one tile, so a row whose tile equals the
     # previous row's, already read, takes the same tile without a lookup.
+    # Such a row at the next int x in the same int row extends the run;
+    # any other row starts one, so a coordinate that is not an int always
+    # starts a run, and Certificate._from_runs refuses it.
     built: dict = {}
-    placements = []
-    append = placements.append
+    runs = []
+    append = runs.append
     row_spec = {"tile": None, "x": None, "y": None}
-    last_ref = _UNSET
+    last_ref = run_tile = row_y = nxt = _UNSET
+    x0 = count = 0
     for row in entries:
         # A row of exactly these three keys is read directly; fields reads
         # any other and says what is wrong with it.
@@ -375,8 +420,18 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                     if key is not None:
                         built[key] = tile
             last_ref = ref
-        append(_new_placement(Placement, (tile, x, y)))
-    return Certificate(tuple(placements), width_m, rows)
+        if (tile is run_tile and x == nxt and y == row_y
+                and type(x) is int and type(y) is int):
+            nxt += 1
+            count += 1
+            continue
+        if count:
+            append((run_tile, x0, row_y, count))
+        run_tile, x0, row_y, count = tile, x, y, 1
+        nxt = x + 1 if type(x) is int else _UNSET
+    if count:
+        append((run_tile, x0, row_y, count))
+    return Certificate._from_runs(runs, width_m, rows)
 
 
 def dump_system(ts: TilingSystem) -> str:
@@ -398,9 +453,9 @@ def dump_certificate(cert: Certificate) -> str:
     """
     head = (f'{{\n  "m": {cert.width_m},\n'
             f'  "rows": {cert.rows},\n  "placements": ')
-    if not cert.placements:
-        return head + "[]\n}\n"
     runs = cert.runs()
+    if not runs:
+        return head + "[]\n}\n"
     last = None
     for _, x0, y, count in runs:
         if last is not None and not (y, x0) > last:

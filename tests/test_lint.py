@@ -674,3 +674,40 @@ def test_placement_reads_see_iteration_indexing_and_slicing():
         cert.placements = ()
     """))
     assert _placement_reads(tree) == [7, 8, 10, 11, 12, 13, 14]
+
+
+def _placement_makers(tree: ast.AST) -> list[int]:
+    """Lines that name the ``Placement`` class other than in an import:
+    a call, a ``map(Placement, ...)``, a ``tuple.__new__(Placement, ...)``
+    or an annotation."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == "Placement")
+                  or (isinstance(node, ast.Attribute)
+                      and node.attr == "Placement"))
+
+
+def test_only_tiling_makes_placements():
+    # Producers hand a certificate its runs, and tiling.py expands them
+    # into placements when they are read; a Placement made elsewhere
+    # would bring back a per-cell producer beside the runs.
+    files = sorted(SRC.glob("*.py"))
+    found = [f"{path.name}:{line}" for path in files
+             if path.name != "tiling.py"
+             for line in _placement_makers(ast.parse(path.read_text()))]
+    assert found == []
+    assert _placement_makers(ast.parse((SRC / "tiling.py").read_text()))
+
+
+def test_placement_makers_see_calls_references_and_annotations():
+    tree = ast.parse(textwrap.dedent("""
+        from .tiling import Placement
+        from . import tiling
+        a = Placement(tile, 0, 0)
+        b = map(Placement, tiles, xs, ys)
+        c = tuple.__new__(Placement, (tile, 0, 0))
+        d = tiling.Placement(tile, 0, 0)
+        e: list[Placement] = []
+        f = placement(tile)
+        g = cert.placements
+    """))
+    assert _placement_makers(tree) == [4, 5, 6, 7, 8]

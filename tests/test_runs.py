@@ -7,7 +7,10 @@ compared here with a per-placement reference on every corpus certificate
 and on seeded mutants: deleted, duplicated, shifted and retiled
 placements, shuffled order, stacked cells, gaps, negative coordinates,
 and foreign tiles.  A mutant with a non-integer coordinate is refused
-when it is built, as the JSON loader refuses it.  The memoised
+when it is built, as the JSON loader refuses it.  The builder, forced
+search, the JSON loader and the witness reader's inverse hand a
+certificate its runs: each such certificate must equal the constructor's
+on its placements, and no reader may expand them.  The memoised
 ``compile_tiles`` is tested here too, since the builder reuses its system.
 """
 
@@ -25,13 +28,17 @@ from tilechain.edges import Ring, UnknownTile, Z, evaluate_placements
 from tilechain.engine import (AuditFlag, AuditReport, build_accepting_tiling,
                               claims_audit, verify_zero)
 from tilechain.machines import two_symbol_eraser, unary_eraser
-from tilechain.deduce import MalformedInput, parse_initial_shape
-from tilechain.modules import DuplicateShift, certificate_to_witness
-from tilechain.render import render_certificate_ascii
+from tilechain.deduce import (MalformedInput, forced_search,
+                              parse_initial_shape)
+from tilechain.modules import (DuplicateShift, certificate_to_witness,
+                               witness_to_certificate)
+from tilechain.render import render_certificate_ascii, render_certificate_svg
 from tilechain.tiling import (ARROW_R, C0, Certificate, Placement, Tile,
-                              _placement_runs, certificate_to_dict,
-                              dump_certificate, letter, load_certificate)
+                              _placement_runs, certificate_from_dict,
+                              certificate_to_dict, dump_certificate, letter,
+                              load_certificate, tile_to_dict)
 
+from conftest import RUN_FUEL
 from test_render import reference_ascii
 
 MUTANTS_PER_BASE = 44
@@ -377,6 +384,146 @@ class TestRunView:
                      load_certificate(dump_certificate(cert), ts)):
             assert back == cert
             assert len(back.runs()) == len(cert.runs())
+
+
+def identities(runs):
+    return [(id(tile), x0, y, count) for tile, x0, y, count in runs]
+
+
+def expanded(cert):
+    """Whether the certificate has made its placements tuple."""
+    return "placements" in vars(cert)
+
+
+def produced(artifacts):
+    """Fresh certificates from every producer, as ``(producer, system,
+    starting map, certificate)``: the builder, forced search, the JSON
+    loader with and without the system, and the witness reader's inverse
+    on the picks in shuffled order.  The inputs are every corpus pipeline
+    and two larger ones with longer runs.  No certificate has been read
+    by placement."""
+    rng = random.Random(20261020)
+    inputs = [artifacts.pipeline(name, word)[:3] + (word,)
+              for name, word in artifacts.accepted_pairs()]
+    for tm, word in ((unary_eraser(), "a" * 12),
+                     (two_symbol_eraser(), "abbab")):
+        inputs.append((tm, compile_tiles(tm), initial_map(tm, word), word))
+    for tm, ts, f0, word in inputs:
+        built = build_accepting_tiling(tm, word, RUN_FUEL)
+        text = dump_certificate(built)
+        picks = list(certificate_to_witness(built, ts))
+        rng.shuffle(picks)
+        yield from (
+            ("build", ts, f0, built),
+            ("forced", ts, f0,
+             forced_search(ts, f0, built.width_m, built.rows)),
+            ("load", ts, f0, load_certificate(text)),
+            ("load with system", ts, f0, load_certificate(text, ts)),
+            ("witness", ts, f0, witness_to_certificate(picks, ts)))
+
+
+class TestProducersStoreRuns:
+    def test_readers_do_not_expand_placements(self, artifacts):
+        count = 0
+        for producer, ts, f0, cert in produced(artifacts):
+            assert not expanded(cert), producer
+            assert verify_zero(f0, cert, ts)
+            assert claims_audit(cert, f0).ok
+            render_certificate_ascii(cert)
+            render_certificate_svg(cert)
+            dump_certificate(cert)
+            certificate_to_witness(cert, ts)
+            assert not expanded(cert), producer
+            count += 1
+        empty = load_certificate('{"m": 0, "rows": 0, "placements": []}')
+        assert (render_certificate_ascii(empty), dump_certificate(empty)) \
+            == ("", reference_dump(Certificate((), 0, 0)))
+        render_certificate_svg(empty)
+        assert not expanded(empty)
+        assert count >= 5 * 20
+
+    def test_equal_to_the_constructor_on_its_placements(self, artifacts):
+        for producer, ts, f0, cert in produced(artifacts):
+            runs = cert.runs()
+            ref = Certificate(cert.placements, cert.width_m, cert.rows)
+            assert expanded(cert) and cert.runs() is runs
+            assert cert == ref and ref == cert, producer
+            assert (hash(cert), repr(cert)) == (hash(ref), repr(ref))
+            # Maximal by tile identity: the constructor's scan finds the
+            # same runs in the placements they expand to.
+            assert identities(runs) == \
+                identities(_placement_runs(cert.placements)) == \
+                identities(ref.runs()), producer
+            assert expand(runs) == [tuple(p) for p in cert.placements]
+            assert all(type(p) is Placement for p in cert.placements)
+
+    def test_clones_keep_runs_and_value(self, artifacts):
+        for producer, ts, f0, cert in produced(artifacts):
+            # Clones taken before the placements are read, then after.
+            early = (pickle.loads(pickle.dumps(cert)), copy.copy(cert),
+                     copy.deepcopy(cert))
+            assert not any(map(expanded, early))
+            late = (pickle.loads(pickle.dumps(cert)), copy.copy(cert),
+                    copy.deepcopy(cert), dataclasses.replace(cert),
+                    dataclasses.replace(cert, placements=cert.placements))
+            for clone in early + late:
+                assert clone == cert, producer
+                assert clone.runs() == cert.runs()
+                assert identities(clone.runs()) == \
+                    identities(_placement_runs(clone.placements))
+            assert copy.copy(cert).runs() is cert.runs()
+
+    def test_loader_refuses_a_cell_inside_a_run(self):
+        # Values equal to the next x or to the run's row never extend a
+        # run, so each is refused as the constructor refuses it.
+        tile = tile_to_dict(FOREIGN)
+        for i, x, y, field, kind in ((2, 2, 0.0, "y", "float"),
+                                     (2, 2.0, 0, "x", "float"),
+                                     (1, True, 0, "x", "bool"),
+                                     (3, 3, False, "y", "bool"),
+                                     (0, "0", 0, "x", "str"),
+                                     (1, 1, None, "y", "NoneType")):
+            cells = [[x0, 0] for x0 in range(5)]
+            cells[i] = [x, y]
+            data = {"m": 4, "rows": 0, "placements": [
+                {"tile": tile, "x": x0, "y": y0} for x0, y0 in cells]}
+            message = f"placement field '{field}' must be an integer, " \
+                f"not {kind}"
+            with pytest.raises(ValueError) as caught:
+                certificate_from_dict(data)
+            assert str(caught.value) == message
+            placements = tuple(Placement(FOREIGN, x0, y0)
+                               for x0, y0 in cells)
+            assert outcome(Certificate, placements, 4, 0) == \
+                ("raised", ValueError, message)
+
+    def test_loader_runs_split_where_tiles_rows_or_columns_change(self):
+        tile, other = tile_to_dict(FOREIGN), tile_to_dict(Tile(C0, C0, C0, C0))
+        rows = [(tile, 0, 0), (tile, 1, 0), (other, 2, 0), (tile, 3, 0),
+                (tile, 5, 0), (tile, 6, 1), (tile, 7, 1), (tile, 7, 1)]
+        cert = certificate_from_dict({"m": 7, "rows": 1, "placements": [
+            {"tile": t, "x": x, "y": y} for t, x, y in rows]})
+        assert [run[1:] for run in cert.runs()] == [
+            (0, 0, 2), (2, 0, 1), (3, 0, 1), (5, 0, 1), (6, 1, 2), (7, 1, 1)]
+        assert identities(cert.runs()) == \
+            identities(_placement_runs(cert.placements))
+
+    def test_runs_constructor_refuses_what_the_constructor_refuses(self):
+        for runs, m, rows, message in (
+                ([(FOREIGN, 0, 0, 2.0)], 1, 0,
+                 "run field 'count' must be an integer, not float"),
+                ([(FOREIGN, 0.0, 0, 2)], 1, 0,
+                 "placement field 'x' must be an integer, not float"),
+                ([(FOREIGN, 0, 0, 1), (FOREIGN, 0, True, 1)], 1, 1,
+                 "placement field 'y' must be an integer, not bool"),
+                ([(FOREIGN, 0.5, 0.5, 1)], 1.0, 0,
+                 "certificate field 'm' must be an integer, not float"),
+                ([], 1, None,
+                 "certificate field 'rows' must be an integer, "
+                 "not NoneType")):
+            with pytest.raises(ValueError) as caught:
+                Certificate._from_runs(runs, m, rows)
+            assert str(caught.value) == message
 
 
 class TestCompileMemo:
