@@ -173,45 +173,52 @@ def _step(pos: Point, own: Dict[tuple, int]) -> Step:
     return own, sx, sy, _straight(own, sx, sy)
 
 
-class _LetterSteps(dict):
-    """The fold steps of bound letters, each read from its binding the
-    first time the letter is looked up, so unused bindings are never read.
+class _Steps(dict):
+    """Fold steps read lazily: ``read(key)`` gives the step of a key the
+    first time it is looked up, so unused bindings or words are never
+    read.  A read that raises keeps nothing."""
 
-    ``read`` is one flavor's ``_read``; a binding of the other flavor
-    raises ``TypeError`` and one over another ring ``RingMismatch``.
-    """
+    __slots__ = ("_read",)
 
-    __slots__ = ("_bindings", "_ring", "_read")
-
-    def __init__(self, bindings: Dict, ring: Ring, read):
+    def __init__(self, read):
         super().__init__()
-        self._bindings, self._ring, self._read = bindings, ring, read
+        self._read = read
 
-    def __missing__(self, letter: str) -> Step:
-        element = _bound(self._bindings, letter)
-        if type(element)._read is not self._read:
+    def __missing__(self, key) -> Step:
+        step = self[key] = self._read(key)
+        return step
+
+
+def _letter_steps(bindings: Dict, ring: Ring, cls) -> _Steps:
+    """The fold steps of letters bound to ``cls`` elements over ``ring``:
+    a binding of the other group raises ``TypeError``, one over another
+    ring :class:`RingMismatch`, a missing one :class:`UnboundSymbol`."""
+
+    def read(letter: str) -> Step:
+        element = _bound(bindings, letter)
+        if not isinstance(element, cls):
             raise TypeError(f"{letter!r} is bound to a "
                             f"{type(element).__name__} of another group")
-        if element._vec.ring != self._ring:
-            raise RingMismatch(f"{element._vec.ring.name} binding in "
-                               f"{self._ring.name} evaluation")
-        step = self[letter] = _step(element.pos, self._read(element))
-        return step
+        if element._vec.ring != ring:
+            raise RingMismatch(f"{element._vec.ring.name} binding for "
+                               f"{letter!r} in a {ring.name} evaluation")
+        return _step(element.pos, element._read())
+
+    return _Steps(read)
 
 
 def _fold(runs: Iterable[tuple], steps) -> tuple[Point, Dict[tuple, int]]:
     """Position and plain sums of the product of a run sequence.
 
     ``runs`` holds ``(key, repeats)`` pairs and ``steps`` maps each key to
-    its :func:`_step`: a :class:`_LetterSteps` for the letters of a word,
-    or steps already read, such as the values of a certificate's
-    generator words.  The fold keeps one mutable accumulator and adds each
-    step's sums translated to the walker's position.  A run of a pure
-    move, or of a step whose sums telescope (see :func:`_straight`),
-    costs the same for every length; a run of a step that does not move
-    adds its sums once, each scaled by the run length; any other step is
-    applied once per repeat.  The caller turns the sums into the
-    element's vector.
+    its :func:`_step`: the :func:`_letter_steps` of a word's letters, or
+    the steps of a certificate's generator words.  The fold keeps one
+    mutable accumulator and adds each step's sums translated to the
+    walker's position.  A run of a pure move, or of a step whose sums
+    telescope (see :func:`_straight`), costs the same for every length; a
+    run of a step that does not move adds its sums once, each scaled by
+    the run length; any other step is applied once per repeat.  The
+    caller turns the sums into the element's vector.
     """
     sums: Dict[tuple, int] = {}
     px, py = 0, 0
@@ -310,8 +317,8 @@ def wreath_eval(word: str | Iterable[str],
     accumulator holds plain sums; they are reduced into the ring once,
     when the result's lamp vector is built.
     """
-    pos, lamps = _fold(_runs(word), _LetterSteps(bindings, ring,
-                                                 WreathElement._read))
+    pos, lamps = _fold(_runs(word), _letter_steps(bindings, ring,
+                                                  WreathElement))
     return _make_element(WreathElement, pos, _make_vector(
         SparseVector, ring, _reduced(ring, lamps)))
 
@@ -429,8 +436,8 @@ def metabelian_eval(word: str | Iterable[str],
     """
     if bindings is None:
         bindings = metabelian_bindings()
-    pos, diff = _fold(_runs(word), _LetterSteps(bindings, Z,
-                                                MetabelianElement._read))
+    pos, diff = _fold(_runs(word), _letter_steps(bindings, Z,
+                                                 MetabelianElement))
     return _make_element(MetabelianElement, pos, _make_vector(
         SparseVector, Z, _flow_from_difference(diff)))
 
@@ -438,6 +445,20 @@ def metabelian_eval(word: str | Iterable[str],
 def _flow_difference(flow: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
     return _canon(Z, (pair for (x, y, o), v in flow.items() for pair in (
         ((x, y, o), v), ((x + 1, y, o) if o == "H" else (x, y + 1, o), -v))))
+
+
+def _line_sums(lines: Dict) -> Iterator[tuple]:
+    """``(line, t, running)`` for every place ``t`` of every line at which
+    the running sum of the line's ``(t, value)`` points is nonzero.  The
+    sum is taken to be zero past a line's last point."""
+    for line, points in lines.items():
+        points.sort()
+        running = 0
+        for (t, d), (t_next, _) in zip(points, points[1:]):
+            running += d
+            if running:
+                for u in range(t, t_next):
+                    yield line, u, running
 
 
 def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
@@ -449,16 +470,8 @@ def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
                 lines.setdefault((o, y), []).append((x, d))
             else:
                 lines.setdefault((o, x), []).append((y, d))
-    flow: Dict[FlowKey, int] = {}
-    for (o, line), points in lines.items():
-        points.sort()
-        running = 0
-        for (t, d), (t_next, _) in zip(points, points[1:]):
-            running += d
-            if running:
-                for u in range(t, t_next):
-                    flow[(u, line, o) if o == "H" else (line, u, o)] = running
-    return flow
+    return {(u, line, o) if o == "H" else (line, u, o): running
+            for (o, line), u, running in _line_sums(lines)}
 
 
 def flow_boundary(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
@@ -498,17 +511,9 @@ def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
     for (x, y, o), v in flow.items():
         if o == "H":
             columns.setdefault(x, []).append((y, v))
-    cells: Dict[Point, int] = {}
-    for x, pairs in columns.items():
-        pairs.sort()
-        running = 0
-        for (y, v), (next_y, _) in zip(pairs, pairs[1:] + [(None, 0)]):
-            running += v
-            if running:
-                if next_y is None:
-                    raise NotACycle(f"column {x} does not balance")
-                for b in range(y, next_y):
-                    cells[(x, b)] = running
+    # A column's horizontal edges sum to the net flow across it, which is
+    # zero for a circulation, so every running sum ends at zero.
+    cells = {(x, b): running for x, b, running in _line_sums(columns)}
     if cells_to_flow(cells) != flow:
         raise AssertionError("cell decomposition does not re-create the flow")
     return cells
@@ -671,41 +676,29 @@ def witness_to_submonoid_certificate(witness,
     return tuple(indices)
 
 
-class _WordSteps(dict):
-    """The fold steps of one tuple of generator words in one flavor and
-    ring, each word folded the first time its index is looked up, so
-    unused words are never read.  ``letters`` is the flavor's
-    :class:`_LetterSteps`, kept with them for the target.  A fold that
-    raises (an unbound letter) keeps nothing."""
-
-    __slots__ = ("_words", "letters")
-
-    def __init__(self, words: tuple[str, ...], letters: _LetterSteps):
-        super().__init__()
-        self._words, self.letters = words, letters
-
-    def __missing__(self, i: int) -> Step:
-        pos, sums = _fold(_runs(self._words[i]), self.letters)
-        step = self[i] = _step(pos, {key: v for key, v in sums.items() if v})
-        return step
-
-
 @lru_cache(maxsize=32)
-def _word_steps(words: tuple[str, ...], flavor: str, ring: Ring) -> _WordSteps:
-    """The one :class:`_WordSteps` of a tuple of generator words, shared by
-    every verification over equal words, flavor and ring.
+def _word_steps(words: tuple[str, ...], flavor: str,
+                ring: Ring) -> tuple[_Steps, _Steps]:
+    """The fold steps of a tuple of generator words in one flavor and
+    ring, by index, with the steps of the flavor's letters they are read
+    with, kept for the target: one pair shared by every verification over
+    equal words, flavor and ring.
 
     It is keyed by the words' text, never by how an instance was built, so
     a verdict stays a function of the instance's text.  Callers that race
     on one entry at most fold a word twice: each step is a function of its
     word."""
     if flavor == WREATH:
-        letters = _LetterSteps(wreath_bindings(ring), ring,
-                               WreathElement._read)
+        letters = _letter_steps(wreath_bindings(ring), ring, WreathElement)
     else:
-        letters = _LetterSteps(_horizontal_bindings(), ring,
-                               MetabelianElement._read)
-    return _WordSteps(words, letters)
+        letters = _letter_steps(_horizontal_bindings(), ring,
+                                MetabelianElement)
+
+    def read(i: int) -> Step:
+        pos, sums = _fold(_runs(words[i]), letters)
+        return _step(pos, {key: v for key, v in sums.items() if v})
+
+    return _Steps(read), letters
 
 
 def verify_submonoid_certificate(instance: SubmonoidInstance,
@@ -745,9 +738,10 @@ def verify_submonoid_certificate(instance: SubmonoidInstance,
         if not 0 <= i < count:
             raise BadIndex(f"generator {i} out of range")
     ring = instance.ring
-    steps = _word_steps(tuple(instance.generators), instance.flavor, ring)
+    steps, letters = _word_steps(tuple(instance.generators),
+                                 instance.flavor, ring)
     pos, sums = _fold([(index(i), k) for i, k in runs], steps)
-    target_pos, target_sums = _fold(_runs(instance.target), steps.letters)
+    target_pos, target_sums = _fold(_runs(instance.target), letters)
     return (pos == target_pos
             and _reduced(ring, sums) == _reduced(ring, target_sums))
 

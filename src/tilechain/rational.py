@@ -43,9 +43,10 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from .documents import fields
 from .edges import Ring, RingMismatch, ring_from_name
-from .groups import (Point, UnboundSymbol, WreathElement, _bound, _power,
-                     embed_module, wreath_eval)
-from .modules import DuplicateShift, SemimoduleInstance, SubsetPick
+from .groups import (Point, UnboundSymbol, WreathElement, _letter_steps,
+                     _power, embed_module, wreath_eval)
+from .modules import (BadTerm, DuplicateShift, SemimoduleInstance,
+                      SubsetPick, non_int_term)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +383,18 @@ def certificate_to_word(witness: Iterable[SubsetPick]) -> str:
     planting generator letters at pick positions, climbs between rows
     (bare climbs for empty rows, left realignment when the next row starts
     further left), and finally returns to the origin.
+
+    A pick with a non-int field or a negative generator raises
+    :class:`BadTerm`, a translation used twice :class:`DuplicateShift`.
     """
-    picks = sorted(witness, key=lambda p: (p[2], p[1], p[0]))
+    picks = list(witness)
+    for gen, dx, dy in picks:
+        if not type(gen) is type(dx) is type(dy) is int:
+            raise non_int_term(gen, dx, dy, 1)
+        if gen < 0:
+            raise BadTerm(f"term {(gen, dx, dy, 1)}: generator {gen} "
+                          f"out of range")
+    picks.sort(key=lambda p: (p[2], p[1], p[0]))
     if not picks:
         return ""
     rows: Dict[int, list[tuple[int, int]]] = {}
@@ -481,6 +492,16 @@ def make_rational_instance(instance: SemimoduleInstance) -> RationalInstance:
                             target)
 
 
+def _sweep_letters(nfa: Nfa, bindings: Dict[str, WreathElement],
+                   ring: Ring) -> list[tuple]:
+    """``(letter, x shift, y shift, ((a, b, lamp), ...))`` per letter of
+    ``nfa.alphabet()``, in order, read by :func:`groups._letter_steps`."""
+    steps = _letter_steps(bindings, ring, WreathElement)
+    return [(letter, sx, sy, tuple((a, b, v) for (a, b, _), v in own.items()))
+            for letter in nfa.alphabet()
+            for own, sx, sy, _ in (steps[letter],)]
+
+
 def _lamp_index(a: int, b: int) -> int:
     """The digit index of lamp (a, b): Szudzik's pairing of the zigzag
     codes of a and b.  The lamps at most r steps from the origin along
@@ -513,14 +534,14 @@ class _LampCode:
     overflows.  A zero lamp is the digit 0 either way, so a table has one
     code, and equal tables are equal ints."""
 
-    __slots__ = ("ring", "modulus", "width", "mask", "sign")
+    __slots__ = ("modulus", "width", "mask", "sign")
 
-    def __init__(self, ring: Ring, letters: Iterable[WreathElement],
+    def __init__(self, ring: Ring, letters: Iterable[tuple],
                  max_len: int, fixed: Iterable[WreathElement] = ()):
-        self.ring, self.modulus = ring, ring.modulus
+        self.modulus = ring.modulus
         if self.modulus is None:
-            most = max([max_len * abs(v) for value in letters
-                        for v in value.fun().values()]
+            most = max([max_len * abs(v) for *_, lit in letters
+                        for _, _, v in lit]
                        + [abs(v) for value in fixed
                           for v in value.fun().values()], default=0)
             self.sign = 1 << most.bit_length()
@@ -572,12 +593,11 @@ class _LampCode:
                 for index in self.indices(code)}
 
 
-def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement],
-                lamps: _LampCode, max_len: int, position,
-                needed=None) -> Iterator[tuple]:
+def _sweep_walk(nfa: Nfa, letters: list[tuple], lamps: _LampCode,
+                max_len: int, position, needed=None) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
-    frontier pair by the letters of ``nfa.alphabet()`` in order.  For a
+    frontier pair by the :func:`_sweep_letters` of ``nfa`` in order.  For a
     Thompson automaton that is the order in which the letters first appear
     in the expression, as each literal's edge is added left to right.
 
@@ -615,14 +635,6 @@ def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement],
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
-    moves = []
-    for letter in nfa.alphabet():
-        value = _bound(bindings, letter)
-        if value.ring != lamps.ring:
-            raise RingMismatch(f"{value.ring.name} binding for {letter!r} "
-                               f"in a {lamps.ring.name} search")
-        moves.append((letter, *value.pos, tuple(
-            (a, b, v) for (a, b), v in value.fun().items())))
     add = lamps.add
     sim = _compiled(nfa)
     start = (sim.start(), 0, 0, 0)
@@ -641,7 +653,7 @@ def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement],
                 # whether that subset accepts.
                 out = arrows[states] = [
                     (letter, sx, sy, lit, moved, sim.accepting(moved))
-                    for letter, sx, sy, lit in moves
+                    for letter, sx, sy, lit in letters
                     if (moved := sim.step(states, letter))]
             for letter, sx, sy, lit, moved, accepting in out:
                 x, y = px + sx, py + sy
@@ -665,9 +677,9 @@ def _sweep_walk(nfa: Nfa, bindings: Dict[str, WreathElement],
         frontier = next_frontier
 
 
-def _cursor_distance(steps: list[tuple[int, int]]):
-    """``distance(dx, dy)``: the fewest letters, with position steps
-    ``steps``, that can move the cursor by (dx, dy).
+def _cursor_distance(letters: list[tuple]):
+    """``distance(dx, dy)``: the fewest of the :func:`_sweep_letters`
+    ``letters`` that can move the cursor by (dx, dy).
 
     One letter changes x by at most the largest |step x| and y by at most
     the largest |step y|, so each axis needs at least ``ceil(|delta| /
@@ -676,9 +688,9 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     both.  An axis no letter moves along counts steps of 1, which stays a
     lower bound (such a gap cannot be closed at all).
     """
-    max_dx = max((abs(sx) for sx, _ in steps), default=0) or 1
-    max_dy = max((abs(sy) for _, sy in steps), default=0) or 1
-    axis_moves_only = all(sx == 0 or sy == 0 for sx, sy in steps)
+    max_dx = max((abs(sx) for _, sx, _, _ in letters), default=0) or 1
+    max_dy = max((abs(sy) for _, _, sy, _ in letters), default=0) or 1
+    axis_moves_only = all(sx == 0 or sy == 0 for _, sx, sy, _ in letters)
 
     def distance(dx: int, dy: int) -> int:
         need_x = -(-abs(dx) // max_dx)
@@ -688,11 +700,11 @@ def _cursor_distance(steps: list[tuple[int, int]]):
     return distance
 
 
-def _search_bounds(nfa: Nfa, bindings: Dict[str, WreathElement],
-                   target: WreathElement, lamps: _LampCode):
-    """The two pruning hooks of a search for ``target`` over ``nfa``, the
-    walk's own automaton: ``(position, needed)`` for :func:`_sweep_walk`,
-    whose pairs hold lamp tables in the layout ``lamps``.
+def _search_bounds(nfa: Nfa, letters: list[tuple], goal: tuple[int, ...],
+                   lamps: _LampCode):
+    """The two pruning hooks of a search for the ``goal`` (x, y, lamp code)
+    over ``nfa``, the walk's own automaton: ``(position, needed)`` for
+    :func:`_sweep_walk`, whose pairs hold lamp tables in the layout ``lamps``.
 
     ``needed(subset, x, y, code)`` is a lower bound on the length of every
     word ``v`` that takes ``subset`` to an accepting subset and has
@@ -729,15 +741,13 @@ def _search_bounds(nfa: Nfa, bindings: Dict[str, WreathElement],
     position test already is, and ``needed`` is None.
     """
     automaton = _compiled(nfa).distance
-    values = [_bound(bindings, letter) for letter in nfa.alphabet()]
-    if any(value.pos != (0, 0) and value.support() for value in values):
+    if any((sx or sy) and lit for _, sx, sy, lit in letters):
         return lambda subset, x, y: automaton(subset), None
-    distance = _cursor_distance([value.pos for value in values])
-    plants = [value.support() for value in values if value.support()]
+    distance = _cursor_distance(letters)
+    plants = [lit for *_, lit in letters if lit]
     most = max(map(len, plants), default=0)
-    reach = {offset for lit in plants for offset in lit}
-    goal = lamps.encode(target.fun())
-    tx, ty = target.pos
+    reach = {(a, b) for lit in plants for a, b, _ in lit}
+    tx, ty, goal = goal
     legs: Dict[tuple[int, int, int], int] = {}
     tours: Dict[tuple[int, int, int], int] = {}
 
@@ -807,19 +817,18 @@ def rational_member_bounded(expr: RationalExpr,
         raise RingMismatch(f"{target.ring.name} target in a {ring.name} "
                            "search")
     nfa = regex_to_nfa(expr)
-    lamps = _LampCode(ring, [_bound(bindings, letter)
-                             for letter in nfa.alphabet()],
-                      max_len, (target,))
+    letters = _sweep_letters(nfa, bindings, ring)
+    lamps = _LampCode(ring, letters, max_len, (target,))
     goal = (*target.pos, lamps.encode(target.fun()))
     for accepting, x, y, code, word in _sweep_walk(
-            nfa, bindings, lamps, max_len,
-            *_search_bounds(nfa, bindings, target, lamps)):
+            nfa, letters, lamps, max_len,
+            *_search_bounds(nfa, letters, goal, lamps)):
         if accepting and (x, y, code) == goal:
-            letters = []
+            tokens = []
             while word is not None:
                 word, letter = word
-                letters.append(letter)
-            spelled = " ".join(reversed(letters))
+                tokens.append(letter)
+            spelled = " ".join(reversed(tokens))
             if wreath_eval(spelled, bindings, ring) != target:
                 raise AssertionError(f"BFS hit {spelled!r} does not "
                                      "re-evaluate to the target")
@@ -842,11 +851,11 @@ def enumerate_zero_position_hits(expr: RationalExpr,
     lamp code hit is decoded into a group element once.
     """
     nfa = regex_to_nfa(expr)
-    values = [_bound(bindings, letter) for letter in nfa.alphabet()]
-    lamps = _LampCode(ring, values, max_len)
-    distance = _cursor_distance([value.pos for value in values])
+    letters = _sweep_letters(nfa, bindings, ring)
+    lamps = _LampCode(ring, letters, max_len)
+    distance = _cursor_distance(letters)
     codes = {code for accepting, x, y, code, _ in
-             _sweep_walk(nfa, bindings, lamps, max_len,
+             _sweep_walk(nfa, letters, lamps, max_len,
                          lambda subset, x, y: distance(x, y))
              if accepting and x == 0 == y}
     return {WreathElement(ring, lamps.decode(code)) for code in codes}

@@ -63,9 +63,6 @@ class TuringMachine:
     accepting: str
     transitions: dict[tuple[str, str], tuple[str, str, str]]
 
-    def defined(self, state: str, symbol: str) -> bool:
-        return (state, symbol) in self.transitions
-
 
 def validate(tm: TuringMachine) -> list[str]:
     """Return every structural violation as a human-readable string.
@@ -221,9 +218,6 @@ def normalize(tm: TuringMachine) -> TuringMachine:
     taken = set(tm.tape_alphabet)
     visited = {a: _fresh(a + "+v", taken) for a in tm.tape_alphabet}
     origin = {a: _fresh(a + "+o", taken) for a in tm.tape_alphabet}
-    raw_of = {v: a for a, v in visited.items()}
-    raw_of.update({o: a for a, o in origin.items()})
-    raw_of.update({a: a for a in tm.tape_alphabet})
 
     state_names = set(tm.states)
     wrap = {base: _fresh(base, state_names) for base in _WRAP_STATES}

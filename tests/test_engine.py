@@ -157,6 +157,18 @@ class TestParseInitialShape:
                    for (((x, y, o), c), v) in entries]
         with pytest.raises(MalformedInput):
             parse_initial_shape(EdgeMap(Z, shifted))
+        raised = entries + [(((0, 2, "H"), ARROW_D), 1)]
+        with pytest.raises(MalformedInput,
+                           match=r"unexpected horizontal entry at \(0,2\)"):
+            parse_initial_shape(EdgeMap(Z, raised))
+        lifted = [(((x, y + (o == "V"), o), c), v)
+                  for (((x, y, o), c), v) in entries]
+        with pytest.raises(MalformedInput, match=r"vertical entry at \(3,1\)"):
+            parse_initial_shape(EdgeMap(Z, lifted))
+        swapped = [(((x, y, o), ARROW_D if c == ARROW_R else c), v)
+                   for (((x, y, o), c), v) in entries]
+        with pytest.raises(MalformedInput, match="missing start or end arrow"):
+            parse_initial_shape(EdgeMap(Z, swapped))
 
 
 class TestForcedSearch:

@@ -68,6 +68,7 @@ def test_rational_searches_have_no_recursion():
     # which is legitimate.
     names = {"_sweep_walk", "rational_member_bounded",
              "enumerate_zero_position_hits", "_search_bounds",
+             "_sweep_letters",
              "_cursor_distance", "_compiled", "_final_distances", "_NfaSim",
              "_lamp_index", "_lamp_at", "_LampCode"}
     tree = ast.parse((SRC / "rational.py").read_text())
@@ -137,6 +138,59 @@ def test_classes_defining_counts_each_class():
     assert found["__mul__"] == ["Lamps", "Flows"]
     assert found["inv"] == ["Lamps"] and found["__hash__"] == ["Inner"]
     assert found["__eq__"] == [] == found["__reduce__"]
+
+
+def _referrers(tree: ast.AST, name: str) -> list[str]:
+    """The top-level statements that refer to ``name`` by bare or
+    attribute name, nested bodies included: a function or class by its
+    own name, any other statement as ``<module>``.  The definition of
+    ``name`` itself is skipped."""
+    found = []
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        if own != name and any(
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                for node in ast.walk(top)):
+            found.append(own or "<module>")
+    return found
+
+
+def test_bindings_are_read_in_one_place():
+    # What a letter's binding contributes, and which bindings are refused
+    # (missing, of the other group, over another ring), is decided by one
+    # reader; word evaluation, certificate checks and the sweep searches
+    # all go through it, and its steps fill one lazy table class.
+    found = [f"{path.name}:{referrer}" for path in sorted(SRC.glob("*.py"))
+             for referrer in _referrers(ast.parse(path.read_text()),
+                                        "_bound")]
+    assert found == ["groups.py:_letter_steps"]
+    tree = ast.parse((SRC / "groups.py").read_text())
+    assert len(_classes_defining(tree, ["__missing__"])["__missing__"]) == 1
+
+
+def test_referrers_see_nested_attribute_and_module_level_uses():
+    tree = ast.parse(textwrap.dedent("""
+        from .groups import _bound
+
+        def _bound(bindings, letter):
+            return _bound(bindings, letter)
+
+        def reader(bindings):
+            def read(letter):
+                return _bound(bindings, letter)
+            return read
+
+        class Walk:
+            def step(self):
+                return groups._bound(self.bindings, "x")
+
+        def other(bindings):
+            return bound(bindings, "x")
+
+        FIRST = _bound({"x": 1}, "x")
+    """))
+    assert _referrers(tree, "_bound") == ["reader", "Walk", "<module>"]
 
 
 _TOKEN_BUILDERS = {"pow_tokens", "word_from_tokens", "_conjugate"}

@@ -5,16 +5,18 @@ search over (automaton state, group element) pairs."""
 import itertools
 import json
 import random
+import re
 
 import pytest
 
 from tilechain.compiler import compile_tiles, initial_map
 from tilechain.edges import Ring, RingMismatch, Z, ring_from_name
 from tilechain.groups import (UnboundSymbol, WreathElement, _make_element,
+                              metabelian_bindings, metabelian_eval,
                               wreath_eval, wreath_identity)
 from tilechain.engine import build_accepting_tiling
 from tilechain.machines import mini_eraser, two_symbol_eraser, unary_eraser
-from tilechain.modules import (DuplicateShift, SemimoduleInstance,
+from tilechain.modules import (BadTerm, DuplicateShift, SemimoduleInstance,
                                certificate_to_witness, element_from_dict,
                                tiling_to_subset_sum, unit, zero_element)
 from tilechain.rational import (
@@ -44,7 +46,8 @@ from tilechain.rational import (
 )
 from tilechain import rational
 from tilechain.rational import (_NEVER, _LampCode, _NfaSim, _compiled,
-                                _lamp_at, _lamp_index, _search_bounds)
+                                _lamp_at, _lamp_index, _search_bounds,
+                                _sweep_letters)
 
 
 def subset_instance(ring, target, gens=None):
@@ -88,7 +91,8 @@ class TestExpressions:
                      Union((Lit("a"), Concat((Lit("b"), Lit("c"))))),
                      Star(Concat((Lit("a"), Star(Lit("b"))))),
                      build_L(1),
-                     build_L(3)):
+                     build_L(3),
+                     Concat(())):
             assert expr_from_text(expr_to_text(expr)) == expr
 
     def test_parse_errors(self):
@@ -250,6 +254,16 @@ class TestWitnessWords:
     def test_repeated_translation_rejected(self):
         with pytest.raises(DuplicateShift, match=r"\(1, 1\) used twice"):
             certificate_to_word(((0, 1, 1), (1, 1, 1)))
+
+    def test_picks_are_checked(self):
+        # No sweep language has a letter gTrue or g-1, and a float shift
+        # cannot repeat a letter: each pick is refused before it is spelled.
+        for picks, text in ((((True, 0, 0),), "gen True is not an int"),
+                            (((0, 1.0, 0),), "dx 1.0 is not an int"),
+                            (((0, 0, 0), (-1, 0, 1)),
+                             "generator -1 out of range")):
+            with pytest.raises(BadTerm, match=re.escape(text)):
+                certificate_to_word(picks)
 
     def test_random_witnesses_compile_to_accepted_words(self):
         rng = random.Random(13)
@@ -423,6 +437,31 @@ class TestBoundedSearch:
         target = WreathElement(Ring(None), {(0, 0): 3})
         with pytest.raises(RingMismatch, match="Z target in a Zmod:2"):
             rational_member_bounded(rat.expr, rat.bindings, target, 5, ring)
+
+    def test_every_reader_refuses_alike(self):
+        # Word evaluation and both sweep searches read their bindings with
+        # one reader, so each refuses a binding of the other group and a
+        # binding over another ring with the same text.
+        ring = Ring(2)
+        rat = make_rational_instance(subset_instance(ring,
+                                                     unit(ring, 1, 0, 0, 0)))
+        flows = dict(rat.bindings, x=metabelian_bindings()["x"])
+        mod3 = dict(rat.bindings, g0=WreathElement(Ring(3), {(0, 0): 1}))
+        for bindings, error, text in (
+                (flows, TypeError,
+                 "'x' is bound to a MetabelianElement of another group"),
+                (mod3, RingMismatch,
+                 "Zmod:3 binding for 'g0' in a Zmod:2 evaluation")):
+            for call in (lambda: wreath_eval("g0 x", bindings, ring),
+                         lambda: rational_member_bounded(
+                             rat.expr, bindings, rat.target, 5, ring),
+                         lambda: enumerate_zero_position_hits(
+                             rat.expr, bindings, ring, 5)):
+                with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                    call()
+        with pytest.raises(TypeError, match="^'g0' is bound to a "
+                           "WreathElement of another group$"):
+            metabelian_eval("g0", rat.bindings)
 
 
 class TestEnumeration:
@@ -734,10 +773,10 @@ def search_hooks(nfa, bindings, target, max_len=6):
     """The hooks of :func:`_search_bounds` for a walk of at most
     ``max_len`` letters, with ``needed`` read at a (subset, element) pair:
     the element goes through the walk's lamp encoder first."""
-    lamps = _LampCode(target.ring, [bindings[letter]
-                                    for letter in nfa.alphabet()],
-                      max_len, (target,))
-    position, needed = _search_bounds(nfa, bindings, target, lamps)
+    letters = _sweep_letters(nfa, bindings, target.ring)
+    lamps = _LampCode(target.ring, letters, max_len, (target,))
+    goal = (*target.pos, lamps.encode(target.fun()))
+    position, needed = _search_bounds(nfa, letters, goal, lamps)
     if needed is None:
         return position, None
     return position, lambda subset, element: needed(
@@ -984,6 +1023,12 @@ class TestCompiledAutomaton:
 # lamp tables as ints
 
 
+def plant_letter(plant):
+    """A plant as one entry of a search's letter list."""
+    return ("g0", *plant.pos,
+            tuple((a, b, v) for (a, b), v in plant.fun().items()))
+
+
 class TestLampCodes:
     RINGS = ["Zmod:2", "Zmod:3", "Zmod:4", "Zmod:5", "Z"]
 
@@ -1001,7 +1046,7 @@ class TestLampCodes:
         ring = ring_from_name(name)
         rng = random.Random(f"lamp codes {name}")
         plant = WreathElement(ring, {(0, 0): 1, (1, 0): -1})
-        lamps = _LampCode(ring, [plant], 20)
+        lamps = _LampCode(ring, [plant_letter(plant)], 20)
         for _ in range(200):
             table = WreathElement(ring, {
                 (rng.randint(-9, 9), rng.randint(-9, 9)): rng.randint(-20, 20)
@@ -1019,19 +1064,21 @@ class TestLampCodes:
         ring = ring_from_name(name)
         plant = WreathElement(ring, {(0, 0): 1})
         for lamp in ((0, 0),) + ((3, -2),) * (ring.modulus is not None):
-            sizes = {_LampCode(ring, [plant], max_len).encode(
+            sizes = {_LampCode(ring, [plant_letter(plant)], max_len).encode(
                 {lamp: 1}).bit_length() for max_len in (4, 400)}
             assert len(sizes) == 1, (lamp, sizes)
-        assert _LampCode(ring, [plant], 4).encode({(0, 0): 1}) == 1
+        lamps = _LampCode(ring, [plant_letter(plant)], 4)
+        assert lamps.encode({(0, 0): 1}) == 1
 
     def test_digit_widths(self):
         plant = WreathElement(Z, {(0, 0): 2, (1, 0): -1})
-        widths = [_LampCode(ring_from_name(name), [plant], 6).width
+        widths = [_LampCode(ring_from_name(name),
+                            [plant_letter(plant)], 6).width
                   for name in self.RINGS]
         # Z: a sign bit over magnitudes up to 6 x 2.
         assert widths == [1, 2, 2, 3, 5]
         target = WreathElement(Z, {(0, 0): 40})
-        assert _LampCode(Z, [plant], 6, (target,)).width == 7
+        assert _LampCode(Z, [plant_letter(plant)], 6, (target,)).width == 7
 
     @pytest.mark.parametrize("name,lit", [
         ("Z", (((0, 0), 2), ((1, 0), -1))),

@@ -190,6 +190,23 @@ class TestNormalize:
             word = "a" * n
             assert raw_accepts(word) == (run(norm, word, RUN_FUEL) is not None)
 
+    def test_wrapper_names_avoid_the_machine_s_own(self):
+        # A state named like a wrapper state and a symbol named like a
+        # marked variant push each wrapper name to a fresh one.
+        raw = dataclasses.replace(
+            mini_eraser(), states=("q0", "start", "qf"),
+            tape_alphabet=("a", "a+v", BLANK),
+            transitions={("q0", "a"): ("start", BLANK, "R"),
+                         ("start", BLANK): ("qf", BLANK, "L")})
+        norm = normalize(raw)
+        assert validate(norm) == []
+        assert norm.initial == "start'"
+        assert {"a+v'", "a+v+v"} <= set(norm.tape_alphabet)
+        assert len(set(norm.states)) == len(norm.states)
+        assert len(set(norm.tape_alphabet)) == len(norm.tape_alphabet)
+        for n in range(1, 4):
+            assert (run(norm, "a" * n, RUN_FUEL) is not None) == (n == 1)
+
     def test_total_corpus_trivially_normalized(self):
         for tm in corpus().values():
             assert normalize(tm) is tm
