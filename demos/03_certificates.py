@@ -39,9 +39,9 @@ print(f"  clean certificate: ok={report.ok}, flags={list(report.flags)}")
 
 print()
 print("=== A broken tiling leaves edges uncancelled ===")
-gone = cert.placements[len(cert.placements) // 2]
-broken = Certificate(tuple(p for p in cert.placements if p is not gone),
-                     cert.width_m, cert.rows)
+cells = list(cert.placements)
+gone = cells.pop(len(cells) // 2)
+broken = Certificate(cells, cert.width_m, cert.rows)
 print(f"  without {gone.tile.name} at ({gone.x}, {gone.y}): "
       f"cancels: {verify_zero(f0, broken, ts)}")
 left = f0 + evaluate_placements(ts, broken.placements, f0.ring)

@@ -52,7 +52,7 @@ from itertools import groupby
 from typing import Optional
 
 from .edges import EdgeMap
-from .tiling import (ARROW_D, ARROW_R, Certificate, Color, Tile,
+from .tiling import (ARROW_D, ARROW_R, Certificate, Color, Placements, Tile,
                      TilingSystem)
 
 
@@ -266,4 +266,4 @@ def _certificate(stack: list, n: int, m: int) -> Certificate:
             if tile is not None:
                 append((tile, x0 + i, y, count))
             i += count
-    return Certificate._from_runs(runs, m, len(stack) - 1)
+    return Certificate(Placements(runs), m, len(stack) - 1)

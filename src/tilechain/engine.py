@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional
 from .compiler import EmptyInput, compile_tiles
 from .deduce import MalformedInput, parse_initial_shape
 from .edges import EdgeMap, _side_lookup
-from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Tile, TilingSystem,
-                     _disjoint_spans, head, letter, state)
+from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Placements, Tile,
+                     TilingSystem, _disjoint_spans, head, letter, state)
 from .tm import RunTrace, TuringMachine, run, tape_extent
 
 
@@ -122,7 +122,7 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
         append((b4, 2, cap_y, m - 2))
     append((b3, m, cap_y, 1))
 
-    return Certificate._from_runs(runs, m, cap_y)
+    return Certificate(Placements(runs), m, cap_y)
 
 
 def _carry_runs(carry: dict, symbols, x: int, y: int, append) -> int:

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .documents import fields
 from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
                     tile_eval)
-from .tiling import Certificate, Color, TilingSystem, _placement_runs
+from .tiling import Certificate, Color, TilingSystem
 
 
 class UnknownColor(ValueError):
@@ -765,7 +765,7 @@ def witness_to_certificate(witness: Iterable[SubsetPick],
     width = max((x for _, x, _ in cells), default=0)
     rows = max((y for _, _, y in cells), default=0)
     cells.sort(key=itemgetter(2, 1))
-    return Certificate._from_runs(_placement_runs(cells), width, rows)
+    return Certificate(cells, width, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,7 @@ def word_plants(word: str | Iterable[str]) -> list[tuple[int, int, int]]:
             b += 1
         elif token == "Y":
             b -= 1
-        elif token.startswith("g"):
+        elif re.fullmatch("g(0|[1-9][0-9]*)", token):
             plants.append((int(token[1:]), a, b))
         else:
             raise UnboundSymbol(f"unexpected token {token!r}")

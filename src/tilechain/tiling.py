@@ -11,20 +11,21 @@ A certificate is a finite multiset of tile placements together with the
 width and height of the region it is supposed to fill.  Nothing here knows
 about Turing machines; certificates are checked purely through colors.
 
-A certificate's stored form is its runs: the maximal runs of one tile
-object at consecutive x in one row, read by :meth:`Certificate.runs`.  A
-built row is one machine configuration, and a step changes the tape only
-next to the head, so a row is a few long runs.  The builder, the forced
-search and the JSON loader make certificates from runs, checked once per
-run; verification, the audit, the witness reader, both drawings and the
-JSON writer work run by run.  Coordinates are ints by type.  The
-placements tuple, one ``(tile, x, y)`` per cell, is expanded from the
-runs when first read, and is what equality, hashing and ``repr`` see.
+A certificate stores its placements in one form, :class:`Placements`:
+the runs of one tile at consecutive x in one row.  A built row is one
+machine configuration, and a step changes the tape only next to the head,
+so a row is a few long runs.  The builder, the forced search and the JSON
+loader hand over runs, checked once per run; verification, the audit, the
+witness reader, both drawings and the JSON writer work run by run, and
+equality and hashing compare runs.  Coordinates are ints by type.  A
+``(tile, x, y)`` per cell is made only when the placements are iterated
+or indexed, and is not kept.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -205,6 +206,55 @@ class TilingSystem:
             raise ValueError(f"tile {tile} is not in the system") from None
 
 
+@dataclass(frozen=True, eq=False)
+class Placements(Sequence):
+    """Placements stored as runs ``(tile, x0, y, count)``: ``tile`` in row
+    ``y`` at x = x0, ..., x0 + count - 1, spelled afresh on every read.
+    Equality and hashing merge neighbouring runs of equal tiles, so they
+    agree with a cell-by-cell comparison and cost one step per run."""
+
+    runs: tuple[tuple[Tile, int, int, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "runs", tuple(self.runs))
+        for _, x0, y, count in self.runs:
+            if type(x0) is not int or type(y) is not int:
+                raise _cell_refusal(x0, y)
+            if type(count) is not int:
+                raise wrong_type("run", "count", count, int)
+            if count < 1:
+                raise ValueError(f"run field 'count' must be at least 1, "
+                                 f"not {count}")
+
+    def __len__(self) -> int:
+        return sum(run[3] for run in self.runs)
+
+    def __iter__(self):
+        for tile, x0, y, count in self.runs:
+            for x in range(x0, x0 + count):
+                yield _new_placement(Placement, (tile, x, y))
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def _merged(self) -> list:
+        merged = [(None, 0, None, 0)]  # a mark that no run extends
+        for tile, x0, y, count in self.runs:
+            t, a, b, k = merged[-1]
+            if y == b and x0 == a + k and tile == t:
+                merged[-1] = (t, a, b, k + count)
+            else:
+                merged.append((tile, x0, y, count))
+        return merged
+
+    def __eq__(self, other):
+        return (isinstance(other, Placements)
+                and self._merged() == other._merged())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._merged()))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Tile placements claimed to cancel an initial edge map.
@@ -215,57 +265,24 @@ class Certificate:
 
     Cells are integer lattice points: ``width_m``, ``rows`` and every x
     and y must be of type ``int`` (``bool`` refused), or construction
-    raises the JSON loader's ``ValueError``.  The stored form is
-    :meth:`runs`.  ``Certificate(placements, width_m, rows)`` scans the
-    placements into runs; the producers in the library hand over their
-    runs to :meth:`_from_runs` instead, and ``placements`` is then expanded
-    from the runs when first read and kept.  The runs are not a field, so
-    equality, hash and repr see the placements alone.
+    raises the JSON loader's ``ValueError``.  ``placements`` is kept as
+    given when it is a :class:`Placements`; any other sequence of
+    ``(tile, x, y)`` is scanned into its maximal runs by tile identity.
     """
 
-    placements: tuple[Placement, ...]
+    placements: Placements
     width_m: int
     rows: int
 
     def __post_init__(self):
         _check_size(self.width_m, self.rows)
-        object.__setattr__(self, "_runs", _placement_runs(self.placements))
-
-    @classmethod
-    def _from_runs(cls, runs, width_m: int, rows: int) -> Certificate:
-        """The certificate whose :meth:`runs` are ``runs``, which must be
-        maximal by tile identity.  Refuses what the constructor refuses,
-        with its texts, checking each run once."""
-        _check_size(width_m, rows)
-        runs = tuple(runs)
-        for _, x0, y, count in runs:
-            if type(x0) is not int or type(y) is not int:
-                raise _cell_refusal(x0, y)
-            if type(count) is not int:
-                raise wrong_type("run", "count", count, int)
-        cert = object.__new__(cls)
-        cert.__dict__.update(width_m=width_m, rows=rows, _runs=runs)
-        return cert
-
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: ``placements`` of
-        # a certificate made from runs is expanded here, once.
-        if name != "placements":
-            raise AttributeError(f"'Certificate' object has no attribute "
-                                 f"{name!r}")
-        placements = tuple(_new_placement(Placement, (tile, x, y))
-                           for tile, x0, y, count in self._runs
-                           for x in range(x0, x0 + count))
-        object.__setattr__(self, "placements", placements)
-        return placements
+        if not isinstance(self.placements, Placements):
+            object.__setattr__(self, "placements",
+                               Placements(_placement_runs(self.placements)))
 
     def runs(self) -> tuple[tuple[Tile, int, int, int], ...]:
-        """The maximal runs ``(tile, x0, y, count)`` of the placements, in
-        placement order: ``count`` consecutive placements of one tile
-        object in row ``y`` at x = x0, x0 + 1, ..., x0 + count - 1.
-        Every placement lies in exactly one run, and the runs, read in
-        order, spell the placements."""
-        return self._runs
+        """The stored runs of the placements; see :class:`Placements`."""
+        return self.placements.runs
 
 
 def _check_size(width_m, rows) -> None:
@@ -285,24 +302,22 @@ _UNSET = object()
 
 
 def _placement_runs(placements) -> tuple[tuple[Tile, int, int, int], ...]:
-    """The maximal runs of a placement sequence; see
-    :meth:`Certificate.runs`.  One pass that refuses a coordinate that is
-    not an int and compares tiles by identity."""
+    """The maximal runs of a placement sequence by tile identity; a cell
+    whose x or y is not an int starts a run, which Placements refuses."""
     runs = []
     append = runs.append
     tile = row = _UNSET
     nxt = x0 = count = 0
     for t, x, y in placements:
-        if type(x) is not int or type(y) is not int:
-            raise _cell_refusal(x, y)
-        if t is tile and x == nxt and y == row:
+        if (t is tile and x == nxt and y == row
+                and type(x) is int and type(y) is int):
             nxt += 1
             count += 1
             continue
         if count:
             append((tile, x0, row, count))
         tile, x0, row, count = t, x, y, 1
-        nxt = x + 1
+        nxt = x + 1 if type(x) is int else _UNSET
     if count:
         append((tile, x0, row, count))
     return tuple(runs)
@@ -383,7 +398,7 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
     # previous row's, already read, takes the same tile without a lookup.
     # Such a row at the next int x in the same int row extends the run;
     # any other row starts one, so a coordinate that is not an int always
-    # starts a run, and Certificate._from_runs refuses it.
+    # starts a run, and Placements refuses it.
     built: dict = {}
     runs = []
     append = runs.append
@@ -431,7 +446,7 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
         nxt = x + 1 if type(x) is int else _UNSET
     if count:
         append((run_tile, x0, row_y, count))
-    return Certificate._from_runs(runs, width_m, rows)
+    return Certificate(Placements(runs), width_m, rows)
 
 
 def dump_system(ts: TilingSystem) -> str:

@@ -251,7 +251,7 @@ class TestTilingCommands:
 
     def test_audit_flags_stray_tile(self, capsys, ws, tmp_path):
         tile = ws.unary_cert.placements[0].tile
-        bad = Certificate(ws.unary_cert.placements + (Placement(tile, 50, 50),),
+        bad = Certificate((*ws.unary_cert.placements, Placement(tile, 50, 50)),
                           ws.unary_cert.width_m, ws.unary_cert.rows)
         cert_path = tmp_path / "bad.json"
         init_path = tmp_path / "init.json"

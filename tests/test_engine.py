@@ -98,7 +98,7 @@ class TestAudit:
         some = cert.placements[5]
 
         def with_extra(placement):
-            return Certificate(cert.placements + (placement,),
+            return Certificate((*cert.placements, placement),
                                cert.width_m, cert.rows)
 
         below = with_extra(Placement(some.tile, 1, -1))

@@ -321,6 +321,16 @@ class TestWitnessWords:
     def test_word_plants_rejects_foreign_tokens(self):
         with pytest.raises(UnboundSymbol, match="unexpected token 'z'"):
             word_plants("x z")
+        # Only "g" and a canonical ASCII decimal, as the writers spell it.
+        assert word_plants("g0 x g12 y g7") == [(0, 0, 0), (12, 1, 0),
+                                                (7, 1, 1)]
+        for token in ("g-1", "g+1", "g01", "g00", "g\uff11", "g\u0661",
+                      "gx", "g", "g1 ", "g 1", "G1", "g1_0", "g1.0"):
+            with pytest.raises(UnboundSymbol, match="unexpected token"):
+                word_plants(["x", token])
+            if token.strip() == token and " " not in token:
+                with pytest.raises(UnboundSymbol, match="unexpected token"):
+                    word_plants(f"x {token} y")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""The run view of a certificate and the paths that read it.
+"""A certificate's one stored form, its runs, and the paths that read it.
 
-``verify_zero``, ``claims_audit``, the ASCII drawing, the certificate
-JSON writer and ``certificate_to_witness`` work on maximal runs of one
-tile object in one row.  Each is
-compared here with a per-placement reference on every corpus certificate
-and on seeded mutants: deleted, duplicated, shifted and retiled
-placements, shuffled order, stacked cells, gaps, negative coordinates,
-and foreign tiles.  A mutant with a non-integer coordinate is refused
-when it is built, as the JSON loader refuses it.  The builder, forced
-search, the JSON loader and the witness reader's inverse hand a
-certificate its runs: each such certificate must equal the constructor's
-on its placements, and no reader may expand them.  The memoised
+A certificate's ``placements`` is a :class:`Placements`, which stores runs
+of one tile in one row and spells placements only when iterated or
+indexed.  ``verify_zero``, ``claims_audit``, the ASCII drawing, the
+certificate JSON writer and ``certificate_to_witness`` work on the runs.
+Each is compared here with a per-placement reference on every corpus
+certificate and on seeded mutants: deleted, duplicated, shifted and
+retiled placements, shuffled order, stacked cells, gaps, negative
+coordinates, and foreign tiles.  A mutant with a non-integer coordinate
+is refused when it is built, as the JSON loader refuses it.  The builder,
+forced search, the JSON loader and the witness reader's inverse each
+make a certificate that must equal the constructor's on its placements,
+and no reader may spell the placements.  Equality and hashing compare
+runs, and must agree with a cell-by-cell comparison.  The memoised
 ``compile_tiles`` is tested here too, since the builder reuses its system.
 """
 
@@ -33,10 +35,11 @@ from tilechain.deduce import (MalformedInput, forced_search,
 from tilechain.modules import (DuplicateShift, certificate_to_witness,
                                witness_to_certificate)
 from tilechain.render import render_certificate_ascii, render_certificate_svg
-from tilechain.tiling import (ARROW_R, C0, Certificate, Placement, Tile,
-                              _placement_runs, certificate_from_dict,
-                              certificate_to_dict, dump_certificate, letter,
-                              load_certificate, tile_to_dict)
+from tilechain.tiling import (ARROW_R, C0, Certificate, Placement,
+                              Placements, Tile, _placement_runs,
+                              certificate_from_dict, certificate_to_dict,
+                              dump_certificate, letter, load_certificate,
+                              tile_to_dict)
 
 from conftest import RUN_FUEL
 from test_render import reference_ascii
@@ -269,7 +272,8 @@ class TestAgainstReferences:
     def test_ring_decides_cancellation(self, artifacts):
         # Two more copies of a placed tile vanish mod 2 only.
         tm, ts, _, cert = artifacts.pipeline("unary-eraser", "aa")
-        doubled = Certificate(cert.placements + (cert.placements[0],) * 2,
+        first = cert.placements[0]
+        doubled = Certificate((*cert.placements, first, first),
                               cert.width_m, cert.rows)
         for ring in RINGS:
             f0 = initial_map(tm, "aa", ring)
@@ -300,7 +304,7 @@ class TestAgainstReferences:
 
     def test_foreign_tile_raises_as_before(self, artifacts):
         _, ts, f0, cert = artifacts.pipeline("unary-eraser", "aa")
-        foreign = Certificate(cert.placements + (Placement(FOREIGN, 1, 1),),
+        foreign = Certificate((*cert.placements, Placement(FOREIGN, 1, 1)),
                               cert.width_m, cert.rows)
         result = outcome(verify_zero, f0, foreign, ts)
         assert result == outcome(reference_verify, f0, foreign, ts)
@@ -348,29 +352,80 @@ class TestRunView:
                            1, 0)
         assert len(cert.runs()) == 2
 
-    def test_the_view_is_not_part_of_the_value(self, artifacts):
+    def test_one_stored_form(self, artifacts):
         cert = self.cert(artifacts)
         fresh = Certificate(cert.placements, cert.width_m, cert.rows)
         assert [f.name for f in dataclasses.fields(fresh)] == [
             "placements", "width_m", "rows"]
-        before = (repr(fresh), hash(fresh))
-        assert "runs" not in before[0]
-        # A certificate whose view were other still equals, hashes and
-        # prints the same.
-        blank = Certificate(cert.placements, cert.width_m, cert.rows)
-        object.__setattr__(blank, "_runs", ())
-        assert blank == fresh == cert
-        assert (repr(blank), hash(blank)) == before
+        assert type(fresh.placements) is Placements
+        assert fresh.placements is cert.placements
+        scanned = Certificate(tuple(cert.placements), cert.width_m, cert.rows)
+        assert type(scanned.placements) is Placements
+        assert scanned == fresh == cert
+        assert (repr(scanned), hash(scanned)) == (repr(fresh), hash(fresh))
         for clone in (dataclasses.replace(fresh),
                       pickle.loads(pickle.dumps(fresh)), copy.copy(fresh),
                       copy.deepcopy(fresh)):
-            assert clone == fresh
+            assert clone == fresh and hash(clone) == hash(fresh)
             assert clone.runs() == fresh.runs()
-            # The view a clone holds is the one its own placements give.
+            # The runs a clone holds are the ones its own placements give.
             assert ([(id(t), x0, y, k) for t, x0, y, k in clone.runs()]
                     == [(id(t), x0, y, k) for t, x0, y, k
                         in _placement_runs(clone.placements)])
         assert dump_certificate(fresh) == reference_dump(cert)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh.placements.runs = ()
+
+    def test_placements_read_as_a_sequence(self, artifacts):
+        cert = self.cert(artifacts)
+        cells = list(cert.placements)
+        assert len(cert.placements) == len(cells) > len(cert.runs())
+        assert all(type(p) is Placement for p in cells)
+        assert cert.placements[0] == cells[0]
+        assert cert.placements[-1] == cells[-1]
+        assert cert.placements[1:] == tuple(cells[1:])
+        assert cells[7] in cert.placements
+        assert list(reversed(cert.placements)) == cells[::-1]
+        # Spelled afresh on each read, and nothing is kept.
+        assert list(cert.placements) == cells
+        assert next(iter(cert.placements)) is not cells[0]
+        assert vars(cert.placements) == {"runs": cert.runs()}
+
+    def test_equal_tiles_compare_equal_across_runs(self):
+        # Equal tiles that are other objects, or carry other names, split
+        # runs by identity; equality and hashing still go by the cells.
+        twin = dataclasses.replace(FOREIGN)
+        renamed = dataclasses.replace(FOREIGN, name="renamed")
+        other = Tile(C0, C0, C0, C0)
+        one = Certificate(tuple(Placement(FOREIGN, x, 0) for x in range(4))
+                          + (Placement(other, 4, 0), Placement(FOREIGN, 0, 1)),
+                          4, 1)
+        for left, right in ((twin, renamed), (renamed, FOREIGN),
+                            (FOREIGN, twin)):
+            two = Certificate((Placement(FOREIGN, 0, 0), Placement(left, 1, 0),
+                               Placement(right, 2, 0), Placement(left, 3, 0),
+                               Placement(other, 4, 0),
+                               Placement(renamed, 0, 1)), 4, 1)
+            assert len(two.runs()) > len(one.runs())
+            assert identities(two.runs()) != identities(one.runs())
+            assert one == two and two == one
+            assert one.placements == two.placements
+            assert hash(one) == hash(two)
+            assert hash(one.placements) == hash(two.placements)
+            assert tuple(one.placements) == tuple(two.placements)
+            # Runs merged by equality are the same as runs given whole.
+            whole = Certificate(Placements(((left, 0, 0, 4), (other, 4, 0, 1),
+                                            (right, 0, 1, 1))), 4, 1)
+            assert whole == two and hash(whole) == hash(two)
+        for changed in ((Placement(other, 0, 0),), (Placement(FOREIGN, 5, 0),),
+                        (Placement(FOREIGN, 0, 2),), ()):
+            cells = (*one.placements, *changed)
+            if not changed:
+                cells = cells[:-1]
+            bent = Certificate(cells, 4, 1)
+            assert bent != one and bent.placements != one.placements
+        assert one != Certificate(one.placements, 5, 1)
+        assert one.placements != tuple(one.placements)
 
     def test_empty_certificate(self):
         empty = Certificate((), 0, 0)
@@ -390,18 +445,12 @@ def identities(runs):
     return [(id(tile), x0, y, count) for tile, x0, y, count in runs]
 
 
-def expanded(cert):
-    """Whether the certificate has made its placements tuple."""
-    return "placements" in vars(cert)
-
-
 def produced(artifacts):
     """Fresh certificates from every producer, as ``(producer, system,
     starting map, certificate)``: the builder, forced search, the JSON
     loader with and without the system, and the witness reader's inverse
     on the picks in shuffled order.  The inputs are every corpus pipeline
-    and two larger ones with longer runs.  No certificate has been read
-    by placement."""
+    and two larger ones with longer runs."""
     rng = random.Random(20261020)
     inputs = [artifacts.pipeline(name, word)[:3] + (word,)
               for name, word in artifacts.accepted_pairs()]
@@ -422,35 +471,41 @@ def produced(artifacts):
             ("witness", ts, f0, witness_to_certificate(picks, ts)))
 
 
+def spelling_refused(*args):
+    raise AssertionError("placements spelled cell by cell")
+
+
 class TestProducersStoreRuns:
-    def test_readers_do_not_expand_placements(self, artifacts):
-        count = 0
-        for producer, ts, f0, cert in produced(artifacts):
-            assert not expanded(cert), producer
+    def test_readers_do_not_expand_placements(self, artifacts, monkeypatch):
+        certs = list(produced(artifacts))
+        empty = load_certificate('{"m": 0, "rows": 0, "placements": []}')
+        reference = reference_dump(Certificate((), 0, 0))
+        monkeypatch.setattr(Placements, "__iter__", spelling_refused)
+        monkeypatch.setattr(Placements, "__getitem__", spelling_refused)
+        with pytest.raises(AssertionError, match="cell by cell"):
+            list(certs[0][3].placements)
+        for producer, ts, f0, cert in certs:
+            assert type(cert.placements) is Placements, producer
             assert verify_zero(f0, cert, ts)
             assert claims_audit(cert, f0).ok
             render_certificate_ascii(cert)
             render_certificate_svg(cert)
             dump_certificate(cert)
             certificate_to_witness(cert, ts)
-            assert not expanded(cert), producer
-            count += 1
-        empty = load_certificate('{"m": 0, "rows": 0, "placements": []}')
         assert (render_certificate_ascii(empty), dump_certificate(empty)) \
-            == ("", reference_dump(Certificate((), 0, 0)))
+            == ("", reference)
         render_certificate_svg(empty)
-        assert not expanded(empty)
-        assert count >= 5 * 20
+        assert len(certs) >= 5 * 20
 
     def test_equal_to_the_constructor_on_its_placements(self, artifacts):
         for producer, ts, f0, cert in produced(artifacts):
             runs = cert.runs()
-            ref = Certificate(cert.placements, cert.width_m, cert.rows)
-            assert expanded(cert) and cert.runs() is runs
+            ref = Certificate(tuple(cert.placements), cert.width_m, cert.rows)
+            assert cert.runs() is runs
             assert cert == ref and ref == cert, producer
             assert (hash(cert), repr(cert)) == (hash(ref), repr(ref))
             # Maximal by tile identity: the constructor's scan finds the
-            # same runs in the placements they expand to.
+            # same runs in the placements they spell.
             assert identities(runs) == \
                 identities(_placement_runs(cert.placements)) == \
                 identities(ref.runs()), producer
@@ -459,19 +514,28 @@ class TestProducersStoreRuns:
 
     def test_clones_keep_runs_and_value(self, artifacts):
         for producer, ts, f0, cert in produced(artifacts):
-            # Clones taken before the placements are read, then after.
-            early = (pickle.loads(pickle.dumps(cert)), copy.copy(cert),
-                     copy.deepcopy(cert))
-            assert not any(map(expanded, early))
-            late = (pickle.loads(pickle.dumps(cert)), copy.copy(cert),
-                    copy.deepcopy(cert), dataclasses.replace(cert),
-                    dataclasses.replace(cert, placements=cert.placements))
-            for clone in early + late:
-                assert clone == cert, producer
+            clones = (pickle.loads(pickle.dumps(cert)), copy.copy(cert),
+                      copy.deepcopy(cert), dataclasses.replace(cert),
+                      dataclasses.replace(cert, placements=cert.placements),
+                      dataclasses.replace(
+                          cert, placements=tuple(cert.placements)))
+            for clone in clones:
+                assert clone == cert and hash(clone) == hash(cert), producer
                 assert clone.runs() == cert.runs()
                 assert identities(clone.runs()) == \
                     identities(_placement_runs(clone.placements))
             assert copy.copy(cert).runs() is cert.runs()
+
+    def test_a_cell_less_fails_verification(self, artifacts):
+        # The benchmark self-test's tamper: slicing spells the placements,
+        # and the certificate made from the rest no longer cancels.
+        for producer, ts, f0, cert in produced(artifacts):
+            tampered = dataclasses.replace(cert,
+                                           placements=cert.placements[1:])
+            assert type(tampered.placements) is Placements
+            assert len(tampered.placements) == len(cert.placements) - 1
+            assert tampered != cert
+            assert not verify_zero(f0, tampered, ts), producer
 
     def test_loader_refuses_a_cell_inside_a_run(self):
         # Values equal to the next x or to the run's row never extend a
@@ -509,21 +573,36 @@ class TestProducersStoreRuns:
             identities(_placement_runs(cert.placements))
 
     def test_runs_constructor_refuses_what_the_constructor_refuses(self):
-        for runs, m, rows, message in (
-                ([(FOREIGN, 0, 0, 2.0)], 1, 0,
+        for runs, message in (
+                ([(FOREIGN, 0, 0, 2.0)],
                  "run field 'count' must be an integer, not float"),
-                ([(FOREIGN, 0.0, 0, 2)], 1, 0,
+                ([(FOREIGN, 0, 0, True)],
+                 "run field 'count' must be an integer, not bool"),
+                ([(FOREIGN, 0, 0, 0)],
+                 "run field 'count' must be at least 1, not 0"),
+                ([(FOREIGN, 0, 0, 2), (FOREIGN, 3, 0, -1)],
+                 "run field 'count' must be at least 1, not -1"),
+                ([(FOREIGN, 0.0, 0, 2)],
                  "placement field 'x' must be an integer, not float"),
-                ([(FOREIGN, 0, 0, 1), (FOREIGN, 0, True, 1)], 1, 1,
+                ([(FOREIGN, 0, 0, 1), (FOREIGN, 0, True, 1)],
                  "placement field 'y' must be an integer, not bool"),
-                ([(FOREIGN, 0.5, 0.5, 1)], 1.0, 0,
-                 "certificate field 'm' must be an integer, not float"),
-                ([], 1, None,
-                 "certificate field 'rows' must be an integer, "
-                 "not NoneType")):
+                ([(FOREIGN, 0.5, 0.5, 1)],
+                 "placement field 'x' must be an integer, not float")):
             with pytest.raises(ValueError) as caught:
-                Certificate._from_runs(runs, m, rows)
+                Placements(runs)
             assert str(caught.value) == message
+
+    def test_size_is_checked_before_the_cells(self):
+        bent = (Placement(FOREIGN, 0.5, 0.5),)
+        for m, rows, message in (
+                (1.0, 0, "certificate field 'm' must be an integer, "
+                 "not float"),
+                (1, None, "certificate field 'rows' must be an integer, "
+                 "not NoneType")):
+            for placements in (bent, Placements()):
+                with pytest.raises(ValueError) as caught:
+                    Certificate(placements, m, rows)
+                assert str(caught.value) == message
 
 
 class TestCompileMemo:

@@ -338,9 +338,9 @@ class TestCertificateDump:
                             Placement(t, -12, -7)), -2, -5)
         text = dump_certificate(cert)
         assert text == reference_dump(cert)
-        assert load_certificate(text).placements == \
+        assert tuple(load_certificate(text).placements) == \
             sort_placements(cert.placements)
-        bent = cert.placements + (Placement(t, 1.5, -1),)
+        bent = (*cert.placements, Placement(t, 1.5, -1))
         message = "placement field 'x' must be an integer, not float"
         with pytest.raises(ValueError, match=message):
             Certificate(bent, -2, -5)
