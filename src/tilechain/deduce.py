@@ -30,10 +30,23 @@ column only options whose east color is live at the next column.  Every
 branch it opens can therefore be completed, so it never backs out of a
 dead end within the row, and it produces the row's assignments in the
 order of a plain depth-first search: tiles in tiling-system order, then
-the empty slot.  A row costs one memo lookup per column on the way back
-and one table lookup per column on the way forward, O(width) in all; each
-further assignment of an ambiguous row re-walks only the columns right of
-the choice it changes.
+the empty slot.
+
+Rows are held as runs, the way a machine's configurations are: a pending
+row is runs ``(north color, count)`` and an assignment is runs ``(tile or
+None, count)``.  Within a run of one south color, the backward pass stops
+at the first column whose live set is the very set it was given: every
+column further left in the run has the same memo key, so the rest of the
+run is one segment with one live set and one options table.  The forward
+walk takes a whole segment at once where the west color has exactly one
+option and that option keeps the west color, since every column of it
+would place the same tile; anywhere else it goes column by column, and a
+column with more than one option stays a choice point of its own, so the
+assignments come in exactly the order above.  A row costs one memo
+lookup per segment on the way back and one table lookup per segment on
+the way forward, where a segment is a rest of a run or a single column;
+each further assignment of an ambiguous row re-walks only the segments
+right of the choice it changes.
 
 Rows sit on one explicit stack of (row enumerator, assignment) pairs, and
 each row keeps its untried choices on a stack of its own, so neither the
@@ -134,51 +147,84 @@ class _RowDeducer:
         self.columns[south, after] = column
         return column
 
-    def rows(self, souths: list[Color], west: Color):
+    def rows(self, souths: list[tuple[Color, int]], west: Color):
         """Yield every tile row matching the given south colors.
 
-        A row assignment is a tuple with one tile or None per position.  The
-        west side of each tile must repeat the east side of its left
-        neighbour (seeded with ``west``), the final east side must be the
-        distinguished color, and a position may stay empty only where the
-        south color and the incoming west color are both distinguished.
-        Rows come in depth-first order: at each position the tiles in
-        tiling-system order, then the empty slot.
+        ``souths`` is the row's south colors as runs ``(color, count)``,
+        left to right.  Each assignment comes as runs ``(tile or None,
+        count)``, merged by tile identity.  The west side of each tile must
+        repeat the east side of its left neighbour (seeded with ``west``),
+        the final east side must be the distinguished color, and a
+        position may stay empty only where the south color and the
+        incoming west color are both distinguished.  Rows come in
+        depth-first order: at each position the tiles in tiling-system
+        order, then the empty slot.
         """
         memo = self.columns
-        count = len(souths)
-        tables: list = [None] * count
+        # Segments of columns sharing one options table, right to left,
+        # as (options, column count).
+        segments: list = []
         after = self.end
-        for i in range(count - 1, -1, -1):
-            column = memo.get((souths[i], after))
-            if column is None:
-                column = self._column(souths[i], after)
-            after, tables[i] = column
-            if not after:
-                return
+        for south, count in reversed(souths):
+            while count:
+                given = after
+                column = memo.get((south, given))
+                if column is None:
+                    column = self._column(south, given)
+                after, table = column
+                if not after:
+                    return
+                if after is given:
+                    # Every column further left in this run has the same
+                    # key, so the same live set and options.
+                    segments.append((table, count))
+                    break
+                segments.append((table, 1))
+                count -= 1
         if west not in after:
             return
+        segments.reverse()
 
-        chosen: list = [None] * count
-        # Positions with options left untried, deepest last, as
-        # (position, options, index of the next option to try).
+        last = len(segments)
+        # The assignment so far as merged runs (tile or None, count).
+        placed: list = []
+        # Columns with options left untried, deepest last, as (segment,
+        # columns of it placed before, west color, index of the next
+        # option to try, runs placed before, last of them then).
         choices: list = []
-        i = 0
+        s = j = k = 0
         while True:
-            while i < count:
-                options = tables[i][west]
-                if len(options) > 1:
-                    choices.append((i, options, 1))
-                chosen[i], west = options[0]
-                i += 1
-            yield tuple(chosen)
+            while s < last:
+                table, count = segments[s]
+                options = table[west]
+                tile, east = options[k]
+                if k + 1 < len(options):
+                    choices.append((s, j, west, k + 1, len(placed),
+                                    placed[-1] if placed else None))
+                if j + 1 == count:
+                    wide, s, j = 1, s + 1, 0
+                elif len(options) == 1 and east == west:
+                    # Every column left in the segment places this tile.
+                    wide, s, j = count - j, s + 1, 0
+                else:
+                    wide, j = 1, j + 1
+                west, k = east, 0
+                if placed and placed[-1][0] is tile:
+                    placed[-1] = (tile, placed[-1][1] + wide)
+                else:
+                    placed.append((tile, wide))
+            row = tuple(placed)
             if not choices:
-                return
-            i, options, k = choices.pop()
-            if k + 1 < len(options):
-                choices.append((i, options, k + 1))
-            chosen[i], west = options[k]
-            i += 1
+                break
+            yield row
+            s, j, west, k, size, end = choices.pop()
+            del placed[size:]
+            if size:
+                placed[-1] = end
+        # The last assignment: the rows above it may stay under trial for
+        # long, so nothing else of this row is held meanwhile.
+        del souths, segments, placed
+        yield row
 
 
 def forced_search(ts: TilingSystem, f0: EdgeMap, max_m: int,
@@ -227,12 +273,13 @@ def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
                   m: int, max_rows: int) -> Optional[Certificate]:
     """The first certificate of width ``m`` in depth-first order: rows are
     deduced upwards until they become empty (success) or ``max_rows`` is
-    exceeded."""
+    exceeded.  Each pending row is held as merged runs of north colors."""
     n = len(row0) - 1
     c0 = deducer.c0
+    start = [(color, len(list(group))) for color, group in groupby(row0)]
     # One entry per row under trial, bottom row first: the row's
     # enumerator and the assignment it gave last.
-    stack = [[deducer.rows([c0] * (m - n), arrow), None]]
+    stack = [[deducer.rows([(c0, m - n)], arrow), None]]
     while stack:
         entry = stack[-1]
         assignment = next(entry[0], None)
@@ -241,10 +288,18 @@ def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
             continue
         entry[1] = assignment
         y = len(stack) - 1
-        norths = [c0 if tile is None else tile.n for tile in assignment]
-        if y == 0:
-            norths = row0 + norths
-        if norths.count(c0) == len(norths):
+        if y:
+            norths, last = [], None
+        else:
+            norths, last = list(start), start[-1][0]
+        for tile, count in assignment:
+            color = c0 if tile is None else tile.n
+            if color == last:
+                norths[-1] = (last, norths[-1][1] + count)
+            else:
+                norths.append((color, count))
+                last = color
+        if len(norths) == 1 and last == c0:
             return _certificate(stack, n, m)
         if y < max_rows:
             stack.append([deducer.rows(norths, c0), None])
@@ -252,18 +307,14 @@ def _width_search(deducer: _RowDeducer, row0: list[Color], arrow: Color,
 
 
 def _certificate(stack: list, n: int, m: int) -> Certificate:
-    """The certificate of a completed row stack, made from its runs: each
-    row assignment, bottom row first, grouped by tile identity with its
-    empty slots left out."""
+    """The certificate of a completed row stack, copied from its rows'
+    runs, bottom row first, with the empty slots left out."""
     runs = []
     append = runs.append
     for y, (_, assignment) in enumerate(stack):
-        x0 = n + 1 if y == 0 else 0
-        i = 0
-        for _, group in groupby(assignment, key=id):
-            count = len(list(group))
-            tile = assignment[i]
+        x = n + 1 if y == 0 else 0
+        for tile, count in assignment:
             if tile is not None:
-                append((tile, x0 + i, y, count))
-            i += count
+                append((tile, x, y, count))
+            x += count
     return Certificate(Placements(runs), m, len(stack) - 1)

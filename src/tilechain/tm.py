@@ -127,21 +127,32 @@ def make_config(state: str, tape, head: int, blank: str) -> Configuration:
     return Configuration(state, tuple(cells), head)
 
 
+def _transition(tm: TuringMachine, state: str, symbol: str,
+                head: int) -> tuple[str, str, int]:
+    """The table entry for ``(state, symbol)`` applied to a head at
+    ``head``: ``(next state, symbol written, new head)``.  This is the one
+    place that refuses a missing entry or a move left of cell 0."""
+    try:
+        nxt, write, move = tm.transitions[(state, symbol)]
+    except KeyError:
+        raise MissingTransition(f"({state!r}, {symbol!r})") from None
+    head += 1 if move == "R" else -1
+    if head < 0:
+        raise LeftEdgeViolation(f"move left from cell 0 in state {state!r}")
+    return nxt, write, head
+
+
 def step(tm: TuringMachine, config: Configuration) -> Optional[Configuration]:
     """Apply one table entry.  Returns None when already accepting."""
     if config.state == tm.accepting:
         return None
-    symbol = config.tape[config.head]
-    try:
-        state, write, move = tm.transitions[(config.state, symbol)]
-    except KeyError:
-        raise MissingTransition(f"({config.state!r}, {symbol!r})") from None
+    at = config.head
+    state, write, head = _transition(tm, config.state, config.tape[at], at)
     cells = list(config.tape)
-    cells[config.head] = write
-    head = config.head + (1 if move == "R" else -1)
-    if head < 0:
-        raise LeftEdgeViolation(f"move left from cell 0 in state {config.state!r}")
-    return make_config(state, cells, head, tm.blank)
+    cells[at] = write
+    if head == len(cells):
+        cells.append(tm.blank)
+    return Configuration(state, tuple(cells), head)
 
 
 def initial_config(tm: TuringMachine, word: str | list[str]) -> Configuration:
@@ -157,18 +168,37 @@ def run(tm: TuringMachine, word: str | list[str], fuel: int) -> Optional[RunTrac
 
     Returns the full accepting trace, or None when fuel ran out first.
     Running out of fuel is not a rejection verdict.
+
+    The machine runs on one mutable tape, and each step records only its
+    change, ``(cell, symbol written, next state, new head)``.  A run that
+    runs out of fuel keeps nothing else, so it costs O(fuel) time and
+    memory whatever the tape's length.  The configurations are spelled
+    from the changes only once the run accepts, one tape tuple per step.
     """
-    config = initial_config(tm, word)
-    configs = [config]
+    first = initial_config(tm, word)
+    cells = list(first.tape)
+    state, head = first.state, first.head
+    changes = []
     for _ in range(fuel):
-        if config.state == tm.accepting:
+        if state == tm.accepting:
             break
-        config = step(tm, config)
-        configs.append(config)
-    if config.state != tm.accepting:
+        at = head
+        state, write, head = _transition(tm, state, cells[at], at)
+        cells[at] = write
+        if head == len(cells):
+            cells.append(tm.blank)
+        changes.append((at, write, state, head))
+    if state != tm.accepting:
         return None
+    cells = list(first.tape)
+    configs = [first]
+    for at, write, state, head in changes:
+        cells[at] = write
+        if head == len(cells):
+            cells.append(tm.blank)
+        configs.append(Configuration(state, tuple(cells), head))
     space = max(c.head for c in configs) + 1
-    return RunTrace(tuple(configs), len(configs) - 1, space)
+    return RunTrace(tuple(configs), len(changes), space)
 
 
 def tape_extent(config: Configuration, blank: str) -> int:

@@ -289,13 +289,26 @@ class TestRowsOpened:
         return calls
 
     # A search per width from n+1 up opened 39,709 and 1,976 rows on these
-    # two inputs; probing the widths opens 2,673 and 501.
-    @pytest.mark.parametrize("tm,word,max_m,max_rows,threshold", [
-        (right_walker(), "aa", 62, 60, 3000),
-        (two_symbol_eraser(), "bab", 23, 20, 600),
+    # two inputs; probing the widths opens 2,673 and 501.  The exact counts
+    # pin the depth-first order: a row deduced in another order, or an
+    # assignment dropped or repeated, opens a different number of rows.
+    @pytest.mark.parametrize("tm,word,max_m,max_rows,threshold,count", [
+        (right_walker(), "aa", 62, 60, 3000, 2673),
+        (two_symbol_eraser(), "bab", 23, 20, 600, 501),
     ], ids=("walker-aa", "two-symbol-bab"))
     def test_widths_are_probed_not_walked(self, opened, tm, word, max_m,
-                                          max_rows, threshold):
+                                          max_rows, threshold, count):
         ts, f0 = compile_tiles(tm), initial_map(tm, word)
         assert forced_search(ts, f0, max_m, max_rows) is None
         assert 0 < len(opened) <= threshold
+        assert len(opened) == count
+
+
+def test_long_unary_word_found_as_runs():
+    # Rows of a×512 are a few long runs each; the search deduces them run
+    # by run and must still give back the built certificate, run for run.
+    tm, word = unary_eraser(), "a" * 512
+    built = build_accepting_tiling(tm, word, 8 * len(word) + 32)
+    found = forced_search(compile_tiles(tm), initial_map(tm, word),
+                          built.width_m, built.rows)
+    assert found == built and found.runs() == built.runs()

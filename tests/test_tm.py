@@ -1,6 +1,9 @@
 """Machine model: validation, stepping, runs, normalization, JSON."""
 
 import dataclasses
+import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -9,9 +12,10 @@ from tilechain import (Configuration, LeftEdgeViolation, MissingTransition,
                        normalize, run, step, tape_extent, validate)
 from tilechain.machines import (BLANK, corpus, mini_eraser, right_walker,
                                 two_symbol_eraser, unary_eraser)
-from tilechain.tm import make_config, tm_from_dict, tm_to_dict
+from tilechain.tm import RunTrace, make_config, tm_from_dict, tm_to_dict
 
 from conftest import RUN_FUEL
+from test_random_machines import random_machine
 
 
 def tiny(**overrides) -> TuringMachine:
@@ -156,6 +160,72 @@ class TestRun:
         assert tape_extent(Configuration("q", (BLANK, "a", BLANK), 0),
                            BLANK) == 2
         assert tape_extent(Configuration("q", (BLANK,) * 3, 2), BLANK) == 3
+
+
+def outcome(simulate, tm, word, fuel):
+    """What a run gives: its trace or None, or the refusal's type and
+    text."""
+    try:
+        return simulate(tm, word, fuel)
+    except (MissingTransition, LeftEdgeViolation) as refusal:
+        return type(refusal), str(refusal)
+
+
+def folded_run(tm, word, fuel):
+    """``run`` as a fold of ``step`` over the fuel, keeping every
+    configuration."""
+    configs = [initial_config(tm, word)]
+    for _ in range(fuel):
+        after = step(tm, configs[-1])
+        if after is None:
+            break
+        configs.append(after)
+    if configs[-1].state != tm.accepting:
+        return None
+    return RunTrace(tuple(configs), len(configs) - 1,
+                    max(c.head for c in configs) + 1)
+
+
+class TestRunIsAFoldOfStep:
+    def test_corpus_words_up_to_length_five(self):
+        accepted = 0
+        for tm in [*corpus().values(), mini_eraser()]:
+            for n in range(6):
+                for letters in itertools.product(tm.input_alphabet, repeat=n):
+                    fuel = 64 * (n + 2)
+                    expected = outcome(folded_run, tm, letters, fuel)
+                    assert outcome(run, tm, letters, fuel) == expected
+                    accepted += isinstance(expected, RunTrace)
+        assert accepted >= 20
+
+    def test_random_tables_raw_and_normalized(self):
+        # Raw partial tables stop on a missing entry or walk off cell 0;
+        # the refusal must come at the same step, so a smaller fuel is
+        # tried too.
+        rng = random.Random(20261020)
+        kinds = set()
+        for _ in range(500):
+            raw = random_machine(rng)
+            word = "".join(rng.choice(raw.input_alphabet)
+                           for _ in range(rng.randint(1, 4)))
+            for tm in (raw, normalize(raw)):
+                for fuel in (200, rng.randrange(200)):
+                    expected = outcome(folded_run, tm, word, fuel)
+                    assert outcome(run, tm, word, fuel) == expected
+                    kinds.add(expected[0] if isinstance(expected, tuple)
+                              else type(expected))
+        assert kinds == {RunTrace, type(None), MissingTransition,
+                         LeftEdgeViolation}
+
+    def test_running_out_of_fuel_keeps_only_the_changes(self):
+        # A fold of step would keep 5,000 tapes of up to 5,000 cells.
+        tracemalloc.start()
+        try:
+            assert run(right_walker(), "a", 5000) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestNormalize:
