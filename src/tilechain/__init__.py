@@ -40,6 +40,6 @@ from .tiling import (C0, Certificate, Color, Placement, Tile, TilingSystem,
                      state)
 from .tm import (Configuration, LeftEdgeViolation, MissingTransition,
                  TuringMachine, dump_tm, initial_config, load_tm, normalize,
-                 run, step, tape_extent, validate)
+                 run, step, validate)
 
 __version__ = "0.1.0"

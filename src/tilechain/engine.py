@@ -1,8 +1,9 @@
 """Build, verify and audit tiling certificates for accepting runs.
 
-The builder transcribes an accepting trace literally: one row of tiles per
-computation step, a bottom row extending the input row to the full width,
-and a cap row over the final all-blank configuration.  Verification is
+The builder transcribes an accepting trace's changes literally on one row
+buffer: one row of tiles per computation step, a bottom row extending the
+input row to the full width, and a cap row over the final all-blank
+configuration.  Verification is
 independent of the construction: it sums translated tile maps and checks
 that the starting map is cancelled exactly.
 
@@ -27,7 +28,7 @@ from .deduce import MalformedInput, parse_initial_shape
 from .edges import EdgeMap, _side_lookup
 from .tiling import (ARROW_R, TRI_L, TRI_R, Certificate, Placements, Tile,
                      TilingSystem, _disjoint_spans, head, letter, state)
-from .tm import RunTrace, TuringMachine, run, tape_extent
+from .tm import RunTrace, TuringMachine, run
 
 
 def builder_width(trace: RunTrace, n: int) -> int:
@@ -49,8 +50,14 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
     trace = run(tm, symbols, fuel)
     if trace is None:
         return None
-    final = trace.configs[-1]
-    if final.head != 0 or any(s != tm.blank for s in final.tape):
+    first, changes = trace.first, trace.changes
+    blank = tm.blank
+    # The accepting tape, each cell at its last write, is checked before
+    # the machine's tiles are compiled.
+    final = dict(enumerate(first.tape))
+    final.update((at, b) for at, b, _, _ in changes)
+    if ((changes[-1][3] if changes else first.head) != 0
+            or any(s != blank for s in final.values())):
         raise ValueError("accepting configuration is not all-blank at cell 0")
 
     ts = compile_tiles(tm)
@@ -61,7 +68,6 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
 
     n = len(symbols)
     m = builder_width(trace, n)
-    blank = tm.blank
     b0, b1, b2, b3, b4, b5, b6, b7 = (ts.tile_named(f"b{i}")
                                       for i in range(8))
     # A run that leaves the tape alphabet has no colors in the system, and
@@ -79,43 +85,39 @@ def build_accepting_tiling(tm: TuringMachine, word: str | list[str],
         append((b0, n + 1, 0, m - n - 1))
     append((b1, m, 0, 1))
 
-    for y in range(1, len(trace.configs)):
-        config = trace.configs[y - 1]
-        # A run keeps the head on its tape, so only a tape longer than
-        # m - 1 cells can need more.
-        if (len(config.tape) > m - 1
-                and tape_extent(config, blank) > m - 1):
-            raise AssertionError(f"row {y} needs more than {m - 1} cells")
-        cells = config.tape + (blank,) * (m - len(config.tape))
-        q, head_pos = config.state, config.head
-        a = cells[head_pos]
-        p, b, move = tm.transitions[(q, a)]
-        j = head_pos + 1
+    # The one row buffer: m - 1 = max(space, n) cells hold the run's whole
+    # tape, and each change is written into it after its row goes out.
+    cells = list(first.tape) + [blank] * (m - 1 - len(first.tape))
+    q = first.state
+    for y, (at, b, p, new_head) in enumerate(changes, 1):
+        a = cells[at]
+        j = at + 1
         # The row is b7, left carries, the two head tiles, right carries
         # and b2; the head tiles start at column left_end + 1.
-        if move == "L":
+        if new_head < at:
             if j < 2:
                 raise AssertionError(f"row {y}: left move from column {j}")
             east = pick(letter(b), TRI_R, head(q, a), state(p))
-            west = pick(head(p, cells[head_pos - 1]), state(p),
-                        letter(cells[head_pos - 1]), TRI_L)
+            west = pick(head(p, cells[at - 1]), state(p),
+                        letter(cells[at - 1]), TRI_L)
             left_end = j - 2
         else:
             if j > m - 2:
                 raise AssertionError(f"row {y}: right move from column {j}")
             west = pick(letter(b), state(p), head(q, a), TRI_L)
-            east = pick(head(p, cells[head_pos + 1]), TRI_R,
-                        letter(cells[head_pos + 1]), state(p))
+            east = pick(head(p, cells[at + 1]), TRI_R,
+                        letter(cells[at + 1]), state(p))
             left_end = j - 1
         append((b7, 0, y, 1))
         x = _carry_runs(left_carry, cells[:left_end], 1, y, append)
         append((west, x, y, 1))
         append((east, x + 1, y, 1))
-        x = _carry_runs(right_carry, cells[left_end + 2:m - 1], x + 2, y,
-                        append)
+        x = _carry_runs(right_carry, cells[left_end + 2:], x + 2, y, append)
         append((b2, x, y, 1))
+        cells[at] = b
+        q = p
 
-    cap_y = len(trace.configs)
+    cap_y = len(changes) + 1
     append((b6, 0, cap_y, 1))
     append((b5, 1, cap_y, 1))
     if m > 2:

@@ -276,6 +276,26 @@ def eval_member_witness(instance: SemimoduleInstance,
     return ModuleElement(instance.ring, instance.rank, sums)
 
 
+def _checked_picks(picks: Iterable[SubsetPick],
+                   count: int) -> tuple[SubsetPick, ...]:
+    """The picks as a tuple, once each is a triple of ints naming one of
+    ``count`` generators (:class:`BadTerm` otherwise) and no translation
+    repeats (:class:`DuplicateShift`)."""
+    picks = tuple(picks)
+    for gen, dx, dy in picks:
+        if not type(gen) is type(dx) is type(dy) is int:
+            raise non_int_term(gen, dx, dy, 1)
+        if not 0 <= gen < count:
+            raise BadTerm(f"term {(gen, dx, dy, 1)}: generator {gen} "
+                          f"out of range")
+    seen: set[tuple[int, int]] = set()
+    for _, dx, dy in picks:
+        if (dx, dy) in seen:
+            raise DuplicateShift(f"translation ({dx}, {dy}) used twice")
+        seen.add((dx, dy))
+    return picks
+
+
 def eval_subset_witness(instance: SemimoduleInstance,
                         picks: Iterable[SubsetPick]) -> ModuleElement:
     """Sum of the picks' translated generators, each read as a term with
@@ -286,15 +306,9 @@ def eval_subset_witness(instance: SemimoduleInstance,
     :class:`DuplicateShift` for a translation used twice; the order keeps
     ``True`` or ``1.0`` from being read as the translation 1.
     """
-    picks = tuple(picks)
-    total = eval_member_witness(
+    picks = _checked_picks(picks, len(instance.generators))
+    return eval_member_witness(
         instance, (WitnessTerm(gen, dx, dy, 1) for gen, dx, dy in picks))
-    seen: set[tuple[int, int]] = set()
-    for _, dx, dy in picks:
-        if (dx, dy) in seen:
-            raise DuplicateShift(f"translation ({dx}, {dy}) used twice")
-        seen.add((dx, dy))
-    return total
 
 
 def verify_witness(instance: SemimoduleInstance, witness) -> bool:
@@ -760,8 +774,12 @@ def witness_to_certificate(witness: Iterable[SubsetPick],
     recomputed from the picks).
 
     Kept as the reduction's reverse direction: a subset-sum witness is a
-    tiling, so a "yes" for the instance is a "yes" for the tiling."""
-    cells = [(ts.tiles[gen], dx, dy) for gen, dx, dy in witness]
+    tiling, so a "yes" for the instance is a "yes" for the tiling.
+
+    Refuses the picks :func:`eval_subset_witness` refuses, with the same
+    errors."""
+    cells = [(ts.tiles[gen], dx, dy)
+             for gen, dx, dy in _checked_picks(witness, len(ts.tiles))]
     width = max((x for _, x, _ in cells), default=0)
     rows = max((y for _, _, y in cells), default=0)
     cells.sort(key=itemgetter(2, 1))

@@ -38,15 +38,14 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 from typing import Dict, Iterable, Iterator, Optional
 
 from .documents import fields
 from .edges import Ring, RingMismatch, ring_from_name
 from .groups import (Point, UnboundSymbol, WreathElement, _letter_steps,
                      _power, embed_module, wreath_eval)
-from .modules import (BadTerm, DuplicateShift, SemimoduleInstance,
-                      SubsetPick, non_int_term)
+from .modules import SemimoduleInstance, SubsetPick, _checked_picks
 
 
 # ---------------------------------------------------------------------------
@@ -387,36 +386,32 @@ def certificate_to_word(witness: Iterable[SubsetPick]) -> str:
     A pick with a non-int field or a negative generator raises
     :class:`BadTerm`, a translation used twice :class:`DuplicateShift`.
     """
-    picks = list(witness)
-    for gen, dx, dy in picks:
-        if not type(gen) is type(dx) is type(dy) is int:
-            raise non_int_term(gen, dx, dy, 1)
-        if gen < 0:
-            raise BadTerm(f"term {(gen, dx, dy, 1)}: generator {gen} "
-                          f"out of range")
-    picks.sort(key=lambda p: (p[2], p[1], p[0]))
+    # A word has a letter for every generator index from 0 up.
+    picks = sorted(_checked_picks(witness, inf),
+                   key=lambda p: (p[2], p[1], p[0]))
     if not picks:
         return ""
     rows: Dict[int, list[tuple[int, int]]] = {}
-    seen: set[tuple[int, int]] = set()
     for gen, dx, dy in picks:
-        if (dx, dy) in seen:
-            raise DuplicateShift(f"translation ({dx}, {dy}) used twice")
-        seen.add((dx, dy))
         rows.setdefault(dy, []).append((dx, gen))
     first_b, last_b = picks[0][2], picks[-1][2]
+    # The picks are sorted, so the rows were made bottom first.
+    order = list(rows)
     cur_a = rows[first_b][0][0]
     parts = [_power("x", cur_a), _power("y", first_b)]
-    for b in range(first_b, last_b + 1):
-        for a, gen in rows.get(b, []):
+    for b, nxt in zip(order, order[1:] + [None]):
+        for a, gen in rows[b]:
             parts.append("x " * (a - cur_a) + f"g{gen} x ")
             cur_a = a + 1
         parts.append("y ")
-        nxt = next((bb for bb in range(b + 1, last_b + 1) if bb in rows),
-                   None)
-        if nxt is not None and rows[nxt][0][0] < cur_a:
-            parts.append("X " * (cur_a - rows[nxt][0][0]))
-            cur_a = rows[nxt][0][0]
+        if nxt is None:
+            break
+        # Realign left after one climb, then climb the empty rows.
+        start = rows[nxt][0][0]
+        if start < cur_a:
+            parts.append("X " * (cur_a - start))
+            cur_a = start
+        parts.append("y " * (nxt - b - 1))
     parts.append(_power("x", -cur_a))
     parts.append(_power("y", -(last_b + 1)))
     return "".join(parts)[:-1]

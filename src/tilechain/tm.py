@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .documents import fields
@@ -46,11 +47,35 @@ class Configuration(NamedTuple):
 
 @dataclass(frozen=True)
 class RunTrace:
-    """An accepting run: every configuration from initial to accepting."""
+    """An accepting run, stored as its changes: the initial configuration
+    and one ``(cell, symbol written, next state, new head)`` per step.
+    ``configs`` spells the configurations, one tape tuple per step, when it
+    is first read, and keeps them."""
 
-    configs: tuple[Configuration, ...]
-    steps: int
-    space: int
+    first: Configuration
+    changes: tuple[tuple[int, str, str, int], ...]
+    blank: str
+
+    @property
+    def steps(self) -> int:
+        return len(self.changes)
+
+    @property
+    def space(self) -> int:
+        """The largest head position plus one."""
+        return max([self.first.head] + [c[3] for c in self.changes]) + 1
+
+    @cached_property
+    def configs(self) -> tuple[Configuration, ...]:
+        """Every configuration from initial to accepting."""
+        cells = list(self.first.tape)
+        configs = [self.first]
+        for at, write, state, head in self.changes:
+            cells[at] = write
+            if head == len(cells):
+                cells.append(self.blank)
+            configs.append(Configuration(state, tuple(cells), head))
+        return tuple(configs)
 
 
 @dataclass(frozen=True)
@@ -117,16 +142,6 @@ def validate(tm: TuringMachine) -> list[str]:
     return out
 
 
-def make_config(state: str, tape, head: int, blank: str) -> Configuration:
-    """Build a configuration, padding the tape so the head is on it."""
-    cells = list(tape) if tape else [blank]
-    while head >= len(cells):
-        cells.append(blank)
-    if head < 0:
-        raise LeftEdgeViolation(f"head position {head}")
-    return Configuration(state, tuple(cells), head)
-
-
 def _transition(tm: TuringMachine, state: str, symbol: str,
                 head: int) -> tuple[str, str, int]:
     """The table entry for ``(state, symbol)`` applied to a head at
@@ -160,20 +175,20 @@ def initial_config(tm: TuringMachine, word: str | list[str]) -> Configuration:
     for sym in symbols:
         if sym not in tm.input_alphabet:
             raise ValueError(f"symbol {sym!r} not in input alphabet")
-    return make_config(tm.initial, symbols, 0, tm.blank)
+    return Configuration(tm.initial, tuple(symbols) or (tm.blank,), 0)
 
 
 def run(tm: TuringMachine, word: str | list[str], fuel: int) -> Optional[RunTrace]:
     """Run for at most ``fuel`` steps.
 
-    Returns the full accepting trace, or None when fuel ran out first.
+    Returns the accepting trace, or None when fuel ran out first.
     Running out of fuel is not a rejection verdict.
 
     The machine runs on one mutable tape, and each step records only its
-    change, ``(cell, symbol written, next state, new head)``.  A run that
-    runs out of fuel keeps nothing else, so it costs O(fuel) time and
-    memory whatever the tape's length.  The configurations are spelled
-    from the changes only once the run accepts, one tape tuple per step.
+    change, ``(cell, symbol written, next state, new head)``.  The trace
+    stores the initial configuration and those changes, so a run costs
+    O(steps) whatever the tape's length; :attr:`RunTrace.configs` spells
+    the configurations only when it is read.
     """
     first = initial_config(tm, word)
     cells = list(first.tape)
@@ -190,24 +205,7 @@ def run(tm: TuringMachine, word: str | list[str], fuel: int) -> Optional[RunTrac
         changes.append((at, write, state, head))
     if state != tm.accepting:
         return None
-    cells = list(first.tape)
-    configs = [first]
-    for at, write, state, head in changes:
-        cells[at] = write
-        if head == len(cells):
-            cells.append(tm.blank)
-        configs.append(Configuration(state, tuple(cells), head))
-    space = max(c.head for c in configs) + 1
-    return RunTrace(tuple(configs), len(changes), space)
-
-
-def tape_extent(config: Configuration, blank: str) -> int:
-    """Number of cells needed to hold the head and every non-blank cell."""
-    tape = config.tape
-    end = len(tape)
-    while end and tape[end - 1] == blank:
-        end -= 1
-    return max(config.head + 1, end)
+    return RunTrace(first, tuple(changes), tm.blank)
 
 
 # -- normalization ----------------------------------------------------------

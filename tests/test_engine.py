@@ -1,5 +1,8 @@
 """Certificate construction, verification, audit, and color-only search."""
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from tilechain import (Certificate, EdgeMap, EmptyInput, MalformedInput,
@@ -11,7 +14,6 @@ from tilechain.machines import (BLANK, mini_eraser, right_walker,
                                 two_symbol_eraser, unary_eraser)
 from tilechain.tiling import (ARROW_D, ARROW_R, TRI_L, TRI_R, head, letter,
                               sort_placements, state)
-from tilechain.tm import tape_extent
 
 from conftest import AWKWARD_LETTER, RUN_FUEL, awkward_eraser
 
@@ -61,6 +63,24 @@ class TestBuilder:
             transitions={("q0", "a"): ("qf", "a", "R"),
                          ("q0", BLANK): ("qf", BLANK, "R")},
         )
+        with pytest.raises(ValueError, match="not all-blank at cell 0"):
+            build_accepting_tiling(tm, "a", RUN_FUEL)
+
+    def test_accepting_configuration_is_checked_before_the_tiles(self):
+        # This table writes a letter outside its alphabet, which
+        # compile_tiles refuses; the run's refusal comes first.
+        tm = TuringMachine(
+            states=("q0", "qf"),
+            tape_alphabet=("a", BLANK),
+            input_alphabet=("a",),
+            blank=BLANK,
+            initial="q0",
+            accepting="qf",
+            transitions={("q0", "a"): ("qf", "z", "R"),
+                         ("q0", BLANK): ("qf", BLANK, "R")},
+        )
+        with pytest.raises(ValueError, match="not in color set"):
+            compile_tiles(tm)
         with pytest.raises(ValueError, match="not all-blank at cell 0"):
             build_accepting_tiling(tm, "a", RUN_FUEL)
 
@@ -211,7 +231,7 @@ def reference_build(tm, word, fuel):
     b2 = ts.tile_named("b2")
     for y in range(1, len(trace.configs)):
         config = trace.configs[y - 1]
-        assert tape_extent(config, blank) <= m - 1
+        assert len(config.tape) <= m - 1
 
         def cell(k):
             return config.tape[k] if k < len(config.tape) else blank
@@ -279,3 +299,30 @@ class TestBuilderReference:
         tm, word = awkward_eraser(), [AWKWARD_LETTER] * 4
         assert spelled(build_accepting_tiling(tm, word, RUN_FUEL)) == \
             spelled(reference_build(tm, word, RUN_FUEL))
+
+    def test_two_symbol_words_up_to_length_six(self):
+        tm, accepted = two_symbol_eraser(), 0
+        for n in range(1, 7):
+            for word in itertools.product("ab", repeat=n):
+                fuel = 64 * (n + 2)
+                if run(tm, word, fuel) is None:
+                    continue
+                accepted += 1
+                assert spelled(build_accepting_tiling(tm, word, fuel)) == \
+                    spelled(reference_build(tm, word, fuel)), word
+        assert accepted == 63
+
+    def test_a_long_build_keeps_one_row_buffer(self):
+        # The build holds the run's changes and one row of cells, about
+        # 2 MB here; a padded tape per step (2,050 of them, of 1,025 cells)
+        # traced about 19 MB.
+        build_accepting_tiling(unary_eraser(), "a", RUN_FUEL)
+        tracemalloc.start()
+        try:
+            cert = build_accepting_tiling(unary_eraser(), "a" * 1024,
+                                          64 * 1026)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert is not None
+        assert peak < 5_000_000

@@ -765,3 +765,48 @@ def test_placement_makers_see_calls_references_and_annotations():
         g = cert.placements
     """))
     assert _placement_makers(tree) == [4, 5, 6, 7, 8]
+
+
+def _transition_lookups(tree: ast.AST) -> list[int]:
+    """Lines that look up one table entry: a read of a subscript of a
+    ``.transitions`` attribute or a call of its ``get``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            table = node.value
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"):
+            table = node.func.value
+        else:
+            continue
+        if isinstance(table, ast.Attribute) and table.attr == "transitions":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_tm_looks_up_a_transition():
+    # tm.run records what each step did, and the builder transcribes
+    # those changes; a second reader of single table entries would apply
+    # the transition rule a second time.  Reading the whole table, as
+    # compile_tiles does, is not a lookup.
+    files = sorted(SRC.glob("*.py"))
+    found = [f"{path.name}:{line}" for path in files
+             if path.name != "tm.py"
+             for line in _transition_lookups(ast.parse(path.read_text()))]
+    assert found == []
+    assert _transition_lookups(ast.parse((SRC / "tm.py").read_text()))
+
+
+def test_transition_lookups_see_subscripts_and_get():
+    tree = ast.parse(textwrap.dedent("""
+        entry = tm.transitions[(q, a)]
+        other = tm.transitions.get((q, a))
+        for key, value in tm.transitions.items():
+            pass
+        table = dict(tm.transitions)
+        row = rows[(q, a)]
+        fallback = options.get("transitions")
+        tm.transitions[(q, a)] = entry
+    """))
+    assert _transition_lookups(tree) == [2, 3]

@@ -1056,6 +1056,31 @@ class TestCertificateWitnesses:
             certificate_to_witness(cert, ts)
         assert str(info.value) == f"tile {stranger} is not in the system"
 
+    def test_bad_picks_refused_as_subset_sums_refuse_them(self, artifacts):
+        # Indexing the tiles would read -1 as the last tile and True as
+        # tile 1, and two picks at one cell would make a stacked cell.
+        ts = artifacts.tiling("unary-eraser")
+        f0 = initial_map(artifacts.machines["unary-eraser"], "a", Z)
+        inst = tiling_to_subset_sum(ts, f0)
+        assert len(ts.tiles) == len(inst.generators) == 52
+        cases = [
+            ((-1, 0, 0), BadTerm,
+             "term (-1, 0, 0, 1): generator -1 out of range"),
+            ((52, 0, 0), BadTerm,
+             "term (52, 0, 0, 1): generator 52 out of range"),
+            ((True, 0, 0), BadTerm,
+             "term (True, 0, 0, 1): gen True is not an int"),
+            ((0, 1.0, 0), BadTerm, "term (0, 1.0, 0, 1): dx 1.0 is not an int"),
+            ((0, 0, 0), DuplicateShift, "translation (0, 0) used twice"),
+        ]
+        for pick, error, text in cases:
+            picks = [(5, 0, 0), pick] if error is DuplicateShift else [pick]
+            for check in (lambda: witness_to_certificate(picks, ts),
+                          lambda: eval_subset_witness(inst, picks)):
+                with pytest.raises(error) as info:
+                    check()
+                assert str(info.value) == text, pick
+
 
 class TestTileVectorMemo:
     """The tile vectors of a system are built once per system and ring."""

@@ -251,6 +251,14 @@ class TestWitnessWords:
         word = certificate_to_word(((0, 0, 0), (0, 0, 2)))
         assert word == "g0 x y X y g0 x y X Y Y Y"
 
+    def test_a_tall_gap_is_climbed_in_one_pass(self):
+        g = 8_000
+        word = certificate_to_word(((0, 0, 0), (0, 0, g)))
+        expected = ("g0 x y X " + "y " * (g - 1) + "g0 x y X "
+                    + "Y " * (g + 1))[:-1]
+        assert word == expected
+        assert len(word.split()) == 16_008
+
     def test_repeated_translation_rejected(self):
         with pytest.raises(DuplicateShift, match=r"\(1, 1\) used twice"):
             certificate_to_word(((0, 1, 1), (1, 1, 1)))

@@ -9,10 +9,10 @@ import pytest
 
 from tilechain import (Configuration, LeftEdgeViolation, MissingTransition,
                        TuringMachine, dump_tm, initial_config, load_tm,
-                       normalize, run, step, tape_extent, validate)
+                       normalize, run, step, validate)
 from tilechain.machines import (BLANK, corpus, mini_eraser, right_walker,
                                 two_symbol_eraser, unary_eraser)
-from tilechain.tm import RunTrace, make_config, tm_from_dict, tm_to_dict
+from tilechain.tm import RunTrace, tm_from_dict, tm_to_dict
 
 from conftest import RUN_FUEL
 from test_random_machines import random_machine
@@ -98,15 +98,6 @@ class TestValidate:
 
 
 class TestStepping:
-    def test_make_config_pads_to_head(self):
-        config = make_config("q0", ["a"], 3, BLANK)
-        assert config.tape == ("a", BLANK, BLANK, BLANK)
-        assert config.head == 3
-
-    def test_make_config_rejects_negative_head(self):
-        with pytest.raises(LeftEdgeViolation):
-            make_config("q0", ["a"], -1, BLANK)
-
     def test_step_applies_table_entry(self):
         tm = unary_eraser()
         config = initial_config(tm, "aa")
@@ -156,24 +147,48 @@ class TestRun:
         assert run(tm, "abab", RUN_FUEL) is not None
         assert run(tm, "ba", RUN_FUEL) is None
 
-    def test_tape_extent(self):
-        assert tape_extent(Configuration("q", (BLANK, "a", BLANK), 0),
-                           BLANK) == 2
-        assert tape_extent(Configuration("q", (BLANK,) * 3, 2), BLANK) == 3
+    def test_trace_keeps_the_changes(self):
+        trace = run(unary_eraser(), "aa", RUN_FUEL)
+        assert trace.first == Configuration("q0", ("a", "a"), 0)
+        assert trace.changes[0] == (0, "a", "qs", 1)
+        assert trace.steps == len(trace.changes)
+        # The configurations are spelled once and kept.
+        assert trace.configs is trace.configs
+
+    def test_a_run_of_no_steps(self):
+        tm = tiny(initial="qf")
+        trace = run(tm, "a", 0)
+        assert (trace.steps, trace.space) == (0, 1)
+        assert trace.configs == (Configuration("qf", ("a",), 0),)
+
+    def test_empty_word_starts_on_one_blank(self):
+        assert initial_config(unary_eraser(), "") == \
+            Configuration("q0", (BLANK,), 0)
 
 
 def outcome(simulate, tm, word, fuel):
-    """What a run gives: its trace or None, or the refusal's type and
-    text."""
+    """What a run gives: None, an accepting run's configurations, steps
+    and space, or the refusal's type and text."""
     try:
-        return simulate(tm, word, fuel)
+        result = simulate(tm, word, fuel)
     except (MissingTransition, LeftEdgeViolation) as refusal:
         return type(refusal), str(refusal)
+    if isinstance(result, RunTrace):
+        return result.configs, result.steps, result.space
+    return result
+
+
+def kind(result) -> type:
+    """RunTrace for an accepting outcome, else None's or the refusal's
+    type."""
+    if result is None:
+        return type(None)
+    return result[0] if isinstance(result[0], type) else RunTrace
 
 
 def folded_run(tm, word, fuel):
     """``run`` as a fold of ``step`` over the fuel, keeping every
-    configuration."""
+    configuration: its configurations, steps and space, or None."""
     configs = [initial_config(tm, word)]
     for _ in range(fuel):
         after = step(tm, configs[-1])
@@ -182,8 +197,8 @@ def folded_run(tm, word, fuel):
         configs.append(after)
     if configs[-1].state != tm.accepting:
         return None
-    return RunTrace(tuple(configs), len(configs) - 1,
-                    max(c.head for c in configs) + 1)
+    return (tuple(configs), len(configs) - 1,
+            max(c.head for c in configs) + 1)
 
 
 class TestRunIsAFoldOfStep:
@@ -195,7 +210,7 @@ class TestRunIsAFoldOfStep:
                     fuel = 64 * (n + 2)
                     expected = outcome(folded_run, tm, letters, fuel)
                     assert outcome(run, tm, letters, fuel) == expected
-                    accepted += isinstance(expected, RunTrace)
+                    accepted += kind(expected) is RunTrace
         assert accepted >= 20
 
     def test_random_tables_raw_and_normalized(self):
@@ -212,8 +227,7 @@ class TestRunIsAFoldOfStep:
                 for fuel in (200, rng.randrange(200)):
                     expected = outcome(folded_run, tm, word, fuel)
                     assert outcome(run, tm, word, fuel) == expected
-                    kinds.add(expected[0] if isinstance(expected, tuple)
-                              else type(expected))
+                    kinds.add(kind(expected))
         assert kinds == {RunTrace, type(None), MissingTransition,
                          LeftEdgeViolation}
 
