@@ -17,7 +17,8 @@ machine configuration, and a step changes the tape only next to the head,
 so a row is a few long runs.  The builder, the forced search and the JSON
 loader hand over runs, checked once per run; verification, the audit, the
 witness reader, both drawings and the JSON writer work run by run, and
-equality and hashing compare runs.  Coordinates are ints by type.  A
+so does the loader on text in the writer's layout; equality and hashing
+compare runs.  Coordinates are ints by type.  A
 ``(tile, x, y)`` per cell is made only when the placements are iterated
 or indexed, and is not kept.
 """
@@ -25,6 +26,7 @@ or indexed, and is not kept.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -392,19 +394,18 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
     An x or y that is not an int is refused once every row is read."""
     width_m, rows, entries = fields(
         data, "certificate", {"m": int, "rows": int, "placements": list})
-    # Each distinct tile dict is built once; an entry that cannot serve as
-    # a key goes straight to tile_from_dict, which reports what is wrong.
-    # Rows come in runs of one tile, so a row whose tile equals the
-    # previous row's, already read, takes the same tile without a lookup.
-    # Such a row at the next int x in the same int row extends the run;
-    # any other row starts one, so a coordinate that is not an int always
-    # starts a run, and Placements refuses it.
+    return Certificate(Placements(_placement_runs(_entry_cells(entries, ts))),
+                       width_m, rows)
+
+
+def _entry_cells(entries: list, ts: Optional[TilingSystem]):
+    """The ``(tile, x, y)`` of each placement entry, checked as it is read.
+    Each distinct tile dict is built once, and a row whose tile equals the
+    previous row's takes the same tile object, so its run goes on; an entry
+    that cannot serve as a key goes to tile_from_dict, which says why."""
     built: dict = {}
-    runs = []
-    append = runs.append
     row_spec = {"tile": None, "x": None, "y": None}
-    last_ref = run_tile = row_y = nxt = _UNSET
-    x0 = count = 0
+    last_ref = _UNSET
     for row in entries:
         # A row of exactly these three keys is read directly; fields reads
         # any other and says what is wrong with it.
@@ -435,18 +436,7 @@ def certificate_from_dict(data: dict, ts: Optional[TilingSystem] = None) -> Cert
                     if key is not None:
                         built[key] = tile
             last_ref = ref
-        if (tile is run_tile and x == nxt and y == row_y
-                and type(x) is int and type(y) is int):
-            nxt += 1
-            count += 1
-            continue
-        if count:
-            append((run_tile, x0, row_y, count))
-        run_tile, x0, row_y, count = tile, x, y, 1
-        nxt = x + 1 if type(x) is int else _UNSET
-    if count:
-        append((run_tile, x0, row_y, count))
-    return Certificate(Placements(runs), width_m, rows)
+        yield tile, x, y
 
 
 def dump_system(ts: TilingSystem) -> str:
@@ -455,6 +445,18 @@ def dump_system(ts: TilingSystem) -> str:
 
 def load_system(text: str) -> TilingSystem:
     return system_from_dict(json.loads(text))
+
+
+# The fixed text of dump_certificate's layout.  An entry is _OPEN, the
+# tile's block, _X, x, _Y, y and _CLOSE; entries are joined by ",\n"
+# between "[\n" and _TAIL.
+_HEAD = '{\n  "m": %d,\n  "rows": %d,\n  "placements": '
+_OPEN = '    {\n      "tile": '
+_X = ',\n      "x": '
+_Y = ',\n      "y": '
+_CLOSE = '\n    }'
+_TAIL = '\n  ]\n}\n'
+_EMPTY = '[]\n}\n'
 
 
 def dump_certificate(cert: Certificate) -> str:
@@ -466,11 +468,10 @@ def dump_certificate(cert: Certificate) -> str:
     surrounds them.  Placements that are not strictly increasing in
     ``(y, x)`` are sorted first, as ``certificate_to_dict`` does.
     """
-    head = (f'{{\n  "m": {cert.width_m},\n'
-            f'  "rows": {cert.rows},\n  "placements": ')
+    head = _HEAD % (cert.width_m, cert.rows)
     runs = cert.runs()
     if not runs:
-        return head + "[]\n}\n"
+        return head + _EMPTY
     last = None
     for _, x0, y, count in runs:
         if last is not None and not (y, x0) > last:
@@ -485,18 +486,110 @@ def dump_certificate(cert: Certificate) -> str:
         if before is None:
             block = json.dumps(tile_to_dict(tile), indent=2)
             before = opening[id(tile)] = (
-                '    {\n      "tile": ' + block.replace("\n", "\n      ")
-                + ',\n      "x": ')
-        if y is not row:
+                _OPEN + block.replace("\n", "\n      ") + _X)
+        if y != row:
             row = y
-            after = f',\n      "y": {y}\n    }}'
+            after = f"{_Y}{y}{_CLOSE}"
         if count == 1:
             items.append(before + str(x0) + after)
         else:
             items.append(before + (after + ",\n" + before).join(
                 map(str, range(x0, x0 + count))) + after)
-    return "".join((head, "[\n", ",\n".join(items), "\n  ]\n}\n"))
+    return "".join((head, "[\n", ",\n".join(items), _TAIL))
+
+
+# An int as json.dumps writes it, of at most 18 digits, and a string that
+# json.dumps writes as it is: printable ASCII but '"' and '\'.  The groups
+# of an entry are its tile's four side colors and name, x and y.
+_INT = "(0|-?[1-9][0-9]{0,17})"
+_HEAD_RE = re.compile(re.escape(_HEAD).replace("%d", _INT))
+_ENTRY_RE = re.compile(re.escape(_OPEN) + (
+    '\\{\n        "n": "(C*)",\n        "e": "(C*)",\n        "s": "(C*)",\n'
+    '        "w": "(C*)"(?:,\n        "name": "(C+)")?\n      \\}'
+    ).replace("C", r"[ !#-\[\]-~]")
+    + re.escape(_X) + _INT + re.escape(_Y) + _INT + re.escape(_CLOSE))
+
+
+def _run_end(text: str, at: int, lead: str, x: int, after: str):
+    """The end of a run and the x past its last cell, given that its entry
+    for x - 1 ends at ``at``.  Each further entry is ``lead``, its x and
+    ``after``, so the entries whose x has one digit count stand at known
+    offsets.  Single entries are probed there, galloping and bisecting, to
+    find where they stop; one comparison of their whole spelling confirms
+    it, and on a mismatch they are probed one by one.  A run goes on past
+    a change of digit count, as the JSON path's does."""
+    while True:
+        digits = len(str(x))
+        room = (10 ** digits if x >= 0 else 1 - 10 ** (digits - 2)) - x
+        size = len(lead) + digits + len(after)
+
+        def fits(i: int) -> bool:
+            return text.startswith(f"{lead}{x + i}{after}", at + i * size)
+
+        # Entry -1 is the one already read.  Gallop until entry hi does
+        # not fit, then bisect to the first such entry after lo.
+        lo, hi = -1, 0
+        while hi < room and fits(hi):
+            lo, hi = hi, 2 * hi + 1
+        hi = min(hi, room)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        if hi > 1 and not text.startswith(lead + (after + lead).join(
+                map(str, range(x, x + hi))) + after, at):
+            hi = 1
+            while hi < room and fits(hi):
+                hi += 1
+        at, x = at + hi * size, x + hi
+        if hi < room:
+            return at, x
+
+
+def _read_canonical(text: str) -> Optional[Certificate]:
+    """The certificate of a text in exactly the layout that dump_certificate
+    writes, read run by run, or None at the first byte that departs from
+    it.  It equals ``certificate_from_dict(json.loads(text))``, tile objects
+    included: an entry's opening stands one to one for its tile dict."""
+    head = _HEAD_RE.match(text)
+    if head is None:
+        return None
+    size = int(head[1]), int(head[2])
+    if text == head[0] + _EMPTY:
+        return Certificate(Placements(()), *size)
+    at, built, runs = head.end() + 2, {}, []
+    while text.startswith(",\n" if runs else "[\n", at - 2):
+        entry = _ENTRY_RE.match(text, at)
+        if entry is None:
+            return None
+        lead = ",\n" + text[at:entry.start(6)]
+        if lead not in built:
+            try:
+                colors = map(color_from_str, entry.group(1, 2, 3, 4))
+                built[lead] = Tile(*colors, entry[5] or "")
+            except ValueError:
+                return None
+        at, x0 = entry.end(), int(entry[6])
+        x = x0 + 1
+        if text.startswith(lead, at):  # the next entry has this tile
+            at, x = _run_end(text, at, lead, x, text[entry.end(6):at])
+        runs.append((built[lead], x0, int(entry[7]), x - x0))
+        at += 2
+    if runs and text.endswith(_TAIL) and len(text) == at - 2 + len(_TAIL):
+        return Certificate(Placements(runs), *size)
+    return None
 
 
 def load_certificate(text: str, ts: Optional[TilingSystem] = None) -> Certificate:
-    return certificate_from_dict(json.loads(text), ts)
+    """Read the JSON text of a certificate.
+
+    Text in exactly the layout that dump_certificate writes, as every
+    certificate file the library writes is, is read run by run with no JSON
+    tree.  Any other text (hand-written documents, tiles given by name,
+    other whitespace, key orders or escapes) and any text that departs from
+    that layout at any byte is read by ``certificate_from_dict(json.loads(
+    text), ts)``, so every refusal comes from that path, type and text.
+    """
+    cert = _read_canonical(text) if isinstance(text, str) else None
+    if cert is None:
+        cert = certificate_from_dict(json.loads(text), ts)
+    return cert

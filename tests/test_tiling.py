@@ -1,22 +1,29 @@
 """Colors, tiles, tiling systems, certificates, and the machine compiler."""
 
+import functools
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from tilechain import (C0, Certificate, Color, EmptyInput, Placement, Tile,
-                       TilingSystem, color_from_str, color_glyph,
-                       color_sort_key, color_to_str, compile_tiles,
-                       dump_certificate, dump_system, head, initial_map,
-                       letter, load_certificate, load_system, machine_colors,
-                       normalize, sort_placements, state)
+                       TilingSystem, build_accepting_tiling, color_from_str,
+                       color_glyph, color_sort_key, color_to_str,
+                       compile_tiles, dump_certificate, dump_system,
+                       forced_search, head, initial_map, letter,
+                       load_certificate, load_system, machine_colors,
+                       normalize, sort_placements, state, tiling)
 from tilechain.compiler import boundary_tiles
-from tilechain.machines import corpus, mini_eraser, unary_eraser
+from tilechain.machines import (corpus, mini_eraser, two_symbol_eraser,
+                                unary_eraser)
 from tilechain.tiling import (ARROW_D, ARROW_L, ARROW_R, ARROW_U, DIAG,
                               TRI_L, TRI_R, certificate_from_dict,
                               certificate_to_dict, system_from_dict,
                               tile_from_dict, tile_to_dict)
+
+from test_deduce import MACHINES, corpus_cases
 
 
 def all_machines():
@@ -393,3 +400,211 @@ class TestCertificateDump:
         with pytest.raises(ValueError, match="no tiling system given"):
             load_certificate(json.dumps({"m": 1, "rows": 0, "placements": [
                 {"tile": "b0", "x": 0, "y": 0}]}))
+
+
+# -- the canonical reader -----------------------------------------------------
+
+def json_path(text, ts=None):
+    """load_certificate's fallback, called directly."""
+    return certificate_from_dict(json.loads(text), ts)
+
+
+def refuse_json(*args, **kwargs):
+    raise AssertionError("json.loads called")
+
+
+def summary(cert):
+    """A certificate as readers are compared on it: the size, and each run
+    with its tile's name and the first run that holds the same tile
+    object."""
+    first = {}
+    runs = [(tile, tile.name, first.setdefault(id(tile), i), x0, y, count)
+            for i, (tile, x0, y, count) in enumerate(cert.runs())]
+    return ("value", cert.width_m, cert.rows, runs)
+
+
+def read(load, text, ts=None):
+    """The summary of ``load(text, ts)``, or the type and text of what it
+    raised."""
+    try:
+        cert = load(text, ts)
+    except Exception as exc:   # compared, never swallowed
+        return ("raised", type(exc), str(exc))
+    return summary(cert)
+
+
+PLAIN = "".join(c for c in map(chr, range(32, 127)) if c not in '"\\')
+
+
+def special_certificates():
+    """Certificates the builders do not make: a tile named with every
+    character the layout keeps as it is, an unnamed tile, negative
+    coordinates, runs across a change of digit count both ways, runs
+    broken by a tile whose entries are as long, so that entries past it
+    stand where the run's would, no placements, and placements that need
+    sorting."""
+    ts = compile_tiles(unary_eraser())
+    a = Tile(letter("a"), C0, C0, C0, name="ta")
+    b = Tile(letter("b"), C0, C0, C0, name="tb")
+    plain = Tile(letter("p"), C0, C0, C0, name=PLAIN)
+    unnamed = Tile(letter("u"), C0, C0, C0)
+    cells = [Placement(b if x in (-50, -7) else a, x, -1)
+             for x in range(-112, 3)]
+    cells += [Placement(b if x == 12 else a, x, 0) for x in range(5, 40)]
+    cells += [Placement(plain, x, 1) for x in (-3, -2, 7, 8, 9, 10, 12)]
+    cells += [Placement(unnamed, x, 2) for x in (98, 99, 100, 101)]
+    unsorted = (Placement(b, 2, 1), Placement(a, 0, 0),
+                Placement(a, 1, 0), Placement(b, 0, 1))
+    return [("special", ts, Certificate(tuple(cells), -4, 7)),
+            ("empty", ts, Certificate((), 0, 0)),
+            ("unsorted", ts, Certificate(unsorted, 2, 1))]
+
+
+@functools.cache
+def canonical_certificates():
+    """``(label, system, certificate)``: the unary eraser's on a×1…80, the
+    two-symbol eraser's on every word of length 1…6 it accepts, forced
+    search's on the corpus of test_deduce, and the special ones."""
+    found = []
+    unary = unary_eraser()
+    for n in range(1, 81):
+        found.append((f"a×{n}", compile_tiles(unary),
+                      build_accepting_tiling(unary, "a" * n, 10 * n * n)))
+    two = two_symbol_eraser()
+    for n in range(1, 7):
+        for letters in itertools.product("ab", repeat=n):
+            word = "".join(letters)
+            cert = build_accepting_tiling(two, word, 400)
+            if cert is not None:
+                found.append((word, compile_tiles(two), cert))
+    for machine, word, spare in corpus_cases():
+        tm = MACHINES[machine]()
+        ts, f0 = compile_tiles(tm), initial_map(tm, word)
+        built = build_accepting_tiling(tm, word, 8 * len(word) + 32)
+        if built is not None:
+            found.append((f"forced {machine} {word} +{spare}", ts,
+                          forced_search(ts, f0, built.width_m + spare,
+                                        built.rows + spare // 2)))
+    return found + special_certificates()
+
+
+def edits(text, rng, count):
+    """``count`` seeded copies of ``text``, each with one character
+    replaced, deleted or inserted, or one digit replaced by a digit, which
+    mostly keeps the layout and moves a cell."""
+    digits = [at for at, char in enumerate(text) if char.isdigit()]
+    for _ in range(count):
+        at = rng.randrange(len(text))
+        char = rng.choice('0123456789-.eE+ \n\r\t",:{}[]"\\atnqu')
+        kind = rng.randrange(4)
+        if kind == 0:
+            at, char = rng.choice(digits), rng.choice("0123456789")
+        if kind <= 1:
+            yield text[:at] + char + text[at + 1:]
+        elif kind == 2:
+            yield text[:at] + text[at + 1:]
+        else:
+            yield text[:at] + char + text[at:]
+
+
+class TestCanonicalReader:
+    """load_certificate reads dump_certificate's layout run by run and
+    hands every other text to certificate_from_dict(json.loads(text)); on
+    every text the two must agree, refusals included."""
+
+    def test_round_trip_without_json(self, monkeypatch):
+        certs = canonical_certificates()
+        texts = [dump_certificate(cert) for _, _, cert in certs]
+        # The JSON path reads every text but the unary eraser's on
+        # a×31…79, which hold four fifths of the bytes.
+        skipped = {f"a×{n}" for n in range(31, 80)}
+        expected = {label: read(json_path, text, ts)
+                    for (label, ts, _), text in zip(certs, texts)
+                    if label not in skipped}
+        monkeypatch.setattr(tiling.json, "loads", refuse_json)
+        for (label, ts, cert), text in zip(certs, texts):
+            back = load_certificate(text, ts)
+            if label == "unsorted":
+                cert = Certificate(sort_placements(cert.placements),
+                                   cert.width_m, cert.rows)
+            assert back == cert, label
+            if label in expected:
+                assert summary(back) == expected[label], label
+            assert dump_certificate(back) == text, label
+        assert len(certs) > 80 + 40 + 20
+        assert len(expected) == len(certs) - len(skipped)
+
+    def test_differential_fuzz(self, monkeypatch):
+        rng = random.Random(20261021)
+        small = [(ts, dump_certificate(cert))
+                 for label, ts, cert in canonical_certificates()
+                 if len(cert.placements) < 40]
+        loads, parsed = json.loads, []
+        monkeypatch.setattr(tiling.json, "loads",
+                            lambda text: parsed.append(text) or loads(text))
+        tally = {"texts": 0, "canonical": 0, "raised": 0}
+        for ts, text in small:
+            for edited in edits(text, rng, 3000 // len(small)):
+                before = len(parsed)
+                got = read(load_certificate, edited, ts)
+                tally["canonical"] += len(parsed) == before
+                assert got == read(json_path, edited, ts), edited
+                tally["texts"] += 1
+                tally["raised"] += got[0] == "raised"
+        assert tally["texts"] >= 2900
+        assert tally["canonical"] >= 300 and tally["raised"] >= 1000, tally
+
+    @pytest.mark.parametrize("old, new", [
+        ('"y": 0\n', '"y": -0\n'),
+        ('"x": 1,', '"x": 01,'),
+        ('"x": 1,', '"x": 1.0,'),
+        ('"x": 1,', '"x": true,'),
+        ('"x": 1,', '"x": 1e0,'),
+        ('"x": 1,', '"x": 123456789012345678901234567890,'),
+        ('"m": 4,', '"m": -0,'),
+        ('"name": "b1"', '"name": ""'),
+        ('"name": "b1"', '"name": "caf\\u00e9"'),
+        ('"n": "U-arrow"', '"n": "U-\\u0061rrow"'),
+        ('"e": "q:qs"', '"e": "q:\\u0071s"'),
+        ('"e": "c0"', '"e": "nope"'),
+        ('"e": "c0"', '"e": "qa:q"'),
+        ('"x": 4,\n      "y": 0', '"y": 0,\n      "x": 4'),
+        ('"n": "a:_",\n        "e": "R-arrow"',
+         '"e": "R-arrow",\n        "n": "a:_"'),
+        ("\n", "\r\n"),
+        ("\n  ]\n}\n", "\n  ]\n}"),
+        ("\n  ]\n}\n", "\n  ]\n}\n\n"),
+        ("{\n", " {\n"),
+        ("    {\n      \"tile\": {", "    {\n      \"tile\":  {"),
+    ])
+    def test_named_departures(self, old, new):
+        ts = compile_tiles(unary_eraser())
+        text = dump_certificate(build_accepting_tiling(unary_eraser(), "aa",
+                                                       100))
+        assert old in text
+        edited = text.replace(old, new)
+        assert tiling._read_canonical(edited) is None
+        assert read(load_certificate, edited, ts) == \
+            read(json_path, edited, ts)
+
+    def test_tile_given_by_name(self):
+        ts = compile_tiles(unary_eraser())
+        cert = build_accepting_tiling(unary_eraser(), "aaa", 100)
+        data = certificate_to_dict(cert)
+        data["placements"][1]["tile"] = "b1"
+        text = json.dumps(data, indent=2) + "\n"
+        assert load_certificate(text, ts) == cert
+        for system in (None, ts):
+            assert read(load_certificate, text, system) == \
+                read(json_path, text, system)
+
+    def test_compact_text_takes_the_json_path(self, monkeypatch):
+        cert = build_accepting_tiling(unary_eraser(), "a" * 40, 10000)
+        text = dump_certificate(cert)
+        compact = json.dumps(certificate_to_dict(cert))
+        assert load_certificate(compact) == cert
+        monkeypatch.setattr(tiling.json, "loads", refuse_json)
+        assert load_certificate(text) == cert
+        with pytest.raises(AssertionError, match="json.loads"):
+            load_certificate(compact)
+
