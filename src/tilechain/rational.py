@@ -589,7 +589,7 @@ class _LampCode:
 
 
 def _sweep_walk(nfa: Nfa, letters: list[tuple], lamps: _LampCode,
-                max_len: int, position, needed=None) -> Iterator[tuple]:
+                max_len: int, home: Point, tour=None) -> Iterator[tuple]:
     """Breadth-first walk over the (automaton subset, group element) pairs
     of words of length at most ``max_len``, layer by layer, extending each
     frontier pair by the :func:`_sweep_letters` of ``nfa`` in order.  For a
@@ -615,23 +615,33 @@ def _sweep_walk(nfa: Nfa, letters: list[tuple], lamps: _LampCode,
     pairs have identical futures (evaluation is a homomorphism), so the
     exact visited set loses nothing.
 
-    Two hooks prune the walk.  Each is a lower bound on the letters still
-    needed from a pair, and an extension whose bound exceeds the letters
-    left is dropped before it enters the visited set, so the set holds
-    only the pairs yielded.  ``position(subset, x, y)`` sees the cursor
-    position alone: the walk adds the letter's shift to the frontier
-    pair's position and asks it before any lamp add, so a dropped
-    extension costs no product.  ``needed(subset, x, y, code)``, when
-    given, is asked after the lamp adds, only for the extensions the
-    position test lets through; it must be at least the position test at
-    (x, y).  The position test then never drops an extension that
-    ``needed`` keeps, and the walk visits exactly what ``needed`` alone
-    would let it visit.  A negative ``max_len`` is refused.
+    The walk only yields pairs from which an accepting pair at ``home``
+    may still be reached: an extension is dropped before it enters the
+    visited set when a lower bound on the letters it still needs exceeds
+    the letters left, so the set holds only the pairs yielded.  The bound
+    is ``max(A, d)``, and the walk reads both terms as data:
+
+    * A, the automaton distance of the subset the letter leads to
+      (:meth:`_NfaSim.distance`), kept with the letter's arrow, so each
+      (subset, letter) pair looks it up once;
+    * d, the cursor distance from the new position to ``home``, worked
+      out in line by the formula of :func:`_cursor_distance`, so a
+      dropped extension costs no lamp add.
+
+    Both count letters every word needs, whatever its letters plant.  A
+    pair whose subset accepts has A = 0, and one at ``home`` has d = 0.
+    ``tour(x, y, code)``, when given, is a third bound, asked after the
+    lamp adds of the extensions the first two let through; the walk keeps
+    it per ``(x, y, code)`` for its own lifetime.  A negative ``max_len``
+    is refused.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
     add = lamps.add
     sim = _compiled(nfa)
+    hx, hy = home
+    max_dx, max_dy, axis_moves_only = _cursor_steps(letters)
+    tours: Dict[tuple[int, int, int], int] = {}
     start = (sim.start(), 0, 0, 0)
     yield sim.accepting(start[0]), 0, 0, 0, None
     frontier = [(*start, None)]
@@ -644,22 +654,35 @@ def _sweep_walk(nfa: Nfa, letters: list[tuple], lamps: _LampCode,
             out = arrows.get(states)
             if out is None:
                 # The live letters of a subset, in order, with their
-                # shifts and lamps, the subset each one leads to and
-                # whether that subset accepts.
+                # shifts and lamps, the subset each one leads to, whether
+                # that subset accepts and its distance to acceptance.
                 out = arrows[states] = [
-                    (letter, sx, sy, lit, moved, sim.accepting(moved))
+                    (letter, sx, sy, lit, moved, sim.accepting(moved),
+                     sim.distance(moved))
                     for letter, sx, sy, lit in letters
                     if (moved := sim.step(states, letter))]
-            for letter, sx, sy, lit, moved, accepting in out:
+            for letter, sx, sy, lit, moved, accepting, steps in out:
+                if steps > remaining:
+                    continue
                 x, y = px + sx, py + sy
-                if position(moved, x, y) > remaining:
+                need_x = -(-abs(x - hx) // max_dx)
+                need_y = -(-abs(y - hy) // max_dy)
+                if axis_moves_only:
+                    need_x += need_y
+                elif need_y > need_x:
+                    need_x = need_y
+                if need_x > remaining:
                     continue
                 extended = code
                 for a, b, value in lit:
                     extended = add(extended, px + a, py + b, value)
-                if needed is not None and \
-                        needed(moved, x, y, extended) > remaining:
-                    continue
+                if tour is not None:
+                    lamp_steps = tours.get((x, y, extended))
+                    if lamp_steps is None:
+                        lamp_steps = tours[x, y, extended] = tour(
+                            x, y, extended)
+                    if lamp_steps > remaining:
+                        continue
                 # One hash per pair: a pair already visited leaves the
                 # set's size unchanged.
                 size = len(visited)
@@ -672,6 +695,16 @@ def _sweep_walk(nfa: Nfa, letters: list[tuple], lamps: _LampCode,
         frontier = next_frontier
 
 
+def _cursor_steps(letters: list[tuple]) -> tuple[int, int, bool]:
+    """``(max_dx, max_dy, axis_moves_only)`` of the :func:`_sweep_letters`
+    ``letters``: the largest |step x| and |step y| (1 for an axis no
+    letter moves along) and whether every step is axis-parallel, the
+    parameters of :func:`_cursor_distance`."""
+    return (max((abs(sx) for _, sx, _, _ in letters), default=0) or 1,
+            max((abs(sy) for _, _, sy, _ in letters), default=0) or 1,
+            all(sx == 0 or sy == 0 for _, sx, sy, _ in letters))
+
+
 def _cursor_distance(letters: list[tuple]):
     """``distance(dx, dy)``: the fewest of the :func:`_sweep_letters`
     ``letters`` that can move the cursor by (dx, dy).
@@ -681,11 +714,11 @@ def _cursor_distance(letters: list[tuple]):
     step)`` letters; when every step is axis-parallel a letter serves one
     axis only and the two counts add, otherwise the larger one bounds
     both.  An axis no letter moves along counts steps of 1, which stays a
-    lower bound (such a gap cannot be closed at all).
+    lower bound (such a gap cannot be closed at all).  Whether a letter
+    also lights lamps does not matter.  :func:`_sweep_walk` works the
+    same formula out in line.
     """
-    max_dx = max((abs(sx) for _, sx, _, _ in letters), default=0) or 1
-    max_dy = max((abs(sy) for _, _, sy, _ in letters), default=0) or 1
-    axis_moves_only = all(sx == 0 or sy == 0 for _, sx, sy, _ in letters)
+    max_dx, max_dy, axis_moves_only = _cursor_steps(letters)
 
     def distance(dx: int, dy: int) -> int:
         need_x = -(-abs(dx) // max_dx)
@@ -695,23 +728,17 @@ def _cursor_distance(letters: list[tuple]):
     return distance
 
 
-def _search_bounds(nfa: Nfa, letters: list[tuple], goal: tuple[int, ...],
+def _search_bounds(letters: list[tuple], goal: tuple[int, ...],
                    lamps: _LampCode):
-    """The two pruning hooks of a search for the ``goal`` (x, y, lamp code)
-    over ``nfa``, the walk's own automaton: ``(position, needed)`` for
-    :func:`_sweep_walk`, whose pairs hold lamp tables in the layout ``lamps``.
+    """The lamp bound of a search for the ``goal`` (x, y, lamp code):
+    ``plants_and_tour(x, y, code)``, the ``tour`` of :func:`_sweep_walk`,
+    whose pairs hold lamp tables in the layout ``lamps``; None when some
+    letter both moves and lights lamps.
 
-    ``needed(subset, x, y, code)`` is a lower bound on the length of every
-    word ``v`` that takes ``subset`` to an accepting subset and has
-    ``element * eval(v) == target``, where ``element`` is at (x, y) with
-    lamp table ``code``.  It is ``max(A, P + T)``:
+    ``plants_and_tour(x, y, code)`` is a lower bound P + T on the length
+    of every word ``v`` with ``element * eval(v) == target``, where
+    ``element`` is at (x, y) with lamp table ``code``:
 
-    * A, automaton distance: each letter of ``v`` crosses one labelled
-      edge of the Thompson automaton, so ``|v|`` is at least the fewest
-      labelled edges from a state of the subset to a final state.  A 0-1
-      BFS on the reversed automaton (epsilon edges cost 0) gives that
-      count per state once per automaton (:func:`_final_distances`); the
-      compiled automaton keeps the minimum per interned subset.
     * P, plants: let D be the lamps where ``element`` and ``target``
       differ, the nonzero digits of ``code`` xor the target's code.  A
       plant letter does not move and lights at most ``most`` lamps, a
@@ -724,30 +751,23 @@ def _search_bounds(nfa: Nfa, letters: list[tuple], goal: tuple[int, ...],
       y), q) + d(q, target.pos)`` move letters, minimised over q and
       maximised over l (with ``d`` from :func:`_cursor_distance`).  For
       empty D the cursor still has to get home: ``d((x, y),
-      target.pos)``.  P + T is kept per ``(x, y, code)``.
+      target.pos)``.  The legs are kept per ``(x, y, lamp)``.
 
-    ``position(subset, x, y)`` is ``max(A, d((x, y) - target.pos))``.
-    Both are terms of the bound, so it is at most ``needed(subset, x, y,
-    code)`` for every code.
+    T starts from ``d((x, y), target.pos)``, so the walk's cursor test,
+    asked before the lamp adds, never drops an extension this bound keeps.
 
     Plant and move letters are distinct, so P + T counts distinct letters.
     A letter that both moves and lights lamps (possible in a loaded
-    instance) breaks that split.  Then the bound is A alone, which the
-    position test already is, and ``needed`` is None.
+    instance) breaks that split, and the walk's own bound is all there is.
     """
-    automaton = _compiled(nfa).distance
     if any((sx or sy) and lit for _, sx, sy, lit in letters):
-        return lambda subset, x, y: automaton(subset), None
+        return None
     distance = _cursor_distance(letters)
     plants = [lit for *_, lit in letters if lit]
     most = max(map(len, plants), default=0)
     reach = {(a, b) for lit in plants for a, b, _ in lit}
     tx, ty, goal = goal
     legs: Dict[tuple[int, int, int], int] = {}
-    tours: Dict[tuple[int, int, int], int] = {}
-
-    def position(subset: frozenset[int], x: int, y: int) -> int:
-        return max(automaton(subset), distance(x - tx, y - ty))
 
     def plants_and_tour(x: int, y: int, code: int) -> int:
         differ = lamps.indices(code ^ goal)
@@ -770,13 +790,7 @@ def _search_bounds(nfa: Nfa, letters: list[tuple], goal: tuple[int, ...],
                 tour = leg
         return -(-len(differ) // most) + tour
 
-    def needed(subset: frozenset[int], x: int, y: int, code: int) -> int:
-        tour = tours.get((x, y, code))
-        if tour is None:
-            tour = tours[x, y, code] = plants_and_tour(x, y, code)
-        return max(automaton(subset), tour)
-
-    return position, needed
+    return plants_and_tour
 
 
 def rational_member_bounded(expr: RationalExpr,
@@ -791,13 +805,13 @@ def rational_member_bounded(expr: RationalExpr,
     one in its order.  Only that word is spelled out, and it is
     re-evaluated with ``wreath_eval`` before being handed back.
 
-    The walk is pruned by the bound of :func:`_search_bounds`, with its
-    position test asked first so that most pruned extensions cost no
-    lamp add; as that test never exceeds the full bound, the walk keeps
-    what the full bound keeps.  The word stays the one the unpruned walk
-    returns: the shortest accepted word for the target that comes first
-    in the walk's letter order.  Let ``w`` be that word, of
-    length L, and ``p_i`` the pair of its prefix of length i.  The rest of
+    The walk is pruned by its own bound, the automaton distance and the
+    cursor's way to the target's position, and, when no letter both moves
+    and lights lamps, by the lamp tour of :func:`_search_bounds`.  Each is
+    a lower bound on the letters still needed, so the word stays the one
+    the unpruned walk returns: the shortest accepted word for the target
+    that comes first in the walk's letter order.  Let ``w`` be that word,
+    of length L, and ``p_i`` the pair of its prefix of length i.  The rest of
     ``w`` takes ``p_i`` to the target in ``L - i <= max_len - i`` letters,
     so the bound never prunes ``p_i`` at layer i.  No shorter word
     reaches ``p_i``, and no word of length i earlier in the order does
@@ -816,8 +830,8 @@ def rational_member_bounded(expr: RationalExpr,
     lamps = _LampCode(ring, letters, max_len, (target,))
     goal = (*target.pos, lamps.encode(target.fun()))
     for accepting, x, y, code, word in _sweep_walk(
-            nfa, letters, lamps, max_len,
-            *_search_bounds(nfa, letters, goal, lamps)):
+            nfa, letters, lamps, max_len, target.pos,
+            _search_bounds(letters, goal, lamps)):
         if accepting and (x, y, code) == goal:
             tokens = []
             while word is not None:
@@ -838,20 +852,18 @@ def enumerate_zero_position_hits(expr: RationalExpr,
     """All values with position (0, 0) taken by accepted words of length
     at most ``max_len``.
 
-    Runs the walk of :func:`_sweep_walk` to the end.  Branches whose
-    position cannot return to the origin within the remaining length
-    budget are pruned by the position test alone, before any lamp add:
-    :func:`_cursor_distance` is a true lower bound on the letters that
-    move the position back, so no in-budget word is lost.  Each distinct
-    lamp code hit is decoded into a group element once.
+    Runs the walk of :func:`_sweep_walk` home to the origin, to the end.
+    It drops a branch, before any lamp add, whose subset cannot reach
+    acceptance or whose cursor cannot return to the origin within the
+    letters left: both distances are true lower bounds on the letters
+    still needed, so no in-budget word is lost.  Each distinct lamp code
+    hit is decoded into a group element once.
     """
     nfa = regex_to_nfa(expr)
     letters = _sweep_letters(nfa, bindings, ring)
     lamps = _LampCode(ring, letters, max_len)
-    distance = _cursor_distance(letters)
     codes = {code for accepting, x, y, code, _ in
-             _sweep_walk(nfa, letters, lamps, max_len,
-                         lambda subset, x, y: distance(x, y))
+             _sweep_walk(nfa, letters, lamps, max_len, (0, 0))
              if accepting and x == 0 == y}
     return {WreathElement(ring, lamps.decode(code)) for code in codes}
 

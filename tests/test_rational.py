@@ -750,18 +750,21 @@ class TestPruningKeepsTheAnswer:
         assert checked == 322 and nones > 300
 
     def test_fallback_when_a_plant_moves(self):
-        # g0 both moves and lights a lamp: only the automaton distance is
-        # used, by the position test alone, and the answer still equals
-        # the unpruned walk's.
+        # g0 both moves and lights a lamp: there is no lamp tour, only
+        # the walk's own test of automaton and cursor distance, and the
+        # answer still equals the unpruned walk's.
         ring = Ring(3)
         rat = loaded_instance(ring, (1, 1), (1, 0), (((0, 0), 1),))
         nfa = regex_to_nfa(rat.expr)
-        position, needed = search_hooks(
-            nfa, rat.bindings, wreath_eval("g0 g0 x", rat.bindings, ring))
-        assert needed is None
+        target = wreath_eval("g0 g0 x", rat.bindings, ring)
+        position, needed = search_hooks(nfa, rat.bindings, target)
+        assert needed is None and target.pos == (3, 1)
         sim = _NfaSim(nfa)
-        assert position(sim.start(), 9, -9) == 0
-        assert position(sim.step(sim.start(), "g0"), 9, -9) == 2
+        # At the target's position the cursor term is 0: the automaton's.
+        assert position(sim.start(), 3, 1) == 0
+        assert position(sim.step(sim.start(), "g0"), 3, 1) == 2
+        # A diagonal x: (9, -9) is max(6, 10) moves from (3, 1).
+        assert position(sim.start(), 9, -9) == 10
         for word in ("g0 x y", "x g0 x g0 x y", "y g0 x y X Y Y"):
             target = wreath_eval(word, rat.bindings, ring)
             expected = reference_member(rat.expr, rat.bindings, target,
@@ -788,21 +791,31 @@ def bound_instances():
 
 
 def search_hooks(nfa, bindings, target, max_len=6):
-    """The hooks of :func:`_search_bounds` for a walk of at most
-    ``max_len`` letters, with ``needed`` read at a (subset, element) pair:
-    the element goes through the walk's lamp encoder first."""
+    """The bound of a search for ``target`` in a walk of at most
+    ``max_len`` letters, as two functions: ``position(subset, x, y)``, the
+    walk's own test ``max(A, d)`` of automaton and cursor distance, and
+    ``needed(subset, element)``, ``max(A, tour)`` with the lamp tour of
+    :func:`_search_bounds` read at the element's lamp code (None when a
+    letter both moves and plants)."""
     letters = _sweep_letters(nfa, bindings, target.ring)
     lamps = _LampCode(target.ring, letters, max_len, (target,))
     goal = (*target.pos, lamps.encode(target.fun()))
-    position, needed = _search_bounds(nfa, letters, goal, lamps)
-    if needed is None:
+    automaton = _compiled(nfa).distance
+    distance = rational._cursor_distance(letters)
+    tx, ty = target.pos
+    tour = _search_bounds(letters, goal, lamps)
+
+    def position(subset, x, y):
+        return max(automaton(subset), distance(x - tx, y - ty))
+
+    if tour is None:
         return position, None
-    return position, lambda subset, element: needed(
-        subset, *element.pos, lamps.encode(element.fun()))
+    return position, lambda subset, element: max(
+        automaton(subset), tour(*element.pos, lamps.encode(element.fun())))
 
 
 def lamp_bound(nfa, bindings, target):
-    """The ``needed`` hook of :func:`_search_bounds`, for bindings whose
+    """The ``needed`` bound of :func:`search_hooks`, for bindings whose
     plants do not move, read at a (subset, element) pair."""
     _, needed = search_hooks(nfa, bindings, target)
     assert needed is not None
@@ -946,6 +959,21 @@ class _CountingWreath(WreathElement):
         return other * _make_element(WreathElement, self.pos, self._vec)
 
 
+def count_walks(monkeypatch):
+    """From here to the end of the test, the number of pairs each
+    :func:`rational._sweep_walk` yields, one entry per walk."""
+    walk, counts = rational._sweep_walk, []
+
+    def counting(*args):
+        counts.append(0)
+        for item in walk(*args):
+            counts[-1] += 1
+            yield item
+
+    monkeypatch.setattr(rational, "_sweep_walk", counting)
+    return counts
+
+
 class TestCompiledAutomaton:
     @pytest.mark.parametrize("k", [1, 2])
     def test_equal_expressions_share_one_automaton(self, k):
@@ -996,45 +1024,50 @@ class TestCompiledAutomaton:
         # Z/2, target f + f.x, words of length at most 10.  The walk keys a
         # pair by its lamp code and builds no group element product (a
         # walk over elements built 3,067 of the 5,905 extensions', 520 of
-        # them by g0).  The position test still comes first: it is asked
-        # of every extension, and each of the 520 lamp adds comes right
-        # after the test at its own extension, g0's lamp being where the
-        # cursor stands.  The hit set is the one of the test above.
+        # them by g0).  The automaton and cursor tests come before the
+        # lamps: the walk yields 1,635 pairs and adds 442 lamps (1,688
+        # and 520 with the cursor test alone).  The hit set is the one of
+        # the test above.
         ring = Ring(2)
         rat = planted_instance(ring, sweep_gens(ring), ((0, 0, 0),
                                                         (0, 1, 0)))
         counting = {letter: _make_element(_CountingWreath, value.pos,
                                           value._vec)
                     for letter, value in rat.bindings.items()}
-        events = []
-        cursor_distance, add = rational._cursor_distance, _LampCode.add
-
-        def recording_distance(steps):
-            distance = cursor_distance(steps)
-
-            def record(dx, dy):
-                events.append(("position", dx, dy))
-                return distance(dx, dy)
-            return record
+        adds = []
+        add = _LampCode.add
 
         def recording_add(self, code, a, b, value):
-            events.append(("add", a, b))
+            adds.append((a, b))
             return add(self, code, a, b, value)
 
-        monkeypatch.setattr(rational, "_cursor_distance", recording_distance)
         monkeypatch.setattr(_LampCode, "add", recording_add)
         _CountingWreath.built[0] = 0
+        yielded = count_walks(monkeypatch)
         hits = enumerate_zero_position_hits(rat.expr, counting, ring, 10)
         monkeypatch.undo()
         assert _CountingWreath.built[0] == 0
-        kinds = [kind for kind, _, _ in events]
-        assert kinds.count("position") == 5905
-        assert kinds.count("add") == 520
-        assert all(events[i - 1] == ("position", a, b)
-                   for i, (kind, a, b) in enumerate(events) if kind == "add")
+        assert yielded == [1635]
+        assert len(adds) == 442
         assert hits == enumerate_zero_position_hits(rat.expr, rat.bindings,
                                                     ring, 10)
         assert len(hits) == 67 and rat.target in hits
+
+    @pytest.mark.parametrize("shift,max_len,pairs,word", [
+        ((3, 2), 15, 626, "x x x y y g0 x y X X X X Y Y Y"),
+        ((1, 0), 7, 81, "x g0 x y X X Y"),
+        ((0, 1), 7, 78, "y g0 x y X Y Y"),
+    ])
+    def test_visit_counts(self, monkeypatch, shift, max_len, pairs, word):
+        # Z/2, one generator f, target f translated by ``shift``: the
+        # number of pairs the pruned walk yields.  A looser bound yields
+        # more, a wrong one loses the word.
+        ring = Ring(2)
+        rat = planted_instance(ring, sweep_gens(ring), ((0, *shift),))
+        yielded = count_walks(monkeypatch)
+        found = rational_member_bounded(rat.expr, rat.bindings, rat.target,
+                                        max_len, ring)
+        assert (found, yielded) == (word, [pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -1107,7 +1140,8 @@ class TestLampCodes:
         ring = ring_from_name(name)
         rng = random.Random(f"loaded {name}")
         for rat in (loaded_instance(ring, (1, 0), (0, 0), lit),
-                    loaded_instance(ring, (1, 1), (0, 0), lit)):
+                    loaded_instance(ring, (1, 1), (0, 0), lit),
+                    loaded_instance(ring, (2, 1), (1, 0), lit)):
             for _ in range(8):
                 word = random_accepted_word(rng, rat, 6)
                 target = wreath_eval(word, rat.bindings, ring)
