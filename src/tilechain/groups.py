@@ -65,11 +65,30 @@ def _power(letter: str, k: int) -> str:
     return (f"{letter} " if k >= 0 else f"{letter.swapcase()} ") * abs(k)
 
 
-def _spell_conjugate(a: int, b: int, body: str) -> str:
-    """``x^a y^b · body · y^-b x^-a`` as text in which every letter,
-    including those of ``body``, is followed by one space."""
-    return (_power("x", a) + _power("y", b) + body + _power("y", -b)
-            + _power("x", -a))
+def _spell_walk(points: Dict[Point, int], body: str, inverse: str) -> str:
+    """One walk over x/y that writes ``body`` v times at each point of
+    value v > 0 (``inverse`` -v times where v < 0) and returns once.
+
+    It visits the points column-major, sorted by ``(x, y)``, and steps
+    between neighbours as :func:`witness_to_submonoid_certificate` walks
+    picks.  The walk is the free reduction of one conjugate ``x^a y^b ·
+    body^v · y^-b x^-a`` per point in that order, so where the conjugates
+    commute it has their value in any order.  Each letter is followed by
+    one space, except the last.
+    """
+    parts = []
+    a = b = 0
+    for (x, y), v in sorted(points.items()):
+        if not v:
+            continue
+        if x != a:
+            parts.append(_power("y", -b) + _power("x", x - a))
+            a, b = x, 0
+        parts.append(_power("y", y - b) + (body if v > 0 else inverse)
+                     * abs(v))
+        b = y
+    parts.append(_power("y", -b) + _power("x", -a))
+    return "".join(parts)[:-1]
 
 
 Run = Tuple[str, int]  # (letter, repeat count >= 1)
@@ -350,11 +369,14 @@ def unembed_module(fun: Dict[Point, int], stride: int, rank: int,
 
 
 def module_to_word(e: ModuleElement, stride: int) -> str:
-    """Word over x/y/g spelling out the flattened element: each entry is a
-    conjugated power of the origin lamp."""
-    return "".join(_spell_conjugate(stride * a + j, b,
-                                    ("g " if v > 0 else "G ") * abs(v))
-                   for (a, b, j), v in e.items())[:-1]
+    """Word over x/y/g spelling out the flattened element as one walk (see
+    :func:`_spell_walk`) that lights ``g^v`` at each lamp ``(stride·a + j,
+    b)``; entries that land on one point, under a stride below the rank,
+    are added.  Lamps commute, so the walk's order changes no value, and
+    the word is about support + 2·columns·rows letters long, not
+    2(|x| + |y|) moves per lamp."""
+    return _spell_walk(_canon(Z, (((stride * a + j, b), v)
+                                  for (a, b, j), v in e.items())), "g ", "G ")
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +542,12 @@ def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
 
 
 def cells_to_word(cells: Dict[Point, int]) -> str:
-    """Word over x/y whose flow is the given combination of unit cells:
-    per cell, a conjugated power of the commutator."""
-    return "".join(_spell_conjugate(a, b, ("x y X Y " if value > 0 else
-                                           "y x Y X ") * abs(value))
-                   for a, b in sorted(cells, key=lambda c: (c[1], c[0]))
-                   if (value := cells[(a, b)]))[:-1]
+    """Word over x/y whose flow is the given combination of unit cells: one
+    walk (see :func:`_spell_walk`) that writes the commutator ``x y X Y``
+    to the power v at each cell.  The commutators' conjugates lie in the
+    derived subgroup, which is abelian, so the walk's order changes no
+    value."""
+    return _spell_walk(cells, "x y X Y ", "y x Y X ")
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +616,12 @@ def make_submonoid_instance(instance: SemimoduleInstance,
     of a generator by (dx, dy) corresponds to conjugating its word by
     ``x^(stride * dx) y^dy``, which the four move words make available
     inside the submonoid.
+
+    Every module element, generator or target, is spelled as one walk
+    over its lamps or unit cells (:func:`module_to_word`,
+    :func:`cells_to_word`), not as one round trip per entry, so the words
+    grow with the support and the columns, not with each entry's
+    distance from the origin.
 
     The generator and move words depend on the generators, the flavor and
     the stride alone, so they come from :func:`_generator_words` and equal
@@ -709,11 +737,18 @@ def verify_submonoid_certificate(instance: SubmonoidInstance,
     Every index is checked before anything is evaluated.  Each used
     generator word is then read from the instance's text and folded into
     its value, kept as a fold step (sums, displacement, telescoping form).
-    The certificate's runs of equal indices are folded with those steps,
-    which is the same group product by associativity: a run of a
+    The cheap invariant comes first: one pass over the certificate's runs
+    of equal indices reads each used step, in the order the full fold
+    would, so the same exception is raised first, and adds up the
+    displacements.  The target is folded next, and a product that ends
+    elsewhere is refused before any sums are added, as most certificates
+    with a move missing are.  Only then are the runs folded with those
+    steps, which is the same group product by associativity: a run of a
     generator that does not move is one scaled add, and a run of a move
     word is one shift or telescopes.  The cost is per run of indices plus
-    one read of the target and of each used word not read before.
+    one read of the target and of each used word not read before.  Any
+    spelling of the target is read; :func:`make_submonoid_instance`
+    spells it as one walk, so its fold is short.
 
     Nothing is taken from the construction of the instance.  What is kept
     between calls is the fold step of each generator word and of each
@@ -737,13 +772,20 @@ def verify_submonoid_certificate(instance: SubmonoidInstance,
     for i, _ in runs:
         if not 0 <= i < count:
             raise BadIndex(f"generator {i} out of range")
+    runs = [(index(i), k) for i, k in runs]
     ring = instance.ring
     steps, letters = _word_steps(tuple(instance.generators),
                                  instance.flavor, ring)
-    pos, sums = _fold([(index(i), k) for i, k in runs], steps)
+    px = py = 0
+    for i, k in runs:
+        _, sx, sy, _ = steps[i]
+        px += k * sx
+        py += k * sy
     target_pos, target_sums = _fold(_runs(instance.target), letters)
-    return (pos == target_pos
-            and _reduced(ring, sums) == _reduced(ring, target_sums))
+    if (px, py) != target_pos:
+        return False
+    _, sums = _fold(runs, steps)
+    return _reduced(ring, sums) == _reduced(ring, target_sums)
 
 
 # ---------------------------------------------------------------------------

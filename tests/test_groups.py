@@ -120,9 +120,10 @@ def walk_metabelian(word):
     return MetabelianElement(pos, flow)
 
 
-# The token-list construction the generated words were first spelled with.
-# It stays here as the reference for the text form, which must remain
-# byte-identical to it.
+# The token-list constructions of the generated words.  The per-entry
+# words (one conjugate per lamp or cell) are what the words were first
+# spelled as; they stay as value references.  The walk is the reference for
+# today's text, which must remain byte-identical to it.
 
 def pow_tokens(symbol, k):
     return [symbol] * k if k >= 0 else [symbol.swapcase()] * -k
@@ -157,6 +158,54 @@ def reference_cells_to_word(cells):
         unit = ["x", "y", "X", "Y"] if value > 0 else ["y", "x", "Y", "X"]
         tokens += reference_conjugate(a, b, unit * abs(value))
     return word_from_tokens(tokens)
+
+
+def reference_walk(points, unit, inverse):
+    """One column-major walk over the points with nonzero value, writing
+    ``unit`` v times (``inverse`` -v times) at each and returning once."""
+    tokens = []
+    a = b = 0
+    for x, y in sorted(points):
+        value = points[(x, y)]
+        if not value:
+            continue
+        if x != a:
+            tokens += pow_tokens("y", -b) + pow_tokens("x", x - a)
+            a, b = x, 0
+        tokens += pow_tokens("y", y - b)
+        tokens += (unit if value > 0 else inverse) * abs(value)
+        b = y
+    tokens += pow_tokens("y", -b) + pow_tokens("x", -a)
+    return word_from_tokens(tokens)
+
+
+def flattened_lamps(e, stride):
+    """The lamps of the per-entry word: entries that land on one point,
+    under a stride below the rank, are added."""
+    lamps = {}
+    for (a, b, j), v in e.items():
+        lamps[(stride * a + j, b)] = lamps.get((stride * a + j, b), 0) + v
+    return lamps
+
+
+def reference_module_walk(e, stride):
+    return reference_walk(flattened_lamps(e, stride), ["g"], ["G"])
+
+
+def reference_cells_walk(cells):
+    return reference_walk(cells, ["x", "y", "X", "Y"], ["y", "x", "Y", "X"])
+
+
+def cancel_moves(word):
+    """Free reduction of a word over x/X/y/Y/g/G: cancel adjacent inverse
+    letters until none are left."""
+    reduced = []
+    for token in word.split():
+        if reduced and reduced[-1] == token.swapcase():
+            reduced.pop()
+        else:
+            reduced.append(token)
+    return word_from_tokens(reduced)
 
 
 def reference_moves(stride):
@@ -494,32 +543,47 @@ class TestEmbedding:
 
 
 class TestWordsMatchTokenConstruction:
-    """The words are spelled by string repetition; every one must equal the
-    token-list reference byte for byte."""
+    """The words are spelled by string repetition as one walk; every one
+    must equal the token-list walk byte for byte, and have the value of the
+    per-entry word, one conjugate per lamp or cell."""
 
     RINGS = (Z, Ring(2), Ring(3))
 
     def test_module_words(self):
         rng = random.Random(31)
         for ring in self.RINGS:
+            bindings = wreath_bindings(ring)
             for rank in (1, 2, 3):
                 for stride in (1, 2, 3, 4):
                     for _ in range(12):
                         e = random_element(rng, ring, rank)
-                        assert module_to_word(e, stride) == \
-                            reference_module_to_word(e, stride)
+                        word = module_to_word(e, stride)
+                        assert word == reference_module_walk(e, stride)
+                        per_entry = reference_module_to_word(e, stride)
+                        assert wreath_eval(word, bindings, ring) == \
+                            wreath_eval(per_entry, bindings, ring)
+                        # The lamps' conjugates in walk order, with the
+                        # moves between neighbours cancelled.
+                        lamps = sorted(flattened_lamps(e, stride).items())
+                        assert word == cancel_moves(" ".join(
+                            word_from_tokens(reference_conjugate(
+                                x, y, pow_tokens("g", v)))
+                            for (x, y), v in lamps if v))
                     empty = zero_element(ring, rank)
                     assert module_to_word(empty, stride) == "" == \
-                        reference_module_to_word(empty, stride)
+                        reference_module_walk(empty, stride)
 
     def test_cell_words(self):
         rng = random.Random(32)
         for _ in range(200):
             cells = {(rng.randint(-4, 4), rng.randint(-4, 4)):
                      rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
-            assert cells_to_word(cells) == reference_cells_to_word(cells)
+            word = cells_to_word(cells)
+            assert word == reference_cells_walk(cells)
+            assert metabelian_eval(word) == \
+                metabelian_eval(reference_cells_to_word(cells))
         for cells in ({}, {(0, 0): 0}, {(-2, 1): 0, (3, -1): 0}):
-            assert cells_to_word(cells) == "" == reference_cells_to_word(cells)
+            assert cells_to_word(cells) == "" == reference_cells_walk(cells)
 
     def test_instance_words(self):
         rng = random.Random(33)
@@ -534,15 +598,39 @@ class TestWordsMatchTokenConstruction:
                     for flavor in flavors:
                         inst = make_submonoid_instance(sem, flavor)
                         if flavor == WREATH:
-                            spell = lambda e: reference_module_to_word(
+                            spell = lambda e: reference_module_walk(
                                 e, inst.stride)
+                            per_entry = lambda e: reference_module_to_word(
+                                e, inst.stride)
+                            bindings = wreath_bindings(ring)
+                            evaluate = lambda w: wreath_eval(w, bindings,
+                                                             ring)
                         else:
-                            spell = lambda e: reference_cells_to_word(
+                            spell = lambda e: reference_cells_walk(
                                 embed_module(e, inst.stride))
+                            per_entry = lambda e: reference_cells_to_word(
+                                embed_module(e, inst.stride))
+                            evaluate = metabelian_eval
                         assert inst.generators == tuple(
                             spell(g) for g in gens) + \
                             reference_moves(inst.stride)
                         assert inst.target == spell(sem.target)
+                        for e, word in zip(gens + (sem.target,),
+                                           inst.generators[:-4]
+                                           + (inst.target,)):
+                            assert evaluate(word) == evaluate(per_entry(e))
+
+    def test_words_grow_with_columns_not_with_distance(self):
+        # One entry in each of 40 columns, at heights 0..6 that add up to
+        # 115: the walk steps 39 columns out and back once, up and down
+        # each column, and writes each body; the per-entry words go out
+        # and back once per entry.
+        e = ModuleElement(Z, 1, {(a, a % 7, 0): 1 for a in range(40)})
+        cells = embed_module(e, 1)
+        assert len(module_to_word(e, 1).split()) == 40 + 2 * 39 + 2 * 115
+        assert len(cells_to_word(cells).split()) == 4 * 40 + 2 * 39 + 2 * 115
+        assert len(reference_module_to_word(e, 1).split()) == 1830
+        assert len(reference_cells_to_word(cells).split()) == 1950
 
 
 # ---------------------------------------------------------------------------
@@ -1004,6 +1092,97 @@ class TestCertificateSemantics:
             cut = indices.index(xf)
             assert not verify_submonoid_certificate(
                 inst, indices[:cut] + indices[cut + 1:])
+
+
+def per_entry_instance(inst, sem):
+    """``inst`` with every module word spelled per entry, one conjugate per
+    lamp or cell, as the words were first written."""
+    if inst.flavor == WREATH:
+        spell = lambda e: reference_module_to_word(e, inst.stride)
+    else:
+        spell = lambda e: reference_cells_to_word(embed_module(e, inst.stride))
+    return SubmonoidInstance(
+        inst.flavor, inst.ring, inst.rank, inst.stride,
+        tuple(spell(g) for g in sem.generators) + reference_moves(inst.stride),
+        spell(sem.target))
+
+
+class TestPositionsFirst:
+    """The verifier compares the product's position with the target's
+    before it adds any sums.  Its verdicts, and the order of its
+    exceptions, are those of folding everything first."""
+
+    MOVES = ("x", "X", "y", "Y")
+
+    def test_per_entry_spelling_still_verifies(self, artifacts):
+        pipe = artifacts.pipeline("unary-eraser", "aaa")
+        cases = ((toy_instance(), (WitnessTerm(0, 0, 0, 1),
+                                   WitnessTerm(1, 1, 0, 1))),
+                 (tiling_to_instance(pipe.ts, pipe.f0),
+                  certificate_to_witness(pipe.cert, pipe.ts)))
+        for sem, witness in cases:
+            for flavor in (WREATH, METABELIAN):
+                inst = make_submonoid_instance(sem, flavor)
+                old = per_entry_instance(inst, sem)
+                assert old.target != inst.target
+                indices = witness_to_submonoid_certificate(witness, inst)
+                assert witness_to_submonoid_certificate(witness, old) == \
+                    indices
+                middle = len(indices) // 2
+                cut = indices[:middle] + indices[middle + 1:]
+                for checked in (inst, old,
+                                submonoid_from_dict(submonoid_to_dict(old))):
+                    assert verify_submonoid_certificate(checked, indices)
+                    assert not verify_submonoid_certificate(checked, cut)
+
+    @pytest.mark.parametrize("flavor,modulus", [
+        (WREATH, None), (WREATH, 2), (METABELIAN, None)])
+    def test_every_deletion_matches_the_concatenation(self, artifacts,
+                                                      flavor, modulus):
+        ring = Z if modulus is None else Ring(modulus)
+        if flavor == WREATH:
+            bindings = wreath_bindings(ring)
+            evaluate = lambda w: wreath_eval(w, bindings, ring)
+        else:
+            evaluate = metabelian_eval
+        pipe = artifacts.pipeline("unary-eraser", "a")
+        sem = tiling_to_instance(pipe.ts, initial_map(pipe.tm, "a", ring))
+        inst = make_submonoid_instance(sem, flavor)
+        genuine = witness_to_submonoid_certificate(
+            certificate_to_witness(pipe.cert, pipe.ts), inst)
+        target = evaluate(inst.target)
+        moves = set(inst.move_indices())
+        seen = set()
+        for k in range(len(genuine)):
+            cut = genuine[:k] + genuine[k + 1:]
+            product = evaluate(" ".join(inst.generators[i] for i in cut))
+            assert verify_submonoid_certificate(inst, cut) == \
+                (product == target)
+            seen.add((genuine[k] in moves, product.pos == target.pos))
+        # Deleted moves are refused on positions, deleted generators on
+        # sums.
+        assert seen == {(True, False), (False, True)}
+
+    def test_exceptions_come_in_the_order_of_the_full_fold(self):
+        for flavor, live in ((WREATH, "x g X"), (METABELIAN, "x y X Y")):
+            words = (live, "x z X") + self.MOVES
+            inst = SubmonoidInstance(flavor, Z, 1, 1, words, "x q X")
+            # Every used generator is read before the target, also when
+            # the product ends away from the target.
+            for indices in ((1,), (0, 1), (2, 1), (1, 2, 2)):
+                with pytest.raises(UnboundSymbol, match="no binding for 'z'"):
+                    verify_submonoid_certificate(inst, indices)
+            # The target is read before positions are compared.
+            for indices in ((0,), (2,), ()):
+                with pytest.raises(UnboundSymbol, match="no binding for 'q'"):
+                    verify_submonoid_certificate(inst, indices)
+            # Bad and float indices raise before anything is read.
+            with pytest.raises(BadIndex, match="generator 6 out of range"):
+                verify_submonoid_certificate(inst, (1, 6))
+            for indices in ((1, 0.0), (1.0,), (2, 1, 3.0)):
+                with pytest.raises(TypeError):
+                    verify_submonoid_certificate(inst, indices)
+            assert 1 not in _word_steps(words, flavor, Z)[0]
 
 
 def reference_certificate(witness, inst):
