@@ -98,7 +98,9 @@ def parse_initial_shape(f0: EdgeMap) -> tuple[int, list[Color], Color]:
     n = vx - 1
     if n < 1 or vy != 0:
         raise MalformedInput(f"vertical entry at ({vx},{vy})")
-    if sorted(horiz) != list(range(n + 1)):
+    # n + 1 distinct positions in 0..n are exactly 0..n.  A far vertical
+    # entry gives a huge n, so no range of that length is built.
+    if len(horiz) != n + 1 or not all(0 <= x <= n for x in horiz):
         raise MalformedInput("row positions not contiguous from 0")
     if horiz[0] != ARROW_D or arrow != ARROW_R:
         raise MalformedInput("missing start or end arrow")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from operator import index
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -65,30 +65,45 @@ def _power(letter: str, k: int) -> str:
     return (f"{letter} " if k >= 0 else f"{letter.swapcase()} ") * abs(k)
 
 
-def _spell_walk(points: Dict[Point, int], body: str, inverse: str) -> str:
-    """One walk over x/y that writes ``body`` v times at each point of
-    value v > 0 (``inverse`` -v times where v < 0) and returns once.
+def _walk(stops: Iterable[tuple[int, int, Sequence]],
+          x_steps: tuple[Sequence, Sequence],
+          y_steps: tuple[Sequence, Sequence]) -> list[Sequence]:
+    """The pieces of one walk that puts each stop's piece at its point and
+    returns to the origin once; a caller joins or chains them.
 
-    It visits the points column-major, sorted by ``(x, y)``, and steps
-    between neighbours as :func:`witness_to_submonoid_certificate` walks
-    picks.  The walk is the free reduction of one conjugate ``x^a y^b ·
-    body^v · y^-b x^-a`` per point in that order, so where the conjugates
-    commute it has their value in any order.  Each letter is followed by
-    one space, except the last.
+    ``stops`` are ``(x, y, piece)`` triples sorted column-major, and the
+    steps are ``(forward, back)`` pairs of unit steps, so one walk spells
+    text and generator indices alike.  The walk starts with ``x^a y^b`` to
+    the first stop; within a column it steps by ``y^(b2-b1)``, between
+    columns by ``y^-b1 x^(a2-a1) y^b2``; after the last stop ``y^-b x^-a``
+    returns.  It is the free reduction of one conjugate ``x^a y^b · piece ·
+    y^-b x^-a`` per stop in that order, so where the conjugates commute it
+    has their product's value in any order, and its length is about the
+    pieces plus 2·columns·rows steps, not 2(|a| + |b|) per stop.
     """
-    parts = []
+    (xf, xb), (yu, yd) = x_steps, y_steps
+    pieces: list[Sequence] = []
     a = b = 0
-    for (x, y), v in sorted(points.items()):
-        if not v:
-            continue
-        if x != a:
-            parts.append(_power("y", -b) + _power("x", x - a))
-            a, b = x, 0
-        parts.append(_power("y", y - b) + (body if v > 0 else inverse)
-                     * abs(v))
-        b = y
-    parts.append(_power("y", -b) + _power("x", -a))
-    return "".join(parts)[:-1]
+    # ``forward * k or back * -k``: k steps, whatever the sign of k.
+    for sx, sy, piece in stops:
+        if sx != a:
+            pieces += (yd * b or yu * -b, xf * (sx - a) or xb * (a - sx))
+            a, b = sx, 0
+        pieces += (yu * (sy - b) or yd * (b - sy), piece)
+        b = sy
+    pieces += (yd * b or yu * -b, xb * a or xf * -a)
+    return pieces
+
+
+def _spell_walk(points: Dict[Point, int], body: str) -> str:
+    """The :func:`_walk` over x/y that writes ``body`` v times at each
+    point of value v, its inverse -v times where v < 0.  The inverse is
+    read by :func:`_power`'s rule: the letters reversed, case swapped.
+    Each letter is followed by one space, except the last."""
+    inverse = "".join(_power(letter, -1) for letter in body.split()[::-1])
+    stops = [(px, py, body * v or inverse * -v)
+             for (px, py), v in sorted(points.items()) if v]
+    return "".join(_walk(stops, ("x ", "X "), ("y ", "Y ")))[:-1]
 
 
 Run = Tuple[str, int]  # (letter, repeat count >= 1)
@@ -369,14 +384,11 @@ def unembed_module(fun: Dict[Point, int], stride: int, rank: int,
 
 
 def module_to_word(e: ModuleElement, stride: int) -> str:
-    """Word over x/y/g spelling out the flattened element as one walk (see
-    :func:`_spell_walk`) that lights ``g^v`` at each lamp ``(stride·a + j,
-    b)``; entries that land on one point, under a stride below the rank,
-    are added.  Lamps commute, so the walk's order changes no value, and
-    the word is about support + 2·columns·rows letters long, not
-    2(|x| + |y|) moves per lamp."""
-    return _spell_walk(_canon(Z, (((stride * a + j, b), v)
-                                  for (a, b, j), v in e.items())), "g ", "G ")
+    """Word over x/y/g spelling out the flattened element (see
+    :func:`embed_module`, which refuses a stride below the rank) as one
+    walk (see :func:`_walk`) that lights ``g^v`` at each lamp.  Lamps
+    commute, so the walk's order changes no value."""
+    return _spell_walk(embed_module(e, stride), "g ")
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +509,10 @@ def _flow_from_difference(diff: Dict[FlowKey, int]) -> Dict[FlowKey, int]:
 
 
 def flow_boundary(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
-    """Net in-minus-out of each grid point under the flow."""
-    return _canon(Z, (pair for (x, y, o), v in flow.items() for pair in (
-        ((x, y), -v), ((x + 1, y) if o == "H" else (x, y + 1), v))))
+    """Net in-minus-out of each grid point under the flow: minus the sum
+    of the flow's differences (see :func:`_flow_difference`) at it."""
+    return _canon(Z, (((x, y), -d) for (x, y, _), d
+                      in _flow_difference(flow).items()))
 
 
 def is_circulation(flow: Dict[FlowKey, int]) -> bool:
@@ -543,11 +556,10 @@ def flow_decompose(flow: Dict[FlowKey, int]) -> Dict[Point, int]:
 
 def cells_to_word(cells: Dict[Point, int]) -> str:
     """Word over x/y whose flow is the given combination of unit cells: one
-    walk (see :func:`_spell_walk`) that writes the commutator ``x y X Y``
-    to the power v at each cell.  The commutators' conjugates lie in the
-    derived subgroup, which is abelian, so the walk's order changes no
-    value."""
-    return _spell_walk(cells, "x y X Y ", "y x Y X ")
+    walk (see :func:`_walk`) that writes the commutator ``x y X Y`` to the
+    power v at each cell.  The commutators' conjugates lie in the derived
+    subgroup, which is abelian, so the walk's order changes no value."""
+    return _spell_walk(cells, "x y X Y ")
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +629,10 @@ def make_submonoid_instance(instance: SemimoduleInstance,
     ``x^(stride * dx) y^dy``, which the four move words make available
     inside the submonoid.
 
-    Every module element, generator or target, is spelled as one walk
-    over its lamps or unit cells (:func:`module_to_word`,
-    :func:`cells_to_word`), not as one round trip per entry, so the words
-    grow with the support and the columns, not with each entry's
-    distance from the origin.
+    Every module element, generator or target, is spelled as one
+    :func:`_walk` over its lamps or unit cells, so the words grow with the
+    support and the columns, not with each entry's distance from the
+    origin.
 
     The generator and move words depend on the generators, the flavor and
     the stride alone, so they come from :func:`_generator_words` and equal
@@ -635,34 +646,23 @@ def make_submonoid_instance(instance: SemimoduleInstance,
                              words, _spell(instance.target, flavor, stride))
 
 
-def _moves(k: int, forward: int, back: int) -> list[int]:
-    """``k`` steps as generator indices: ``forward`` repeated ``k`` times,
-    or ``back`` repeated ``-k`` times."""
-    return [forward] * k if k > 0 else [back] * -k
-
-
 def witness_to_submonoid_certificate(witness,
                                      instance: SubmonoidInstance
                                      ) -> tuple[int, ...]:
-    """Turn a module witness into a generator-index sequence: one walk
-    that visits every pick and returns to the origin once.
+    """Turn a module witness into a generator-index sequence: the
+    :func:`_walk` over the picks, with the move words as its steps, that
+    adds ``gen`` repeated ``coeff`` times at ``(dx, dy)``.
 
     Each term is ``(gen, dx, dy)`` or ``(gen, dx, dy, coeff)``, all four
     of type ``int`` (``bool`` is refused); a non-int field, a generator
     out of range (:class:`BadIndex`) or a negative coefficient raises
     before anything is spelled.  The terms are sorted column-major, by
-    ``(dx, dy, gen)``, and terms with coefficient 0 are dropped.  The walk
-    starts with ``x^a y^b`` to the first pick; within a column it steps
-    by ``y^(b2-b1)``, between columns by ``y^-b1 x^(a2-a1) y^b2``; each
-    pick adds ``gen`` repeated ``coeff`` times; after the last pick
-    ``y^-b x^-a`` returns to the origin.  So a one-term witness gives the
-    conjugate ``x^a y^b · gen^coeff · y^-b x^-a``, and the length is about
-    the number of picks plus twice the moves between columns, not
-    2(|a| + |b|) per pick.
+    ``(dx, dy, gen, coeff)``, and terms with coefficient 0 are dropped.
+    So a one-term witness gives the conjugate ``x^a y^b · gen^coeff ·
+    y^-b x^-a``.
 
-    The walk is the free reduction of the product of those per-term
-    conjugates in the sorted order: only adjacent forward and back moves
-    cancel, which holds in any group.  The order is free because
+    The walk's free reduction cancels only adjacent forward and back
+    moves, which holds in any group.  The order is free because
     :func:`make_submonoid_instance` spells every module generator word
     with zero displacement, so the conjugates lie in an abelian normal
     subgroup (the lamp group, or the derived subgroup) and commute.
@@ -672,7 +672,7 @@ def witness_to_submonoid_certificate(witness,
     """
     xf, xb, yu, yd = instance.move_indices()
     count = instance.module_generator_count
-    picks: list[tuple[int, int, int, int]] = []
+    picks: list[tuple[int, int, tuple[int, ...]]] = []
     for term in witness:
         if len(term) == 4:
             gen, dx, dy, coeff = term
@@ -687,21 +687,11 @@ def witness_to_submonoid_certificate(witness,
             raise BadTerm(f"term {(gen, dx, dy, coeff)}: negative "
                           f"coefficient")
         if coeff:
-            picks.append((dx, dy, gen, coeff))
+            # A tuple of one gen repeated sorts as (gen, coeff) would.
+            picks.append((dx, dy, (gen,) * coeff))
     picks.sort()
-    indices: list[int] = []
-    a = b = 0
-    for dx, dy, gen, coeff in picks:
-        if dx != a:
-            indices += _moves(-b, yu, yd)
-            indices += _moves(dx - a, xf, xb)
-            a, b = dx, 0
-        indices += _moves(dy - b, yu, yd)
-        indices += [gen] * coeff
-        b = dy
-    indices += _moves(-b, yu, yd)
-    indices += _moves(-a, xf, xb)
-    return tuple(indices)
+    return tuple(chain.from_iterable(_walk(picks, ((xf,), (xb,)),
+                                           ((yu,), (yd,)))))
 
 
 @lru_cache(maxsize=32)

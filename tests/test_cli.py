@@ -16,7 +16,7 @@ import pytest
 from tilechain import cli as cli_module
 from tilechain.cli import main
 from tilechain.compiler import compile_tiles, initial_map
-from tilechain.edges import Ring, Z, dump_edgemap, load_edgemap
+from tilechain.edges import EdgeMap, Ring, Z, dump_edgemap, load_edgemap
 from tilechain.engine import build_accepting_tiling
 from tilechain.groups import make_submonoid_instance, submonoid_to_dict
 from tilechain.machines import mini_eraser, right_walker, unary_eraser
@@ -263,6 +263,30 @@ class TestTilingCommands:
         assert code == 1
         assert "at (50, 50):" in out
         assert "no structural flags" not in out
+
+    def test_far_vertical_entry_is_malformed_input(self, capsys, ws,
+                                                   tmp_path):
+        # A vertical entry at x = 2**70 once overflowed building the row's
+        # range: an internal error (exit 4) in both commands.
+        good = initial_map(unary_eraser(), "a")
+        far = EdgeMap(Z, [(((2**70 if o == "V" else x, y, o), c), v)
+                          for (((x, y, o), c), v) in good.support()])
+        init_path = tmp_path / "far.json"
+        init_path.write_text(dump_edgemap(far))
+        tiles = tmp_path / "tiles.json"
+        tiles.write_text(dump_system(compile_tiles(unary_eraser())))
+        code, _, err = cli(capsys, "tile", "search", "--tiles", str(tiles),
+                           "--initial", str(init_path), "--max-m", "4",
+                           "--max-rows", "4")
+        assert code == 3
+        assert "row positions not contiguous from 0" in err
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(dump_certificate(ws.unary_cert))
+        code, out, _ = cli(capsys, "tile", "audit", "--cert", str(cert_path),
+                           "--initial", str(init_path))
+        assert code == 1
+        assert out == ("malformed-input at (0, 0): row positions not "
+                       "contiguous from 0\n")
 
 
 # ---------------------------------------------------------------------------

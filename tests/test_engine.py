@@ -190,6 +190,16 @@ class TestParseInitialShape:
         with pytest.raises(MalformedInput, match="missing start or end arrow"):
             parse_initial_shape(EdgeMap(Z, swapped))
 
+    def test_far_vertical_entry_is_malformed(self):
+        # The row would have to run from 0 to 2**70 - 1; nothing of that
+        # length may be built to find out that it does not.
+        far = EdgeMap(Z, [(((2**70 if o == "V" else x, y, o), c), v)
+                          for (((x, y, o), c), v)
+                          in initial_map(unary_eraser(), "a").support()])
+        with pytest.raises(MalformedInput,
+                           match="row positions not contiguous from 0"):
+            parse_initial_shape(far)
+
 
 class TestForcedSearch:
     def test_reproduces_the_builder_exactly(self, artifacts):

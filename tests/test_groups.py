@@ -523,6 +523,17 @@ class TestEmbedding:
         with pytest.raises(NotInImage, match=r"\(2, 0\) has residue 2"):
             unembed_module({(2, 0): 1}, 3, 2, Z)
 
+    def test_word_refuses_a_stride_below_the_rank(self):
+        # Entries (0, 0, 1) and (1, 0, 0) would both light (1, 0) at
+        # stride 1, so the word could not be read back.
+        e = ModuleElement(Z, 2, {(0, 0, 1): 1, (1, 0, 0): 1})
+        with pytest.raises(StrideTooSmall) as embedded:
+            embed_module(e, 1)
+        with pytest.raises(StrideTooSmall) as spelled:
+            module_to_word(e, 1)
+        assert str(spelled.value) == str(embedded.value) == \
+            "stride 1 < rank 2"
+
     def test_word_spells_the_flattened_element(self):
         e = unit(Z, 2, 1, 0, 1)
         assert module_to_word(e, 2) == "x x x g X X X"
@@ -554,7 +565,7 @@ class TestWordsMatchTokenConstruction:
         for ring in self.RINGS:
             bindings = wreath_bindings(ring)
             for rank in (1, 2, 3):
-                for stride in (1, 2, 3, 4):
+                for stride in range(max(rank, 1), 5):
                     for _ in range(12):
                         e = random_element(rng, ring, rank)
                         word = module_to_word(e, stride)
@@ -753,6 +764,21 @@ class TestFlows:
     def test_boundary_of_single_edges(self):
         assert flow_boundary({(2, 3, "H"): 4}) == {(2, 3): -4, (3, 3): 4}
         assert flow_boundary({(2, 3, "V"): 1}) == {(2, 3): -1, (2, 4): 1}
+
+    def test_boundary_matches_per_edge_reference(self):
+        # Each edge takes its value out of its tail and into its head.
+        rng = random.Random(3201)
+        for _ in range(300):
+            flow = {(rng.randint(-3, 3), rng.randint(-3, 3),
+                     rng.choice("HV")): rng.randint(-3, 3)
+                    for _ in range(rng.randint(0, 8))}
+            expected = {}
+            for (x, y, o), v in flow.items():
+                head = (x + 1, y) if o == "H" else (x, y + 1)
+                expected[x, y] = expected.get((x, y), 0) - v
+                expected[head] = expected.get(head, 0) + v
+            assert flow_boundary(flow) == \
+                {p: v for p, v in expected.items() if v}
 
     def test_cell_flow_is_a_circulation(self):
         assert is_circulation(cell_flow(5, -2, 3))
@@ -1286,6 +1312,28 @@ class TestWalkCertificates:
             seen.update(f"coeff {term[3]}" for term in witness
                         if len(term) == 4 and term[3] in (0, 2))
         assert {3, 4, "coeff 0", "coeff 2"} <= seen
+
+    def test_words_and_certificates_share_one_walk(self):
+        # Over one generator at stride 1, a certificate read with g for the
+        # generator and x/X/y/Y for the moves is the word of its picks.
+        rng = random.Random(3202)
+        sem = SemimoduleInstance(Z, 1, (unit(Z, 1, 0, 0, 0),),
+                                 zero_element(Z, 1))
+        inst = make_submonoid_instance(sem)
+        assert inst.stride == 1
+        xf, xb, yu, yd = inst.move_indices()
+        letter = {xf: "x", xb: "X", yu: "y", yd: "Y", 0: "g"}
+        for _ in range(300):
+            witness = random_witness(rng, 1)
+            entries = {}
+            for term in witness:
+                _, dx, dy, coeff = term if len(term) == 4 else (*term, 1)
+                entries[dx, dy, 0] = entries.get((dx, dy, 0), 0) + coeff
+            picks = ModuleElement(Z, 1, {k: v for k, v in entries.items()
+                                         if v})
+            indices = witness_to_submonoid_certificate(witness, inst)
+            assert " ".join(letter[i] for i in indices) == \
+                module_to_word(picks, 1), witness
 
     def test_one_term_is_todays_conjugate(self):
         inst = make_submonoid_instance(toy_instance())

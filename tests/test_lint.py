@@ -196,7 +196,7 @@ def test_referrers_see_nested_attribute_and_module_level_uses():
 _TOKEN_BUILDERS = {"pow_tokens", "word_from_tokens", "_conjugate"}
 _TEXT_SPELLERS = {
     "groups.py": {"module_to_word", "cells_to_word", "make_submonoid_instance",
-                  "_spell", "_generator_words", "_spell_walk"},
+                  "_spell", "_generator_words", "_spell_walk", "_walk"},
     "rational.py": {"certificate_to_word"},
 }
 
