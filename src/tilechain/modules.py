@@ -34,7 +34,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .documents import fields
+from .documents import fields, wrong_type
 from .edges import (EdgeMap, Ring, RingMismatch, SparseVector, ring_from_name,
                     tile_eval)
 from .tiling import Certificate, Color, TilingSystem
@@ -586,63 +586,71 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
     Visit order: coordinates tie-break by ``(y, x, idx)``, and a
     coordinate's candidates go by generator, then dy, then dx.  Over Z a
     stable sort then moves the candidates whose sign matches the
-    residual's to the front.  Each coordinate's windowed candidates are
-    listed once per search; a node only counts the viable ones and lists
-    just the chosen coordinate's.  The nodes on the current path sit on an
+    residual's to the front.  The nodes on the current path sit on an
     explicit stack, so the number of witness terms is not limited by the
     interpreter's recursion depth.
+
+    Viable candidates are counted with one generator mask per
+    translation, bit ``gi`` standing for generator ``gi``.  Each
+    coordinate's windowed candidates are listed once per search, together
+    with the mask of the generators that hit it from each translation and
+    its tie-break key.  The ``free`` dict holds, for every translation the
+    search has touched, the generators still allowed there; a translation
+    it does not hold allows them all, so nothing is allocated per
+    translation of the window.  A coordinate's viable count is then one
+    ``&`` and one ``bit_count`` per translation that hits it, and a node
+    lists just the chosen coordinate's candidates.  Branching on a pick
+    clears its generator's bit, or with ``distinct`` the whole
+    translation; leaving the pick restores the translation's mask without
+    that bit; leaving a node sets the bits of all its picks again.
     """
     x0, y0, x1, y1 = window
     gens = instance.generators
     by_idx = _entries_by_idx(gens)
     signed = instance.ring.modulus is None
-    # A translation is numbered row by row inside the window, and a pick
-    # (gen, dx, dy) by gen first, so pick numbers sort as (gen, dy, dx).
+    # A translation is numbered row by row inside the window, so
+    # candidates (gen, shift, ...) sort as (gen, dy, dx).
     width = x1 - x0 + 1
-    shifts = width * (y1 - y0 + 1)
-    decided: set[int] = set()
-    used: set[int] = set()  # stays empty unless distinct
-    options_of: dict[EntryKey, tuple[list[tuple[int, int, int]],
-                                     tuple[tuple[int, frozenset[int]], ...]]] = {}
+    full = (1 << len(gens)) - 1
+    free: dict[int, int] = {}  # translation -> generators allowed there
+    free_get = free.get
+    # coordinate -> (candidates (gen, shift, value, bit) in visit order,
+    # ((shift, generator mask), ...), tie-break key)
+    listings: dict[EntryKey, tuple] = {}
 
-    def options(key: EntryKey):
-        """Windowed (pick, shift, value) candidates for ``key`` in pick
-        order, and their picks grouped by translation."""
-        found = options_of.get(key)
-        if found is None:
-            kx, ky, kidx = key
-            listed = []
-            for gi, ex, ey, ev in by_idx.get(kidx, ()):
-                sx, sy = kx - ex, ky - ey
-                if x0 <= sx <= x1 and y0 <= sy <= y1:
-                    shift = (sy - y0) * width + sx - x0
-                    listed.append((gi * shifts + shift, shift, ev))
-            listed.sort()
-            groups: dict[int, set[int]] = {}
-            for pick, shift, _ in listed:
-                groups.setdefault(shift, set()).add(pick)
-            found = options_of[key] = (listed, tuple(
-                (shift, frozenset(picks)) for shift, picks in groups.items()))
+    def listing(key: EntryKey):
+        kx, ky, kidx = key
+        listed = []
+        masks: dict[int, int] = {}
+        for gi, ex, ey, ev in by_idx.get(kidx, ()):
+            sx, sy = kx - ex, ky - ey
+            if x0 <= sx <= x1 and y0 <= sy <= y1:
+                shift = (sy - y0) * width + sx - x0
+                bit = 1 << gi
+                listed.append((gi, shift, ev, bit))
+                masks[shift] = masks.get(shift, 0) | bit
+        listed.sort()
+        found = listings[key] = (listed, tuple(masks.items()),
+                                 _entry_sort_key(key))
         return found
 
-    def pick_key(residual: ModuleElement) -> list[int]:
-        best_key, best = None, 0
+    def pick_key(residual: ModuleElement) -> list[tuple]:
+        best, best_key, fewest = None, None, 0
         for key in residual._entries:
+            entry = listings.get(key) or listing(key)
             count = 0
-            for shift, picks in options(key)[1]:
-                if shift not in used:
-                    count += len(picks) - len(picks & decided)
+            for shift, mask in entry[1]:
+                count += (mask & free_get(shift, full)).bit_count()
             if not count:
                 return []
-            if (best_key is None or count < best or count == best
-                    and _entry_sort_key(key) < _entry_sort_key(best_key)):
-                best_key, best = key, count
-        found = [o for o in options(best_key)[0]
-                 if o[0] not in decided and o[1] not in used]
+            if (best is None or count < fewest
+                    or count == fewest and entry[2] < best[2]):
+                best, best_key, fewest = entry, key, count
+        found = [o for o in best[0] if free_get(o[1], full) & o[3]]
         if signed:
             positive = residual._entries[best_key] > 0
             found.sort(key=lambda o: (o[2] > 0) != positive)
-        return [o[0] for o in found]
+        return found
 
     if fuel < 1:
         return None
@@ -650,19 +658,20 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
         return ()
     nodes = 1
     # One frame per node of the current path: residual, candidate picks,
-    # index of the pick being tried, index of its next coefficient.
+    # index of the pick being tried, index of its next coefficient, and
+    # with ``distinct`` the mask the pick's translation returns to.
     # ``path[k]`` is the term that leads from frame k to frame k + 1.
-    stack = [[instance.target, pick_key(instance.target), -1, len(values)]]
+    stack = [[instance.target, pick_key(instance.target), -1, len(values), 0]]
     path: list[WitnessTerm] = []
     while stack:
         frame = stack[-1]
-        residual, picks, at, ci = frame
+        residual, picks, at, ci, _ = frame
         if ci < len(values):
             frame[3] = ci + 1
             nodes += 1
             if nodes > fuel:
                 return None
-            gi, shift = divmod(picks[at], shifts)
+            gi, shift, _, _ = picks[at]
             sy, sx = divmod(shift, width)
             sx, sy = sx + x0, sy + y0
             coeff = values[ci]
@@ -670,23 +679,36 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
             path.append(WitnessTerm(gi, sx, sy, coeff))
             if child.is_zero():
                 return tuple(sorted(path, key=lambda t: (t.dy, t.dx, t.gen)))
-            stack.append([child, pick_key(child), -1, len(values)])
+            stack.append([child, pick_key(child), -1, len(values), 0])
             continue
         if distinct and at >= 0:
-            used.remove(picks[at] % shifts)
+            free[picks[at][1]] = frame[4]
         at += 1
         if at < len(picks):
-            pick = picks[at]
-            decided.add(pick)
-            if distinct:
-                used.add(pick % shifts)
+            _, shift, _, bit = picks[at]
+            frame[4] = free_get(shift, full) & ~bit
+            free[shift] = 0 if distinct else frame[4]
             frame[2], frame[3] = at, 0
             continue
-        decided.difference_update(picks)
+        for _, shift, _, bit in picks:
+            free[shift] |= bit
         stack.pop()
         if path:
             path.pop()
     return None
+
+
+def _check_bounds(window, **counts) -> None:
+    """Refuse, before any search, a window that is not four ints and a
+    count (``max_coeff``, ``fuel``) that is not an int; a bool is not
+    read as a number."""
+    if type(window) not in (tuple, list) or len(window) != 4:
+        raise ValueError(f"search field 'window' must be four integers, "
+                         f"not {window!r}")
+    for field, value in (*zip(("x0", "y0", "x1", "y1"), window),
+                         *counts.items()):
+        if type(value) is not int:
+            raise wrong_type("search", field, value, int)
 
 
 def member_is_exact(ring: Ring) -> bool:
@@ -711,9 +733,13 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
     Over a prime modulus the coefficients range over a field and the
     question is settled exactly by linear elimination instead (the cap
     and the budget are then irrelevant, and None is a definite no).
+
+    A window that is not four ints, or a cap or budget that is not an
+    int, is refused with a ``ValueError`` before any search.
     """
     if instance.mode != "semimodule":
         raise ValueError("instance mode must be 'semimodule'")
+    _check_bounds(window, max_coeff=max_coeff, fuel=fuel)
     if max_coeff < 1:
         raise ValueError("max_coeff must be at least 1")
     if member_is_exact(instance.ring):
@@ -730,10 +756,12 @@ def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
     The same branching search as :func:`member_bounded`, with coefficients
     fixed to 1 and a translation usable by at most one generator — the
     combinatorics of tile placements with no stacking.  Subset sums live
-    over modular rings only; integer instances are refused.
+    over modular rings only; integer instances are refused, and so are
+    bounds :func:`member_bounded` refuses.
     """
     if instance.mode != "subset-sum":
         raise ValueError("instance mode must be 'subset-sum'")
+    _check_bounds(window, fuel=fuel)
     if instance.ring.modulus is None:
         raise RingMismatch("subset-sum search needs a modular ring")
     found = _branch_search(instance, window, (1,), True, fuel)

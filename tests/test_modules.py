@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -780,10 +781,11 @@ def reference_branch_search(instance, window, values, distinct, fuel):
 
 
 def _random_system(rng: random.Random, ring: Ring, mode: str,
-                   max_coeff: int = 1):
-    """Two to four generators of up to four entries each, in a window of up
-    to five by four translations.  The target is noise, or a combination
-    of two to six windowed translates at distinct translations."""
+                   max_coeff: int = 1, count: tuple[int, int] = (2, 4)):
+    """``count`` generators (two to four by default) of up to four entries
+    each, in a window of up to five by four translations.  The target is
+    noise, or a combination of two to six windowed translates at distinct
+    translations."""
     rank = rng.randint(1, 2)
     modulus = ring.modulus
 
@@ -797,7 +799,8 @@ def _random_system(rng: random.Random, ring: Ring, mode: str,
             (rng.randint(0, 2), rng.randint(0, 2), rng.randrange(rank)): value()
             for _ in range(size)})
 
-    gens = tuple(element(rng.randint(1, 4)) for _ in range(rng.randint(2, 4)))
+    gens = tuple(element(rng.randint(1, 4))
+                 for _ in range(rng.randint(*count)))
     window = (rng.randint(-1, 0), rng.randint(-1, 0),
               rng.randint(1, 3), rng.randint(0, 2))
     if rng.random() < 0.3:
@@ -869,6 +872,124 @@ class TestReferenceEquivalence:
             assert search(inst, window, nodes) == expected
             assert search(inst, window, nodes - 1) is None
         assert found >= 80 and deep >= 20
+
+    @pytest.mark.parametrize("ring,mode,systems", [
+        (Ring(2), "subset-sum", 20),
+        (Ring(3), "subset-sum", 20),
+        (Ring(4), "subset-sum", 20),
+        (Ring(4), "semimodule", 8),
+    ])
+    def test_wide_generator_masks_match_reference(self, ring, mode, systems):
+        # 70 to 100 generators: the search's per-translation generator
+        # masks span several 30-bit digits.  Over Z/4 a pick can also
+        # cancel a key the residual does not hold (2 + 2 = 0).
+        rng = random.Random(f"wide:{ring.name}:{mode}")
+        distinct = mode == "subset-sum"
+        values = (1,) if distinct else tuple(range(1, ring.modulus))
+        found = high = 0
+        for _ in range(systems):
+            inst, window = _random_system(rng, ring, mode, count=(70, 100))
+            expected, nodes = reference_branch_search(
+                inst, window, values, distinct, 1_000)
+            if distinct:
+                got = subset_sum_bounded(inst, window, nodes)
+                short = subset_sum_bounded(inst, window, nodes - 1)
+                if got is not None:
+                    got = tuple(WitnessTerm(*pick, 1) for pick in got)
+            else:
+                got = member_bounded(inst, window, 1, nodes)
+                short = member_bounded(inst, window, 1, nodes - 1)
+            assert got == expected
+            if expected is None:
+                continue
+            assert short is None
+            found += 1
+            high += any(t.gen >= 60 for t in expected)
+        assert found >= systems // 4 and high >= 1
+
+
+class TestSearchBounds:
+    """Both searches refuse malformed bounds before searching, and a wide
+    window costs nothing per translation."""
+
+    @staticmethod
+    def _instances():
+        ring = Ring(4)
+        g = unit(ring, 1, 0, 0, 0)
+        return (SemimoduleInstance(ring, 1, (g,), g),
+                SemimoduleInstance(ring, 1, (g,), g, mode="subset-sum"))
+
+    @pytest.mark.parametrize("window,text", [
+        ((0.0, 0, 1, 0), "'x0' must be an integer, not float"),
+        ((True, 0, 1, 0), "'x0' must be an integer, not bool"),
+        ((0, 0, 1, "1"), "'y1' must be an integer, not str"),
+        ((0, 0, 1), r"'window' must be four integers, not \(0, 0, 1\)"),
+        ((0, 0, 1, 0, 0), "'window' must be four integers, not "
+                          r"\(0, 0, 1, 0, 0\)"),
+        ("0,0,1,0", "'window' must be four integers, not '0,0,1,0'"),
+        (None, "'window' must be four integers, not None"),
+    ])
+    def test_window_that_is_not_four_ints_is_refused(self, window, text):
+        member, subset = self._instances()
+        with pytest.raises(ValueError, match=text):
+            member_bounded(member, window)
+        with pytest.raises(ValueError, match=text):
+            subset_sum_bounded(subset, window)
+
+    @pytest.mark.parametrize("value", [1.0, 2.5, True, "3", None])
+    def test_max_coeff_that_is_not_an_int_is_refused(self, value):
+        member, _ = self._instances()
+        kind = type(value).__name__
+        with pytest.raises(ValueError, match=f"'max_coeff' must be an "
+                                             f"integer, not {kind}"):
+            member_bounded(member, (0, 0, 1, 0), max_coeff=value)
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "3", None])
+    def test_fuel_that_is_not_an_int_is_refused(self, value):
+        member, subset = self._instances()
+        text = f"'fuel' must be an integer, not {type(value).__name__}"
+        with pytest.raises(ValueError, match=text):
+            member_bounded(member, (0, 0, 1, 0), fuel=value)
+        with pytest.raises(ValueError, match=text):
+            subset_sum_bounded(subset, (0, 0, 1, 0), fuel=value)
+
+    def test_refused_even_where_elimination_ignores_them(self):
+        # Over a prime modulus the cap and the budget are unused, but a
+        # malformed one is still refused rather than silently ignored.
+        ring = Ring(2)
+        g = unit(ring, 1, 0, 0, 0)
+        inst = SemimoduleInstance(ring, 1, (g,), g)
+        with pytest.raises(ValueError, match="'fuel' must be an integer"):
+            member_bounded(inst, (0, 0, 0, 0), fuel=1.5)
+        with pytest.raises(ValueError, match="'x1' must be an integer"):
+            member_bounded(inst, (0, 0, False, 0))
+
+    def test_huge_window_allocates_nothing_per_translation(self):
+        # 2,000,001 x 2,000,001 translations: anything sized to the window
+        # would need about 4 * 10**12 slots.
+        window = (-10**6, -10**6, 10**6, 10**6)
+        far = ((10**6 - 3, -7), (-10**6, 10**6))  # in witness order
+        for ring, mode in ((Z, "semimodule"), (Ring(4), "subset-sum")):
+            g = ModuleElement(ring, 2, {(0, 0, 0): 1, (1, 0, 1): 1})
+            target = zero_element(ring, 2)
+            for sx, sy in far:
+                target = target.plus(g, 1, sx, sy)
+            inst = SemimoduleInstance(ring, 2, (g,), target, mode)
+            tracemalloc.start()
+            try:
+                if mode == "subset-sum":
+                    witness = subset_sum_bounded(inst, window)
+                    expected = tuple((0, sx, sy) for sx, sy in far)
+                else:
+                    witness = member_bounded(inst, window)
+                    expected = tuple(WitnessTerm(0, sx, sy, 1)
+                                     for sx, sy in far)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert witness == expected
+            assert verify_witness(inst, witness)
+            assert peak < 1_000_000
 
 
 class TestPackedElimination:
