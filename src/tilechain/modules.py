@@ -339,15 +339,68 @@ def _entries_by_idx(gens) -> dict[int, list[tuple[int, int, int, int]]]:
     return table
 
 
+# Miller-Rabin on these 13 prime bases decides primality exactly below
+# psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, by deterministic Miller-Rabin on the 13
+    prime bases 2 to 41: exact below psi_13, and quick at any size
+    there.  At or above psi_13 a ``ValueError`` names the bound instead
+    of guessing."""
+    if n >= _PSI_13:
+        raise ValueError(f"cannot decide whether {n} is prime: Miller-Rabin "
+                         f"on the prime bases 2 to 41 is exact only below "
+                         f"{_PSI_13}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+@lru_cache(maxsize=32)
+def _solution_columns(generators: tuple[ModuleElement, ...], rank: int,
+                      ring: Ring, window: Window
+                      ) -> tuple[tuple[int, ...], Window, dict]:
+    """The layout of one windowed system of :func:`_member_mod_prime`, and
+    the columns found for it so far.
+
+    Returns the indices of the generators that get variables, the box
+    ``(x0, y0, x1, y1)`` of the keys their windowed translates reach (an
+    empty box when there is no variable) and a dict, empty at first, that
+    :func:`_member_mod_prime` fills: target coordinate -> its column, or
+    None for a coordinate in the box that no equation holds.  Nothing
+    else is kept: no pivot row, no operation and nothing per variable.
+    ``rank`` and ``ring`` only tell apart systems whose generator tuples
+    are equal, such as tuples of empty generators.
+    """
+    x0, y0, x1, y1 = window
+    used = tuple(gi for gi, gen in enumerate(generators) if gen._entries)
+    keys = [key for gi in used for key in generators[gi]._entries]
+    if not keys or x0 > x1 or y0 > y1:
+        return used, (0, 0, -1, -1), {}
+    return used, (min(x for x, _, _ in keys) + x0,
+                  min(y for _, y, _ in keys) + y0,
+                  max(x for x, _, _ in keys) + x1,
+                  max(y for _, y, _ in keys) + y1), {}
 
 
 def _member_mod_prime(instance: SemimoduleInstance,
@@ -357,11 +410,10 @@ def _member_mod_prime(instance: SemimoduleInstance,
     With coefficients in the field Z/p, membership in the span of the
     windowed translates is a finite linear system: one variable per
     (generator, translation) pair, one equation per grid coordinate any
-    of them (or the target) touches.  Gaussian elimination decides it
-    outright — a None here means no witness exists within the window,
-    not that a budget ran out.  Variables are numbered by generator, then
-    dy, then dx; a generator with no entries gets none.  Equations go by
-    ``(y, x, idx)``.
+    of them touches.  Gaussian elimination decides it outright — a None
+    here means no witness exists within the window, not that a budget ran
+    out.  Variables are numbered by generator, then dy, then dx; a
+    generator with no entries gets none.  Equations go by ``(y, x, idx)``.
 
     The rows are brought to echelon form.  Each pivot row is scaled to 1
     at its pivot, its smallest variable, so every other variable in it is
@@ -379,159 +431,243 @@ def _member_mod_prime(instance: SemimoduleInstance,
     solution whose free variables are all zero, so the witness does not
     depend on how far the rows were reduced, nor on how a row is stored.
 
+    The matrix depends on the generators, the window and p alone; the
+    target is the right-hand side b.  Pivots are chosen among variables
+    only, so the row operations do not depend on b either, and both the
+    free-variables-zero solution x(b) and the values the zero-reduced
+    rows make of b are linear in b.  So each target coordinate c gets a
+    column: x(e_c) for the unit right-hand side e_c, with what the r-th
+    zero-reduced row makes of e_c stored above the variables, at index
+    ``nvars + r``.  The target b = sum of v_c e_c is then in the span
+    exactly when sum of v_c col_c is zero above the variables, and its
+    part below them is the witness.  A coordinate that no equation holds
+    has no column: a target that is nonzero there has no witness.  The
+    columns are kept in :func:`_solution_columns`, so a system is
+    eliminated again only for coordinates it has not seen, once per call,
+    with one right-hand-side lane per new coordinate.  The matrix and the
+    order of elimination are the same every time, so the zero-reduced
+    rows are numbered alike and old and new columns combine.
+
     Over Z/2 and Z/3 a row is packed into Python ints, bit i standing for
-    variable i: the packed rows of M4RI (Albrecht and Bard), and for Z/3
-    the bit slicing of Boothby and Bradshaw.  The rows are built straight
-    from the generators while the variables are numbered.  Over Z/2 a row
-    is one int: reducing it by a pivot is one ``^=``, the next pivot to
-    clear is the lowest set bit of ``row & pivot_mask``, and a pivot
-    variable is its row's right-hand side plus the parity of
-    ``row & solution``.  Over Z/3 a row is two planes, the variables that
-    hold 1 and those that hold 2: negating a row swaps them, adding two
-    rows takes six mask operations, and a pivot that holds 2 is scaled to
-    1 by swapping them.  Other primes keep one dict per row.  Every path
-    numbers the variables, orders the equations and picks pivots alike,
-    so by the argument above every path gives the same witness.
+    variable i and bit ``nvars + j`` for lane j: the packed rows of M4RI
+    (Albrecht and Bard), and for Z/3 the bit slicing of Boothby and
+    Bradshaw.  The rows are built straight from the generators while the
+    variables are numbered.  Over Z/2 a row is one int: reducing it by a
+    pivot is one ``^=``, the next pivot to clear is the lowest set bit of
+    ``row & pivot_mask``, and a pivot variable is its row's lane bit plus
+    the parity of ``row & solution``.  Over Z/3 a row is two planes, the
+    variables that hold 1 and those that hold 2: negating a row swaps
+    them, adding two rows takes six mask operations, and a pivot that
+    holds 2 is scaled to 1 by swapping them.  Other primes keep one dict
+    per row, lane j at key ``nvars + j``.  Every path numbers the
+    variables, orders the equations and picks pivots alike, so by the
+    argument above every path gives the same witness.
     """
+    p = instance.ring.modulus
+    x0, y0, x1, y1 = window
+    used, box, columns = _solution_columns(
+        instance.generators, instance.rank, instance.ring, tuple(window))
+    bx0, by0, bx1, by1 = box
+    target = instance.target._entries
+    new = []
+    for key in target:
+        if key not in columns:
+            x, y, _ = key
+            if not (bx0 <= x <= bx1 and by0 <= y <= by1):
+                return None
+            new.append(key)
+    if new:
+        _add_columns(instance, window, box, new, columns)
+    found = [(v, columns[key]) for key, v in target.items()]
+    if any(column is None for _, column in found):
+        return None
+    width = x1 - x0 + 1
+    area = width * (y1 - y0 + 1)
+    nvars = len(used) * area
+    terms = []
+    for var, coeff in _lane_items(p, _lane_sum(p, found)):
+        if var >= nvars:  # a zero-reduced row that b does not clear
+            return None
+        gpos, shift = divmod(var, area)
+        dy, dx = divmod(shift, width)
+        terms.append(WitnessTerm(used[gpos], x0 + dx, y0 + dy, coeff))
+    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
+
+
+def _add_columns(instance: SemimoduleInstance, window: Window, box: Window,
+                 keys: list[EntryKey], columns: dict) -> None:
+    """Eliminate the windowed system of :func:`_member_mod_prime` once,
+    with one unit right-hand-side lane per coordinate of ``keys``, and
+    store each coordinate's column in ``columns`` (None for a coordinate
+    that no equation holds)."""
     p = instance.ring.modulus
     packed = p in (2, 3)
     x0, y0, x1, y1 = window
-    gens = [(gi, gen._entries.items())
-            for gi, gen in enumerate(instance.generators) if gen._entries]
-    target = instance.target._entries
-    # A key (x, y, idx) is coded as one int, in (y, x, idx) order.
-    xs = [x for _, items in gens for (x, _, _), _ in items]
-    low = min([x + x0 for x in xs] + [x for x, _, _ in target], default=0)
-    high = max([x + x1 for x in xs] + [x for x, _, _ in target], default=0)
+    low, _, high, _ = box
     rank = instance.rank
+    # A key (x, y, idx) is coded as one int, in (y, x, idx) order.
     line = (high - low + 1) * rank
 
     def code(x: int, y: int, idx: int) -> int:
         return y * line + (x - low) * rank + idx
 
-    variables: list[tuple[int, int, int]] = []
+    nvars = 0
     # Packed rows: code -> int, one dict for the 1s and one for the 2s.
     planes: tuple[dict[int, int], dict[int, int]] = ({}, {})
     rows: dict[int, dict[int, int]] = {}  # dict rows: code -> {var: value}
-    for gi, items in gens:
+    for gen in instance.generators:
+        if not gen._entries:
+            continue
         cells = [(code(ex, ey, eidx), planes[ev - 1] if packed else ev)
-                 for (ex, ey, eidx), ev in items]
+                 for (ex, ey, eidx), ev in gen._entries.items()]
         for sy in range(y0, y1 + 1):
             for sx in range(x0, x1 + 1):
-                var = len(variables)
-                variables.append((gi, sx, sy))
                 shift = sy * line + sx * rank
                 if packed:
-                    bit = 1 << var
+                    bit = 1 << nvars
                     for base, plane in cells:
                         c = base + shift
                         plane[c] = plane.get(c, 0) | bit
                 else:
                     for base, ev in cells:
-                        rows.setdefault(base + shift, {})[var] = ev
-    rhs = {code(*key): v for key, v in target.items()}
+                        rows.setdefault(base + shift, {})[nvars] = ev
+                nvars += 1
+    ones, twos = planes
+    held = ones.keys() | twos.keys() if packed else rows.keys()
+    lanes = []
+    for key in keys:
+        c = code(*key)
+        if c not in held:
+            columns[key] = None
+            continue
+        lane = nvars + len(lanes)
+        if packed:
+            ones[c] = ones.get(c, 0) | 1 << lane
+        else:
+            rows[c][lane] = 1
+        lanes.append(key)
+    if not lanes:
+        return
+    order = sorted(held)
     if packed:
-        ones, twos = planes
         solve = _solve_mod_2 if p == 2 else _solve_mod_3
-        solution = solve([(ones.get(c, 0), twos.get(c, 0), rhs.get(c, 0))
-                          for c in sorted(ones.keys() | twos.keys()
-                                          | rhs.keys())])
+        found = solve([(ones.get(c, 0), twos.get(c, 0)) for c in order],
+                      nvars, len(lanes))
     else:
-        solution = _solve_mod_p([(rows.get(c, {}), rhs.get(c, 0))
-                                 for c in sorted(rows.keys() | rhs.keys())], p)
-    if solution is None:
-        return None
-    terms = [WitnessTerm(*variables[var], coeff)
-             for var, coeff in solution.items()]
-    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
+        found = _solve_mod_p([rows[c] for c in order], p, nvars, len(lanes))
+    columns.update(zip(lanes, found))
 
 
-def _solve_mod_2(equations: list[tuple[int, int, int]]
-                 ) -> Optional[dict[int, int]]:
+def _solve_mod_2(equations: list[tuple[int, int]], nvars: int,
+                 lanes: int) -> list[int]:
     """The echelon elimination of :func:`_member_mod_prime` over Z/2 on
-    equations ``(1s, 2s, rhs)``, whose 2s are empty: the solution as
-    ``{variable: 1}``, or None if the system has none."""
-    pivots: dict[int, tuple[int, int]] = {}  # var -> (row with its bit, rhs)
+    equations ``(1s, 2s)`` whose 2s are empty, lane j at bit
+    ``nvars + j``: each lane's column, as one int."""
+    pivots: dict[int, int] = {}  # var -> its row, with no smaller variable
     mask = 0
-    for bits, _, rhs in equations:
+    variables = (1 << nvars) - 1
+    nulls = [0] * lanes
+    zero = 1 << nvars  # the bit of the next zero-reduced row
+    for bits, _ in equations:
         hit = bits & mask
         while hit:
-            prow, prhs = pivots[(hit & -hit).bit_length() - 1]
-            bits ^= prow
-            rhs ^= prhs
+            bits ^= pivots[(hit & -hit).bit_length() - 1]
             hit = bits & mask
-        if not bits:
-            if rhs:
-                return None
+        if not bits & variables:
+            rhs = bits >> nvars
+            for j in range(lanes):
+                if rhs >> j & 1:
+                    nulls[j] |= zero
+            zero <<= 1
             continue
         low = bits & -bits
-        pivots[low.bit_length() - 1] = (bits, rhs)
+        pivots[low.bit_length() - 1] = bits
         mask |= low
-    solution, found = 0, {}
-    for var in sorted(pivots, reverse=True):
-        prow, prhs = pivots[var]
-        if prhs ^ ((prow & solution).bit_count() & 1):
-            solution |= 1 << var
-            found[var] = 1
-    return found
+    solutions = [0] * lanes
+    reached = 0  # the variables set in some lane's solution
+    for var, row in sorted(pivots.items(), reverse=True):
+        rhs = row >> nvars
+        if not (rhs or row & reached):  # 0 in every lane
+            continue
+        for j, solution in enumerate(solutions):
+            if (rhs >> j ^ (row & solution).bit_count()) & 1:
+                solutions[j] = solution | 1 << var
+                reached |= 1 << var
+    return [solution | null for solution, null in zip(solutions, nulls)]
 
 
-def _solve_mod_3(equations: list[tuple[int, int, int]]
-                 ) -> Optional[dict[int, int]]:
+def _solve_mod_3(equations: list[tuple[int, int]], nvars: int,
+                 lanes: int) -> list[tuple[int, int]]:
     """The echelon elimination of :func:`_member_mod_prime` over Z/3 on
-    equations ``(1s, 2s, rhs)``: the solution's nonzero values, or None
-    if the system has none."""
-    # var -> (1s, 2s, rhs), scaled so that the pivot bit is in the 1s
-    pivots: dict[int, tuple[int, int, int]] = {}
+    equations ``(1s, 2s)``, lane j at bit ``nvars + j``: each lane's
+    column, as its planes ``(1s, 2s)``."""
+    # var -> (1s, 2s), scaled so that the pivot bit is in the 1s
+    pivots: dict[int, tuple[int, int]] = {}
     mask = 0
-    for ones, twos, rhs in equations:
+    variables = (1 << nvars) - 1
+    nulls = [[0, 0] for _ in range(lanes)]
+    zero = 1 << nvars  # the bit of the next zero-reduced row
+    for ones, twos in equations:
         hit = (ones | twos) & mask
         while hit:
             low = hit & -hit
-            q1, q2, prhs = pivots[low.bit_length() - 1]
+            q1, q2 = pivots[low.bit_length() - 1]
             if ones & low:  # subtract the pivot row: add its negation
                 q1, q2 = q2, q1
-                rhs -= prhs
-            else:  # subtract twice the pivot row: add it
-                rhs += prhs
+            # else subtract twice the pivot row: add it
             t = (ones | q2) ^ (twos | q1)
             ones, twos = (twos | q2) ^ t, (ones | q1) ^ t
             hit = (ones | twos) & mask
-        rhs %= 3
-        held = ones | twos
+        held = (ones | twos) & variables
         if not held:
-            if rhs:
-                return None
+            r1, r2 = ones >> nvars, twos >> nvars
+            for j, null in enumerate(nulls):
+                if r1 >> j & 1:
+                    null[0] |= zero
+                elif r2 >> j & 1:
+                    null[1] |= zero
+            zero <<= 1
             continue
         low = held & -held
         if twos & low:  # scale by 2, the inverse of 2
-            ones, twos, rhs = twos, ones, -rhs % 3
-        pivots[low.bit_length() - 1] = (ones, twos, rhs)
+            ones, twos = twos, ones
+        pivots[low.bit_length() - 1] = (ones, twos)
         mask |= low
-    s1 = s2 = 0  # the solution's planes
-    found = {}
-    for var in sorted(pivots, reverse=True):
-        q1, q2, prhs = pivots[var]
-        # products that are 1 count +1, those that are 2 count -1
-        value = (prhs - ((q1 & s1) | (q2 & s2)).bit_count()
-                 + ((q1 & s2) | (q2 & s1)).bit_count()) % 3
-        if value == 1:
-            s1 |= 1 << var
-        elif value == 2:
-            s2 |= 1 << var
-        if value:
-            found[var] = value
-    return found
+    solutions = [[0, 0, 0] for _ in range(lanes)]  # 1s, 2s and both
+    reached = 0  # the variables set in some lane's solution
+    for var, (q1, q2) in sorted(pivots.items(), reverse=True):
+        q, r1, r2 = q1 | q2, q1 >> nvars, q2 >> nvars
+        if not (r1 | r2 or q & reached):  # 0 in every lane
+            continue
+        for j, solution in enumerate(solutions):
+            s1, s2, held = solution
+            hit = q & held
+            rhs = (r1 >> j & 1) + 2 * (r2 >> j & 1)
+            if not (hit or rhs):
+                continue
+            # The row times the solution is same - (hit - same), where
+            # same counts the products 1 * 1 and 2 * 2; minus that is
+            # same + hit, as -2 = 1 (mod 3).
+            value = (rhs + ((q1 & s1) | (q2 & s2)).bit_count()
+                     + hit.bit_count()) % 3
+            if value:
+                solution[value - 1] |= 1 << var
+                solution[2] |= 1 << var
+                reached |= 1 << var
+    return [(s1 | n1, s2 | n2)
+            for (s1, s2, _), (n1, n2) in zip(solutions, nulls)]
 
 
-def _solve_mod_p(equations: list[tuple[dict[int, int], int]],
-                 p: int) -> Optional[dict[int, int]]:
+def _solve_mod_p(equations: list[dict[int, int]], p: int, nvars: int,
+                 lanes: int) -> list[dict[int, int]]:
     """The echelon elimination of :func:`_member_mod_prime` over Z/p on
-    equations ``({var: value}, rhs)``: the solution's nonzero values, or
-    None if the system has none."""
-    # pivot variable -> (its row without the pivot, which is 1; rhs)
-    pivots: dict[int, tuple[dict[int, int], int]] = {}
-    for row, rhs in equations:
+    equations ``{var: value}``, lane j at key ``nvars + j``: each lane's
+    column, as its nonzero values."""
+    # pivot variable -> its row without the pivot, which is 1
+    pivots: dict[int, dict[int, int]] = {}
+    nulls: list[dict[int, int]] = [{} for _ in range(lanes)]
+    zero = nvars  # the key of the next zero-reduced row
+    for row in equations:
         pending = [var for var in row if var in pivots]
         heapify(pending)
         while pending:
@@ -539,8 +675,7 @@ def _solve_mod_p(equations: list[tuple[dict[int, int], int]],
             factor = row.pop(var, 0)
             if not factor:  # cancelled, or pushed twice
                 continue
-            prow, prhs = pivots[var]
-            for c, v in prow.items():
+            for c, v in pivots[var].items():
                 old = row.get(c, 0)
                 new = (old - factor * v) % p
                 if new:
@@ -549,22 +684,64 @@ def _solve_mod_p(equations: list[tuple[dict[int, int], int]],
                         heappush(pending, c)
                 elif old:
                     del row[c]
-            rhs = (rhs - factor * prhs) % p
-        if not row:
-            if rhs:
-                return None
+        var = min(row, default=nvars)
+        if var >= nvars:
+            for lane, value in row.items():
+                nulls[lane - nvars][zero] = value
+            zero += 1
             continue
-        var = min(row)
         inv = pow(row.pop(var), -1, p)
-        pivots[var] = ({c: v * inv % p for c, v in row.items()}, rhs * inv % p)
-    solution: dict[int, int] = {}
-    for var in sorted(pivots, reverse=True):
-        prow, prhs = pivots[var]
-        value = (prhs - sum(v * solution.get(c, 0)
-                            for c, v in prow.items())) % p
-        if value:
-            solution[var] = value
-    return solution
+        pivots[var] = {c: v * inv % p for c, v in row.items()}
+    backward = sorted(pivots.items(), reverse=True)
+    columns = []
+    for j, null in enumerate(nulls):
+        lane = nvars + j
+        solution: dict[int, int] = {}
+        for var, row in backward:
+            value = (row.get(lane, 0) - sum(v * solution.get(c, 0)
+                                            for c, v in row.items())) % p
+            if value:
+                solution[var] = value
+        columns.append(solution | null)
+    return columns
+
+
+def _lane_sum(p: int, terms: list[tuple[int, object]]):
+    """The sum of ``v * column`` over Z/p for the pairs ``(v, column)``,
+    with columns stored as the solvers store them: one int over Z/2, the
+    planes ``(1s, 2s)`` over Z/3 and ``{index: value}`` otherwise."""
+    if p == 2:  # every v is 1
+        total = 0
+        for _, column in terms:
+            total ^= column
+        return total
+    if p == 3:
+        s1 = s2 = 0
+        for v, (q1, q2) in terms:
+            if v == 2:
+                q1, q2 = q2, q1
+            t = (s1 | q2) ^ (s2 | q1)
+            s1, s2 = (s2 | q2) ^ t, (s1 | q1) ^ t
+        return s1, s2
+    total: dict[int, int] = {}
+    for v, column in terms:
+        for index, value in column.items():
+            total[index] = (total.get(index, 0) + v * value) % p
+    return total
+
+
+def _lane_items(p: int, column) -> list[tuple[int, int]]:
+    """The nonzero ``(index, value)`` pairs of a column as
+    :func:`_lane_sum` stores it."""
+    if p not in (2, 3):
+        return [(index, value) for index, value in column.items() if value]
+    items = []
+    for value, plane in enumerate((column,) if p == 2 else column, 1):
+        while plane:
+            low = plane & -plane
+            items.append((low.bit_length() - 1, value))
+            plane ^= low
+    return items
 
 
 def _branch_search(instance: SemimoduleInstance, window: Window,
@@ -714,7 +891,8 @@ def _check_bounds(window, **counts) -> None:
 def member_is_exact(ring: Ring) -> bool:
     """Whether :func:`member_bounded` settles membership over ``ring`` by
     exact elimination, so that its None is a definite no: a prime
-    modulus."""
+    modulus.  A modulus too large for :func:`_is_prime` to decide is
+    refused with a ``ValueError``."""
     return ring.modulus is not None and _is_prime(ring.modulus)
 
 

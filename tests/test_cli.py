@@ -388,6 +388,28 @@ class TestSolveCommands:
         assert err == ("no witness in window 0,0,6,8 "
                        "(exact elimination over Z/2)\n")
 
+    def test_solve_semimodule_large_modulus(self, capsys, ws, tmp_path):
+        # 2**61 - 1 is recognised as prime at once and eliminated; at
+        # psi_13 the primality bases are no longer exact, so it is refused.
+        prime, psi_13 = 2**61 - 1, 3_317_044_064_679_887_385_961_981
+        window = f"0,0,{ws.unary_cert.width_m},{ws.unary_cert.rows}"
+        for modulus in (prime, psi_13):
+            inst = tmp_path / f"{modulus}.json"
+            assert cli(capsys, "reduce", "semimodule", "--tm", str(ws.unary),
+                       "--input", "a", "--ring", f"Zmod:{modulus}",
+                       "--out", str(inst))[0] == 0
+            code, out, err = cli(capsys, "solve", "semimodule", "--instance",
+                                 str(inst), "--window", window)
+            if modulus == prime:
+                instance = instance_from_dict(json.loads(inst.read_text()))
+                witness = witness_from_dict(json.loads(out))
+                assert code == 0 and verify_witness(instance, witness)
+            else:
+                assert (code, out) == (3, "")
+                assert err == (f"error: cannot decide whether {psi_13} is "
+                               f"prime: Miller-Rabin on the prime bases 2 "
+                               f"to 41 is exact only below {psi_13}\n")
+
     def test_solve_semimodule_refuses_float_coordinate(self, capsys, ws,
                                                        tmp_path):
         data = json.loads(ws.sem_mini_z.read_text())

@@ -2,12 +2,15 @@
 membership instances, the bounded searches, and witness serialization."""
 
 import dataclasses
+import gc
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +29,8 @@ from tilechain.modules import (
     SemimoduleInstance,
     UnknownColor,
     WitnessTerm,
+    _is_prime,
+    _solution_columns,
     certificate_to_witness,
     color_index,
     element_from_dict,
@@ -36,6 +41,7 @@ from tilechain.modules import (
     instance_from_dict,
     instance_to_dict,
     member_bounded,
+    member_is_exact,
     subset_sum_bounded,
     tiling_to_instance,
     tiling_to_subset_sum,
@@ -1099,6 +1105,224 @@ class TestPackedElimination:
             nonzero = SemimoduleInstance(ring, 1, gens,
                                          unit(ring, 1, 5, 5, 0))
             assert member_bounded(nonzero, (0, 0, 2, 2)) is None
+
+
+class TestEliminationMemo:
+    """One memo per windowed system keeps a solution column per target
+    coordinate; every answer equals the reference's, warm or after the
+    memo is cleared."""
+
+    @staticmethod
+    def _check(inst, window):
+        expected = reference_member_mod_prime(inst, window)
+        assert member_bounded(inst, window) == expected
+        return expected
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_seeded_targets_through_one_memo(self, modulus):
+        # Z/2 and Z/3 take the packed paths, Z/5 the dict path.  After
+        # three drawn targets, each target either adds coordinates or is
+        # built only from coordinates seen before: a sum of two earlier
+        # targets, or their coordinates with fresh values.
+        ring = Ring(modulus)
+        rng = random.Random(f"memo:{modulus}")
+        reused = added = found = refused = 0
+        for _ in range(15):
+            rank = rng.randint(1, 2)
+            gens = tuple(ModuleElement(ring, rank, {
+                (rng.randint(0, 2), rng.randint(0, 2), rng.randrange(rank)):
+                    rng.randint(1, modulus - 1)
+                for _ in range(rng.randint(1, 4))})
+                for _ in range(rng.randint(2, 4)))
+            window = (rng.randint(-1, 0), rng.randint(-1, 0),
+                      rng.randint(1, 5), rng.randint(0, 3))
+            shifts = _shifts(window)
+            targets: list[ModuleElement] = []
+            for k in range(9):
+                target = zero_element(ring, rank)
+                if k >= 3 and rng.random() < 0.5:
+                    first, second = rng.sample(targets, 2)
+                    target = first + second
+                elif k >= 3 and rng.random() < 0.6:
+                    seen = sorted({key for t in targets for key in t.support()})
+                    for key in rng.sample(seen, min(len(seen),
+                                                    rng.randint(1, 4))):
+                        target = target + unit(ring, rank, *key,
+                                               rng.randint(1, modulus - 1))
+                else:
+                    for sx, sy in rng.sample(
+                            shifts, rng.randint(1, min(4, len(shifts)))):
+                        target = target.plus(gens[rng.randrange(len(gens))],
+                                             rng.randint(1, modulus - 1),
+                                             sx, sy)
+                    if rng.random() < 0.3:
+                        target = target + unit(ring, rank, rng.randint(-1, 7),
+                                               rng.randint(-1, 5),
+                                               rng.randrange(rank))
+                targets.append(target)
+            _solution_columns.cache_clear()
+            instances = [SemimoduleInstance(ring, rank, gens, target)
+                         for target in targets]
+            columns = _solution_columns(gens, rank, ring, window)[2]
+            for inst in instances:
+                keys = inst.target.support()
+                if keys and all(key in columns for key in keys):
+                    reused += 1
+                elif keys:
+                    added += 1
+                if self._check(inst, window) is None:
+                    refused += 1
+                else:
+                    found += 1
+            for inst in instances:
+                _solution_columns.cache_clear()
+                self._check(inst, window)
+        assert reused >= 30 and added >= 40
+        assert found >= 30 and refused >= 30
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_coordinates_no_translate_reaches(self, modulus):
+        ring = Ring(modulus)
+        g = ModuleElement(ring, 2, {(0, 0, 0): 1, (1, 0, 0): modulus - 1})
+        reachable = g.translate(1, 1)
+        window = (0, 0, 2, 2)
+        _solution_columns.cache_clear()
+        for stray in (unit(ring, 2, 1, 1, 1),     # in reach of no entry of g
+                      unit(ring, 2, 9, 1, 0),     # right of every translate
+                      unit(ring, 2, 1, -4, 0)):   # below every translate
+            for target in (stray, reachable + stray, reachable):
+                inst = SemimoduleInstance(ring, 2, (g,), target)
+                expected = self._check(inst, window)
+                assert (expected is None) == (target != reachable)
+        assert member_bounded(SemimoduleInstance(ring, 2, (g,), reachable),
+                              window) == (WitnessTerm(0, 1, 1, 1),)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 5])
+    def test_unit_lanes_from_separate_eliminations_combine(self, modulus):
+        # Each call below brings one new coordinate, so every column comes
+        # from an elimination of its own, and only the sums are warm.
+        ring = Ring(modulus)
+        a, b, c = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+        window = (0, 0, 0, 0)
+
+        def element(*values):
+            return ModuleElement(ring, 1, dict(zip((a, b, c), values)))
+
+        sum_found = (WitnessTerm(0, 0, 0, 1),)
+        cases = [
+            # e_a and e_b are each inconsistent; e_a + e_b is consistent
+            (element(1, 1), [((1,), None), ((0, 1), None),
+                             ((1, 1), sum_found)]),
+            # e_a, e_b and e_a + e_b are all inconsistent; only the sum
+            # with e_c is consistent
+            (element(1, 1, 1), [((1,), None), ((0, 1), None),
+                                ((1, 1), None), ((0, 0, 1), None),
+                                ((1, 1, 1), sum_found)]),
+        ]
+        if modulus > 2:
+            # e_a - e_b: the zero-reduced row's lanes add up to 2 or -2
+            cases[0][1].append(((1, modulus - 1), None))
+        for gen, targets in cases:
+            _solution_columns.cache_clear()
+            for values, answer in targets:
+                inst = SemimoduleInstance(ring, 1, (gen,), element(*values))
+                assert self._check(inst, window) == answer
+
+    def test_list_and_tuple_windows_share_an_entry(self):
+        ring = Ring(3)
+        g = ModuleElement(ring, 1, {(0, 0, 0): 1, (1, 0, 0): 2})
+        inst = SemimoduleInstance(ring, 1, (g,), g.translate(1, 0))
+        _solution_columns.cache_clear()
+        expected = reference_member_mod_prime(inst, (0, 0, 2, 1))
+        assert member_bounded(inst, [0, 0, 2, 1]) == expected
+        assert member_bounded(inst, (0, 0, 2, 1)) == expected
+        info = _solution_columns.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_rank_and_ring_keep_equal_generator_tuples_apart(self):
+        _solution_columns.cache_clear()
+        for rank, ring in ((1, Ring(2)), (2, Ring(2)), (1, Ring(3))):
+            zero = SemimoduleInstance(ring, rank, (), zero_element(ring, rank))
+            one = SemimoduleInstance(ring, rank, (),
+                                     unit(ring, rank, 0, 0, rank - 1))
+            assert member_bounded(zero, (0, 0, 1, 1)) == ()
+            assert member_bounded(one, (0, 0, 1, 1)) is None
+        assert _solution_columns.cache_info().currsize == 3
+
+    def test_large_prime_matches_reference(self):
+        ring = Ring(2**61 - 1)
+        rng = random.Random("memo:mersenne")
+        found = 0
+        for _ in range(20):
+            inst, window = _random_system(rng, ring, "semimodule")
+            found += self._check(inst, window) is not None
+        assert found >= 5
+
+    def test_memo_keeps_only_columns(self, artifacts):
+        # The search pool's twelve systems.  Keeping their pivot rows and
+        # order of operations held about 18.7 MB, and keeping the columns
+        # with a list of the variables and the set of equation codes
+        # 3.45 MB.
+        instances = []
+        for name, word in (("unary-eraser", "a"), ("unary-eraser", "aa"),
+                           ("unary-eraser", "aaa"),
+                           ("two-symbol-eraser", "a"),
+                           ("two-symbol-eraser", "ab"),
+                           ("right-walker", "a")):
+            if name == "right-walker":
+                window = (0, 0, 6, 8)
+            else:
+                window = default_window(artifacts.pipeline(name, word).cert)
+            for modulus in (2, 3):
+                f0 = initial_map(artifacts.machines[name], word, Ring(modulus))
+                instances.append(
+                    (tiling_to_instance(artifacts.tiling(name), f0), window))
+        _solution_columns.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            found = sum(member_bounded(inst, window) is not None
+                        for inst, window in instances)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert found == 10
+        assert _solution_columns.cache_info().currsize == 12
+        assert held < 512 * 1024
+
+
+class TestPrimality:
+    """Exact elimination needs a prime modulus; primality is decided by
+    deterministic Miller-Rabin below psi_13 and refused at and above it."""
+
+    PSI_13 = 3_317_044_064_679_887_385_961_981
+
+    def test_agrees_with_trial_division_below_100000(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(100_000) if _is_prime(n) != trial(n)] == []
+
+    @pytest.mark.parametrize("n", [561, 41041, 3_215_031_751,
+                                   3_825_123_056_546_413_051])
+    def test_pseudoprimes_are_composite(self, n):
+        # Carmichael numbers, and strong pseudoprimes to the prime bases up
+        # to 7 and up to 23.
+        assert not _is_prime(n)
+
+    def test_mersenne_prime_in_milliseconds(self):
+        # Trial division did not finish within 20 s.
+        start = time.perf_counter()
+        assert _is_prime(2**61 - 1)
+        assert member_is_exact(Ring(2**61 - 1))
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**40 + 1])
+    def test_refused_at_and_above_psi_13(self, n):
+        with pytest.raises(ValueError, match=str(self.PSI_13)):
+            member_is_exact(Ring(n))
+        assert _is_prime(self.PSI_13 - 2) in (True, False)
 
 
 def test_subset_sum_needs_no_recursion():
