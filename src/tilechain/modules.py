@@ -376,6 +376,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# A system keeps at most this many columns, or those of one target: a
+# column holds up to one value per variable, and a caller that sends ever
+# new coordinates would otherwise fill the memo with them.
+_COLUMNS_KEPT = 64
+
+
 @lru_cache(maxsize=32)
 def _solution_columns(generators: tuple[ModuleElement, ...], rank: int,
                       ring: Ring, window: Window
@@ -444,9 +450,10 @@ def _member_mod_prime(instance: SemimoduleInstance,
     has no column: a target that is nonzero there has no witness.  The
     columns are kept in :func:`_solution_columns`, so a system is
     eliminated again only for coordinates it has not seen, once per call,
-    with one right-hand-side lane per new coordinate.  The matrix and the
-    order of elimination are the same every time, so the zero-reduced
-    rows are numbered alike and old and new columns combine.
+    with one right-hand-side lane per new coordinate; past
+    ``_COLUMNS_KEPT`` columns it starts over from the target's.  The
+    matrix and the order of elimination are the same every time, so the
+    zero-reduced rows are numbered alike and old and new columns combine.
 
     Over Z/2 and Z/3 a row is packed into Python ints, bit i standing for
     variable i and bit ``nvars + j`` for lane j: the packed rows of M4RI
@@ -477,6 +484,9 @@ def _member_mod_prime(instance: SemimoduleInstance,
                 return None
             new.append(key)
     if new:
+        if len(columns) + len(new) > _COLUMNS_KEPT:
+            columns.clear()
+            new = list(target)
         _add_columns(instance, window, box, new, columns)
     found = [(v, columns[key]) for key, v in target.items()]
     if any(column is None for _, column in found):
@@ -692,18 +702,22 @@ def _solve_mod_p(equations: list[dict[int, int]], p: int, nvars: int,
             continue
         inv = pow(row.pop(var), -1, p)
         pivots[var] = {c: v * inv % p for c, v in row.items()}
-    backward = sorted(pivots.items(), reverse=True)
-    columns = []
-    for j, null in enumerate(nulls):
-        lane = nvars + j
-        solution: dict[int, int] = {}
-        for var, row in backward:
-            value = (row.get(lane, 0) - sum(v * solution.get(c, 0)
-                                            for c, v in row.items())) % p
+    solutions: list[dict[int, int]] = [{} for _ in range(lanes)]
+    # the lane keys, and the variables set in some lane's solution
+    reached = set(range(nvars, nvars + lanes))
+    for var, row in sorted(pivots.items(), reverse=True):
+        if reached.isdisjoint(row):  # 0 in every lane
+            continue
+        for lane, solution in enumerate(solutions, nvars):
+            hit = solution.keys() & row.keys()
+            if not hit and lane not in row:
+                continue
+            value = (row.get(lane, 0) - sum(row[c] * solution[c]
+                                            for c in hit)) % p
             if value:
                 solution[var] = value
-        columns.append(solution | null)
-    return columns
+                reached.add(var)
+    return [solution | null for solution, null in zip(solutions, nulls)]
 
 
 def _lane_sum(p: int, terms: list[tuple[int, object]]):

@@ -1291,6 +1291,46 @@ class TestEliminationMemo:
         assert _solution_columns.cache_info().currsize == 12
         assert held < 512 * 1024
 
+    def test_columns_kept_per_system_are_bounded(self, artifacts):
+        # 192 distinct coordinates through one system over Z/5, the dict
+        # path, whose columns are the largest.  Kept without a bound they
+        # held about 700 KB; at most 64 columns hold about 270 KB.
+        f0 = initial_map(artifacts.machines["unary-eraser"], "a", Ring(5))
+        inst = tiling_to_instance(artifacts.tiling("unary-eraser"), f0)
+        window = default_window(artifacts.pipeline("unary-eraser", "a").cert)
+        _solution_columns.cache_clear()
+        columns = _solution_columns(inst.generators, inst.rank, inst.ring,
+                                    window)[2]
+        rng = random.Random("memo:bound")
+        keys = sorted({key for gen in inst.generators for key in gen.support()}
+                      | set(inst.target.support()))
+        keys = [(x + sx, y + sy, idx) for x, y, idx in keys
+                for sx, sy in _shifts(window)]
+        keys = rng.sample(sorted(set(keys)), 192)
+        targets = [ModuleElement(inst.ring, inst.rank,
+                                 {key: rng.randint(1, 4)
+                                  for key in keys[k:k + 12]})
+                   for k in range(0, 192, 12)]
+        targets.append(inst.target)
+        systems = [SemimoduleInstance(inst.ring, inst.rank, inst.generators,
+                                      target) for target in targets]
+        answers, kept = [], []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for system in systems:
+                answers.append(member_bounded(system, window))
+                kept.append(len(columns))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert max(kept) <= 64
+        assert answers == [reference_member_mod_prime(system, window)
+                           for system in systems]
+        assert answers[-1] is not None
+        assert held < 400 * 1024
+
 
 class TestPrimality:
     """Exact elimination needs a prime modulus; primality is decided by
@@ -1312,17 +1352,25 @@ class TestPrimality:
         assert not _is_prime(n)
 
     def test_mersenne_prime_in_milliseconds(self):
-        # Trial division did not finish within 20 s.
+        # Miller-Rabin takes milliseconds; trial division did not finish
+        # within 20 s.  The bound leaves room for a loaded machine.
         start = time.perf_counter()
         assert _is_prime(2**61 - 1)
         assert member_is_exact(Ring(2**61 - 1))
-        assert time.perf_counter() - start < 0.5
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**40 + 1])
     def test_refused_at_and_above_psi_13(self, n):
         with pytest.raises(ValueError, match=str(self.PSI_13)):
             member_is_exact(Ring(n))
-        assert _is_prime(self.PSI_13 - 2) in (True, False)
+
+    def test_decided_just_below_psi_13(self):
+        # The largest prime below psi_13, and the product of the primes
+        # 1,820,999,999,981 and 1,821,550,831,799, which has no factor a
+        # base test or a short trial division would find.
+        assert _is_prime(self.PSI_13 - 168)
+        assert not _is_prime(1_820_999_999_981 * 1_821_550_831_799)
+        assert not _is_prime(self.PSI_13 - 2)  # a multiple of 17
 
 
 def test_subset_sum_needs_no_recursion():
