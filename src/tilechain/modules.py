@@ -324,12 +324,6 @@ def verify_witness(instance: SemimoduleInstance, witness) -> bool:
     return total == instance.target
 
 
-def _coeff_values(ring: Ring, max_coeff: int) -> tuple[int, ...]:
-    if ring.modulus is None:
-        return tuple(range(1, max_coeff + 1))
-    return tuple(range(1, ring.modulus))
-
-
 def _entries_by_idx(gens) -> dict[int, list[tuple[int, int, int, int]]]:
     """Index generator entries by coordinate index: idx -> (gen, ex, ey, ev)."""
     table: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -376,50 +370,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# A system keeps at most this many columns, or those of one target: a
-# column holds up to one value per variable, and a caller that sends ever
-# new coordinates would otherwise fill the memo with them.
-_COLUMNS_KEPT = 64
-
-
 @lru_cache(maxsize=32)
-def _solution_columns(generators: tuple[ModuleElement, ...], rank: int,
-                      ring: Ring, window: Window
-                      ) -> tuple[tuple[int, ...], Window, dict]:
-    """The layout of one windowed system of :func:`_member_mod_prime`, and
-    the columns found for it so far.
-
-    Returns the indices of the generators that get variables, the box
-    ``(x0, y0, x1, y1)`` of the keys their windowed translates reach (an
-    empty box when there is no variable) and a dict, empty at first, that
-    :func:`_member_mod_prime` fills: target coordinate -> its column, or
-    None for a coordinate in the box that no equation holds.  Nothing
-    else is kept: no pivot row, no operation and nothing per variable.
-    ``rank`` and ``ring`` only tell apart systems whose generator tuples
-    are equal, such as tuples of empty generators.
-    """
-    x0, y0, x1, y1 = window
-    used = tuple(gi for gi, gen in enumerate(generators) if gen._entries)
-    keys = [key for gi in used for key in generators[gi]._entries]
-    if not keys or x0 > x1 or y0 > y1:
-        return used, (0, 0, -1, -1), {}
-    return used, (min(x for x, _, _ in keys) + x0,
-                  min(y for _, y, _ in keys) + y0,
-                  max(x for x, _, _ in keys) + x1,
-                  max(y for _, y, _ in keys) + y1), {}
-
-
-def _member_mod_prime(instance: SemimoduleInstance,
-                      window: Window) -> Optional[tuple[WitnessTerm, ...]]:
-    """Exact windowed membership over a prime modulus.
+def _member_mod_prime(generators: tuple[ModuleElement, ...], rank: int,
+                      ring: Ring, window: Window, target: ModuleElement
+                      ) -> Optional[tuple[WitnessTerm, ...]]:
+    """Exact windowed membership over a prime modulus: is ``target`` in
+    the span of the translates of ``generators`` by ``window``?
 
     With coefficients in the field Z/p, membership in the span of the
     windowed translates is a finite linear system: one variable per
     (generator, translation) pair, one equation per grid coordinate any
-    of them touches.  Gaussian elimination decides it outright — a None
-    here means no witness exists within the window, not that a budget ran
-    out.  Variables are numbered by generator, then dy, then dx; a
-    generator with no entries gets none.  Equations go by ``(y, x, idx)``.
+    of them (or the target) touches.  Gaussian elimination decides it
+    outright — a None here means no witness exists within the window,
+    not that a budget ran out.  Variables are numbered by generator, then
+    dy, then dx; a generator with no entries gets none.  Equations go by
+    ``(y, x, idx)``.
 
     The rows are brought to echelon form.  Each pivot row is scaled to 1
     at its pivot, its smallest variable, so every other variable in it is
@@ -437,247 +402,160 @@ def _member_mod_prime(instance: SemimoduleInstance,
     solution whose free variables are all zero, so the witness does not
     depend on how far the rows were reduced, nor on how a row is stored.
 
-    The matrix depends on the generators, the window and p alone; the
-    target is the right-hand side b.  Pivots are chosen among variables
-    only, so the row operations do not depend on b either, and both the
-    free-variables-zero solution x(b) and the values the zero-reduced
-    rows make of b are linear in b.  So each target coordinate c gets a
-    column: x(e_c) for the unit right-hand side e_c, with what the r-th
-    zero-reduced row makes of e_c stored above the variables, at index
-    ``nvars + r``.  The target b = sum of v_c e_c is then in the span
-    exactly when sum of v_c col_c is zero above the variables, and its
-    part below them is the witness.  A coordinate that no equation holds
-    has no column: a target that is nonzero there has no witness.  The
-    columns are kept in :func:`_solution_columns`, so a system is
-    eliminated again only for coordinates it has not seen, once per call,
-    with one right-hand-side lane per new coordinate; past
-    ``_COLUMNS_KEPT`` columns it starts over from the target's.  The
-    matrix and the order of elimination are the same every time, so the
-    zero-reduced rows are numbered alike and old and new columns combine.
-
     Over Z/2 and Z/3 a row is packed into Python ints, bit i standing for
-    variable i and bit ``nvars + j`` for lane j: the packed rows of M4RI
-    (Albrecht and Bard), and for Z/3 the bit slicing of Boothby and
-    Bradshaw.  The rows are built straight from the generators while the
-    variables are numbered.  Over Z/2 a row is one int: reducing it by a
-    pivot is one ``^=``, the next pivot to clear is the lowest set bit of
-    ``row & pivot_mask``, and a pivot variable is its row's lane bit plus
-    the parity of ``row & solution``.  Over Z/3 a row is two planes, the
-    variables that hold 1 and those that hold 2: negating a row swaps
-    them, adding two rows takes six mask operations, and a pivot that
-    holds 2 is scaled to 1 by swapping them.  Other primes keep one dict
-    per row, lane j at key ``nvars + j``.  Every path numbers the
-    variables, orders the equations and picks pivots alike, so by the
-    argument above every path gives the same witness.
+    variable i: the packed rows of M4RI (Albrecht and Bard), and for Z/3
+    the bit slicing of Boothby and Bradshaw.  The rows are built straight
+    from the generators while the variables are numbered.  Over Z/2 a row
+    is one int: reducing it by a pivot is one ``^=``, the next pivot to
+    clear is the lowest set bit of ``row & pivot_mask``, and a pivot
+    variable is its row's right-hand side plus the parity of
+    ``row & solution``.  Over Z/3 a row is two planes, the variables that
+    hold 1 and those that hold 2: negating a row swaps them, adding two
+    rows takes six mask operations, and a pivot that holds 2 is scaled to
+    1 by swapping them.  Other primes keep one dict per row.  Every path
+    numbers the variables, orders the equations and picks pivots alike,
+    so by the argument above every path gives the same witness.
+
+    The last 32 answers are kept, keyed by all five arguments, so a
+    question asked again is not eliminated again; ``window`` is a tuple,
+    and ``rank`` and ``ring`` tell apart equal tuples of empty generators.
     """
-    p = instance.ring.modulus
-    x0, y0, x1, y1 = window
-    used, box, columns = _solution_columns(
-        instance.generators, instance.rank, instance.ring, tuple(window))
-    bx0, by0, bx1, by1 = box
-    target = instance.target._entries
-    new = []
-    for key in target:
-        if key not in columns:
-            x, y, _ = key
-            if not (bx0 <= x <= bx1 and by0 <= y <= by1):
-                return None
-            new.append(key)
-    if new:
-        if len(columns) + len(new) > _COLUMNS_KEPT:
-            columns.clear()
-            new = list(target)
-        _add_columns(instance, window, box, new, columns)
-    found = [(v, columns[key]) for key, v in target.items()]
-    if any(column is None for _, column in found):
-        return None
-    width = x1 - x0 + 1
-    area = width * (y1 - y0 + 1)
-    nvars = len(used) * area
-    terms = []
-    for var, coeff in _lane_items(p, _lane_sum(p, found)):
-        if var >= nvars:  # a zero-reduced row that b does not clear
-            return None
-        gpos, shift = divmod(var, area)
-        dy, dx = divmod(shift, width)
-        terms.append(WitnessTerm(used[gpos], x0 + dx, y0 + dy, coeff))
-    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
-
-
-def _add_columns(instance: SemimoduleInstance, window: Window, box: Window,
-                 keys: list[EntryKey], columns: dict) -> None:
-    """Eliminate the windowed system of :func:`_member_mod_prime` once,
-    with one unit right-hand-side lane per coordinate of ``keys``, and
-    store each coordinate's column in ``columns`` (None for a coordinate
-    that no equation holds)."""
-    p = instance.ring.modulus
+    p = ring.modulus
     packed = p in (2, 3)
     x0, y0, x1, y1 = window
-    low, _, high, _ = box
-    rank = instance.rank
+    gens = [(gi, gen._entries.items())
+            for gi, gen in enumerate(generators) if gen._entries]
+    entries = target._entries
     # A key (x, y, idx) is coded as one int, in (y, x, idx) order.
+    xs = [x for _, items in gens for (x, _, _), _ in items]
+    low = min([x + x0 for x in xs] + [x for x, _, _ in entries], default=0)
+    high = max([x + x1 for x in xs] + [x for x, _, _ in entries], default=0)
     line = (high - low + 1) * rank
 
     def code(x: int, y: int, idx: int) -> int:
         return y * line + (x - low) * rank + idx
 
-    nvars = 0
+    variables: list[tuple[int, int, int]] = []
     # Packed rows: code -> int, one dict for the 1s and one for the 2s.
     planes: tuple[dict[int, int], dict[int, int]] = ({}, {})
     rows: dict[int, dict[int, int]] = {}  # dict rows: code -> {var: value}
-    for gen in instance.generators:
-        if not gen._entries:
-            continue
+    for gi, items in gens:
         cells = [(code(ex, ey, eidx), planes[ev - 1] if packed else ev)
-                 for (ex, ey, eidx), ev in gen._entries.items()]
+                 for (ex, ey, eidx), ev in items]
         for sy in range(y0, y1 + 1):
             for sx in range(x0, x1 + 1):
+                var = len(variables)
+                variables.append((gi, sx, sy))
                 shift = sy * line + sx * rank
                 if packed:
-                    bit = 1 << nvars
+                    bit = 1 << var
                     for base, plane in cells:
                         c = base + shift
                         plane[c] = plane.get(c, 0) | bit
                 else:
                     for base, ev in cells:
-                        rows.setdefault(base + shift, {})[nvars] = ev
-                nvars += 1
-    ones, twos = planes
-    held = ones.keys() | twos.keys() if packed else rows.keys()
-    lanes = []
-    for key in keys:
-        c = code(*key)
-        if c not in held:
-            columns[key] = None
-            continue
-        lane = nvars + len(lanes)
-        if packed:
-            ones[c] = ones.get(c, 0) | 1 << lane
-        else:
-            rows[c][lane] = 1
-        lanes.append(key)
-    if not lanes:
-        return
-    order = sorted(held)
+                        rows.setdefault(base + shift, {})[var] = ev
+    rhs = {code(*key): v for key, v in entries.items()}
     if packed:
+        ones, twos = planes
         solve = _solve_mod_2 if p == 2 else _solve_mod_3
-        found = solve([(ones.get(c, 0), twos.get(c, 0)) for c in order],
-                      nvars, len(lanes))
+        solution = solve([(ones.get(c, 0), twos.get(c, 0), rhs.get(c, 0))
+                          for c in sorted(ones.keys() | twos.keys()
+                                          | rhs.keys())])
     else:
-        found = _solve_mod_p([rows[c] for c in order], p, nvars, len(lanes))
-    columns.update(zip(lanes, found))
-
-
-def _solve_mod_2(equations: list[tuple[int, int]], nvars: int,
-                 lanes: int) -> list[int]:
+        solution = _solve_mod_p([(rows.get(c, {}), rhs.get(c, 0))
+                                 for c in sorted(rows.keys() | rhs.keys())], p)
+    if solution is None:
+        return None
+    terms = [WitnessTerm(*variables[var], coeff)
+             for var, coeff in solution.items()]
+    return tuple(sorted(terms, key=lambda t: (t.dy, t.dx, t.gen)))
+def _solve_mod_2(equations: list[tuple[int, int, int]]
+                 ) -> Optional[dict[int, int]]:
     """The echelon elimination of :func:`_member_mod_prime` over Z/2 on
-    equations ``(1s, 2s)`` whose 2s are empty, lane j at bit
-    ``nvars + j``: each lane's column, as one int."""
-    pivots: dict[int, int] = {}  # var -> its row, with no smaller variable
+    equations ``(1s, 2s, rhs)``, whose 2s are empty: the solution as
+    ``{variable: 1}``, or None if the system has none."""
+    pivots: dict[int, tuple[int, int]] = {}  # var -> (row with its bit, rhs)
     mask = 0
-    variables = (1 << nvars) - 1
-    nulls = [0] * lanes
-    zero = 1 << nvars  # the bit of the next zero-reduced row
-    for bits, _ in equations:
+    for bits, _, rhs in equations:
         hit = bits & mask
         while hit:
-            bits ^= pivots[(hit & -hit).bit_length() - 1]
+            prow, prhs = pivots[(hit & -hit).bit_length() - 1]
+            bits ^= prow
+            rhs ^= prhs
             hit = bits & mask
-        if not bits & variables:
-            rhs = bits >> nvars
-            for j in range(lanes):
-                if rhs >> j & 1:
-                    nulls[j] |= zero
-            zero <<= 1
+        if not bits:
+            if rhs:
+                return None
             continue
         low = bits & -bits
-        pivots[low.bit_length() - 1] = bits
+        pivots[low.bit_length() - 1] = (bits, rhs)
         mask |= low
-    solutions = [0] * lanes
-    reached = 0  # the variables set in some lane's solution
-    for var, row in sorted(pivots.items(), reverse=True):
-        rhs = row >> nvars
-        if not (rhs or row & reached):  # 0 in every lane
-            continue
-        for j, solution in enumerate(solutions):
-            if (rhs >> j ^ (row & solution).bit_count()) & 1:
-                solutions[j] = solution | 1 << var
-                reached |= 1 << var
-    return [solution | null for solution, null in zip(solutions, nulls)]
+    solution, found = 0, {}
+    for var in sorted(pivots, reverse=True):
+        prow, prhs = pivots[var]
+        if prhs ^ ((prow & solution).bit_count() & 1):
+            solution |= 1 << var
+            found[var] = 1
+    return found
 
 
-def _solve_mod_3(equations: list[tuple[int, int]], nvars: int,
-                 lanes: int) -> list[tuple[int, int]]:
+def _solve_mod_3(equations: list[tuple[int, int, int]]
+                 ) -> Optional[dict[int, int]]:
     """The echelon elimination of :func:`_member_mod_prime` over Z/3 on
-    equations ``(1s, 2s)``, lane j at bit ``nvars + j``: each lane's
-    column, as its planes ``(1s, 2s)``."""
-    # var -> (1s, 2s), scaled so that the pivot bit is in the 1s
-    pivots: dict[int, tuple[int, int]] = {}
+    equations ``(1s, 2s, rhs)``: the solution's nonzero values, or None
+    if the system has none."""
+    # var -> (1s, 2s, rhs), scaled so that the pivot bit is in the 1s
+    pivots: dict[int, tuple[int, int, int]] = {}
     mask = 0
-    variables = (1 << nvars) - 1
-    nulls = [[0, 0] for _ in range(lanes)]
-    zero = 1 << nvars  # the bit of the next zero-reduced row
-    for ones, twos in equations:
+    for ones, twos, rhs in equations:
         hit = (ones | twos) & mask
         while hit:
             low = hit & -hit
-            q1, q2 = pivots[low.bit_length() - 1]
+            q1, q2, prhs = pivots[low.bit_length() - 1]
             if ones & low:  # subtract the pivot row: add its negation
                 q1, q2 = q2, q1
-            # else subtract twice the pivot row: add it
+                rhs -= prhs
+            else:  # subtract twice the pivot row: add it
+                rhs += prhs
             t = (ones | q2) ^ (twos | q1)
             ones, twos = (twos | q2) ^ t, (ones | q1) ^ t
             hit = (ones | twos) & mask
-        held = (ones | twos) & variables
+        rhs %= 3
+        held = ones | twos
         if not held:
-            r1, r2 = ones >> nvars, twos >> nvars
-            for j, null in enumerate(nulls):
-                if r1 >> j & 1:
-                    null[0] |= zero
-                elif r2 >> j & 1:
-                    null[1] |= zero
-            zero <<= 1
+            if rhs:
+                return None
             continue
         low = held & -held
         if twos & low:  # scale by 2, the inverse of 2
-            ones, twos = twos, ones
-        pivots[low.bit_length() - 1] = (ones, twos)
+            ones, twos, rhs = twos, ones, -rhs % 3
+        pivots[low.bit_length() - 1] = (ones, twos, rhs)
         mask |= low
-    solutions = [[0, 0, 0] for _ in range(lanes)]  # 1s, 2s and both
-    reached = 0  # the variables set in some lane's solution
-    for var, (q1, q2) in sorted(pivots.items(), reverse=True):
-        q, r1, r2 = q1 | q2, q1 >> nvars, q2 >> nvars
-        if not (r1 | r2 or q & reached):  # 0 in every lane
-            continue
-        for j, solution in enumerate(solutions):
-            s1, s2, held = solution
-            hit = q & held
-            rhs = (r1 >> j & 1) + 2 * (r2 >> j & 1)
-            if not (hit or rhs):
-                continue
-            # The row times the solution is same - (hit - same), where
-            # same counts the products 1 * 1 and 2 * 2; minus that is
-            # same + hit, as -2 = 1 (mod 3).
-            value = (rhs + ((q1 & s1) | (q2 & s2)).bit_count()
-                     + hit.bit_count()) % 3
-            if value:
-                solution[value - 1] |= 1 << var
-                solution[2] |= 1 << var
-                reached |= 1 << var
-    return [(s1 | n1, s2 | n2)
-            for (s1, s2, _), (n1, n2) in zip(solutions, nulls)]
+    s1 = s2 = 0  # the solution's planes
+    found = {}
+    for var in sorted(pivots, reverse=True):
+        q1, q2, prhs = pivots[var]
+        # products that are 1 count +1, those that are 2 count -1
+        value = (prhs - ((q1 & s1) | (q2 & s2)).bit_count()
+                 + ((q1 & s2) | (q2 & s1)).bit_count()) % 3
+        if value == 1:
+            s1 |= 1 << var
+        elif value == 2:
+            s2 |= 1 << var
+        if value:
+            found[var] = value
+    return found
 
 
-def _solve_mod_p(equations: list[dict[int, int]], p: int, nvars: int,
-                 lanes: int) -> list[dict[int, int]]:
+def _solve_mod_p(equations: list[tuple[dict[int, int], int]],
+                 p: int) -> Optional[dict[int, int]]:
     """The echelon elimination of :func:`_member_mod_prime` over Z/p on
-    equations ``{var: value}``, lane j at key ``nvars + j``: each lane's
-    column, as its nonzero values."""
-    # pivot variable -> its row without the pivot, which is 1
-    pivots: dict[int, dict[int, int]] = {}
-    nulls: list[dict[int, int]] = [{} for _ in range(lanes)]
-    zero = nvars  # the key of the next zero-reduced row
-    for row in equations:
+    equations ``({var: value}, rhs)``: the solution's nonzero values, or
+    None if the system has none."""
+    # pivot variable -> (its row without the pivot, which is 1; rhs)
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    for row, rhs in equations:
         pending = [var for var in row if var in pivots]
         heapify(pending)
         while pending:
@@ -685,7 +563,8 @@ def _solve_mod_p(equations: list[dict[int, int]], p: int, nvars: int,
             factor = row.pop(var, 0)
             if not factor:  # cancelled, or pushed twice
                 continue
-            for c, v in pivots[var].items():
+            prow, prhs = pivots[var]
+            for c, v in prow.items():
                 old = row.get(c, 0)
                 new = (old - factor * v) % p
                 if new:
@@ -694,77 +573,31 @@ def _solve_mod_p(equations: list[dict[int, int]], p: int, nvars: int,
                         heappush(pending, c)
                 elif old:
                     del row[c]
-        var = min(row, default=nvars)
-        if var >= nvars:
-            for lane, value in row.items():
-                nulls[lane - nvars][zero] = value
-            zero += 1
+            rhs = (rhs - factor * prhs) % p
+        if not row:
+            if rhs:
+                return None
             continue
+        var = min(row)
         inv = pow(row.pop(var), -1, p)
-        pivots[var] = {c: v * inv % p for c, v in row.items()}
-    solutions: list[dict[int, int]] = [{} for _ in range(lanes)]
-    # the lane keys, and the variables set in some lane's solution
-    reached = set(range(nvars, nvars + lanes))
-    for var, row in sorted(pivots.items(), reverse=True):
-        if reached.isdisjoint(row):  # 0 in every lane
-            continue
-        for lane, solution in enumerate(solutions, nvars):
-            hit = solution.keys() & row.keys()
-            if not hit and lane not in row:
-                continue
-            value = (row.get(lane, 0) - sum(row[c] * solution[c]
-                                            for c in hit)) % p
-            if value:
-                solution[var] = value
-                reached.add(var)
-    return [solution | null for solution, null in zip(solutions, nulls)]
-
-
-def _lane_sum(p: int, terms: list[tuple[int, object]]):
-    """The sum of ``v * column`` over Z/p for the pairs ``(v, column)``,
-    with columns stored as the solvers store them: one int over Z/2, the
-    planes ``(1s, 2s)`` over Z/3 and ``{index: value}`` otherwise."""
-    if p == 2:  # every v is 1
-        total = 0
-        for _, column in terms:
-            total ^= column
-        return total
-    if p == 3:
-        s1 = s2 = 0
-        for v, (q1, q2) in terms:
-            if v == 2:
-                q1, q2 = q2, q1
-            t = (s1 | q2) ^ (s2 | q1)
-            s1, s2 = (s2 | q2) ^ t, (s1 | q1) ^ t
-        return s1, s2
-    total: dict[int, int] = {}
-    for v, column in terms:
-        for index, value in column.items():
-            total[index] = (total.get(index, 0) + v * value) % p
-    return total
-
-
-def _lane_items(p: int, column) -> list[tuple[int, int]]:
-    """The nonzero ``(index, value)`` pairs of a column as
-    :func:`_lane_sum` stores it."""
-    if p not in (2, 3):
-        return [(index, value) for index, value in column.items() if value]
-    items = []
-    for value, plane in enumerate((column,) if p == 2 else column, 1):
-        while plane:
-            low = plane & -plane
-            items.append((low.bit_length() - 1, value))
-            plane ^= low
-    return items
+        pivots[var] = ({c: v * inv % p for c, v in row.items()}, rhs * inv % p)
+    solution: dict[int, int] = {}
+    for var in sorted(pivots, reverse=True):
+        prow, prhs = pivots[var]
+        value = (prhs - sum(v * solution.get(c, 0)
+                            for c, v in prow.items())) % p
+        if value:
+            solution[var] = value
+    return solution
 
 
 def _branch_search(instance: SemimoduleInstance, window: Window,
-                   values: tuple[int, ...], distinct: bool,
+                   top: int, distinct: bool,
                    fuel: int) -> Optional[tuple[WitnessTerm, ...]]:
     """Bounded branching search shared by both membership questions.
 
     Translations are restricted to the inclusive ``window`` box and
-    coefficients to ``values``; with ``distinct`` set, no two terms share
+    coefficients to ``1..top``; with ``distinct`` set, no two terms share
     a translation.  At each node the search branches on the residual
     coordinate with the fewest viable candidates: every representation
     must hit every residual coordinate with some translated generator, so
@@ -772,7 +605,9 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
     every allowed coefficient, or excluded — loses no witness within the
     bounds.  A coordinate no candidate can hit is an immediate dead end.
     Returns the terms sorted by ``(dy, dx, gen)``, or None if no witness
-    exists within the bounds or more than ``fuel`` nodes are needed.
+    exists within the bounds or more than ``fuel`` nodes are needed.  The
+    coefficients are counted, not listed, so a huge modulus or cap costs
+    nothing before the first node.
 
     Visit order: coordinates tie-break by ``(y, x, idx)``, and a
     coordinate's candidates go by generator, then dy, then dx.  Over Z a
@@ -852,12 +687,12 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
     # index of the pick being tried, index of its next coefficient, and
     # with ``distinct`` the mask the pick's translation returns to.
     # ``path[k]`` is the term that leads from frame k to frame k + 1.
-    stack = [[instance.target, pick_key(instance.target), -1, len(values), 0]]
+    stack = [[instance.target, pick_key(instance.target), -1, top, 0]]
     path: list[WitnessTerm] = []
     while stack:
         frame = stack[-1]
         residual, picks, at, ci, _ = frame
-        if ci < len(values):
+        if ci < top:
             frame[3] = ci + 1
             nodes += 1
             if nodes > fuel:
@@ -865,12 +700,12 @@ def _branch_search(instance: SemimoduleInstance, window: Window,
             gi, shift, _, _ = picks[at]
             sy, sx = divmod(shift, width)
             sx, sy = sx + x0, sy + y0
-            coeff = values[ci]
+            coeff = ci + 1
             child = residual.plus(gens[gi], -coeff, sx, sy)
             path.append(WitnessTerm(gi, sx, sy, coeff))
             if child.is_zero():
                 return tuple(sorted(path, key=lambda t: (t.dy, t.dx, t.gen)))
-            stack.append([child, pick_key(child), -1, len(values), 0])
+            stack.append([child, pick_key(child), -1, top, 0])
             continue
         if distinct and at >= 0:
             free[picks[at][1]] = frame[4]
@@ -935,9 +770,11 @@ def member_bounded(instance: SemimoduleInstance, window: Window,
     if max_coeff < 1:
         raise ValueError("max_coeff must be at least 1")
     if member_is_exact(instance.ring):
-        return _member_mod_prime(instance, window)
-    return _branch_search(instance, window,
-                          _coeff_values(instance.ring, max_coeff), False, fuel)
+        return _member_mod_prime(instance.generators, instance.rank,
+                                 instance.ring, tuple(window), instance.target)
+    modulus = instance.ring.modulus
+    top = max_coeff if modulus is None else modulus - 1
+    return _branch_search(instance, window, top, False, fuel)
 
 
 def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
@@ -956,7 +793,7 @@ def subset_sum_bounded(instance: SemimoduleInstance, window: Window,
     _check_bounds(window, fuel=fuel)
     if instance.ring.modulus is None:
         raise RingMismatch("subset-sum search needs a modular ring")
-    found = _branch_search(instance, window, (1,), True, fuel)
+    found = _branch_search(instance, window, 1, True, fuel)
     if found is None:
         return None
     return tuple((t.gen, t.dx, t.dy) for t in found)

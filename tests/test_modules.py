@@ -30,7 +30,7 @@ from tilechain.modules import (
     UnknownColor,
     WitnessTerm,
     _is_prime,
-    _solution_columns,
+    _member_mod_prime,
     certificate_to_witness,
     color_index,
     element_from_dict,
@@ -997,6 +997,26 @@ class TestSearchBounds:
             assert verify_witness(inst, witness)
             assert peak < 1_000_000
 
+    def test_huge_modulus_or_cap_allocates_nothing_per_coefficient(self):
+        # Listing the coefficients 1 to 10**6 - 1 up front would take
+        # about 36 MB; they are counted instead, one per node.
+        for ring, cap in ((Ring(10**6), 1), (Z, 10**6)):
+            g = unit(ring, 1, 0, 0, 0)
+            found = SemimoduleInstance(ring, 1, (g,),
+                                       g.scale(3).translate(1, 0))
+            missed = SemimoduleInstance(ring, 1, (g,), -g)
+            tracemalloc.start()
+            try:
+                witness = member_bounded(found, (0, 0, 2, 0), cap, 4)
+                short = member_bounded(found, (0, 0, 2, 0), cap, 3)
+                none = member_bounded(missed, (0, 0, 2, 0), cap, 100)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert witness == (WitnessTerm(0, 1, 0, 3),)
+            assert short is None and none is None
+            assert peak < 256 * 1024
+
 
 class TestPackedElimination:
     """Over Z/2 and Z/3 the elimination runs on bit-packed rows; it gives
@@ -1108,9 +1128,8 @@ class TestPackedElimination:
 
 
 class TestEliminationMemo:
-    """One memo per windowed system keeps a solution column per target
-    coordinate; every answer equals the reference's, warm or after the
-    memo is cleared."""
+    """Exact elimination keeps its last answers; every answer equals the
+    reference's, warm or after the memo is cleared."""
 
     @staticmethod
     def _check(inst, window):
@@ -1126,7 +1145,7 @@ class TestEliminationMemo:
         # targets, or their coordinates with fresh values.
         ring = Ring(modulus)
         rng = random.Random(f"memo:{modulus}")
-        reused = added = found = refused = 0
+        found = refused = 0
         for _ in range(15):
             rank = rng.randint(1, 2)
             gens = tuple(ModuleElement(ring, rank, {
@@ -1160,24 +1179,18 @@ class TestEliminationMemo:
                                                rng.randint(-1, 5),
                                                rng.randrange(rank))
                 targets.append(target)
-            _solution_columns.cache_clear()
+            _member_mod_prime.cache_clear()
             instances = [SemimoduleInstance(ring, rank, gens, target)
                          for target in targets]
-            columns = _solution_columns(gens, rank, ring, window)[2]
             for inst in instances:
-                keys = inst.target.support()
-                if keys and all(key in columns for key in keys):
-                    reused += 1
-                elif keys:
-                    added += 1
                 if self._check(inst, window) is None:
                     refused += 1
                 else:
                     found += 1
             for inst in instances:
-                _solution_columns.cache_clear()
                 self._check(inst, window)
-        assert reused >= 30 and added >= 40
+                _member_mod_prime.cache_clear()
+                self._check(inst, window)
         assert found >= 30 and refused >= 30
 
     @pytest.mark.parametrize("modulus", [2, 3, 5])
@@ -1186,7 +1199,7 @@ class TestEliminationMemo:
         g = ModuleElement(ring, 2, {(0, 0, 0): 1, (1, 0, 0): modulus - 1})
         reachable = g.translate(1, 1)
         window = (0, 0, 2, 2)
-        _solution_columns.cache_clear()
+        _member_mod_prime.cache_clear()
         for stray in (unit(ring, 2, 1, 1, 1),     # in reach of no entry of g
                       unit(ring, 2, 9, 1, 0),     # right of every translate
                       unit(ring, 2, 1, -4, 0)):   # below every translate
@@ -1199,8 +1212,8 @@ class TestEliminationMemo:
 
     @pytest.mark.parametrize("modulus", [2, 3, 5])
     def test_unit_lanes_from_separate_eliminations_combine(self, modulus):
-        # Each call below brings one new coordinate, so every column comes
-        # from an elimination of its own, and only the sums are warm.
+        # Unit targets that each have no witness, while a sum of them
+        # has one, and sums of them that have none either.
         ring = Ring(modulus)
         a, b, c = (0, 0, 0), (1, 0, 0), (0, 1, 0)
         window = (0, 0, 0, 0)
@@ -1220,10 +1233,10 @@ class TestEliminationMemo:
                                 ((1, 1, 1), sum_found)]),
         ]
         if modulus > 2:
-            # e_a - e_b: the zero-reduced row's lanes add up to 2 or -2
+            # e_a - e_b: the zero-reduced row's right-hand side is 2 or -2
             cases[0][1].append(((1, modulus - 1), None))
         for gen, targets in cases:
-            _solution_columns.cache_clear()
+            _member_mod_prime.cache_clear()
             for values, answer in targets:
                 inst = SemimoduleInstance(ring, 1, (gen,), element(*values))
                 assert self._check(inst, window) == answer
@@ -1232,22 +1245,22 @@ class TestEliminationMemo:
         ring = Ring(3)
         g = ModuleElement(ring, 1, {(0, 0, 0): 1, (1, 0, 0): 2})
         inst = SemimoduleInstance(ring, 1, (g,), g.translate(1, 0))
-        _solution_columns.cache_clear()
+        _member_mod_prime.cache_clear()
         expected = reference_member_mod_prime(inst, (0, 0, 2, 1))
         assert member_bounded(inst, [0, 0, 2, 1]) == expected
         assert member_bounded(inst, (0, 0, 2, 1)) == expected
-        info = _solution_columns.cache_info()
+        info = _member_mod_prime.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
     def test_rank_and_ring_keep_equal_generator_tuples_apart(self):
-        _solution_columns.cache_clear()
+        _member_mod_prime.cache_clear()
         for rank, ring in ((1, Ring(2)), (2, Ring(2)), (1, Ring(3))):
             zero = SemimoduleInstance(ring, rank, (), zero_element(ring, rank))
             one = SemimoduleInstance(ring, rank, (),
                                      unit(ring, rank, 0, 0, rank - 1))
             assert member_bounded(zero, (0, 0, 1, 1)) == ()
             assert member_bounded(one, (0, 0, 1, 1)) is None
-        assert _solution_columns.cache_info().currsize == 3
+        assert _member_mod_prime.cache_info().currsize == 6
 
     def test_large_prime_matches_reference(self):
         ring = Ring(2**61 - 1)
@@ -1255,14 +1268,16 @@ class TestEliminationMemo:
         found = 0
         for _ in range(20):
             inst, window = _random_system(rng, ring, "semimodule")
-            found += self._check(inst, window) is not None
+            expected = self._check(inst, window)
+            assert member_bounded(inst, window) == expected
+            _member_mod_prime.cache_clear()
+            assert member_bounded(inst, window) == expected
+            found += expected is not None
         assert found >= 5
 
-    def test_memo_keeps_only_columns(self, artifacts):
-        # The search pool's twelve systems.  Keeping their pivot rows and
-        # order of operations held about 18.7 MB, and keeping the columns
-        # with a list of the variables and the set of equation codes
-        # 3.45 MB.
+    def test_memo_keeps_only_answers(self, artifacts):
+        # The search pool's twelve systems: the memo holds their answers
+        # and keys, and nothing of the elimination.
         instances = []
         for name, word in (("unary-eraser", "a"), ("unary-eraser", "aa"),
                            ("unary-eraser", "aaa"),
@@ -1277,7 +1292,7 @@ class TestEliminationMemo:
                 f0 = initial_map(artifacts.machines[name], word, Ring(modulus))
                 instances.append(
                     (tiling_to_instance(artifacts.tiling(name), f0), window))
-        _solution_columns.cache_clear()
+        _member_mod_prime.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -1288,19 +1303,16 @@ class TestEliminationMemo:
         finally:
             tracemalloc.stop()
         assert found == 10
-        assert _solution_columns.cache_info().currsize == 12
+        assert _member_mod_prime.cache_info().currsize == 12
         assert held < 512 * 1024
 
-    def test_columns_kept_per_system_are_bounded(self, artifacts):
-        # 192 distinct coordinates through one system over Z/5, the dict
-        # path, whose columns are the largest.  Kept without a bound they
-        # held about 700 KB; at most 64 columns hold about 270 KB.
+    def test_many_targets_through_one_system_match_reference(self,
+                                                             artifacts):
+        # 16 targets of 12 drawn coordinates each, and the instance's own
+        # target, through one system over Z/5, the dict path.
         f0 = initial_map(artifacts.machines["unary-eraser"], "a", Ring(5))
         inst = tiling_to_instance(artifacts.tiling("unary-eraser"), f0)
         window = default_window(artifacts.pipeline("unary-eraser", "a").cert)
-        _solution_columns.cache_clear()
-        columns = _solution_columns(inst.generators, inst.rank, inst.ring,
-                                    window)[2]
         rng = random.Random("memo:bound")
         keys = sorted({key for gen in inst.generators for key in gen.support()}
                       | set(inst.target.support()))
@@ -1314,20 +1326,22 @@ class TestEliminationMemo:
         targets.append(inst.target)
         systems = [SemimoduleInstance(inst.ring, inst.rank, inst.generators,
                                       target) for target in targets]
-        answers, kept = [], []
+        _member_mod_prime.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
-            for system in systems:
-                answers.append(member_bounded(system, window))
-                kept.append(len(columns))
+            answers = [member_bounded(system, window) for system in systems]
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert max(kept) <= 64
-        assert answers == [reference_member_mod_prime(system, window)
-                           for system in systems]
+        expected = [reference_member_mod_prime(system, window)
+                    for system in systems]
+        assert answers == expected
+        for system, answer in zip(systems, expected):
+            assert member_bounded(system, window) == answer
+            _member_mod_prime.cache_clear()
+            assert member_bounded(system, window) == answer
         assert answers[-1] is not None
         assert held < 400 * 1024
 
